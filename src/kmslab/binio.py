@@ -47,6 +47,26 @@ class BinaryFormatError(ValueError):
     pass
 
 
+def _read_header(path, blob, magic, kind, fmt, names):
+    """Validate a container header; returns (fields by name, grid, payload offset)."""
+    if blob[:4] != magic:
+        raise BinaryFormatError(f"{path}: not a {kind} container (bad magic)")
+    end = 4 + struct.calcsize(fmt)
+    if len(blob) < end:
+        # every header field is a u32 except the multiplier's trailing u8 flag
+        name = names[min((len(blob) - 4) // 4, len(names) - 1)]
+        raise BinaryFormatError(f"{path}: header truncated at field {name!r} ({len(blob)} bytes)")
+    header = dict(zip(names, struct.unpack(fmt, blob[4:end])))
+    if header["version"] != VERSION:
+        raise BinaryFormatError(f"{path}: unsupported version {header['version']}")
+    try:
+        grid = TorusGrid(header["n"], header["M"])
+    except ValueError as exc:
+        name = "n" if header["n"] < 1 else "M"
+        raise BinaryFormatError(f"{path}: header field {name!r} = {header[name]}: {exc}") from None
+    return header, grid, end
+
+
 def write_field(path, field: TensorField) -> None:
     grid = field.grid
     header = FIELD_MAGIC + struct.pack(
@@ -58,14 +78,12 @@ def write_field(path, field: TensorField) -> None:
 
 def read_field(path) -> TensorField:
     blob = Path(path).read_bytes()
-    if blob[:4] != FIELD_MAGIC:
-        raise BinaryFormatError(f"{path}: not a field container (bad magic)")
-    version, n, m, d = struct.unpack("<IIII", blob[4:20])
-    if version != VERSION:
-        raise BinaryFormatError(f"{path}: unsupported version {version}")
-    grid = TorusGrid(n, m)
-    expect = m**n * d * 8
-    payload = blob[20:]
+    header, grid, offset = _read_header(
+        path, blob, FIELD_MAGIC, "field", "<IIII", ("version", "n", "M", "d")
+    )
+    d = header["d"]
+    expect = grid.points_per_axis**grid.n * d * 8
+    payload = blob[offset:]
     if len(payload) != expect:
         raise BinaryFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expect}"
@@ -89,16 +107,15 @@ def write_multiplier_grid(path, grid: TorusGrid, table: np.ndarray) -> None:
 
 def read_multiplier_grid(path):
     blob = Path(path).read_bytes()
-    if blob[:4] != MULTIPLIER_MAGIC:
-        raise BinaryFormatError(f"{path}: not a multiplier container (bad magic)")
-    version, n, m, rows, cols, is_complex = struct.unpack("<IIIIIB", blob[4:25])
-    if version != VERSION:
-        raise BinaryFormatError(f"{path}: unsupported version {version}")
-    grid = TorusGrid(n, m)
-    dtype = "<c16" if is_complex else "<f8"
-    itemsize = 16 if is_complex else 8
-    expect = m**n * rows * cols * itemsize
-    payload = blob[25:]
+    header, grid, offset = _read_header(
+        path, blob, MULTIPLIER_MAGIC, "multiplier", "<IIIIIB",
+        ("version", "n", "M", "rows", "cols", "complex"),
+    )
+    rows, cols = header["rows"], header["cols"]
+    dtype = "<c16" if header["complex"] else "<f8"
+    itemsize = 16 if header["complex"] else 8
+    expect = grid.points_per_axis**grid.n * rows * cols * itemsize
+    payload = blob[offset:]
     if len(payload) != expect:
         raise BinaryFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expect}"

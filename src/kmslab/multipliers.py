@@ -51,40 +51,30 @@ class ConstantRankViolation(RuntimeError):
 class MultiplierDescriptor:
     """A frequency-to-matrix function with declared homogeneity.
 
-    evaluate maps a single nonzero frequency (length-n array) to a matrix of
-    the declared shape; evaluate_batch, when present, does the same for a
-    (..., n) stack and is used for fast grid assembly.  Assembled grids are
-    cached keyed by (n, points_per_axis).
+    batch maps a (..., n) stack of nonzero frequencies to the matching
+    (...,) + shape stack of matrices.  Assembled grids are cached keyed by
+    (n, points_per_axis).
     """
 
     shape: tuple[int, int]
     homogeneity_degree: int
     provenance: str
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    zero_mode_policy: str = "annihilate"
+    batch: Callable[[np.ndarray], np.ndarray]
     _grid_cache: dict = field(default_factory=dict, repr=False)
+
+    def evaluate(self, xi) -> np.ndarray:
+        """The matrix at a single nonzero frequency (length-n array)."""
+        return self.batch(np.asarray(xi, dtype=float)[None])[0]
 
     def on_frequencies(self, freqs: np.ndarray, zero_mask: np.ndarray | None = None) -> np.ndarray:
         """Evaluate on a stack of frequencies; zero-masked entries are annihilated."""
         freqs = np.asarray(freqs, dtype=float)
         if zero_mask is None:
             zero_mask = ~np.any(freqs != 0, axis=-1)
-        if self.evaluate_batch is not None:
-            # zero frequencies are replaced by a harmless stand-in and
-            # annihilated below; homogeneous symbols are undefined at 0
-            safe = np.where(zero_mask[..., None], 1.0, freqs)
-            out = np.asarray(self.evaluate_batch(safe))
-        else:
-            flat = freqs.reshape(-1, freqs.shape[-1])
-            flat_mask = zero_mask.reshape(-1)
-            rows = np.zeros((flat.shape[0],) + self.shape, dtype=complex)
-            for i, xi in enumerate(flat):
-                if flat_mask[i]:
-                    continue
-                rows[i] = self.evaluate(xi)
-            out = rows.reshape(freqs.shape[:-1] + self.shape)
-        out = out.copy()
+        # zero frequencies are replaced by a harmless stand-in and
+        # annihilated below; homogeneous symbols are undefined at 0
+        safe = np.where(zero_mask[..., None], 1.0, freqs)
+        out = np.array(self.batch(safe))
         out[zero_mask] = 0.0
         return out
 
@@ -107,8 +97,7 @@ def identity_multiplier(d: int) -> MultiplierDescriptor:
         shape=(d, d),
         homogeneity_degree=0,
         provenance="identity",
-        evaluate=lambda xi: eye.copy(),
-        evaluate_batch=lambda freqs: np.broadcast_to(eye, freqs.shape[:-1] + (d, d)).copy(),
+        batch=lambda freqs: np.broadcast_to(eye, freqs.shape[:-1] + (d, d)).copy(),
     )
 
 
@@ -187,8 +176,7 @@ def mihlin_korn_multiplier(
         shape=(spec.d, spec.l),
         homogeneity_degree=alpha.order - spec.k,
         provenance=f"mihlin_korn({spec.name}, alpha={alpha}, operator_input={operator_input})",
-        evaluate=lambda xi: batch(np.asarray(xi, dtype=float)[None])[0],
-        evaluate_batch=batch,
+        batch=batch,
     )
 
 
@@ -218,8 +206,7 @@ def kernel_projection_symbol(
         shape=(spec.d, spec.d),
         homogeneity_degree=0,
         provenance=f"kernel_projection({spec.name}, r={rank})",
-        evaluate=lambda xi: batch(np.asarray(xi, dtype=float)[None])[0],
-        evaluate_batch=batch,
+        batch=batch,
     )
 
 
@@ -250,8 +237,7 @@ def pseudoinverse_symbol(
         shape=(spec.d, spec.l),
         homogeneity_degree=-spec.k,
         provenance=f"pseudoinverse({spec.name}, r={rank})",
-        evaluate=lambda xi: batch(np.asarray(xi, dtype=float)[None])[0],
-        evaluate_batch=batch,
+        batch=batch,
     )
 
 
@@ -308,15 +294,11 @@ def composed_correction_symbol(
     else:
         restricted = restrict_symbol(spec, part)
         if restricted.d == 0:
-            zero = np.zeros((d, d))
             return MultiplierDescriptor(
                 shape=(d, d),
                 homogeneity_degree=0,
                 provenance=f"correction_restricted({spec.name}, ker({part.name})=0)",
-                evaluate=lambda xi: zero.copy(),
-                evaluate_batch=lambda freqs: np.zeros(
-                    np.asarray(freqs).shape[:-1] + (d, d)
-                ),
+                batch=lambda freqs: np.zeros(np.asarray(freqs).shape[:-1] + (d, d)),
             )
         r = infer_constant_rank(restricted) if rank is None else rank
         inner = kernel_projection_symbol(restricted, r, tol=tol)
@@ -332,6 +314,5 @@ def composed_correction_symbol(
         shape=(d, d),
         homogeneity_degree=0,
         provenance=provenance,
-        evaluate=lambda xi: batch(np.asarray(xi, dtype=float)[None])[0],
-        evaluate_batch=batch,
+        batch=batch,
     )

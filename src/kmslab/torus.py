@@ -125,12 +125,8 @@ class TorusGrid:
             keep &= ~np.any(flat == -self.points_per_axis // 2, axis=1)
         flat = flat[keep]
         if canonical:
-            sel = []
-            for xi in flat:
-                lead = next((c for c in xi if c != 0), 0)
-                if lead > 0:
-                    sel.append(xi)
-            flat = np.array(sel, dtype=np.int64).reshape(-1, self.n)
+            lead = flat[np.arange(flat.shape[0]), np.argmax(flat != 0, axis=1)]
+            flat = flat[lead > 0]
         return flat
 
 

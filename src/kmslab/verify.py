@@ -23,7 +23,6 @@ M / gcd(xi, M), so the sweep costs small dense linear algebra per frequency.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -93,18 +92,12 @@ _CORRECTION_IDS = ("korn_const", "korn_const2_p2", "korn_const_p1")
 
 RHS_NEGLIGIBLE = 1e-14
 LHS_NEGLIGIBLE = 1e-10
+SWEEP_CHUNK = 1024
+WITNESS_BLOCK = 256
 
 
 class PreconditionError(ValueError):
     """An inequality trial was requested outside its stated preconditions."""
-
-
-def worker_count() -> int:
-    """Worker count from KMSLAB_WORKERS; affects speed only, never results."""
-    try:
-        return max(1, int(os.environ.get("KMSLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def trial_ratio(lhs: float, rhs: float) -> float:
@@ -116,6 +109,13 @@ def trial_ratio(lhs: float, rhs: float) -> float:
     if rhs <= RHS_NEGLIGIBLE:
         return math.inf if lhs > LHS_NEGLIGIBLE else 0.0
     return lhs / rhs
+
+
+def _trial_ratios(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """trial_ratio applied elementwise."""
+    degenerate = rhs <= RHS_NEGLIGIBLE
+    ratio = lhs / np.where(degenerate, 1.0, rhs)
+    return np.where(degenerate, np.where(lhs > LHS_NEGLIGIBLE, math.inf, 0.0), ratio)
 
 
 def _json_float(x):
@@ -348,11 +348,10 @@ def _profile_norm(grid: TorusGrid, reduced_order: int, q: float, odd: bool) -> f
     return (2.0 * math.pi) ** (grid.n / q) * mean ** (1.0 / q)
 
 
-def _reduced_order(grid: TorusGrid, xi) -> int:
-    g = int(grid.points_per_axis)
-    for c in xi:
-        g = math.gcd(g, abs(int(c)))
-    return grid.points_per_axis // g
+def _reduced_order(grid: TorusGrid, xi):
+    """M / gcd(xi, M) for one frequency or a (..., n) stack of frequencies."""
+    m = grid.points_per_axis
+    return m // np.gcd.reduce(np.abs(np.asarray(xi)).astype(np.int64), axis=-1, initial=m)
 
 
 def _frequency_scales(config, xi_abs, profiles):
@@ -381,12 +380,12 @@ def single_frequency_trial(config: InequalityConfig, xi, v) -> TrialResult:
     """Exact trial for the plane wave P = cos(x.xi) v, no FFT involved.
 
     Agrees with the FFT path of kms_sides on plane_wave_field(xi, v) to
-    roundoff; used by the exhaustive frequency sweep.
+    roundoff; the per-frequency reference for the batched sweep.
     """
     xi = np.asarray(xi)
     v = np.asarray(v, dtype=float)
     grid = config.grid
-    m = _reduced_order(grid, xi)
+    m = int(_reduced_order(grid, xi))
     xi_abs = float(np.linalg.norm(xi.astype(float)))
 
     def profiles(q, odd):
@@ -406,12 +405,16 @@ def single_frequency_trial(config: InequalityConfig, xi, v) -> TrialResult:
         av = float(np.linalg.norm(config.part.apply(v)))
         lhs = a * float(np.linalg.norm(w))
         rhs = b * av + c * bv
-    descriptor = {
+    descriptor = _plane_wave_descriptor(xi, v)
+    return TrialResult(lhs, rhs, trial_ratio(lhs, rhs), descriptor, config.describe())
+
+
+def _plane_wave_descriptor(xi, v) -> dict:
+    return {
         "generator": "plane_wave",
         "xi": [int(x) for x in np.rint(xi)],
         "v": [float(x) for x in v],
     }
-    return TrialResult(lhs, rhs, trial_ratio(lhs, rhs), descriptor, config.describe())
 
 
 def worst_vector(config: InequalityConfig, xi, null_tol: float = 1e-12):
@@ -421,25 +424,33 @@ def worst_vector(config: InequalityConfig, xi, null_tol: float = 1e-12):
     right-side matrix; when S has a null direction that the left side does
     not annihilate, that direction is returned with an infinity flag.
     """
-    vs, flags = _sweep_vectors(config, np.asarray(xi, dtype=float)[None], null_tol)
+    vs, flags, _ = _sweep_vectors(config, np.asarray(xi, dtype=float)[None], null_tol)
     return vs[0], bool(flags[0])
 
 
 def _sweep_vectors(config, freqs, null_tol=1e-12):
-    """Vectorized worst_vector over a (F, n) stack of frequencies."""
+    """Vectorized worst_vector over a (F, n) stack of frequencies.
+
+    Returns (vectors, flags, ratios); ratios[i] is the plane-wave trial
+    ratio of single_frequency_trial(config, freqs[i], vectors[i]), computed
+    from the same batched symbols instead of one evaluation per frequency.
+    """
     d = config.operator.d
     count = freqs.shape[0]
     xi_abs = np.linalg.norm(freqs, axis=1)
     grid = config.grid
-    orders = np.array([_reduced_order(grid, xi) for xi in freqs])
-    uniq = np.unique(orders)
+    uniq, inverse = np.unique(_reduced_order(grid, freqs), return_inverse=True)
 
     def profiles(q, odd):
-        table = {int(m): _profile_norm(grid, int(m), q, odd) for m in uniq}
-        return np.array([table[int(m)] for m in orders])
+        return np.array([_profile_norm(grid, int(m), q, odd) for m in uniq])[inverse]
 
     a, b, c = _frequency_scales(config, xi_abs, profiles)
-    bsym = symbol_on_frequencies(config.operator, freqs).real
+    bfull = symbol_on_frequencies(config.operator, freqs)
+    bsym = bfull.real
+
+    def bv_norms(vs):
+        # the full (possibly complex) symbol, as in single_frequency_trial
+        return np.linalg.norm(np.einsum("fij,fj->fi", bfull, vs), axis=1)
 
     if config.inequality_id == "korn_ell":
         _, s, vh = np.linalg.svd(bsym)
@@ -448,7 +459,8 @@ def _sweep_vectors(config, freqs, null_tol=1e-12):
         else:
             smin = np.zeros(count)
         flags = smin <= null_tol * np.maximum(s[..., 0], 1.0)
-        return vh[:, -1, :], flags
+        vs = vh[:, -1, :]
+        return vs, flags, _trial_ratios(a * np.linalg.norm(vs, axis=1), c * bv_norms(vs))
 
     eye = np.eye(d)
     if config.correction_enabled:
@@ -480,7 +492,10 @@ def _sweep_vectors(config, freqs, null_tol=1e-12):
         norms[:, None] > 1e-13, v_fin / np.maximum(norms, 1e-300)[:, None], fallback
     )
     vs = np.where(flags[:, None], gain_vh, v_fin)
-    return vs, flags
+    w = vs - np.einsum("fij,fj->fi", cmats, vs) if config.correction_enabled else vs
+    lhs = a * np.linalg.norm(w, axis=1)
+    rhs = b * np.linalg.norm(config.part.apply(vs), axis=1) + c * bv_norms(vs)
+    return vs, flags, _trial_ratios(lhs, rhs)
 
 
 def _svd_right(mats):
@@ -496,19 +511,19 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid, to
     makes the result deterministic.
     """
     freqs = grid.frequency_list(canonical=True)
-    if freqs.shape[0] == 0:
-        return None
     norm2 = np.sum(freqs.astype(float) ** 2, axis=1)
     keys = [freqs[:, j] for j in reversed(range(freqs.shape[1]))] + [norm2]
-    order = np.lexsort(tuple(keys))
-    for idx in order:
-        xi = freqs[idx]
-        stacked = np.vstack(
-            [part.matrix, eval_symbol(spec, xi.astype(float)).entries.real]
+    freqs = freqs[np.lexsort(tuple(keys))]
+    for lo in range(0, freqs.shape[0], WITNESS_BLOCK):
+        block = freqs[lo : lo + WITNESS_BLOCK]
+        amat = np.broadcast_to(part.matrix, (block.shape[0],) + part.matrix.shape)
+        stacked = np.concatenate(
+            [amat, symbol_on_frequencies(spec, block.astype(float)).real], axis=1
         )
         _, s, vh = np.linalg.svd(stacked)
-        if s[-1] <= tol * max(s[0], 1.0):
-            return xi.copy(), vh[-1].copy()
+        hits = np.flatnonzero(s[:, -1] <= tol * np.maximum(s[:, 0], 1.0))
+        if hits.size:
+            return block[hits[0]].copy(), vh[hits[0], -1].copy()
     return None
 
 
@@ -582,52 +597,42 @@ class _TrialCollector:
         self.n = 0
 
     def add(self, family_name, ratio, descriptor):
-        self.n += 1
+        self.add_many(family_name, [ratio], lambda i: descriptor)
+
+    def add_many(self, family_name, ratios, describe):
+        """Add non-empty ratios in order; describe(i) builds the descriptor of ratios[i].
+
+        The first infinite ratio takes the argmax; before any, the first
+        largest finite ratio does.
+        """
+        ratios = np.asarray(ratios, dtype=float)
+        self.n += ratios.size
         prev = self.family_maxima.get(family_name, 0.0)
-        self.family_maxima[family_name] = max(prev, ratio)
-        if math.isinf(ratio):
-            self.inf_count += 1
+        self.family_maxima[family_name] = max(prev, float(ratios.max()))
+        infinite = np.isinf(ratios)
+        self.finite.extend(ratios[~infinite].tolist())
+        if infinite.any():
+            self.inf_count += int(infinite.sum())
             if not math.isinf(self.best) or not self.argmax:
-                self.argmax = descriptor
+                self.argmax = describe(int(np.argmax(infinite)))
             self.best = math.inf
-            return
-        self.finite.append(ratio)
-        if not math.isinf(self.best) and ratio > self.best:
-            self.best = ratio
-            self.argmax = descriptor
+        elif not math.isinf(self.best):
+            i = int(np.argmax(ratios))
+            if ratios[i] > self.best:
+                self.best = float(ratios[i])
+                self.argmax = describe(i)
 
 
-def _chunks(total, size):
-    for start in range(0, total, size):
-        yield start, min(start + size, total)
+def _sweep_chunks(config):
+    """(freqs, vectors, ratios) over the canonical grid frequencies, chunk by chunk.
 
-
-def _sweep_collect(config, collector, workers):
+    Chunks bound the stacked SVD arrays held at once on fine grids.
+    """
     freqs = config.grid.frequency_list(canonical=True).astype(float)
-    if freqs.shape[0] == 0:
-        return
-    spans = list(_chunks(freqs.shape[0], 1024))
-
-    def work(span):
-        lo, hi = span
-        chunk = freqs[lo:hi]
-        vs, flags = _sweep_vectors(config, chunk)
-        out = []
-        for i in range(chunk.shape[0]):
-            trial = single_frequency_trial(config, chunk[i], vs[i])
-            out.append((trial.ratio, trial.field_descriptor))
-        return out
-
-    if workers > 1 and len(spans) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, spans))
-    else:
-        results = [work(span) for span in spans]
-    for block in results:
-        for ratio, descriptor in block:
-            collector.add("sweep", ratio, descriptor)
+    for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
+        chunk = freqs[lo : lo + SWEEP_CHUNK]
+        vs, _, ratios = _sweep_vectors(config, chunk)
+        yield chunk, vs, ratios
 
 
 def estimate_constant(
@@ -636,7 +641,6 @@ def estimate_constant(
     trials: int | None = None,
     seed: int = 0,
     enforce: bool = True,
-    workers: int | None = None,
 ) -> ConstantEstimate:
     """Estimate the empirical inequality constant over a field family.
 
@@ -648,8 +652,6 @@ def estimate_constant(
         family = FieldFamily()
     if trials is not None:
         family = replace(family, random_trials=trials)
-    if workers is None:
-        workers = worker_count()
     hyp_ok, note, class_echo = check_hypotheses(config)
     if enforce and not hyp_ok:
         raise PreconditionError(note)
@@ -659,7 +661,10 @@ def estimate_constant(
     collector = _TrialCollector()
 
     if family.sweep:
-        _sweep_collect(config, collector, workers)
+        for freqs, vs, ratios in _sweep_chunks(config):
+            collector.add_many(
+                "sweep", ratios, lambda i: _plane_wave_descriptor(freqs[i], vs[i])
+            )
 
     cutoff = family.random_cutoff
     if cutoff is None:

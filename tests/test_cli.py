@@ -1,5 +1,4 @@
 import json
-import os
 from importlib import resources
 
 import jsonschema
@@ -106,30 +105,9 @@ class TestVerifyCommand:
         args = ["verify", "--config", str(cfg), "--trials", "4", "--seed", "7", "--out", str(out)]
         assert run_cli(args) == 0
         first = out.read_bytes()
-        load_report(out, schema)
+        assert "workers" not in load_report(out, schema)["manifest"]
         assert run_cli(args) == 0
         assert out.read_bytes() == first
-
-    def test_worker_count_never_changes_results(self, tmp_path):
-        cfg = tmp_path / "kms.cfg"
-        cfg.write_text(json.dumps(KMS_CFG))
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        old = os.environ.get("KMSLAB_WORKERS")
-        try:
-            os.environ["KMSLAB_WORKERS"] = "1"
-            run_cli(["verify", "--config", str(cfg), "--out", str(out1)])
-            os.environ["KMSLAB_WORKERS"] = "4"
-            run_cli(["verify", "--config", str(cfg), "--out", str(out2)])
-        finally:
-            if old is None:
-                os.environ.pop("KMSLAB_WORKERS", None)
-            else:
-                os.environ["KMSLAB_WORKERS"] = old
-        a = json.loads(out1.read_text())
-        b = json.loads(out2.read_text())
-        assert a["results"] == b["results"]
-        assert a["manifest"]["workers"] != b["manifest"]["workers"]
 
     def test_refinement_flag(self, tmp_path, schema):
         cfg = tmp_path / "kms.cfg"
@@ -142,6 +120,25 @@ class TestVerifyCommand:
         res = load_report(out, schema)["results"]
         assert res["kind"] == "refinement_study"
         assert res["study"]["sizes"] == [8, 16]
+
+    def test_one_hypothesis_check_per_estimate(self, tmp_path, monkeypatch):
+        from kmslab import cli, verify
+
+        calls = []
+        original = verify.check_hypotheses
+
+        def counting(config, *args, **kwargs):
+            calls.append(config.grid.points_per_axis)
+            return original(config, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_hypotheses", counting)
+        # the cli would hold its own reference had it imported the name
+        monkeypatch.setattr(cli, "check_hypotheses", counting, raising=False)
+        cfg = tmp_path / "kms.cfg"
+        cfg.write_text(json.dumps(dict(KMS_CFG, trials=2)))
+        out = tmp_path / "rep.json"
+        assert run_cli(["verify", "--config", str(cfg), "--refine", "8,16", "--out", str(out)]) == 0
+        assert calls == [8, 16]
 
     def test_precondition_failure_exit_1(self, tmp_path, capsys):
         doc = dict(KMS_CFG, inequality="korn_ellip", partmap="tr")
@@ -287,3 +284,22 @@ class TestBinio:
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(BinaryFormatError):
             read_field(path)
+
+    @pytest.mark.parametrize("container", ["field", "multiplier"])
+    def test_header_faults_name_path_and_field(self, tmp_path, container):
+        import struct
+
+        from kmslab.binio import BinaryFormatError, read_multiplier_grid
+
+        if container == "field":
+            read, magic, tail = read_field, b"KMSF", struct.pack("<I", 3)
+        else:
+            read, magic, tail = read_multiplier_grid, b"KMSM", struct.pack("<IIB", 1, 1, 0)
+        truncated = tmp_path / "short.bin"
+        truncated.write_bytes((magic + struct.pack("<III", 1, 2, 8) + tail)[:9])
+        with pytest.raises(BinaryFormatError, match=r"short\.bin.*'n'"):
+            read(truncated)
+        odd_grid = tmp_path / "odd.bin"
+        odd_grid.write_bytes(magic + struct.pack("<III", 1, 2, 5) + tail)
+        with pytest.raises(BinaryFormatError, match=r"odd\.bin.*'M' = 5"):
+            read(odd_grid)

@@ -43,10 +43,15 @@ class TestTorusGrid:
             assert tuple(-c for c in f) in freqs
 
     def test_frequency_list_canonical_halves(self):
-        grid = TorusGrid(2, 8)
-        full = grid.frequency_list()
-        canon = grid.frequency_list(canonical=True)
-        assert full.shape[0] == 2 * canon.shape[0]
+        for n, m in [(1, 4), (1, 10), (2, 8), (3, 6), (4, 4)]:
+            grid = TorusGrid(n, m)
+            full = grid.frequency_list()
+            canon = grid.frequency_list(canonical=True)
+            assert full.shape[0] == 2 * canon.shape[0]
+            # the representative of {xi, -xi} is the one whose leading nonzero is positive
+            leading_positive = [xi for xi in full if next(c for c in xi if c != 0) > 0]
+            assert canon.dtype == np.int64
+            assert np.array_equal(canon, np.array(leading_positive).reshape(-1, n))
 
     def test_cell_volume(self):
         grid = TorusGrid(3, 8)

@@ -31,6 +31,7 @@ from kmslab.verify import (
     trial_ratio,
     worst_vector,
 )
+from kmslab.verify import _sweep_chunks
 
 
 def small_family(trials=5):
@@ -185,6 +186,40 @@ class TestSingleFrequencyExactness:
         assert alg.rhs == pytest.approx(fft.rhs, rel=1e-10)
 
 
+class TestBatchedSweep:
+    # every inequality id at M = 8; kms_sym at M = 16 spans two chunks
+    @pytest.mark.parametrize(
+        "ident,part_name,p,m",
+        [
+            ("korn_ell", None, 2.0, 8),
+            ("kms_sym", "sym", 2.0, 8),
+            ("asplit", "dev", 2.0, 8),
+            ("korn_ellip", "sym", 2.0, 8),
+            ("korn_const", "tr", 2.0, 8),
+            ("korn_const2_p2", "tr", 2.0, 8),
+            ("korn_const_p1", "tr", 1.0, 8),
+            ("kms_sym", "sym", 2.0, 16),
+        ],
+    )
+    def test_ratios_match_single_frequency_reference(self, curl, ident, part_name, p, m):
+        grid = TorusGrid(3, m)
+        if ident == "korn_ell":
+            cfg = InequalityConfig(ident, catalog_operator("sym_gradient", 3), None, p, grid)
+        else:
+            cfg = InequalityConfig(ident, curl, catalog_partmap(part_name, 3), p, grid)
+        chunks = list(_sweep_chunks(cfg))
+        assert (len(chunks) > 1) == (m == 16)
+        freqs = np.concatenate([chunk for chunk, _, _ in chunks])
+        assert np.array_equal(freqs, grid.frequency_list(canonical=True))
+        for chunk, vs, ratios in chunks:
+            for xi, v, ratio in zip(chunk, vs, ratios):
+                ref = single_frequency_trial(cfg, xi, v).ratio
+                if math.isinf(ref) or math.isinf(ratio):
+                    assert ratio == ref, xi
+                else:
+                    assert abs(ratio - ref) <= 1e-12 * max(abs(ref), abs(ratio)), xi
+
+
 class TestKmsSymAlgebra:
     def test_no_single_frequency_kernel_witness(self, grid16, curl):
         # sym(a (x) xi) = 0 forces a = 0, so every single-frequency trial
@@ -317,16 +352,6 @@ class TestEstimates:
         a = estimate_constant(cfg, family=small_family(), seed=5)
         b = estimate_constant(cfg, family=small_family(), seed=5)
         assert a.to_dict() == b.to_dict()
-
-    def test_threaded_sweep_matches_serial(self, grid16, curl):
-        # the 16^3 sweep spans multiple chunks, so this exercises the
-        # thread pool merge order for real
-        sym = catalog_partmap("sym", 3)
-        cfg = InequalityConfig("kms_sym", curl, sym, 2.0, grid16)
-        fam = FieldFamily(random_trials=2, bump_widths=())
-        serial = estimate_constant(cfg, family=fam, seed=5, workers=1)
-        threaded = estimate_constant(cfg, family=fam, seed=5, workers=3)
-        assert serial.to_dict() == threaded.to_dict()
 
     def test_sobolev_case_bounded_by_pseudoinverse_constant(self, grid8):
         # A = 0 and elliptic B: the per-frequency ratio is controlled by the
