@@ -4,7 +4,9 @@ Every run emits a single JSON report with the inputs echoed (command line,
 seeds, parsed config, tool version) so that replaying the manifest
 reproduces the report byte for byte.  Timestamps are therefore omitted
 unless explicitly requested with --stamp-time.  Exit codes: 0 success,
-1 precondition failure, 2 parse/usage error.
+1 precondition failure (PreconditionError), 2 parse/usage error, including
+out-of-range flag values (ConfigError naming the flag).  Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .specfile import ConfigError, SpecFileError, load_verify_config, parse_oper
 from .torus import TorusGrid, bump_field, lp_norm, plane_wave_field, random_bandlimited
 from .verify import (
     PreconditionError,
+    _check_sizes,
     curl_riesz_crosscheck,
     estimate_constant,
     necessity_demo,
@@ -76,6 +79,14 @@ def _csv_floats(text, what):
         raise ConfigError(what, f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _user_value(what, build, *args):
+    """build(*args), whose only ValueErrors reject the value of flag `what`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(what, str(exc)) from None
+
+
 def _load_operator(args):
     if args.spec:
         return parse_operator_file(args.spec)
@@ -99,7 +110,9 @@ def _resolve_partmap(name, n, dim=None):
 
 def cmd_classify(args):
     spec = _load_operator(args)
-    sampling = SphereSampling.standard(spec.n, count=args.samples, seed=args.seed)
+    if not 0 < args.tol < 1:
+        raise ConfigError("tol", f"must lie in (0, 1), got {args.tol}")
+    sampling = _user_value("samples", SphereSampling.standard, spec.n, args.samples, args.seed)
     if args.on_kernel_of:
         part = _resolve_partmap(args.on_kernel_of, spec.n, dim=spec.d)
         report = classify_on_kernel(spec, part, sampling, tol=args.tol)
@@ -126,11 +139,12 @@ def cmd_classify(args):
 def cmd_verify(args):
     config, extras = load_verify_config(args.config)
     if args.grid is not None:
-        config = config.with_grid(TorusGrid(config.n, args.grid))
+        config = config.with_grid(_user_value("grid", TorusGrid, config.n, args.grid))
     trials = args.trials if args.trials is not None else extras["trials"]
     seed = args.seed if args.seed is not None else extras["seed"]
     sizes = _csv_ints(args.refine, "refine") if args.refine else extras.get("sizes")
     if sizes:
+        _user_value("refine" if args.refine else "sizes", _check_sizes, sizes)
         study = refinement_study(config, sizes, trials=trials, seed=seed)
         results = {"kind": "refinement_study", "study": study.to_dict()}
     else:
@@ -146,7 +160,9 @@ def cmd_demo_necessity(args):
     except (KeyError, ValueError) as exc:
         raise ConfigError("B", str(exc)) from None
     part = _resolve_partmap(args.A, args.n, dim=spec.d)
-    grid = TorusGrid(args.n, args.grid)
+    grid = _user_value("grid", TorusGrid, args.n, args.grid)
+    if not 1 < args.p < args.n:
+        raise ConfigError("p", f"need 1 < p < n = {args.n}, got {args.p}")
     demo = necessity_demo(part, spec, grid, p=args.p)
     config_echo = {
         "A": part.name,
@@ -160,7 +176,11 @@ def cmd_demo_necessity(args):
 
 
 def cmd_crosscheck(args):
-    grid = TorusGrid(3, args.grid) if args.grid else None
+    grid = _user_value("grid", TorusGrid, 3, args.grid) if args.grid else None
+    if not 1 <= args.points <= 10:
+        raise ConfigError("points", f"must lie in [1, 10], got {args.points}")
+    if args.width <= 0:
+        raise ConfigError("width", f"must be positive, got {args.width}")
     result = curl_riesz_crosscheck(
         mode=args.mode, grid=grid, eval_points=args.points, width=args.width
     )
@@ -170,19 +190,19 @@ def cmd_crosscheck(args):
 
 
 def cmd_field_gen(args):
-    grid = TorusGrid(args.n, args.grid)
+    grid = _user_value("grid", TorusGrid, args.n, args.grid)
     if args.kind == "random":
-        if args.d is None:
-            raise ConfigError("d", "random fields need --d")
+        if args.d is None or args.d < 1:
+            raise ConfigError("d", "random fields need --d >= 1")
         cutoff = args.cutoff if args.cutoff else max(1, args.grid // 4)
-        field = random_bandlimited(grid, args.d, cutoff, seed=args.seed)
+        field = _user_value("cutoff", random_bandlimited, grid, args.d, cutoff, args.seed)
         descriptor = {"kind": "random", "d": args.d, "cutoff": cutoff, "seed": args.seed}
     elif args.kind == "plane":
         if not args.xi or not args.value:
             raise ConfigError("xi", "plane waves need --xi and --value")
         xi = np.array(_csv_ints(args.xi, "xi"))
         v = np.array(_csv_floats(args.value, "value"))
-        field = plane_wave_field(grid, xi, v)
+        field = _user_value("xi", plane_wave_field, grid, xi, v)
         descriptor = {"kind": "plane", "xi": xi.tolist(), "value": v.tolist()}
     else:
         if not args.value:
@@ -193,7 +213,9 @@ def cmd_field_gen(args):
             if args.center
             else np.full(args.n, np.pi)
         )
-        field = bump_field(grid, center, args.width, v)
+        if args.width <= 0:
+            raise ConfigError("width", f"must be positive, got {args.width}")
+        field = _user_value("center", bump_field, grid, center, args.width, v)
         descriptor = {
             "kind": "bump",
             "center": center.tolist(),
@@ -304,9 +326,6 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 1
 

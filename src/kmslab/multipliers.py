@@ -11,7 +11,18 @@ Three constructions:
 
 All multipliers annihilate the zero frequency: homogeneous symbols are
 undefined there and torus fields are reduced to zero mean before multiplier
-application.  Grid-assembled symbol tables are cached per descriptor.
+application.
+
+Grid tables (`MultiplierDescriptor.grid_table`) live on the real-FFT half
+grid of a TorusGrid and act on real fields: each bin stores the Hermitian
+part (m(xi) + conj m(xi'))/2, xi' the grid representative of -xi (Nyquist
+coordinates stay at -M/2).  Tables are for multipliers that map real fields
+to real fields, m(-xi) = conj m(xi) (the identity, the projectors and the
+operator-input reconstruction multipliers of real symbols); off the Nyquist
+planes their Hermitian part is m(xi) itself, so only Nyquist bins are
+evaluated twice.  A descriptor caches the table of the grid it was last
+asked for.  The KMSM container of `binio` stores full-grid tables, from
+`on_frequencies(grid.frequency_grid)`.
 """
 
 from __future__ import annotations
@@ -52,15 +63,15 @@ class MultiplierDescriptor:
     """A frequency-to-matrix function with declared homogeneity.
 
     batch maps a (..., n) stack of nonzero frequencies to the matching
-    (...,) + shape stack of matrices.  Assembled grids are cached keyed by
-    (n, points_per_axis).
+    (...,) + shape stack of matrices.  The table of the most recent grid is
+    cached, keyed by (n, points_per_axis).
     """
 
     shape: tuple[int, int]
     homogeneity_degree: int
     provenance: str
     batch: Callable[[np.ndarray], np.ndarray]
-    _grid_cache: dict = field(default_factory=dict, repr=False)
+    _grid_cache: tuple = field(default=(None, None), repr=False)
 
     def evaluate(self, xi) -> np.ndarray:
         """The matrix at a single nonzero frequency (length-n array)."""
@@ -79,15 +90,21 @@ class MultiplierDescriptor:
         return out
 
     def grid_table(self, grid) -> np.ndarray:
-        """Symbol matrices for every frequency of a TorusGrid, cached."""
+        """Hermitian-part matrices on the half grid of a TorusGrid, cached.
+
+        Shape grid.half_shape + shape, bins as in grid.half_frequency_grid.
+        """
         key = (grid.n, grid.points_per_axis)
-        table = self._grid_cache.get(key)
-        if table is None:
-            table = self.on_frequencies(
-                grid.frequency_grid.astype(float), zero_mask=grid.zero_mask
-            )
+        cached_key, table = self._grid_cache
+        if cached_key != key:
+            freqs = grid.half_frequency_grid
+            nyquist = freqs == -(grid.points_per_axis // 2)
+            planes = np.any(nyquist, axis=-1)
+            table = self.on_frequencies(freqs.astype(float), zero_mask=grid.half_zero_mask)
+            mirror = np.where(nyquist[planes], freqs[planes], -freqs[planes]).astype(float)
+            table[planes] = 0.5 * (table[planes] + self.on_frequencies(mirror).conj())
             table.setflags(write=False)
-            self._grid_cache[key] = table
+            self._grid_cache = (key, table)
         return table
 
 

@@ -9,6 +9,19 @@ fields.  Spectra are normalized so that Parseval reads
 i.e. the coefficients absorb the cell-volume factor of the L^2 norm.
 Compactly supported whole-space fields are modeled as zero-mean periodic
 fields; every report states this.
+
+`transform` / `inverse_transform` are the full-grid reference transform.
+Everything else works on the real-FFT half spectrum of a field: one rfftn,
+its last axis halved to the bins 0 ... M/2 - 1, -M/2
+(`TorusGrid.half_frequency_grid`).  A field's L^2 norm is the Parseval sum
+with `TorusGrid.parseval_weights` (1 on the last-axis bins 0 and M/2,
+whose partners -xi lie in the half grid too, 2 elsewhere).  A multiplier m
+acts on the half spectrum through its Hermitian part
+(m(xi) + conj m(xi'))/2, with xi' the grid representative of -xi (Nyquist
+coordinates stay at -M/2): that is what multiplying the full spectrum and
+keeping the real part of the inverse computes.  For (i xi)^alpha it
+vanishes where the Nyquist coordinates carry odd total order and is
+(i xi)^alpha elsewhere.
 """
 
 from __future__ import annotations
@@ -97,11 +110,50 @@ class TorusGrid:
         mask.setflags(write=False)
         return mask
 
+    @property
+    def half_shape(self) -> tuple:
+        """Shape of a real-FFT half spectrum: the last axis keeps M/2 + 1 bins."""
+        m = self.points_per_axis
+        return (m,) * (self.n - 1) + (m // 2 + 1,)
+
     @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        mask = np.any(self.frequency_grid == -self.points_per_axis // 2, axis=-1)
+    def half_frequency_grid(self) -> np.ndarray:
+        """Frequencies of the half spectrum, shape half_shape + (n,).
+
+        The last axis holds the bins 0 ... M/2 - 1 and then -M/2, the
+        Nyquist convention of frequency_grid.
+        """
+        m = self.points_per_axis
+        last = np.append(np.arange(m // 2), -(m // 2))
+        axes = [self.axis_frequencies] * (self.n - 1) + [last]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        grid.setflags(write=False)
+        return grid
+
+    @cached_property
+    def half_zero_mask(self) -> np.ndarray:
+        mask = ~np.any(self.half_frequency_grid != 0, axis=-1)
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def half_frequency_norm2(self) -> np.ndarray:
+        out = np.sum(self.half_frequency_grid.astype(float) ** 2, axis=-1)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Multiplicity of each half-spectrum bin in the full spectrum sum.
+
+        1 on the last-axis bins 0 and M/2 (the partner -xi is in the half
+        grid too), 2 elsewhere (the partner is its conjugate, left out).
+        """
+        weights = np.full(self.half_shape, 2.0)
+        weights[..., 0] = 1.0
+        weights[..., -1] = 1.0
+        weights.setflags(write=False)
+        return weights
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -211,7 +263,7 @@ def _axes(grid):
 
 
 def transform(field: TensorField) -> SpectrumField:
-    """Parseval-normalized discrete Fourier transform."""
+    """Parseval-normalized discrete Fourier transform on the full grid."""
     coef = np.fft.fftn(field.values, axes=_axes(field.grid)) * field.grid.spectrum_scale
     return SpectrumField(field.grid, coef)
 
@@ -222,19 +274,112 @@ def inverse_transform(spectrum: SpectrumField) -> TensorField:
     return TensorField(spectrum.grid, vals.real / spectrum.grid.spectrum_scale)
 
 
+# --------------------------------------------------------------------------
+# half-spectrum calculus: coefficients are (half_shape + (components,)) arrays
+# --------------------------------------------------------------------------
+
+def _forward(grid, values):
+    """Parseval-normalized real-FFT half spectrum of (grid.shape + (d,)) samples."""
+    return np.fft.rfftn(values, axes=_axes(grid)) * grid.spectrum_scale
+
+
+def _inverse(grid, coef):
+    """Real samples of a half spectrum; trailing component axes are kept."""
+    return np.fft.irfftn(coef, s=grid.shape, axes=_axes(grid)) / grid.spectrum_scale
+
+
+def _inverse_stacked(grid, spectra):
+    """Real samples of several half spectra from one batched inverse transform."""
+    if len(spectra) == 1:
+        return [_inverse(grid, spectra[0])]
+    ends = np.cumsum([coef.shape[-1] for coef in spectra])[:-1]
+    return np.split(_inverse(grid, np.concatenate(spectra, axis=-1)), ends, axis=-1)
+
+
+def _hermitian_power(grid, alpha):
+    """Hermitian part of (i xi)^alpha on the half grid.
+
+    (i xi)^alpha where the Nyquist coordinates of xi carry even total order
+    in alpha, 0 where it is odd.
+    """
+    xi = grid.half_frequency_grid
+    nyquist = xi == -(grid.points_per_axis // 2)
+    order = sum(e * nyquist[..., j] for j, e in enumerate(alpha.exponents) if e)
+    power = alpha.power(1j * xi.astype(float))
+    return np.where(np.asarray(order) % 2 == 1, 0.0, power)
+
+
+def _operator_spectrum(spec, grid, coef):
+    """Half spectrum of B u from that of u: the Hermitian part of B[i xi]."""
+    # one 2-d product per coefficient, not one per leading index
+    flat = coef.reshape(-1, coef.shape[-1])
+    out = np.zeros(coef.shape[:-1] + (spec.l,), dtype=complex)
+    for alpha, mat in spec.coeffs.items():
+        power = _hermitian_power(grid, alpha)
+        out += power[..., None] * (flat @ mat.real.T).reshape(out.shape)
+        if np.iscomplexobj(mat):
+            # conj flips i Im B_alpha along with (i xi)^alpha: the Hermitian
+            # part keeps it exactly where the plain power vanishes
+            odd = alpha.power(1j * grid.half_frequency_grid.astype(float)) - power
+            out += odd[..., None] * (flat @ (1j * mat.imag).T).reshape(out.shape)
+    return out
+
+
+def _multiplier_spectrum(desc, grid, coef):
+    """Half spectrum of m(D) u from that of u, through desc.grid_table."""
+    return np.einsum("...rc,...c->...r", desc.grid_table(grid), coef)
+
+
+def _derivative_spectrum(grid, coef, m):
+    """Half spectra of the m-th derivative tensor, stacked on the last axis.
+
+    Block beta is weighted by sqrt(m!/beta!), so the stacked field's
+    Frobenius norm is the full derivative tensor's.  m = 0 returns coef.
+    """
+    if m == 0:
+        return coef
+    indices = multiindex_enumerate(grid.n, m)
+    out = np.empty(coef.shape[:-1] + (len(indices), coef.shape[-1]), dtype=complex)
+    for b, beta in enumerate(indices):
+        weight = math.sqrt(beta.multiplicity()) * _hermitian_power(grid, beta)
+        out[..., b, :] = weight[..., None] * coef
+    return out.reshape(coef.shape[:-1] + (-1,))
+
+
+def _parseval_norm(grid, coef, weight=None):
+    """L^2 norm of the real field with half spectrum coef; weight multiplies each bin."""
+    pairs = np.ascontiguousarray(coef).view(float)
+    power = np.einsum("...j,...j->...", pairs, pairs)
+    weights = grid.parseval_weights if weight is None else grid.parseval_weights * weight
+    return math.sqrt(float(np.vdot(weights, power)))
+
+
+def _negative_norm(grid, coef, s):
+    """(sum_{xi != 0} |xi|^{-2s} ||coef(xi)||^2)^{1/2} over the full spectrum."""
+    norm2 = grid.half_frequency_norm2
+    weight = np.zeros_like(norm2)
+    nz = ~grid.half_zero_mask
+    weight[nz] = norm2[nz] ** (-s)
+    return _parseval_norm(grid, coef, weight)
+
+
+def _lp(grid, values, p):
+    """Discrete L^p norm of (grid.shape + (d,)) samples, Euclidean fiber norm."""
+    if not 1 <= p < math.inf:
+        raise ValueError("need 1 <= p < infinity")
+    point_norms = np.linalg.norm(values, axis=-1)
+    return float((np.sum(point_norms**p) * grid.cell_volume) ** (1.0 / p))
+
+
 def apply_operator(spec: OperatorSpec, field: TensorField) -> TensorField:
     """Apply the differential operator spectrally: coefficients map by B[i xi]."""
     if field.fiber_dim != spec.d:
         raise ValueError(f"field fiber {field.fiber_dim} != operator source {spec.d}")
     if field.grid.n != spec.n:
         raise ValueError("grid and operator dimensions differ")
-    f_hat = transform(field).coefficients
-    freqs = field.grid.frequency_grid.astype(float)
-    out_hat = np.zeros(field.grid.shape + (spec.l,), dtype=complex)
-    for alpha, mat in spec.coeffs.items():
-        factor = alpha.power(1j * freqs)
-        out_hat += factor[..., None] * (f_hat @ mat.T)
-    return inverse_transform(SpectrumField(field.grid, out_hat))
+    grid = field.grid
+    out_hat = _operator_spectrum(spec, grid, _forward(grid, field.values))
+    return TensorField(grid, _inverse(grid, out_hat))
 
 
 def apply_multiplier(desc, field: TensorField) -> TensorField:
@@ -242,10 +387,9 @@ def apply_multiplier(desc, field: TensorField) -> TensorField:
     rows, cols = desc.shape
     if field.fiber_dim != cols:
         raise ValueError(f"field fiber {field.fiber_dim} != multiplier columns {cols}")
-    table = desc.grid_table(field.grid)
-    f_hat = transform(field).coefficients
-    out_hat = np.einsum("...rc,...c->...r", table, f_hat)
-    return inverse_transform(SpectrumField(field.grid, out_hat))
+    grid = field.grid
+    out_hat = _multiplier_spectrum(desc, grid, _forward(grid, field.values))
+    return TensorField(grid, _inverse(grid, out_hat))
 
 
 def apply_partmap(part, field: TensorField) -> TensorField:
@@ -257,10 +401,7 @@ def apply_partmap(part, field: TensorField) -> TensorField:
 
 def lp_norm(field: TensorField, p: float) -> float:
     """Discrete L^p norm with Euclidean (Frobenius) fiber norm."""
-    if not 1 <= p < math.inf:
-        raise ValueError("need 1 <= p < infinity")
-    point_norms = np.linalg.norm(field.values, axis=-1)
-    return float((np.sum(point_norms**p) * field.grid.cell_volume) ** (1.0 / p))
+    return _lp(field.grid, field.values, p)
 
 
 def _require_zero_mean(field, what):
@@ -279,19 +420,14 @@ def homog_sobolev_norm(field: TensorField, m: int, p: float) -> float:
         raise ValueError("derivative order must be >= 0")
     if m == 0:
         return lp_norm(field, p)
+    if not 1 <= p < math.inf:
+        raise ValueError("need 1 <= p < infinity")
     _require_zero_mean(field, "homogeneous Sobolev norm")
     grid = field.grid
-    f_hat = transform(field).coefficients
-    freqs = grid.frequency_grid.astype(float)
-    indices = multiindex_enumerate(grid.n, m)
-    blocks = np.empty(grid.shape + (len(indices), field.fiber_dim))
-    for b, beta in enumerate(indices):
-        weight = math.sqrt(beta.multiplicity())
-        deriv_hat = beta.power(1j * freqs)[..., None] * f_hat
-        vals = np.fft.ifftn(deriv_hat, axes=_axes(grid)).real / grid.spectrum_scale
-        blocks[..., b, :] = weight * vals
-    stacked = TensorField(grid, blocks.reshape(grid.shape + (-1,)))
-    return lp_norm(stacked, p)
+    blocks = _derivative_spectrum(grid, _forward(grid, field.values), m)
+    if p == 2:
+        return _parseval_norm(grid, blocks)
+    return _lp(grid, _inverse(grid, blocks), p)
 
 
 def negative_sobolev_norm_l2(field: TensorField, s: float, p: float = 2.0) -> float:
@@ -305,14 +441,7 @@ def negative_sobolev_norm_l2(field: TensorField, s: float, p: float = 2.0) -> fl
     if s < 0:
         raise ValueError("order s must be >= 0")
     _require_zero_mean(field, "negative-order Sobolev norm")
-    grid = field.grid
-    f_hat = transform(field).coefficients
-    norm2 = grid.frequency_norm2
-    weights = np.zeros_like(norm2)
-    nz = ~grid.zero_mask
-    weights[nz] = norm2[nz] ** (-s)
-    total = np.sum(weights * np.sum(np.abs(f_hat) ** 2, axis=-1))
-    return float(math.sqrt(total))
+    return _negative_norm(field.grid, _forward(field.grid, field.values), s)
 
 
 def sobolev_conjugate(p: float, n: int) -> float:
@@ -359,11 +488,11 @@ def random_bandlimited(
         raise ValueError("cutoff must satisfy 1 <= cutoff < M/2")
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(grid.shape + (d,))
-    hat = np.fft.fftn(white, axes=_axes(grid))
-    freqs = grid.frequency_grid
-    keep = np.all(np.abs(freqs) <= cutoff, axis=-1) & ~grid.zero_mask
+    hat = np.fft.rfftn(white, axes=_axes(grid))
+    freqs = grid.half_frequency_grid
+    keep = np.all(np.abs(freqs) <= cutoff, axis=-1) & ~grid.half_zero_mask
     hat *= keep[..., None]
-    vals = np.fft.ifftn(hat, axes=_axes(grid)).real
+    vals = np.fft.irfftn(hat, s=grid.shape, axes=_axes(grid))
     field = TensorField(grid, vals)
     if normalize:
         nrm = lp_norm(field, 2)

@@ -40,13 +40,18 @@ from .operators import (
 from .torus import (
     TensorField,
     TorusGrid,
+    _derivative_spectrum,
+    _forward,
+    _inverse_stacked,
+    _lp,
+    _multiplier_spectrum,
+    _negative_norm,
+    _operator_spectrum,
+    _parseval_norm,
     apply_multiplier,
     apply_operator,
     apply_partmap,
     bump_field,
-    homog_sobolev_norm,
-    lp_norm,
-    negative_sobolev_norm_l2,
     plane_wave_field,
     random_bandlimited,
     sobolev_conjugate,
@@ -300,30 +305,74 @@ def _validate_field(config, fld):
 
 
 def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]:
-    """Evaluate both sides of the configured inequality for one field."""
-    _validate_field(config, fld)
-    k = config.k
-    ident = config.inequality_id
-    if ident == "korn_ell":
-        lhs = homog_sobolev_norm(fld, k, config.p)
-        rhs = lp_norm(apply_operator(config.operator, fld), config.p)
-        return lhs, rhs
+    """Evaluate both sides of the configured inequality for one field.
 
-    reduced = fld
+    The field is transformed once, to its real-FFT half spectrum; the
+    correction, the part map, B[i xi] and the derivative blocks act on that
+    spectrum.  L^2 norms are Parseval sums; the L^p norms that need real
+    samples share one batched inverse transform.
+    """
+    _validate_field(config, fld)
+    grid = fld.grid
+    f_hat = _forward(grid, fld.values)
+    b_hat = _operator_spectrum(config.operator, grid, f_hat)
+    c_hat = None
     if config.correction_enabled:
-        reduced = fld - apply_multiplier(config.correction_descriptor, fld)
-    a_field = apply_partmap(config.part, fld)
-    b_field = apply_operator(config.operator, fld)
-    if ident == "korn_const2_p2":
-        lhs = negative_sobolev_norm_l2(reduced, 1.0)
-        rhs = negative_sobolev_norm_l2(a_field, 1.0) + negative_sobolev_norm_l2(
-            b_field, float(k)
-        )
-    else:
-        p_star = config.p_star
-        lhs = homog_sobolev_norm(reduced, k - 1, p_star)
-        rhs = homog_sobolev_norm(a_field, k - 1, p_star) + lp_norm(b_field, config.p)
+        c_hat = _multiplier_spectrum(config.correction_descriptor, grid, f_hat)
+    if config.inequality_id != "korn_const2_p2":
+        return _sobolev_sides(config, fld, f_hat, b_hat, c_hat)
+    reduced_hat = f_hat if c_hat is None else f_hat - c_hat
+    lhs = _negative_norm(grid, reduced_hat, 1.0)
+    rhs = _negative_norm(grid, config.part.apply(f_hat), 1.0) + _negative_norm(
+        grid, b_hat, float(config.k)
+    )
     return lhs, rhs
+
+
+def _sobolev_sides(config, fld, f_hat, b_hat, c_hat):
+    """kms_sides for the ids measured in L^p Sobolev norms.
+
+    Each term is ||D^m g||_q of a field g with half spectrum g^.  At q = 2 it
+    is a Parseval sum.  Otherwise it needs real samples: P and A P are at
+    hand for m = 0, and P - corr P is P minus the inverse of corr^P, so a
+    vanishing correction leaves korn_const equal to korn_ellip bit for bit.
+    Every other term joins one batched inverse transform.
+    """
+    grid = fld.grid
+    k, p = config.k, config.p
+    norms = {}
+    pending = {}  # term -> (half spectrum whose samples it needs, exponent)
+
+    def term(name, coef, m, q):
+        blocks = _derivative_spectrum(grid, coef, m)
+        if q == 2:
+            norms[name] = _parseval_norm(grid, blocks)
+        else:
+            pending[name] = (blocks, q)
+
+    if config.inequality_id == "korn_ell":
+        term("lhs", f_hat, k, p)
+    else:
+        m, q = k - 1, config.p_star
+        if m == 0 and q != 2:
+            norms["a"] = _lp(grid, config.part.apply(fld.values), q)
+            if c_hat is None:
+                norms["lhs"] = _lp(grid, fld.values, q)
+            else:
+                pending["corr"] = (c_hat, q)
+        else:
+            term("lhs", f_hat if c_hat is None else f_hat - c_hat, m, q)
+            term("a", config.part.apply(f_hat), m, q)
+    term("b", b_hat, 0, p)
+    if pending:
+        samples = _inverse_stacked(grid, [coef for coef, _ in pending.values()])
+        for (name, (_, q)), vals in zip(pending.items(), samples):
+            if name == "corr":
+                norms["lhs"] = _lp(grid, fld.values - vals, q)
+            else:
+                norms[name] = _lp(grid, vals, q)
+    rhs = norms["b"] if config.inequality_id == "korn_ell" else norms["a"] + norms["b"]
+    return norms["lhs"], rhs
 
 
 def run_trial(config: InequalityConfig, fld: TensorField, descriptor: dict) -> TrialResult:
@@ -748,6 +797,15 @@ class RefinementStudy:
         }
 
 
+def _check_sizes(sizes) -> list:
+    """The grid sizes of a refinement study as a list, checked."""
+    sizes = list(sizes)
+    even = all(isinstance(m, (int, np.integer)) and m % 2 == 0 and m >= 4 for m in sizes)
+    if not even or sorted(sizes) != sizes:
+        raise ValueError("sizes must be increasing even integers >= 4")
+    return sizes
+
+
 def refinement_study(
     config: InequalityConfig,
     sizes,
@@ -762,9 +820,7 @@ def refinement_study(
     pins them.  A grid-stable maximum ratio is the discrete proxy for the
     inequality holding with a grid-independent constant.
     """
-    sizes = list(sizes)
-    if any(m % 2 or m < 4 for m in sizes) or sorted(sizes) != sizes:
-        raise ValueError("sizes must be increasing even integers >= 4")
+    sizes = _check_sizes(sizes)
     estimates = []
     for m in sizes:
         cfg = config.with_grid(TorusGrid(config.n, m))

@@ -148,6 +148,35 @@ class TestVerifyCommand:
         assert code == 1
         assert "precondition" in capsys.readouterr().err
 
+    def test_internal_value_error_is_not_a_precondition_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from kmslab import verify
+
+        def broken(config, fld):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(verify, "kms_sides", broken)
+        cfg = tmp_path / "kms.cfg"
+        cfg.write_text(json.dumps(dict(KMS_CFG, trials=1)))
+        with pytest.raises(ValueError, match="internal fault"):
+            run_cli(["verify", "--config", str(cfg)])
+        assert "precondition failure" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,args",
+        [
+            ("refine", ["--refine", "16,8"]),
+            ("refine", ["--refine", "8,10,13"]),
+            ("grid", ["--grid", "7"]),
+        ],
+    )
+    def test_bad_flag_value_exit_2_names_it(self, tmp_path, capsys, flag, args):
+        cfg = tmp_path / "kms.cfg"
+        cfg.write_text(json.dumps(KMS_CFG))
+        assert run_cli(["verify", "--config", str(cfg)] + args) == 2
+        assert f"'{flag}'" in capsys.readouterr().err
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("{broken")
@@ -254,6 +283,14 @@ class TestFieldCommand:
         )
         assert code == 2
 
+    def test_nyquist_xi_exit_2_names_it(self, tmp_path, capsys):
+        code = run_cli(
+            ["field", "gen", "--kind", "plane", "--n", "2", "--grid", "8",
+             "--xi", "4,0", "--value", "1", "--out", str(tmp_path / "f.kfd")]
+        )
+        assert code == 2
+        assert "'xi'" in capsys.readouterr().err
+
 
 class TestBinio:
     def test_field_roundtrip(self, tmp_path):
@@ -270,7 +307,9 @@ class TestBinio:
         from kmslab.multipliers import identity_multiplier
 
         grid = TorusGrid(2, 4)
-        table = identity_multiplier(3).grid_table(grid)
+        table = identity_multiplier(3).on_frequencies(
+            grid.frequency_grid, zero_mask=grid.zero_mask
+        )
         path = tmp_path / "m.kmd"
         write_multiplier_grid(path, grid, table)
         grid2, table2 = read_multiplier_grid(path)

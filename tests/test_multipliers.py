@@ -297,3 +297,31 @@ class TestDescriptorPlumbing:
         grid = TorusGrid(2, 4)
         ident = identity_multiplier(2)
         assert ident.grid_table(grid) is ident.grid_table(grid)
+
+    def test_next_grid_table_replaces_the_cached_one(self):
+        import gc
+        import weakref
+
+        from kmslab.torus import TorusGrid
+
+        ident = identity_multiplier(2)
+        first = weakref.ref(ident.grid_table(TorusGrid(2, 4)))
+        second = ident.grid_table(TorusGrid(2, 8))
+        gc.collect()
+        assert first() is None
+        assert second.shape == (8, 5, 2, 2)
+        assert ident.grid_table(TorusGrid(2, 8)) is second
+
+    def test_grid_table_is_hermitian_part_on_half_grid(self):
+        from kmslab.torus import TorusGrid
+
+        grid = TorusGrid(3, 4)
+        desc = mihlin_korn_multiplier(
+            catalog_operator("sym_gradient", 3), MultiIndex((1, 0, 0)), operator_input=True
+        )
+        freqs = grid.half_frequency_grid
+        mirror = np.where(freqs == -2, freqs, -freqs)
+        want = 0.5 * (desc.on_frequencies(freqs) + desc.on_frequencies(mirror).conj())
+        table = desc.grid_table(grid)
+        assert table.shape == (4, 4, 3, 3, 9)
+        assert np.max(np.abs(table - want)) <= 1e-14
