@@ -15,7 +15,14 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .operators import CONVENTIONS, OperatorSpec, PartMap, restrict_symbol, symbol_on_frequencies
+from .operators import (
+    CONVENTIONS,
+    ArgumentError,
+    OperatorSpec,
+    PartMap,
+    restrict_symbol,
+    symbol_on_frequencies,
+)
 
 __all__ = [
     "SphereSampling",
@@ -66,8 +73,10 @@ class SphereSampling:
         A scrambled Halton sequence is pushed through the inverse normal CDF
         and normalized; the construction is reproducible from (count, seed).
         """
-        if n < 1 or count < 1:
-            raise ValueError("need n >= 1 and count >= 1")
+        if n < 1:
+            raise ValueError("need n >= 1")
+        if count < 1:
+            raise ArgumentError("count", "need count >= 1")
         dims = 2 * n if complex_mode else n
         halton = qmc.Halton(d=dims, scramble=True, seed=seed)
         raw = halton.random(count)
@@ -215,7 +224,7 @@ def classify(
     if sampling.n != spec.n:
         raise ValueError(f"sampling dimension {sampling.n} != operator dimension {spec.n}")
     if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
+        raise ArgumentError("tol", "tol must lie in (0, 1)")
     if spec.is_vacuous:
         return _vacuous_report(spec, sampling, tol)
 

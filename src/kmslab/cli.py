@@ -22,12 +22,17 @@ import numpy as np
 from . import __version__
 from .binio import BinaryFormatError, write_field
 from .classify import SphereSampling, classify, classify_on_kernel, is_c_elliptic
-from .operators import CONVENTIONS, PARTMAP_ALIASES, catalog_operator, catalog_partmap
+from .operators import (
+    CONVENTIONS,
+    PARTMAP_ALIASES,
+    ArgumentError,
+    catalog_operator,
+    catalog_partmap,
+)
 from .specfile import ConfigError, SpecFileError, load_verify_config, parse_operator_file
 from .torus import TorusGrid, bump_field, lp_norm, plane_wave_field, random_bandlimited
 from .verify import (
     PreconditionError,
-    _check_sizes,
     curl_riesz_crosscheck,
     estimate_constant,
     necessity_demo,
@@ -74,17 +79,31 @@ def _csv_ints(text, what):
 
 def _csv_floats(text, what):
     try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
+        values = [float(t) for t in text.split(",") if t.strip() != ""]
+        if np.all(np.isfinite(values)):
+            return values
     except ValueError:
-        raise ConfigError(what, f"expected comma-separated numbers, got {text!r}") from None
+        pass
+    raise ConfigError(what, f"expected comma-separated finite numbers, got {text!r}")
 
 
-def _user_value(what, build, *args):
-    """build(*args), whose only ValueErrors reject the value of flag `what`."""
+def _user_value(flags, build, *args, **kwargs):
+    """build(*args, **kwargs), with the flags behind its arguments.
+
+    flags maps argument names to flag names.  An ArgumentError about one of
+    these arguments becomes a ConfigError naming the flag; every other
+    exception propagates.
+    """
     try:
-        return build(*args)
-    except ValueError as exc:
-        raise ConfigError(what, str(exc)) from None
+        return build(*args, **kwargs)
+    except ArgumentError as exc:
+        if exc.argument not in flags:
+            raise
+        raise ConfigError(flags[exc.argument], str(exc)) from None
+
+
+def _grid(n, points):
+    return _user_value({"n": "n", "points_per_axis": "grid"}, TorusGrid, n, points)
 
 
 def _load_operator(args):
@@ -100,22 +119,30 @@ def _load_operator(args):
     raise ConfigError("spec", "one of --spec or --catalog is required")
 
 
-def _resolve_partmap(name, n, dim=None):
+def _resolve_partmap(flag, name, spec):
+    """The part map `name` for the operator spec; flag names the option."""
     try:
         key = PARTMAP_ALIASES.get(name, name)
-        return catalog_partmap(key, n, dim=dim if key in ("identity", "zero") else None)
+        part = catalog_partmap(key, spec.n, dim=spec.d if key in ("identity", "zero") else None)
     except (KeyError, ValueError) as exc:
-        raise ConfigError("partmap", str(exc)) from None
+        raise ConfigError(flag, str(exc)) from None
+    if part.d != spec.d:
+        raise ConfigError(
+            flag, f"part map {part.name} acts on R^{part.d} but {spec.name} on R^{spec.d}"
+        )
+    return part
 
 
 def cmd_classify(args):
     spec = _load_operator(args)
-    if not 0 < args.tol < 1:
-        raise ConfigError("tol", f"must lie in (0, 1), got {args.tol}")
-    sampling = _user_value("samples", SphereSampling.standard, spec.n, args.samples, args.seed)
+    sampling = _user_value(
+        {"count": "samples"}, SphereSampling.standard, spec.n, args.samples, args.seed
+    )
     if args.on_kernel_of:
-        part = _resolve_partmap(args.on_kernel_of, spec.n, dim=spec.d)
-        report = classify_on_kernel(spec, part, sampling, tol=args.tol)
+        part = _resolve_partmap("on-kernel-of", args.on_kernel_of, spec)
+        report = _user_value(
+            {"tol": "tol"}, classify_on_kernel, spec, part, sampling, tol=args.tol
+        )
         config_echo = {
             "operator": spec.name,
             "on_kernel_of": part.name,
@@ -123,7 +150,7 @@ def cmd_classify(args):
             "tol": args.tol,
         }
     else:
-        report = classify(spec, sampling, tol=args.tol)
+        report = _user_value({"tol": "tol"}, classify, spec, sampling, tol=args.tol)
         config_echo = {"operator": spec.name, "samples": args.samples, "tol": args.tol}
     results = report.to_dict()
     if args.complex:
@@ -139,13 +166,13 @@ def cmd_classify(args):
 def cmd_verify(args):
     config, extras = load_verify_config(args.config)
     if args.grid is not None:
-        config = config.with_grid(_user_value("grid", TorusGrid, config.n, args.grid))
+        config = config.with_grid(_grid(config.n, args.grid))
     trials = args.trials if args.trials is not None else extras["trials"]
     seed = args.seed if args.seed is not None else extras["seed"]
     sizes = _csv_ints(args.refine, "refine") if args.refine else extras.get("sizes")
     if sizes:
-        _user_value("refine" if args.refine else "sizes", _check_sizes, sizes)
-        study = refinement_study(config, sizes, trials=trials, seed=seed)
+        flags = {"sizes": "refine" if args.refine else "sizes"}
+        study = _user_value(flags, refinement_study, config, sizes, trials=trials, seed=seed)
         results = {"kind": "refinement_study", "study": study.to_dict()}
     else:
         estimate = estimate_constant(config, trials=trials, seed=seed)
@@ -159,11 +186,9 @@ def cmd_demo_necessity(args):
         spec = catalog_operator(args.B, args.n)
     except (KeyError, ValueError) as exc:
         raise ConfigError("B", str(exc)) from None
-    part = _resolve_partmap(args.A, args.n, dim=spec.d)
-    grid = _user_value("grid", TorusGrid, args.n, args.grid)
-    if not 1 < args.p < args.n:
-        raise ConfigError("p", f"need 1 < p < n = {args.n}, got {args.p}")
-    demo = necessity_demo(part, spec, grid, p=args.p)
+    part = _resolve_partmap("A", args.A, spec)
+    grid = _grid(args.n, args.grid)
+    demo = _user_value({"p": "p"}, necessity_demo, part, spec, grid, p=args.p)
     config_echo = {
         "A": part.name,
         "B": spec.name,
@@ -176,13 +201,14 @@ def cmd_demo_necessity(args):
 
 
 def cmd_crosscheck(args):
-    grid = _user_value("grid", TorusGrid, 3, args.grid) if args.grid else None
-    if not 1 <= args.points <= 10:
-        raise ConfigError("points", f"must lie in [1, 10], got {args.points}")
-    if args.width <= 0:
-        raise ConfigError("width", f"must be positive, got {args.width}")
-    result = curl_riesz_crosscheck(
-        mode=args.mode, grid=grid, eval_points=args.points, width=args.width
+    grid = _grid(3, args.grid) if args.grid else None
+    result = _user_value(
+        {"eval_points": "points", "width": "width"},
+        curl_riesz_crosscheck,
+        mode=args.mode,
+        grid=grid,
+        eval_points=args.points,
+        width=args.width,
     )
     config_echo = {"check": "curl-riesz", "mode": args.mode}
     _emit(_report(args, None, config_echo, result.to_dict()), args.out)
@@ -190,19 +216,21 @@ def cmd_crosscheck(args):
 
 
 def cmd_field_gen(args):
-    grid = _user_value("grid", TorusGrid, args.n, args.grid)
+    grid = _grid(args.n, args.grid)
     if args.kind == "random":
         if args.d is None or args.d < 1:
             raise ConfigError("d", "random fields need --d >= 1")
         cutoff = args.cutoff if args.cutoff else max(1, args.grid // 4)
-        field = _user_value("cutoff", random_bandlimited, grid, args.d, cutoff, args.seed)
+        field = _user_value(
+            {"cutoff": "cutoff"}, random_bandlimited, grid, args.d, cutoff, args.seed
+        )
         descriptor = {"kind": "random", "d": args.d, "cutoff": cutoff, "seed": args.seed}
     elif args.kind == "plane":
         if not args.xi or not args.value:
             raise ConfigError("xi", "plane waves need --xi and --value")
         xi = np.array(_csv_ints(args.xi, "xi"))
         v = np.array(_csv_floats(args.value, "value"))
-        field = _user_value("xi", plane_wave_field, grid, xi, v)
+        field = _user_value({"xi0": "xi"}, plane_wave_field, grid, xi, v)
         descriptor = {"kind": "plane", "xi": xi.tolist(), "value": v.tolist()}
     else:
         if not args.value:
@@ -213,9 +241,8 @@ def cmd_field_gen(args):
             if args.center
             else np.full(args.n, np.pi)
         )
-        if args.width <= 0:
-            raise ConfigError("width", f"must be positive, got {args.width}")
-        field = _user_value("center", bump_field, grid, center, args.width, v)
+        flags = {"center": "center", "width": "width"}
+        field = _user_value(flags, bump_field, grid, center, args.width, v)
         descriptor = {
             "kind": "bump",
             "center": center.tolist(),

@@ -20,7 +20,10 @@ coordinates stay at -M/2).  Tables are for multipliers that map real fields
 to real fields, m(-xi) = conj m(xi) (the identity, the projectors and the
 operator-input reconstruction multipliers of real symbols); off the Nyquist
 planes their Hermitian part is m(xi) itself, so only Nyquist bins are
-evaluated twice.  A descriptor caches the table of the grid it was last
+evaluated twice.  The last-axis bin-0 plane holds both xi and -xi; a table
+whose entries there break m(-xi) = conj m(xi) is refused with ValueError
+(e.g. the reconstruction multiplier of an odd-order operator without
+operator_input).  A descriptor caches the table of the grid it was last
 asked for.  The KMSM container of `binio` stores full-grid tables, from
 `on_frequencies(grid.frequency_grid)`.
 """
@@ -48,6 +51,7 @@ __all__ = [
 
 RANK_TOL = 1e-8
 CONDITION_LIMIT = 1e12
+HERMITIAN_TOL = 1e-8
 
 
 class MultiplierConstructionError(RuntimeError):
@@ -93,19 +97,35 @@ class MultiplierDescriptor:
         """Hermitian-part matrices on the half grid of a TorusGrid, cached.
 
         Shape grid.half_shape + shape, bins as in grid.half_frequency_grid.
+        Raises ValueError when m(-xi) differs from conj m(xi) on the
+        last-axis bin-0 plane, which holds both: such a multiplier does not
+        map real fields to real fields.
         """
         key = (grid.n, grid.points_per_axis)
         cached_key, table = self._grid_cache
         if cached_key != key:
-            freqs = grid.half_frequency_grid
-            nyquist = freqs == -(grid.points_per_axis // 2)
-            planes = np.any(nyquist, axis=-1)
-            table = self.on_frequencies(freqs.astype(float), zero_mask=grid.half_zero_mask)
-            mirror = np.where(nyquist[planes], freqs[planes], -freqs[planes]).astype(float)
-            table[planes] = 0.5 * (table[planes] + self.on_frequencies(mirror).conj())
+            freqs = grid.half_frequency_grid.astype(float)
+            table = self.on_frequencies(freqs, zero_mask=grid.half_zero_mask)
+            planes = np.any(grid.half_nyquist_mask, axis=-1)
+            mirror = self.on_frequencies(grid.half_mirror_grid[planes].astype(float))
+            table[planes] = 0.5 * (table[planes] + mirror.conj())
+            _check_real_to_real(self.provenance, grid, table[..., 0, :, :])
             table.setflags(write=False)
             self._grid_cache = (key, table)
         return table
+
+
+def _check_real_to_real(provenance, grid, plane):
+    """Raise ValueError unless plane(xi') = conj plane(xi) on the bin-0 plane."""
+    flip = (-np.arange(grid.points_per_axis)) % grid.points_per_axis
+    mirrored = plane[np.ix_(*[flip] * (grid.n - 1))]
+    scale = max(1.0, float(np.max(np.abs(plane))))
+    deviation = float(np.max(np.abs(plane - mirrored.conj())))
+    if deviation > HERMITIAN_TOL * scale:
+        raise ValueError(
+            f"{provenance}: m(-xi) != conj m(xi) (deviation {deviation:.3g}); "
+            "grid tables are for multipliers that map real fields to real fields"
+        )
 
 
 def identity_multiplier(d: int) -> MultiplierDescriptor:

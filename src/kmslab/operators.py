@@ -26,6 +26,7 @@ from typing import Mapping
 import numpy as np
 
 __all__ = [
+    "ArgumentError",
     "MultiIndex",
     "OperatorSpec",
     "SymbolMatrix",
@@ -52,6 +53,14 @@ CONVENTIONS = {
     "matrix_divergence": "row-wise",
     "torus_domain": "[0, 2*pi)^n, zero-mean fields stand in for compact support",
 }
+
+
+class ArgumentError(ValueError):
+    """A rejected value of one named argument of a public function."""
+
+    def __init__(self, argument: str, message: str):
+        self.argument = argument
+        super().__init__(message)
 
 
 @dataclass(frozen=True)

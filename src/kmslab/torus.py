@@ -11,9 +11,9 @@ Compactly supported whole-space fields are modeled as zero-mean periodic
 fields; every report states this.
 
 `transform` / `inverse_transform` are the full-grid reference transform.
-Everything else works on the real-FFT half spectrum of a field: one rfftn,
-its last axis halved to the bins 0 ... M/2 - 1, -M/2
-(`TorusGrid.half_frequency_grid`).  A field's L^2 norm is the Parseval sum
+Everything else works on the real-FFT half spectrum of a field
+(`HalfSpectrum`): one rfftn, its last axis halved to the bins
+0 ... M/2 - 1, -M/2 (`TorusGrid.half_frequency_grid`).  A field's L^2 norm is the Parseval sum
 with `TorusGrid.parseval_weights` (1 on the last-axis bins 0 and M/2,
 whose partners -xi lie in the half grid too, 2 elsewhere).  A multiplier m
 acts on the half spectrum through its Hermitian part
@@ -32,12 +32,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import OperatorSpec, multiindex_enumerate
+from .operators import ArgumentError, OperatorSpec, multiindex_enumerate
 
 __all__ = [
     "TorusGrid",
     "TensorField",
     "SpectrumField",
+    "HalfSpectrum",
     "transform",
     "inverse_transform",
     "apply_operator",
@@ -66,10 +67,12 @@ class TorusGrid:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ArgumentError("n", "dimension must be >= 1")
         m = self.points_per_axis
         if m < 4 or m % 2 != 0:
-            raise ValueError("points_per_axis must be an even integer >= 4")
+            raise ArgumentError(
+                "points_per_axis", "points_per_axis must be an even integer >= 4"
+            )
 
     @property
     def shape(self) -> tuple:
@@ -127,6 +130,24 @@ class TorusGrid:
         last = np.append(np.arange(m // 2), -(m // 2))
         axes = [self.axis_frequencies] * (self.n - 1) + [last]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        grid.setflags(write=False)
+        return grid
+
+    @cached_property
+    def half_nyquist_mask(self) -> np.ndarray:
+        """True at the Nyquist coordinates (-M/2) of half_frequency_grid."""
+        mask = self.half_frequency_grid == -(self.points_per_axis // 2)
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def half_mirror_grid(self) -> np.ndarray:
+        """The grid representative xi' of -xi for every half-grid bin.
+
+        Nyquist coordinates stay at -M/2; off the Nyquist planes xi' = -xi.
+        """
+        xi = self.half_frequency_grid
+        grid = np.where(self.half_nyquist_mask, xi, -xi)
         grid.setflags(write=False)
         return grid
 
@@ -275,7 +296,7 @@ def inverse_transform(spectrum: SpectrumField) -> TensorField:
 
 
 # --------------------------------------------------------------------------
-# half-spectrum calculus: coefficients are (half_shape + (components,)) arrays
+# half-spectrum calculus
 # --------------------------------------------------------------------------
 
 def _forward(grid, values):
@@ -288,62 +309,16 @@ def _inverse(grid, coef):
     return np.fft.irfftn(coef, s=grid.shape, axes=_axes(grid)) / grid.spectrum_scale
 
 
-def _inverse_stacked(grid, spectra):
-    """Real samples of several half spectra from one batched inverse transform."""
-    if len(spectra) == 1:
-        return [_inverse(grid, spectra[0])]
-    ends = np.cumsum([coef.shape[-1] for coef in spectra])[:-1]
-    return np.split(_inverse(grid, np.concatenate(spectra, axis=-1)), ends, axis=-1)
-
-
 def _hermitian_power(grid, alpha):
     """Hermitian part of (i xi)^alpha on the half grid.
 
     (i xi)^alpha where the Nyquist coordinates of xi carry even total order
     in alpha, 0 where it is odd.
     """
-    xi = grid.half_frequency_grid
-    nyquist = xi == -(grid.points_per_axis // 2)
+    nyquist = grid.half_nyquist_mask
     order = sum(e * nyquist[..., j] for j, e in enumerate(alpha.exponents) if e)
-    power = alpha.power(1j * xi.astype(float))
+    power = alpha.power(1j * grid.half_frequency_grid.astype(float))
     return np.where(np.asarray(order) % 2 == 1, 0.0, power)
-
-
-def _operator_spectrum(spec, grid, coef):
-    """Half spectrum of B u from that of u: the Hermitian part of B[i xi]."""
-    # one 2-d product per coefficient, not one per leading index
-    flat = coef.reshape(-1, coef.shape[-1])
-    out = np.zeros(coef.shape[:-1] + (spec.l,), dtype=complex)
-    for alpha, mat in spec.coeffs.items():
-        power = _hermitian_power(grid, alpha)
-        out += power[..., None] * (flat @ mat.real.T).reshape(out.shape)
-        if np.iscomplexobj(mat):
-            # conj flips i Im B_alpha along with (i xi)^alpha: the Hermitian
-            # part keeps it exactly where the plain power vanishes
-            odd = alpha.power(1j * grid.half_frequency_grid.astype(float)) - power
-            out += odd[..., None] * (flat @ (1j * mat.imag).T).reshape(out.shape)
-    return out
-
-
-def _multiplier_spectrum(desc, grid, coef):
-    """Half spectrum of m(D) u from that of u, through desc.grid_table."""
-    return np.einsum("...rc,...c->...r", desc.grid_table(grid), coef)
-
-
-def _derivative_spectrum(grid, coef, m):
-    """Half spectra of the m-th derivative tensor, stacked on the last axis.
-
-    Block beta is weighted by sqrt(m!/beta!), so the stacked field's
-    Frobenius norm is the full derivative tensor's.  m = 0 returns coef.
-    """
-    if m == 0:
-        return coef
-    indices = multiindex_enumerate(grid.n, m)
-    out = np.empty(coef.shape[:-1] + (len(indices), coef.shape[-1]), dtype=complex)
-    for b, beta in enumerate(indices):
-        weight = math.sqrt(beta.multiplicity()) * _hermitian_power(grid, beta)
-        out[..., b, :] = weight[..., None] * coef
-    return out.reshape(coef.shape[:-1] + (-1,))
 
 
 def _parseval_norm(grid, coef, weight=None):
@@ -354,15 +329,6 @@ def _parseval_norm(grid, coef, weight=None):
     return math.sqrt(float(np.vdot(weights, power)))
 
 
-def _negative_norm(grid, coef, s):
-    """(sum_{xi != 0} |xi|^{-2s} ||coef(xi)||^2)^{1/2} over the full spectrum."""
-    norm2 = grid.half_frequency_norm2
-    weight = np.zeros_like(norm2)
-    nz = ~grid.half_zero_mask
-    weight[nz] = norm2[nz] ** (-s)
-    return _parseval_norm(grid, coef, weight)
-
-
 def _lp(grid, values, p):
     """Discrete L^p norm of (grid.shape + (d,)) samples, Euclidean fiber norm."""
     if not 1 <= p < math.inf:
@@ -371,15 +337,93 @@ def _lp(grid, values, p):
     return float((np.sum(point_norms**p) * grid.cell_volume) ** (1.0 / p))
 
 
+@dataclass(eq=False)
+class HalfSpectrum:
+    """Real-FFT half spectrum of a real field, Parseval-normalized.
+
+    coefficients has shape grid.half_shape + (d,).  Operators and
+    multipliers act through their Hermitian parts (module docstring), so
+    to_field() is the real field the full-grid calculus would give.
+    """
+
+    grid: TorusGrid
+    coefficients: np.ndarray
+
+    @classmethod
+    def of(cls, field: TensorField) -> "HalfSpectrum":
+        return cls(field.grid, _forward(field.grid, field.values))
+
+    def to_field(self) -> TensorField:
+        return TensorField(self.grid, _inverse(self.grid, self.coefficients))
+
+    def __sub__(self, other: "HalfSpectrum") -> "HalfSpectrum":
+        return HalfSpectrum(self.grid, self.coefficients - other.coefficients)
+
+    def apply_operator(self, spec: OperatorSpec) -> "HalfSpectrum":
+        """B u from u: coefficients map by the Hermitian part of B[i xi]."""
+        grid, coef = self.grid, self.coefficients
+        # one 2-d product per coefficient, not one per leading index
+        flat = coef.reshape(-1, coef.shape[-1])
+        out = np.zeros(coef.shape[:-1] + (spec.l,), dtype=complex)
+        for alpha, mat in spec.coeffs.items():
+            power = _hermitian_power(grid, alpha)
+            out += power[..., None] * (flat @ mat.real.T).reshape(out.shape)
+            if np.iscomplexobj(mat):
+                # conj flips i Im B_alpha along with (i xi)^alpha: the Hermitian
+                # part keeps it exactly where the plain power vanishes
+                odd = alpha.power(1j * grid.half_frequency_grid.astype(float)) - power
+                out += odd[..., None] * (flat @ (1j * mat.imag).T).reshape(out.shape)
+        return HalfSpectrum(grid, out)
+
+    def apply_multiplier(self, desc) -> "HalfSpectrum":
+        """m(D) u from u, through desc.grid_table."""
+        table = desc.grid_table(self.grid)
+        out = np.einsum("...rc,...c->...r", table, self.coefficients)
+        return HalfSpectrum(self.grid, out)
+
+    def apply_partmap(self, part) -> "HalfSpectrum":
+        return HalfSpectrum(self.grid, part.apply(self.coefficients))
+
+    def _derivative(self, m):
+        """Coefficients of the m-th derivative tensor, stacked on the last axis.
+
+        Block beta is weighted by sqrt(m!/beta!), so the stacked field's
+        Frobenius norm is the full derivative tensor's.
+        """
+        coef = self.coefficients
+        if m == 0:
+            return coef
+        indices = multiindex_enumerate(self.grid.n, m)
+        out = np.empty(coef.shape[:-1] + (len(indices), coef.shape[-1]), dtype=complex)
+        for b, beta in enumerate(indices):
+            weight = math.sqrt(beta.multiplicity()) * _hermitian_power(self.grid, beta)
+            out[..., b, :] = weight[..., None] * coef
+        return out.reshape(coef.shape[:-1] + (-1,))
+
+    def sobolev_norm(self, m: int, p: float) -> float:
+        """L^p norm of the m-th derivative tensor: a Parseval sum at p = 2,
+        otherwise one inverse transform of all its components."""
+        blocks = self._derivative(m)
+        if p == 2:
+            return _parseval_norm(self.grid, blocks)
+        return _lp(self.grid, _inverse(self.grid, blocks), p)
+
+    def negative_sobolev_norm(self, s: float) -> float:
+        """(sum_{xi != 0} |xi|^{-2s} ||f_hat(xi)||^2)^{1/2} over the full spectrum."""
+        norm2 = self.grid.half_frequency_norm2
+        weight = np.zeros_like(norm2)
+        nz = ~self.grid.half_zero_mask
+        weight[nz] = norm2[nz] ** (-s)
+        return _parseval_norm(self.grid, self.coefficients, weight)
+
+
 def apply_operator(spec: OperatorSpec, field: TensorField) -> TensorField:
     """Apply the differential operator spectrally: coefficients map by B[i xi]."""
     if field.fiber_dim != spec.d:
         raise ValueError(f"field fiber {field.fiber_dim} != operator source {spec.d}")
     if field.grid.n != spec.n:
         raise ValueError("grid and operator dimensions differ")
-    grid = field.grid
-    out_hat = _operator_spectrum(spec, grid, _forward(grid, field.values))
-    return TensorField(grid, _inverse(grid, out_hat))
+    return HalfSpectrum.of(field).apply_operator(spec).to_field()
 
 
 def apply_multiplier(desc, field: TensorField) -> TensorField:
@@ -387,9 +431,7 @@ def apply_multiplier(desc, field: TensorField) -> TensorField:
     rows, cols = desc.shape
     if field.fiber_dim != cols:
         raise ValueError(f"field fiber {field.fiber_dim} != multiplier columns {cols}")
-    grid = field.grid
-    out_hat = _multiplier_spectrum(desc, grid, _forward(grid, field.values))
-    return TensorField(grid, _inverse(grid, out_hat))
+    return HalfSpectrum.of(field).apply_multiplier(desc).to_field()
 
 
 def apply_partmap(part, field: TensorField) -> TensorField:
@@ -423,11 +465,7 @@ def homog_sobolev_norm(field: TensorField, m: int, p: float) -> float:
     if not 1 <= p < math.inf:
         raise ValueError("need 1 <= p < infinity")
     _require_zero_mean(field, "homogeneous Sobolev norm")
-    grid = field.grid
-    blocks = _derivative_spectrum(grid, _forward(grid, field.values), m)
-    if p == 2:
-        return _parseval_norm(grid, blocks)
-    return _lp(grid, _inverse(grid, blocks), p)
+    return HalfSpectrum.of(field).sobolev_norm(m, p)
 
 
 def negative_sobolev_norm_l2(field: TensorField, s: float, p: float = 2.0) -> float:
@@ -441,7 +479,7 @@ def negative_sobolev_norm_l2(field: TensorField, s: float, p: float = 2.0) -> fl
     if s < 0:
         raise ValueError("order s must be >= 0")
     _require_zero_mean(field, "negative-order Sobolev norm")
-    return _negative_norm(field.grid, _forward(field.grid, field.values), s)
+    return HalfSpectrum.of(field).negative_sobolev_norm(s)
 
 
 def sobolev_conjugate(p: float, n: int) -> float:
@@ -485,7 +523,7 @@ def random_bandlimited(
     Deterministic given the seed; normalized to unit L^2 norm by default.
     """
     if not 1 <= cutoff < grid.points_per_axis // 2:
-        raise ValueError("cutoff must satisfy 1 <= cutoff < M/2")
+        raise ArgumentError("cutoff", "cutoff must satisfy 1 <= cutoff < M/2")
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(grid.shape + (d,))
     hat = np.fft.rfftn(white, axes=_axes(grid))
@@ -511,15 +549,17 @@ def plane_wave_field(grid: TorusGrid, xi0, v, envelope=None) -> TensorField:
     """
     xi0 = np.asarray(xi0)
     if xi0.shape != (grid.n,):
-        raise ValueError(f"frequency must have shape ({grid.n},)")
+        raise ArgumentError("xi0", f"frequency must have shape ({grid.n},)")
     xi_int = np.rint(xi0).astype(np.int64)
     if not np.array_equal(xi_int, xi0):
-        raise ValueError("plane-wave frequency must be an integer vector")
+        raise ArgumentError("xi0", "plane-wave frequency must be an integer vector")
     if not np.any(xi_int):
-        raise ValueError("plane-wave frequency must be nonzero")
+        raise ArgumentError("xi0", "plane-wave frequency must be nonzero")
     half = grid.points_per_axis // 2
     if np.any(np.abs(xi_int) >= half):
-        raise ValueError("plane-wave frequency must avoid the Nyquist rows (|xi_j| < M/2)")
+        raise ArgumentError(
+            "xi0", "plane-wave frequency must avoid the Nyquist rows (|xi_j| < M/2)"
+        )
     v = np.asarray(v)
     phase = grid.points @ xi_int.astype(float)
     wave = np.exp(1j * phase)[..., None] * v
@@ -546,9 +586,9 @@ def bump_field(
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (grid.n,):
-        raise ValueError(f"center must have shape ({grid.n},)")
+        raise ArgumentError("center", f"center must have shape ({grid.n},)")
     if width <= 0:
-        raise ValueError("width must be positive")
+        raise ArgumentError("width", "width must be positive")
     v = np.asarray(v, dtype=float)
     delta = grid.points - center
     delta = (delta + math.pi) % (2.0 * math.pi) - math.pi

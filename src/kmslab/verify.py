@@ -30,6 +30,7 @@ import numpy as np
 from .classify import SphereSampling, classify, classify_on_kernel
 from .multipliers import MultiplierDescriptor, composed_correction_symbol
 from .operators import (
+    ArgumentError,
     OperatorSpec,
     PartMap,
     catalog_operator,
@@ -38,20 +39,14 @@ from .operators import (
     symbol_on_frequencies,
 )
 from .torus import (
+    HalfSpectrum,
     TensorField,
     TorusGrid,
-    _derivative_spectrum,
-    _forward,
-    _inverse_stacked,
-    _lp,
-    _multiplier_spectrum,
-    _negative_norm,
-    _operator_spectrum,
-    _parseval_norm,
     apply_multiplier,
     apply_operator,
     apply_partmap,
     bump_field,
+    lp_norm,
     plane_wave_field,
     random_bandlimited,
     sobolev_conjugate,
@@ -179,15 +174,15 @@ class InequalityConfig:
         n = self.grid.n
         if ident == "korn_const_p1":
             if self.p != 1:
-                raise ValueError("korn_const_p1 forces p = 1")
+                raise ArgumentError("p", "korn_const_p1 forces p = 1")
         elif ident == "korn_const2_p2":
             if self.p != 2:
-                raise ValueError("korn_const2_p2 forces p = 2")
+                raise ArgumentError("p", "korn_const2_p2 forces p = 2")
             if not self.p < n:
-                raise ValueError("need p < n")
+                raise ArgumentError("p", "need p < n")
         else:
             if not 1 < self.p < n:
-                raise ValueError(f"need 1 < p < n, got p={self.p}, n={n}")
+                raise ArgumentError("p", f"need 1 < p < n, got p={self.p}, n={n}")
         if self.correction_enabled is None:
             self.correction_enabled = ident in _CORRECTION_IDS
         if self.correction_enabled and ident not in _CORRECTION_IDS:
@@ -309,70 +304,36 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
 
     The field is transformed once, to its real-FFT half spectrum; the
     correction, the part map, B[i xi] and the derivative blocks act on that
-    spectrum.  L^2 norms are Parseval sums; the L^p norms that need real
-    samples share one batched inverse transform.
+    spectrum.  L^2 norms are Parseval sums; every other L^p norm takes one
+    inverse transform.
     """
     _validate_field(config, fld)
-    grid = fld.grid
-    f_hat = _forward(grid, fld.values)
-    b_hat = _operator_spectrum(config.operator, grid, f_hat)
+    k, p = config.k, config.p
+    f_hat = HalfSpectrum.of(fld)
+    b_hat = f_hat.apply_operator(config.operator)
+    if config.inequality_id == "korn_ell":
+        return f_hat.sobolev_norm(k, p), b_hat.sobolev_norm(0, p)
     c_hat = None
     if config.correction_enabled:
-        c_hat = _multiplier_spectrum(config.correction_descriptor, grid, f_hat)
-    if config.inequality_id != "korn_const2_p2":
-        return _sobolev_sides(config, fld, f_hat, b_hat, c_hat)
-    reduced_hat = f_hat if c_hat is None else f_hat - c_hat
-    lhs = _negative_norm(grid, reduced_hat, 1.0)
-    rhs = _negative_norm(grid, config.part.apply(f_hat), 1.0) + _negative_norm(
-        grid, b_hat, float(config.k)
-    )
-    return lhs, rhs
-
-
-def _sobolev_sides(config, fld, f_hat, b_hat, c_hat):
-    """kms_sides for the ids measured in L^p Sobolev norms.
-
-    Each term is ||D^m g||_q of a field g with half spectrum g^.  At q = 2 it
-    is a Parseval sum.  Otherwise it needs real samples: P and A P are at
-    hand for m = 0, and P - corr P is P minus the inverse of corr^P, so a
-    vanishing correction leaves korn_const equal to korn_ellip bit for bit.
-    Every other term joins one batched inverse transform.
-    """
-    grid = fld.grid
-    k, p = config.k, config.p
-    norms = {}
-    pending = {}  # term -> (half spectrum whose samples it needs, exponent)
-
-    def term(name, coef, m, q):
-        blocks = _derivative_spectrum(grid, coef, m)
-        if q == 2:
-            norms[name] = _parseval_norm(grid, blocks)
-        else:
-            pending[name] = (blocks, q)
-
-    if config.inequality_id == "korn_ell":
-        term("lhs", f_hat, k, p)
+        c_hat = f_hat.apply_multiplier(config.correction_descriptor)
+    if config.inequality_id == "korn_const2_p2":
+        reduced_hat = f_hat if c_hat is None else f_hat - c_hat
+        a_hat = f_hat.apply_partmap(config.part)
+        lhs = reduced_hat.negative_sobolev_norm(1.0)
+        rhs = a_hat.negative_sobolev_norm(1.0) + b_hat.negative_sobolev_norm(float(k))
+        return lhs, rhs
+    m, q = k - 1, config.p_star
+    if m == 0 and q != 2:
+        # P and A P are at hand; P - corr P is P minus the samples of corr P^,
+        # so a vanishing correction leaves korn_const equal to korn_ellip bit for bit
+        reduced = fld if c_hat is None else fld - c_hat.to_field()
+        lhs = lp_norm(reduced, q)
+        a_norm = lp_norm(apply_partmap(config.part, fld), q)
     else:
-        m, q = k - 1, config.p_star
-        if m == 0 and q != 2:
-            norms["a"] = _lp(grid, config.part.apply(fld.values), q)
-            if c_hat is None:
-                norms["lhs"] = _lp(grid, fld.values, q)
-            else:
-                pending["corr"] = (c_hat, q)
-        else:
-            term("lhs", f_hat if c_hat is None else f_hat - c_hat, m, q)
-            term("a", config.part.apply(f_hat), m, q)
-    term("b", b_hat, 0, p)
-    if pending:
-        samples = _inverse_stacked(grid, [coef for coef, _ in pending.values()])
-        for (name, (_, q)), vals in zip(pending.items(), samples):
-            if name == "corr":
-                norms["lhs"] = _lp(grid, fld.values - vals, q)
-            else:
-                norms[name] = _lp(grid, vals, q)
-    rhs = norms["b"] if config.inequality_id == "korn_ell" else norms["a"] + norms["b"]
-    return norms["lhs"], rhs
+        reduced_hat = f_hat if c_hat is None else f_hat - c_hat
+        lhs = reduced_hat.sobolev_norm(m, q)
+        a_norm = f_hat.apply_partmap(config.part).sobolev_norm(m, q)
+    return lhs, a_norm + b_hat.sobolev_norm(0, p)
 
 
 def run_trial(config: InequalityConfig, fld: TensorField, descriptor: dict) -> TrialResult:
@@ -797,15 +758,6 @@ class RefinementStudy:
         }
 
 
-def _check_sizes(sizes) -> list:
-    """The grid sizes of a refinement study as a list, checked."""
-    sizes = list(sizes)
-    even = all(isinstance(m, (int, np.integer)) and m % 2 == 0 and m >= 4 for m in sizes)
-    if not even or sorted(sizes) != sizes:
-        raise ValueError("sizes must be increasing even integers >= 4")
-    return sizes
-
-
 def refinement_study(
     config: InequalityConfig,
     sizes,
@@ -820,7 +772,10 @@ def refinement_study(
     pins them.  A grid-stable maximum ratio is the discrete proxy for the
     inequality holding with a grid-independent constant.
     """
-    sizes = _check_sizes(sizes)
+    sizes = list(sizes)
+    even = all(isinstance(m, (int, np.integer)) and m % 2 == 0 and m >= 4 for m in sizes)
+    if not even or sorted(sizes) != sizes:
+        raise ArgumentError("sizes", "sizes must be increasing even integers >= 4")
     estimates = []
     for m in sizes:
         cfg = config.with_grid(TorusGrid(config.n, m))
@@ -990,7 +945,7 @@ def curl_riesz_crosscheck(
     if mode not in ("symbol", "quadrature"):
         raise ValueError("mode must be 'symbol' or 'quadrature'")
     if not 1 <= eval_points <= 10:
-        raise ValueError("eval_points must lie in [1, 10]")
+        raise ArgumentError("eval_points", "eval_points must lie in [1, 10]")
 
     op = catalog_operator("curl_matrix_rowwise", 3)
     part = catalog_partmap("tr", 3)

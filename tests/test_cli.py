@@ -38,6 +38,53 @@ KMS_CFG = {
 }
 
 
+CURLVEC = ["--catalog", "curl_vector", "--n", "3"]
+BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
+
+
+@pytest.mark.parametrize(
+    "flag,args",
+    [
+        ("refine", ["verify", "--refine", "16,8"]),
+        ("refine", ["verify", "--refine", "8,10,13"]),
+        ("grid", ["verify", "--grid", "7"]),
+        ("on-kernel-of", ["classify", *CURLVEC, "--on-kernel-of", "sym"]),
+        ("tol", ["classify", *CURLVEC, "--tol", "2"]),
+        ("samples", ["classify", *CURLVEC, "--samples", "0"]),
+        ("A", ["demo", "necessity", "--A", "sym", "--B", "curl_vector"]),
+        ("p", ["demo", "necessity", "--A", "tr", "--B", "curl3", "--grid", "8", "--p", "3.5"]),
+        ("points", ["crosscheck", "curl-riesz", "--points", "0"]),
+        ("width", ["crosscheck", "curl-riesz", "--mode", "quadrature", "--width", "-1"]),
+        ("width", [*BUMP, "--value", "1", "--width", "0"]),
+        ("center", [*BUMP, "--value", "1", "--center", "1"]),
+        ("value", [*BUMP, "--value", "1,nan"]),
+        ("n", ["field", "gen", "--kind", "random", "--n", "0", "--grid", "8", "--d", "1"]),
+        ("cutoff", ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "1",
+                    "--cutoff", "4"]),
+    ],
+)
+def test_bad_flag_value_exit_2_names_it(tmp_path, capsys, flag, args):
+    if args[0] == "verify":
+        cfg = tmp_path / "kms.cfg"
+        cfg.write_text(json.dumps(KMS_CFG))
+        args = args[:1] + ["--config", str(cfg)] + args[1:]
+    if args[0] == "field":
+        args = args + ["--out", str(tmp_path / "f.kfd")]
+    assert run_cli(args) == 2
+    assert f"'{flag}'" in capsys.readouterr().err
+
+
+def test_argument_error_of_an_unmapped_argument_propagates():
+    from kmslab.cli import _user_value
+    from kmslab.operators import ArgumentError
+
+    def build():
+        raise ArgumentError("width", "width must be positive")
+
+    with pytest.raises(ArgumentError):
+        _user_value({"tol": "tol"}, build)
+
+
 class TestClassifyCommand:
     def test_catalog_classify(self, tmp_path, schema):
         out = tmp_path / "rep.json"
@@ -162,20 +209,6 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="internal fault"):
             run_cli(["verify", "--config", str(cfg)])
         assert "precondition failure" not in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flag,args",
-        [
-            ("refine", ["--refine", "16,8"]),
-            ("refine", ["--refine", "8,10,13"]),
-            ("grid", ["--grid", "7"]),
-        ],
-    )
-    def test_bad_flag_value_exit_2_names_it(self, tmp_path, capsys, flag, args):
-        cfg = tmp_path / "kms.cfg"
-        cfg.write_text(json.dumps(KMS_CFG))
-        assert run_cli(["verify", "--config", str(cfg)] + args) == 2
-        assert f"'{flag}'" in capsys.readouterr().err
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -43,7 +43,7 @@ CASES = [
     ("korn_const2_p2", "tr", 2.0),
     ("korn_const_p1", "tr", 1.0),
 ]
-# p != 2 takes the batched inverse transform
+# p != 2 takes inverse transforms
 NYQUIST_CASES = CASES + [("korn_ell", None, 1.5), ("korn_const", "tr", 1.5)]
 
 
@@ -137,9 +137,9 @@ def test_nyquist_white_noise_matches_full_grid_reference(ident, part, p):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5])
-def test_vanishing_correction_bit_for_bit_through_batched_inverse(p):
-    # at p != 2 korn_const inverts the correction together with B P, korn_ellip
-    # inverts B P alone; both must see the same samples of B P
+def test_vanishing_correction_bit_for_bit_at_p_not_2(p):
+    # at p != 2 korn_const subtracts the samples of the vanishing correction
+    # from P; korn_ellip takes P itself
     grid = TorusGrid(3, 8)
     curl, sym = catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("sym", 3)
     const_cfg = InequalityConfig("korn_const", curl, sym, p, grid)

@@ -312,6 +312,26 @@ class TestDescriptorPlumbing:
         assert second.shape == (8, 5, 2, 2)
         assert ident.grid_table(TorusGrid(2, 8)) is second
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda spec: mihlin_korn_multiplier(spec, MultiIndex((1, 0, 0))),
+            lambda spec: pseudoinverse_symbol(spec, rank=3),
+        ],
+        ids=["mihlin_korn", "pseudoinverse"],
+    )
+    def test_grid_table_refuses_non_hermitian_multiplier(self, make):
+        # first-order real symbol: m(-xi) = -conj m(xi), which maps real
+        # fields to complex ones
+        from kmslab.torus import TensorField, TorusGrid, apply_multiplier
+
+        grid = TorusGrid(3, 4)
+        desc = make(catalog_operator("sym_gradient", 3))
+        with pytest.raises(ValueError, match="real fields"):
+            desc.grid_table(grid)
+        with pytest.raises(ValueError, match="real fields"):
+            apply_multiplier(desc, TensorField(grid, np.zeros(grid.shape + (9,))))
+
     def test_grid_table_is_hermitian_part_on_half_grid(self):
         from kmslab.torus import TorusGrid
 
