@@ -104,8 +104,16 @@ class MultiplierDescriptor:
         key = (grid.n, grid.points_per_axis)
         cached_key, table = self._grid_cache
         if cached_key != key:
-            freqs = grid.half_frequency_grid.astype(float)
-            table = self.on_frequencies(freqs, zero_mask=grid.half_zero_mask)
+            # filled one first-axis slab at a time, so the batch's intermediates
+            # (symbol stacks, SVD workspaces) stay a fraction of the table; each
+            # matrix is evaluated on its own, as in one batch over the half grid
+            freqs, zero = grid.half_frequency_grid, grid.half_zero_mask
+            table = None
+            for i in range(freqs.shape[0]):
+                slab = self.on_frequencies(freqs[i : i + 1].astype(float), zero[i : i + 1])
+                if table is None:
+                    table = np.empty(grid.half_shape + slab.shape[grid.n :], slab.dtype)
+                table[i : i + 1] = slab
             planes = np.any(grid.half_nyquist_mask, axis=-1)
             mirror = self.on_frequencies(grid.half_mirror_grid[planes].astype(float))
             table[planes] = 0.5 * (table[planes] + mirror.conj())

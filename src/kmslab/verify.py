@@ -434,16 +434,23 @@ def worst_vector(config: InequalityConfig, xi, null_tol: float = 1e-12):
     right-side matrix; when S has a null direction that the left side does
     not annihilate, that direction is returned with an infinity flag.
     """
-    vs, flags, _ = _sweep_vectors(config, np.asarray(xi, dtype=float)[None], null_tol)
+    freqs = np.asarray(xi, dtype=float)[None]
+    desc = config.correction_descriptor
+    cmats = None if desc is None else np.real(desc.on_frequencies(freqs))
+    vs, flags, _ = _sweep_vectors(config, freqs, cmats, null_tol)
     return vs[0], bool(flags[0])
 
 
-def _sweep_vectors(config, freqs, null_tol=1e-12):
+def _sweep_vectors(config, freqs, cmats, null_tol=1e-12):
     """Vectorized worst_vector over a (F, n) stack of frequencies.
 
-    Returns (vectors, flags, ratios); ratios[i] is the plane-wave trial
-    ratio of single_frequency_trial(config, freqs[i], vectors[i]), computed
-    from the same batched symbols instead of one evaluation per frequency.
+    cmats holds the real part of the correction at each frequency (None
+    without correction).  Returns (vectors, flags, ratios); ratios[i] is the
+    plane-wave trial ratio of single_frequency_trial(config, freqs[i],
+    vectors[i]), computed from the same batched symbols instead of one
+    evaluation per frequency.  Per frequency, only the stacked right side S
+    and L S^+ are factorised with singular vectors; the null gain L N is
+    factorised only where its Frobenius norm could flag it.
     """
     d = config.operator.d
     count = freqs.shape[0]
@@ -474,7 +481,6 @@ def _sweep_vectors(config, freqs, null_tol=1e-12):
 
     eye = np.eye(d)
     if config.correction_enabled:
-        cmats = np.real(config.correction_descriptor.on_frequencies(freqs))
         lmat = a[:, None, None] * (eye - cmats)
     else:
         lmat = a[:, None, None] * np.broadcast_to(eye, (count, d, d))
@@ -488,20 +494,30 @@ def _sweep_vectors(config, freqs, null_tol=1e-12):
     row_proj = pinv @ smat
     null_proj = eye - row_proj
 
-    null_gain = lmat @ null_proj
-    gain_s, gain_vh = _svd_right(null_gain)
-    flags = gain_s > 1e-8 * np.maximum(a, 1e-300)
-
     tmat = lmat @ pinv
     _, t_vh = _svd_right(tmat)
     v_fin = np.einsum("fik,fk->fi", pinv, t_vh)
     norms = np.linalg.norm(v_fin, axis=1)
     fallback = np.zeros(d)
     fallback[0] = 1.0
-    v_fin = np.where(
+    vs = np.where(
         norms[:, None] > 1e-13, v_fin / np.maximum(norms, 1e-300)[:, None], fallback
     )
-    vs = np.where(flags[:, None], gain_vh, v_fin)
+
+    # a frequency is flagged where sigma_max(L N) exceeds the threshold; since
+    # sigma_max <= |L N|_F, rows whose Frobenius norm stays below it (with a
+    # relative margin for roundoff) cannot flag and skip the SVD
+    null_gain = lmat @ null_proj
+    threshold = 1e-8 * np.maximum(a, 1e-300)
+    maybe = np.flatnonzero(
+        np.linalg.norm(null_gain, axis=(1, 2)) > (1.0 - 1e-6) * threshold
+    )
+    flags = np.zeros(count, dtype=bool)
+    if maybe.size:
+        gain_s, gain_vh = _svd_right(null_gain[maybe])
+        hit = gain_s > threshold[maybe]
+        flags[maybe[hit]] = True
+        vs[maybe[hit]] = gain_vh[hit]
     w = vs - np.einsum("fij,fj->fi", cmats, vs) if config.correction_enabled else vs
     lhs = a * np.linalg.norm(w, axis=1)
     rhs = b * np.linalg.norm(config.part.apply(vs), axis=1) + c * bv_norms(vs)
@@ -530,10 +546,14 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid, to
         stacked = np.concatenate(
             [amat, symbol_on_frequencies(spec, block.astype(float)).real], axis=1
         )
-        _, s, vh = np.linalg.svd(stacked)
+        s = np.linalg.svd(stacked, compute_uv=False)
         hits = np.flatnonzero(s[:, -1] <= tol * np.maximum(s[:, 0], 1.0))
         if hits.size:
-            return block[hits[0]].copy(), vh[hits[0], -1].copy()
+            # singular vectors only for the first hit; LAPACK factorises each
+            # matrix on its own, so v matches a batched factorisation bit for bit
+            first = hits[0]
+            _, _, vh = np.linalg.svd(stacked[first])
+            return block[first].copy(), vh[-1].copy()
     return None
 
 
@@ -636,13 +656,29 @@ class _TrialCollector:
 def _sweep_chunks(config):
     """(freqs, vectors, ratios) over the canonical grid frequencies, chunk by chunk.
 
-    Chunks bound the stacked SVD arrays held at once on fine grids.
+    Chunks bound the stacked SVD arrays held at once on fine grids.  The
+    correction is read from its half-grid table, which kms_sides uses too.
     """
-    freqs = config.grid.frequency_list(canonical=True).astype(float)
+    grid, desc = config.grid, config.correction_descriptor
+    table = None if desc is None else desc.grid_table(grid)
+    freqs = grid.frequency_list(canonical=True)
     for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
         chunk = freqs[lo : lo + SWEEP_CHUNK]
-        vs, _, ratios = _sweep_vectors(config, chunk)
+        cmats = None if table is None else _table_correction(grid, table, chunk)
+        chunk = chunk.astype(float)
+        vs, _, ratios = _sweep_vectors(config, chunk, cmats)
         yield chunk, vs, ratios
+
+
+def _table_correction(grid, table, freqs):
+    """Real part of the correction at integer canonical frequencies, from the half-grid table.
+
+    Canonical frequencies carry no Nyquist coordinate, so their bins hold
+    m(xi) itself; where xi_last < 0 the bin of -xi holds m(-xi) = conj m(xi),
+    whose real part is the same.
+    """
+    idx = np.where(freqs[:, -1:] < 0, -freqs, freqs) % grid.points_per_axis
+    return table[tuple(idx.T)].real
 
 
 def estimate_constant(
@@ -841,6 +877,8 @@ def necessity_demo(
     correction is unnecessary on this grid, the constant-rank inequality
     degenerates to the elliptic one, and that is reported instead.
     """
+    if not 1 < p < grid.n:
+        raise ArgumentError("p", f"need 1 < p < n, got p={p}, n={grid.n}")
     found = search_kernel_witness(part, spec, grid, tol=tol)
     if found is None:
         return NecessityDemoResult(
@@ -946,6 +984,8 @@ def curl_riesz_crosscheck(
         raise ValueError("mode must be 'symbol' or 'quadrature'")
     if not 1 <= eval_points <= 10:
         raise ArgumentError("eval_points", "eval_points must lie in [1, 10]")
+    if not width > 0:
+        raise ArgumentError("width", "width must be positive")
 
     op = catalog_operator("curl_matrix_rowwise", 3)
     part = catalog_partmap("tr", 3)

@@ -53,8 +53,10 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
         ("samples", ["classify", *CURLVEC, "--samples", "0"]),
         ("A", ["demo", "necessity", "--A", "sym", "--B", "curl_vector"]),
         ("p", ["demo", "necessity", "--A", "tr", "--B", "curl3", "--grid", "8", "--p", "3.5"]),
+        ("p", ["demo", "necessity", "--A", "sym", "--B", "curl3", "--grid", "8", "--p", "3.5"]),
         ("points", ["crosscheck", "curl-riesz", "--points", "0"]),
         ("width", ["crosscheck", "curl-riesz", "--mode", "quadrature", "--width", "-1"]),
+        ("width", ["crosscheck", "curl-riesz", "--mode", "symbol", "--width", "-1"]),
         ("width", [*BUMP, "--value", "1", "--width", "0"]),
         ("center", [*BUMP, "--value", "1", "--center", "1"]),
         ("value", [*BUMP, "--value", "1,nan"]),

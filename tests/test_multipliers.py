@@ -312,6 +312,22 @@ class TestDescriptorPlumbing:
         assert second.shape == (8, 5, 2, 2)
         assert ident.grid_table(TorusGrid(2, 8)) is second
 
+    def test_grid_table_build_peak_memory_below_twice_the_table(self):
+        import tracemalloc
+
+        from kmslab.torus import TorusGrid
+
+        desc = composed_correction_symbol(
+            catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3)
+        )
+        tracemalloc.start()
+        try:
+            table = desc.grid_table(TorusGrid(3, 32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.nbytes
+
     @pytest.mark.parametrize(
         "make",
         [
