@@ -5,21 +5,29 @@ deterministic sampling of the (real or complex) unit sphere with explicit
 relative tolerances.  C-ellipticity is likewise a sampled verdict: sampling
 can refute it (by exhibiting a near-singular complex frequency) or support
 it heuristically, never prove it.
+
+The sphere samples are a scrambled Halton sequence (Owen, "A randomized
+Halton algorithm in R", arXiv 1706.02808, 2017) pushed through the Cephes
+inverse normal CDF `ndtri`.  Both are written out here in numpy and
+reproduce scipy's `qmc.Halton(d, scramble=True, seed=s)` and
+`scipy.special.ndtri` bit for bit, so every verdict keeps its numbers while
+`import kmslab` loads no scipy module (`scipy.stats` and `scipy.special`
+took most of a second and ~70 MB to import).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .operators import (
     CONVENTIONS,
     ArgumentError,
     OperatorSpec,
     PartMap,
+    check_seed,
     restrict_symbol,
     symbol_on_frequencies,
 )
@@ -40,6 +48,130 @@ DEFAULT_TOL = 1e-8
 
 # Eigenvalues of P_U P_V P_U this close to 1 count toward dim(U cap V).
 INTERSECTION_EIGTOL = 1e-8
+
+# Cephes ndtri: rational approximations P/Q of the inverse normal CDF; a
+# leading 1 of each Q is implicit (p1evl).  P0/Q0 serve |y - 1/2| <= 3/8,
+# P1/Q1 and P2/Q2 the tails with sqrt(-2 log y) in [2, 8) and [8, 64).
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x, coefs, leading_one=False):
+    """Horner's rule in Cephes' order; leading_one prepends the implicit 1 (p1evl)."""
+    ans = x + coefs[0] if leading_one else coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _log(values):
+    """Elementwise natural log through the C library, one element at a time.
+
+    np.log may take a SIMD path (AVX-512 on CPUs that have it) whose last
+    bit differs from libm's log, which is what Cephes calls.
+    """
+    return np.fromiter(map(math.log, values.tolist()), float, values.size)
+
+
+def _ndtri(y0):
+    """Inverse of the standard normal CDF, Cephes `ndtri` operation for operation.
+
+    Gives -inf at 0, inf at 1 and nan outside [0, 1].
+    """
+    y0 = np.asarray(y0, dtype=float)
+    out = np.full(y0.shape, np.nan)
+    out[y0 == 0.0] = -np.inf
+    out[y0 == 1.0] = np.inf
+    upper = y0 > 1.0 - _EXP_MINUS_2
+    y = np.where(upper, 1.0 - y0, y0)
+    inside = (y0 > 0.0) & (y0 < 1.0)
+    central = inside & (y > _EXP_MINUS_2)
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (
+        yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0, True))
+    ) * _SQRT_2PI
+    tail = inside & ~central
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    far = x >= 8.0
+    x1 = np.empty_like(x)
+    for branch, p, q in ((~far, _NDTRI_P1, _NDTRI_Q1), (far, _NDTRI_P2, _NDTRI_Q2)):
+        zb = z[branch]
+        x1[branch] = zb * _polevl(zb, p) / _polevl(zb, q, True)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+def _first_primes(count):
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _scrambled_halton(dims, count, seed):
+    """The first count points of Owen's scrambled Halton sequence in [0, 1)^dims.
+
+    Axis k has the (k+1)-th prime b as base and ceil(54 / log2 b) - 1 digit
+    permutations of arange(b), enough digits that b^-j still moves a double;
+    one default_rng(seed) shuffles all of them, axis by axis.  Point i has
+    coordinate sum_j perm[j, digit_j(i)] * b^-(j+1), with b^-(j+1) formed
+    by repeated division and the sum taken in digit order, as scipy does.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((dims, count))
+    for seq, base in zip(out, _first_primes(dims)):
+        perms = []
+        for _ in range(math.ceil(54 / math.log2(base)) - 1):
+            perm = list(range(base))  # a list shuffles like an array row, only faster
+            rng.shuffle(perm)
+            perms.append(perm)
+        table = np.array(perms, dtype=float)
+        quotient = np.arange(count)
+        scale = 1.0
+        for j, perm in enumerate(perms):
+            scale /= base
+            if quotient[-1]:
+                quotient, digit = np.divmod(quotient, base)
+                seq += table[j][digit] * scale
+            else:
+                seq += perm[0] * scale  # digit j is 0 at every point
+    return out.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,17 +202,20 @@ class SphereSampling:
     ) -> "SphereSampling":
         """Low-discrepancy sphere sampling plus the 2n coordinate directions.
 
-        A scrambled Halton sequence is pushed through the inverse normal CDF
-        and normalized; the construction is reproducible from (count, seed).
+        A scrambled Halton sequence (Owen 2017) is pushed through the inverse
+        normal CDF (Cephes `ndtri`) and normalized; the construction is
+        reproducible from (count, seed).  The points equal, bit for bit, the
+        ones built from scipy's `qmc.Halton(d, scramble=True, seed=seed)` and
+        `scipy.special.ndtri`, without importing scipy.
         """
         if n < 1:
             raise ValueError("need n >= 1")
         if count < 1:
             raise ArgumentError("count", "need count >= 1")
+        check_seed(seed)
         dims = 2 * n if complex_mode else n
-        halton = qmc.Halton(d=dims, scramble=True, seed=seed)
-        raw = halton.random(count)
-        z = ndtri(np.clip(raw, 1e-12, 1.0 - 1e-12))
+        raw = _scrambled_halton(dims, count, seed)
+        z = _ndtri(np.clip(raw, 1e-12, 1.0 - 1e-12))
         if complex_mode:
             pts = z[:, :n] + 1j * z[:, n:]
         else:

@@ -136,7 +136,11 @@ def _resolve_partmap(flag, name, spec):
 def cmd_classify(args):
     spec = _load_operator(args)
     sampling = _user_value(
-        {"count": "samples"}, SphereSampling.standard, spec.n, args.samples, args.seed
+        {"count": "samples", "seed": "seed"},
+        SphereSampling.standard,
+        spec.n,
+        args.samples,
+        args.seed,
     )
     if args.on_kernel_of:
         part = _resolve_partmap("on-kernel-of", args.on_kernel_of, spec)
@@ -171,11 +175,13 @@ def cmd_verify(args):
     seed = args.seed if args.seed is not None else extras["seed"]
     sizes = _csv_ints(args.refine, "refine") if args.refine else extras.get("sizes")
     if sizes:
-        flags = {"sizes": "refine" if args.refine else "sizes"}
+        flags = {"sizes": "refine" if args.refine else "sizes", "seed": "seed"}
         study = _user_value(flags, refinement_study, config, sizes, trials=trials, seed=seed)
         results = {"kind": "refinement_study", "study": study.to_dict()}
     else:
-        estimate = estimate_constant(config, trials=trials, seed=seed)
+        estimate = _user_value(
+            {"seed": "seed"}, estimate_constant, config, trials=trials, seed=seed
+        )
         results = {"kind": "estimate_constant", "estimate": estimate.to_dict()}
     _emit(_report(args, seed, config.describe(), results), args.out)
     return 0
@@ -221,9 +227,8 @@ def cmd_field_gen(args):
         if args.d is None or args.d < 1:
             raise ConfigError("d", "random fields need --d >= 1")
         cutoff = args.cutoff if args.cutoff else max(1, args.grid // 4)
-        field = _user_value(
-            {"cutoff": "cutoff"}, random_bandlimited, grid, args.d, cutoff, args.seed
-        )
+        flags = {"cutoff": "cutoff", "seed": "seed"}
+        field = _user_value(flags, random_bandlimited, grid, args.d, cutoff, args.seed)
         descriptor = {"kind": "random", "d": args.d, "cutoff": cutoff, "seed": args.seed}
     elif args.kind == "plane":
         if not args.xi or not args.value:

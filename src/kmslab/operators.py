@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "ArgumentError",
+    "check_seed",
     "MultiIndex",
     "OperatorSpec",
     "SymbolMatrix",
@@ -61,6 +62,12 @@ class ArgumentError(ValueError):
     def __init__(self, argument: str, message: str):
         self.argument = argument
         super().__init__(message)
+
+
+def check_seed(seed) -> None:
+    """Raise ArgumentError("seed") unless seed is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ArgumentError("seed", f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

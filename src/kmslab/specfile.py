@@ -28,10 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .operators import (
+    ArgumentError,
     MultiIndex,
     OperatorSpec,
     catalog_operator,
     catalog_partmap,
+    check_seed,
 )
 from .torus import TorusGrid
 from .verify import INEQUALITY_IDS, InequalityConfig
@@ -270,4 +272,8 @@ def load_verify_config(path):
     }
     if not isinstance(extras["trials"], int) or extras["trials"] < 1:
         raise ConfigError("trials", "expected a positive integer")
+    try:
+        check_seed(extras["seed"])
+    except ArgumentError as exc:
+        raise ConfigError("seed", str(exc)) from None
     return config, extras

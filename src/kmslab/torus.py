@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import ArgumentError, OperatorSpec, multiindex_enumerate
+from .operators import ArgumentError, OperatorSpec, check_seed, multiindex_enumerate
 
 __all__ = [
     "TorusGrid",
@@ -515,15 +515,18 @@ def random_bandlimited(
     grid: TorusGrid,
     d: int,
     cutoff: int,
-    seed: int,
+    seed: int | np.random.SeedSequence,
     normalize: bool = True,
 ) -> TensorField:
     """Zero-mean random field supported on frequencies with |xi_j| <= cutoff.
 
-    Deterministic given the seed; normalized to unit L^2 norm by default.
+    Deterministic given the seed (a non-negative integer or a SeedSequence);
+    normalized to unit L^2 norm by default.
     """
     if not 1 <= cutoff < grid.points_per_axis // 2:
         raise ArgumentError("cutoff", "cutoff must satisfy 1 <= cutoff < M/2")
+    if not isinstance(seed, np.random.SeedSequence):
+        check_seed(seed)
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(grid.shape + (d,))
     hat = np.fft.rfftn(white, axes=_axes(grid))

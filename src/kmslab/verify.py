@@ -35,6 +35,7 @@ from .operators import (
     PartMap,
     catalog_operator,
     catalog_partmap,
+    check_seed,
     eval_symbol,
     symbol_on_frequencies,
 )
@@ -694,6 +695,7 @@ def estimate_constant(
     over the grid (one representative per +-xi pair).  Infinite ratios
     propagate to max_ratio and are counted separately.
     """
+    check_seed(seed)
     if family is None:
         family = FieldFamily()
     if trials is not None:

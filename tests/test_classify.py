@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from kmslab.classify import (
     SphereSampling,
+    _ndtri,
     classify,
     classify_on_kernel,
     is_c_elliptic,
     subspace_intersection,
 )
 from kmslab.operators import (
+    ArgumentError,
     MultiIndex,
     OperatorSpec,
     catalog_operator,
@@ -41,7 +45,58 @@ def brute_flags(spec, points, tol=1e-8):
     }
 
 
+def scipy_sphere_points(n, count, seed, complex_mode):
+    """The sampler as built on scipy's qmc.Halton and special.ndtri, the reference."""
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    dims = 2 * n if complex_mode else n
+    raw = qmc.Halton(d=dims, scramble=True, seed=seed).random(count)
+    z = ndtri(np.clip(raw, 1e-12, 1.0 - 1e-12))
+    pts = z[:, :n] + 1j * z[:, n:] if complex_mode else z
+    axes = np.concatenate([np.eye(n), -np.eye(n)], axis=0)
+    if complex_mode:
+        axes = axes.astype(complex)
+    pts = np.concatenate([pts, axes], axis=0)
+    norms = np.linalg.norm(pts, axis=1)
+    norms[norms == 0] = 1.0
+    return pts / norms[:, None]
+
+
 class TestSphereSampling:
+    # (count, seed) of check_hypotheses, infer_constant_rank and the default
+    @pytest.mark.parametrize("count,seed", [(512, 11), (256, 7), (2048, 1729)])
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_points_bit_identical_to_scipy(self, n, count, seed, complex_mode):
+        points = SphereSampling.standard(n, count, seed, complex_mode).points
+        assert np.array_equal(points, scipy_sphere_points(n, count, seed, complex_mode))
+
+    def test_ndtri_bit_identical_to_scipy(self):
+        from scipy.special import ndtri
+
+        e2 = math.exp(-2.0)
+        y = np.concatenate(
+            [
+                [0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12],
+                # both sides of the branch points exp(-2) and 1 - exp(-2)
+                [np.nextafter(v, t) for v in (e2, 1.0 - e2) for t in (0.0, 1.0)],
+                [e2, 1.0 - e2],
+                np.random.default_rng(0).random(200_000),
+                np.logspace(-300, -1, 20_000),  # below exp(-32) is the P2/Q2 branch
+                1.0 - np.logspace(-16, -1, 2_000),
+            ]
+        )
+        got = _ndtri(y)
+        assert got[0] == -np.inf and got[1] == np.inf
+        assert np.array_equal(got, ndtri(y))
+
+    def test_bad_seed_names_it(self):
+        for seed in (-1, 1.5, "x", True):
+            with pytest.raises(ArgumentError) as err:
+                SphereSampling.standard(3, count=8, seed=seed)
+            assert err.value.argument == "seed"
+
     def test_unit_norm_and_determinism(self):
         a = SphereSampling.standard(3, count=64, seed=5)
         b = SphereSampling.standard(3, count=64, seed=5)

@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import kmslab
 from kmslab.binio import read_field, write_field
 from kmslab.cli import main
 from kmslab.torus import TorusGrid, lp_norm, random_bandlimited
@@ -63,6 +67,11 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
         ("n", ["field", "gen", "--kind", "random", "--n", "0", "--grid", "8", "--d", "1"]),
         ("cutoff", ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "1",
                     "--cutoff", "4"]),
+        ("seed", ["classify", *CURLVEC, "--seed", "-1"]),
+        ("seed", ["verify", "--seed", "-1"]),
+        ("seed", ["verify", "--refine", "8", "--seed", "-1"]),
+        ("seed", ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "1",
+                  "--seed", "-1"]),
     ],
 )
 def test_bad_flag_value_exit_2_names_it(tmp_path, capsys, flag, args):
@@ -74,6 +83,43 @@ def test_bad_flag_value_exit_2_names_it(tmp_path, capsys, flag, args):
         args = args + ["--out", str(tmp_path / "f.kfd")]
     assert run_cli(args) == 2
     assert f"'{flag}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, "x"])
+def test_bad_config_seed_exit_2_names_it(tmp_path, capsys, seed):
+    cfg = tmp_path / "kms.cfg"
+    cfg.write_text(json.dumps(dict(KMS_CFG, seed=seed)))
+    assert run_cli(["verify", "--config", str(cfg)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+def test_import_and_classify_load_no_scipy():
+    src = Path(kmslab.__file__).resolve().parent.parent
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import kmslab, kmslab.cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+assert not scipy_modules(), scipy_modules()
+assert kmslab.cli.main(["classify", "--catalog", "curl_vector", "--n", "3", "--complex"]) == 0
+assert not scipy_modules(), scipy_modules()
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_refined_c_ellipticity_verdict(tmp_path, schema):
+    out = tmp_path / "rep.json"
+    argv = ["classify", *CURLVEC, "--samples", "128", "--complex", "--refine", "5",
+            "--out", str(out)]
+    assert run_cli(argv) == 0
+    verdict = load_report(out, schema)["results"]["is_c_elliptic"]
+    assert verdict["verdict_kind"] == "sampled"
+    assert verdict["is_c_elliptic"] is False
+    assert len(verdict["witness"]) == 3
 
 
 def test_argument_error_of_an_unmapped_argument_propagates():

@@ -172,6 +172,13 @@ class TestVerifyConfig:
         config, _ = load_verify_config(write_config(tmp_path, doc))
         assert config.part is None
 
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5, True])
+    def test_bad_seed(self, tmp_path, seed):
+        doc = dict(BASE_DOC, seed=seed)
+        with pytest.raises(ConfigError) as err:
+            load_verify_config(write_config(tmp_path, doc))
+        assert err.value.field == "seed"
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("{not json")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kmslab.multipliers import pseudoinverse_symbol
-from kmslab.operators import catalog_operator, catalog_partmap
+from kmslab.operators import ArgumentError, catalog_operator, catalog_partmap
 from kmslab.torus import (
     TorusGrid,
     apply_partmap,
@@ -51,6 +51,20 @@ def grid8():
 @pytest.fixture(scope="module")
 def curl():
     return catalog_operator("curl_matrix_rowwise", 3)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+def test_bad_seed_names_it(grid8, curl, seed):
+    cfg = InequalityConfig("kms_sym", curl, catalog_partmap("sym", 3), 2.0, grid8)
+    calls = [
+        lambda: estimate_constant(cfg, family=small_family(1), seed=seed),
+        lambda: refinement_study(cfg, [8], family=small_family(1), seed=seed),
+        lambda: random_bandlimited(grid8, 1, 2, seed),
+    ]
+    for call in calls:
+        with pytest.raises(ArgumentError) as err:
+            call()
+        assert err.value.argument == "seed"
 
 
 class TestTrialRatio:
