@@ -273,7 +273,6 @@ class ClassificationReport:
     rank_histogram: dict
     common_rank: int | None
     residual_image_dim: int
-    residual_dim_trace: tuple
     is_elliptic: bool
     is_constant_rank: bool
     is_cancelling: bool
@@ -304,11 +303,11 @@ class ClassificationReport:
         }
 
 
-def subspace_intersection(basis_u: np.ndarray, basis_v: np.ndarray, eigtol: float = INTERSECTION_EIGTOL) -> np.ndarray:
+def subspace_intersection(basis_u: np.ndarray, basis_v: np.ndarray) -> np.ndarray:
     """Orthonormal basis of U cap V from orthonormal bases of U and V.
 
     Uses the projector-product spectrum: eigenvectors of P_U P_V P_U with
-    eigenvalue within eigtol of 1 span the intersection.
+    eigenvalue within INTERSECTION_EIGTOL of 1 span the intersection.
     """
     if basis_u.shape[1] == 0 or basis_v.shape[1] == 0:
         return np.zeros((basis_u.shape[0], 0))
@@ -316,7 +315,7 @@ def subspace_intersection(basis_u: np.ndarray, basis_v: np.ndarray, eigtol: floa
     pv = basis_v @ basis_v.conj().T
     m = pu @ pv @ pu
     w, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    keep = w > 1.0 - eigtol
+    keep = w > 1.0 - INTERSECTION_EIGTOL
     return vecs[:, keep]
 
 
@@ -334,7 +333,6 @@ def _vacuous_report(spec, sampling, tol):
         rank_histogram={0: sampling.count},
         common_rank=0,
         residual_image_dim=0,
-        residual_dim_trace=(0,),
         is_elliptic=True,
         is_constant_rank=True,
         is_cancelling=True,
@@ -408,7 +406,6 @@ def classify(
         rank_histogram=rank_histogram,
         common_rank=common_rank,
         residual_image_dim=residual_dim,
-        residual_dim_trace=tuple(trace),
         is_elliptic=is_elliptic,
         is_constant_rank=is_constant_rank,
         is_cancelling=residual_dim == 0,

@@ -174,14 +174,12 @@ def cmd_verify(args):
     trials = args.trials if args.trials is not None else extras["trials"]
     seed = args.seed if args.seed is not None else extras["seed"]
     sizes = _csv_ints(args.refine, "refine") if args.refine else extras.get("sizes")
-    if sizes:
-        flags = {"sizes": "refine" if args.refine else "sizes", "seed": "seed"}
+    flags = {"sizes": "refine" if args.refine else "sizes", "seed": "seed", "trials": "trials"}
+    if sizes is not None:
         study = _user_value(flags, refinement_study, config, sizes, trials=trials, seed=seed)
         results = {"kind": "refinement_study", "study": study.to_dict()}
     else:
-        estimate = _user_value(
-            {"seed": "seed"}, estimate_constant, config, trials=trials, seed=seed
-        )
+        estimate = _user_value(flags, estimate_constant, config, trials=trials, seed=seed)
         results = {"kind": "estimate_constant", "estimate": estimate.to_dict()}
     _emit(_report(args, seed, config.describe(), results), args.out)
     return 0

@@ -24,8 +24,7 @@ evaluated twice.  The last-axis bin-0 plane holds both xi and -xi; a table
 whose entries there break m(-xi) = conj m(xi) is refused with ValueError
 (e.g. the reconstruction multiplier of an odd-order operator without
 operator_input).  A descriptor caches the table of the grid it was last
-asked for.  The KMSM container of `binio` stores full-grid tables, from
-`on_frequencies(grid.frequency_grid)`.
+asked for.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "MultiplierDescriptor",
     "MultiplierConstructionError",
     "ConstantRankViolation",
-    "identity_multiplier",
     "mihlin_korn_multiplier",
     "kernel_projection_symbol",
     "pseudoinverse_symbol",
@@ -52,6 +50,9 @@ __all__ = [
 RANK_TOL = 1e-8
 CONDITION_LIMIT = 1e12
 HERMITIAN_TOL = 1e-8
+# sphere sample that infer_constant_rank classifies
+RANK_SAMPLE_COUNT = 256
+RANK_SAMPLE_SEED = 7
 
 
 class MultiplierConstructionError(RuntimeError):
@@ -64,7 +65,7 @@ class ConstantRankViolation(RuntimeError):
 
 @dataclass(eq=False)
 class MultiplierDescriptor:
-    """A frequency-to-matrix function with declared homogeneity.
+    """A frequency-to-matrix function.
 
     batch maps a (..., n) stack of nonzero frequencies to the matching
     (...,) + shape stack of matrices.  The table of the most recent grid is
@@ -72,7 +73,6 @@ class MultiplierDescriptor:
     """
 
     shape: tuple[int, int]
-    homogeneity_degree: int
     provenance: str
     batch: Callable[[np.ndarray], np.ndarray]
     _grid_cache: tuple = field(default=(None, None), repr=False)
@@ -136,16 +136,6 @@ def _check_real_to_real(provenance, grid, plane):
         )
 
 
-def identity_multiplier(d: int) -> MultiplierDescriptor:
-    eye = np.eye(d)
-    return MultiplierDescriptor(
-        shape=(d, d),
-        homogeneity_degree=0,
-        provenance="identity",
-        batch=lambda freqs: np.broadcast_to(eye, freqs.shape[:-1] + (d, d)).copy(),
-    )
-
-
 def _padded_singular_values(s, d):
     """Singular values padded with zeros up to length d (wide matrices)."""
     if s.shape[-1] == d:
@@ -154,15 +144,15 @@ def _padded_singular_values(s, d):
     return np.concatenate([s, pad], axis=-1)
 
 
-def _check_rank(s_padded, rank, tol, freqs):
+def _check_rank(s_padded, rank, freqs):
     """Raise ConstantRankViolation naming the worst frequency on mismatch."""
     smax = s_padded[..., 0]
     scale = np.where(smax > 0, smax, 1.0)
     ok = np.ones(s_padded.shape[:-1], dtype=bool)
     if rank > 0:
-        ok &= s_padded[..., rank - 1] > tol * scale
+        ok &= s_padded[..., rank - 1] > RANK_TOL * scale
     if rank < s_padded.shape[-1]:
-        ok &= s_padded[..., rank] <= tol * scale
+        ok &= s_padded[..., rank] <= RANK_TOL * scale
     if not np.all(ok):
         bad = np.argwhere(~ok)[0]
         xi = freqs[tuple(bad)]
@@ -174,14 +164,13 @@ def _check_rank(s_padded, rank, tol, freqs):
 def mihlin_korn_multiplier(
     spec: OperatorSpec,
     alpha: MultiIndex,
-    condition_limit: float = CONDITION_LIMIT,
     operator_input: bool = False,
 ) -> MultiplierDescriptor:
     """The reconstruction multiplier (i xi)^alpha (B* B)^{-1} B* of an elliptic operator.
 
     Satisfies m(xi) B[xi] = (i xi)^alpha Id_d for xi != 0 and is homogeneous
     of degree |alpha| - k.  Construction fails, naming the frequency, when
-    cond(B*[xi] B[xi]) exceeds condition_limit - the numerical signature of a
+    cond(B*[xi] B[xi]) exceeds CONDITION_LIMIT - the numerical signature of a
     non-elliptic symbol.
 
     The spectral action of the operator on a field is B[i xi] = i^k B[xi],
@@ -206,7 +195,7 @@ def mihlin_korn_multiplier(
             )
         smin = s[..., -1]
         smax = s[..., 0]
-        bad = (smin <= 0) | ((smax / np.where(smin > 0, smin, 1.0)) ** 2 > condition_limit)
+        bad = (smin <= 0) | ((smax / np.where(smin > 0, smin, 1.0)) ** 2 > CONDITION_LIMIT)
         if np.any(bad):
             xi = freqs[tuple(np.argwhere(bad)[0])]
             raise MultiplierConstructionError(
@@ -219,17 +208,12 @@ def mihlin_korn_multiplier(
 
     return MultiplierDescriptor(
         shape=(spec.d, spec.l),
-        homogeneity_degree=alpha.order - spec.k,
         provenance=f"mihlin_korn({spec.name}, alpha={alpha}, operator_input={operator_input})",
         batch=batch,
     )
 
 
-def kernel_projection_symbol(
-    spec: OperatorSpec,
-    rank: int,
-    tol: float = RANK_TOL,
-) -> MultiplierDescriptor:
+def kernel_projection_symbol(spec: OperatorSpec, rank: int) -> MultiplierDescriptor:
     """Frequency-wise orthogonal projector onto ker B[xi] for a constant-rank operator.
 
     The declared rank is trusted and enforced: a frequency whose singular
@@ -243,27 +227,22 @@ def kernel_projection_symbol(
         freqs = np.asarray(freqs, dtype=float)
         sym = symbol_on_frequencies(spec, freqs)
         _, s, vh = np.linalg.svd(sym, full_matrices=True)
-        _check_rank(_padded_singular_values(s, spec.d), rank, tol, freqs)
+        _check_rank(_padded_singular_values(s, spec.d), rank, freqs)
         vker = np.swapaxes(vh[..., rank:, :], -1, -2).conj()
         return vker @ np.swapaxes(vker, -1, -2).conj()
 
     return MultiplierDescriptor(
         shape=(spec.d, spec.d),
-        homogeneity_degree=0,
         provenance=f"kernel_projection({spec.name}, r={rank})",
         batch=batch,
     )
 
 
-def pseudoinverse_symbol(
-    spec: OperatorSpec,
-    rank: int,
-    tol: float = RANK_TOL,
-) -> MultiplierDescriptor:
+def pseudoinverse_symbol(spec: OperatorSpec, rank: int) -> MultiplierDescriptor:
     """Moore-Penrose pseudoinverse symbol B[xi]^+ for a constant-rank operator.
 
-    Satisfies B[xi]^+ B[xi] = Id - Pi(xi) with Pi the kernel projector; the
-    homogeneity degree is -k.
+    Satisfies B[xi]^+ B[xi] = Id - Pi(xi) with Pi the kernel projector and
+    is homogeneous of degree -k.
     """
     if not 0 <= rank <= min(spec.d, spec.l):
         raise ValueError(f"rank must lie in [0, {min(spec.d, spec.l)}]")
@@ -272,7 +251,7 @@ def pseudoinverse_symbol(
         freqs = np.asarray(freqs, dtype=float)
         sym = symbol_on_frequencies(spec, freqs)
         u, s, vh = np.linalg.svd(sym, full_matrices=False)
-        _check_rank(_padded_singular_values(s, spec.d), rank, tol, freqs)
+        _check_rank(_padded_singular_values(s, spec.d), rank, freqs)
         inv = np.zeros_like(s)
         if rank > 0:
             inv[..., :rank] = 1.0 / s[..., :rank]
@@ -280,13 +259,12 @@ def pseudoinverse_symbol(
 
     return MultiplierDescriptor(
         shape=(spec.d, spec.l),
-        homogeneity_degree=-spec.k,
         provenance=f"pseudoinverse({spec.name}, r={rank})",
         batch=batch,
     )
 
 
-def infer_constant_rank(spec: OperatorSpec, seed: int = 7, count: int = 256) -> int:
+def infer_constant_rank(spec: OperatorSpec) -> int:
     """Common symbol rank from a small deterministic sphere sample.
 
     Raises ConstantRankViolation when the sampled ranks disagree.
@@ -295,7 +273,8 @@ def infer_constant_rank(spec: OperatorSpec, seed: int = 7, count: int = 256) -> 
 
     if spec.is_vacuous:
         return 0
-    report = classify(spec, SphereSampling.standard(spec.n, count=count, seed=seed))
+    sampling = SphereSampling.standard(spec.n, count=RANK_SAMPLE_COUNT, seed=RANK_SAMPLE_SEED)
+    report = classify(spec, sampling)
     if not report.is_constant_rank:
         raise ConstantRankViolation(
             f"{spec.name}: sampled ranks are not constant: {report.rank_histogram}"
@@ -306,9 +285,7 @@ def infer_constant_rank(spec: OperatorSpec, seed: int = 7, count: int = 256) -> 
 def composed_correction_symbol(
     spec: OperatorSpec,
     part: PartMap,
-    rank: int | None = None,
     projector: str = "restricted",
-    tol: float = RANK_TOL,
 ) -> MultiplierDescriptor:
     """Symbol of the correction map P -> Pi_B P_ker(A)[P].
 
@@ -328,8 +305,7 @@ def composed_correction_symbol(
     d = spec.d
 
     if projector == "full":
-        r = infer_constant_rank(spec) if rank is None else rank
-        inner = kernel_projection_symbol(spec, r, tol=tol)
+        inner = kernel_projection_symbol(spec, infer_constant_rank(spec))
         proj = part.proj_ker
 
         def batch(freqs):
@@ -341,12 +317,10 @@ def composed_correction_symbol(
         if restricted.d == 0:
             return MultiplierDescriptor(
                 shape=(d, d),
-                homogeneity_degree=0,
                 provenance=f"correction_restricted({spec.name}, ker({part.name})=0)",
                 batch=lambda freqs: np.zeros(np.asarray(freqs).shape[:-1] + (d, d)),
             )
-        r = infer_constant_rank(restricted) if rank is None else rank
-        inner = kernel_projection_symbol(restricted, r, tol=tol)
+        inner = kernel_projection_symbol(restricted, infer_constant_rank(restricted))
         kb = part.kernel_basis
 
         def batch(freqs):
@@ -357,7 +331,6 @@ def composed_correction_symbol(
 
     return MultiplierDescriptor(
         shape=(d, d),
-        homogeneity_degree=0,
         provenance=provenance,
         batch=batch,
     )

@@ -30,7 +30,6 @@ __all__ = [
     "check_seed",
     "MultiIndex",
     "OperatorSpec",
-    "SymbolMatrix",
     "PartMap",
     "multiindex_enumerate",
     "eval_symbol",
@@ -194,16 +193,8 @@ class OperatorSpec:
         return mat
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolMatrix:
-    """The symbol B[xi] evaluated at one frequency."""
-
-    entries: np.ndarray
-    frequency: np.ndarray
-
-
-def eval_symbol(spec: OperatorSpec, xi) -> SymbolMatrix:
-    """Evaluate B[xi] = sum_alpha B_alpha xi^alpha at a single frequency.
+def eval_symbol(spec: OperatorSpec, xi) -> np.ndarray:
+    """The (l, d) matrix B[xi] = sum_alpha B_alpha xi^alpha at a single frequency.
 
     xi may be real or complex of length n; the result is real whenever both
     xi and the coefficients are real, and degree-k homogeneous in xi.
@@ -211,8 +202,7 @@ def eval_symbol(spec: OperatorSpec, xi) -> SymbolMatrix:
     xi = np.asarray(xi)
     if xi.shape != (spec.n,):
         raise ValueError(f"frequency has shape {xi.shape}, expected ({spec.n},)")
-    entries = symbol_on_frequencies(spec, xi[None, :])[0]
-    return SymbolMatrix(entries=entries, frequency=xi.copy())
+    return symbol_on_frequencies(spec, xi[None, :])[0]
 
 
 def symbol_on_frequencies(spec: OperatorSpec, freqs: np.ndarray) -> np.ndarray:
@@ -246,7 +236,7 @@ class PartMap:
     injectivity_constant: float
 
     @classmethod
-    def from_matrix(cls, matrix, name: str = "", cutoff: float = KERNEL_CUTOFF) -> "PartMap":
+    def from_matrix(cls, matrix, name: str = "") -> "PartMap":
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2:
             raise ValueError("part map must be a 2-d matrix")
@@ -255,7 +245,7 @@ class PartMap:
             raise ValueError("part map needs a positive source dimension")
         _, s, vh = np.linalg.svd(mat)
         if s.size and s[0] > 0:
-            rank = int(np.sum(s > cutoff * s[0]))
+            rank = int(np.sum(s > KERNEL_CUTOFF * s[0]))
         else:
             rank = 0
         kernel_basis = vh[rank:].T.copy()
@@ -276,10 +266,6 @@ class PartMap:
     @property
     def d(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def kernel_dim(self) -> int:

@@ -179,7 +179,6 @@ _CONFIG_KEYS = {
     "partmap",
     "correction",
     "trials",
-    "cutoff",
     "seed",
     "sizes",
 }
@@ -188,8 +187,8 @@ _CONFIG_KEYS = {
 def load_verify_config(path):
     """Load a JSON verification config and build the InequalityConfig.
 
-    Returns (config, extras) where extras carries trials / cutoff / seed /
-    sizes defaults that the CLI may override.
+    Returns (config, extras) where extras carries trials / seed / sizes
+    defaults that the CLI may override.
     """
     path = Path(path)
     try:
@@ -266,11 +265,11 @@ def load_verify_config(path):
 
     extras = {
         "trials": doc.get("trials", 50),
-        "cutoff": doc.get("cutoff"),
         "seed": doc.get("seed", 0),
         "sizes": doc.get("sizes"),
     }
-    if not isinstance(extras["trials"], int) or extras["trials"] < 1:
+    trials = extras["trials"]
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ConfigError("trials", "expected a positive integer")
     try:
         check_seed(extras["seed"])

@@ -10,12 +10,12 @@ i.e. the coefficients absorb the cell-volume factor of the L^2 norm.
 Compactly supported whole-space fields are modeled as zero-mean periodic
 fields; every report states this.
 
-`transform` / `inverse_transform` are the full-grid reference transform.
-Everything else works on the real-FFT half spectrum of a field
+The calculus works on the real-FFT half spectrum of a field
 (`HalfSpectrum`): one rfftn, its last axis halved to the bins
-0 ... M/2 - 1, -M/2 (`TorusGrid.half_frequency_grid`).  A field's L^2 norm is the Parseval sum
-with `TorusGrid.parseval_weights` (1 on the last-axis bins 0 and M/2,
-whose partners -xi lie in the half grid too, 2 elsewhere).  A multiplier m
+0 ... M/2 - 1, -M/2 (`TorusGrid.half_frequency_grid`).  A field's L^2 norm
+is the Parseval sum with `TorusGrid.parseval_weights` (1 on the last-axis
+bins 0 and M/2, whose partners -xi lie in the half grid too, 2
+elsewhere).  A multiplier m
 acts on the half spectrum through its Hermitian part
 (m(xi) + conj m(xi'))/2, with xi' the grid representative of -xi (Nyquist
 coordinates stay at -M/2): that is what multiplying the full spectrum and
@@ -37,10 +37,7 @@ from .operators import ArgumentError, OperatorSpec, check_seed, multiindex_enume
 __all__ = [
     "TorusGrid",
     "TensorField",
-    "SpectrumField",
     "HalfSpectrum",
-    "transform",
-    "inverse_transform",
     "apply_operator",
     "apply_multiplier",
     "apply_partmap",
@@ -52,7 +49,6 @@ __all__ = [
     "random_bandlimited",
     "plane_wave_field",
     "bump_field",
-    "constant_field",
 ]
 
 ZERO_MEAN_TOL = 1e-12
@@ -100,18 +96,6 @@ class TorusGrid:
         grid = np.stack(mesh, axis=-1)
         grid.setflags(write=False)
         return grid
-
-    @cached_property
-    def frequency_norm2(self) -> np.ndarray:
-        out = np.sum(self.frequency_grid.astype(float) ** 2, axis=-1)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def zero_mask(self) -> np.ndarray:
-        mask = ~np.any(self.frequency_grid != 0, axis=-1)
-        mask.setflags(write=False)
-        return mask
 
     @property
     def half_shape(self) -> tuple:
@@ -261,38 +245,8 @@ class TensorField:
             raise ValueError("fields have different fiber dimensions")
 
 
-@dataclass(eq=False)
-class SpectrumField:
-    """Fourier coefficients of a TensorField, one complex d-vector per frequency."""
-
-    grid: TorusGrid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=complex)
-        if coef.shape[: self.grid.n] != self.grid.shape or coef.ndim != self.grid.n + 1:
-            raise ValueError("coefficient shape incompatible with grid")
-        self.coefficients = coef
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.coefficients.shape[-1]
-
-
 def _axes(grid):
     return tuple(range(grid.n))
-
-
-def transform(field: TensorField) -> SpectrumField:
-    """Parseval-normalized discrete Fourier transform on the full grid."""
-    coef = np.fft.fftn(field.values, axes=_axes(field.grid)) * field.grid.spectrum_scale
-    return SpectrumField(field.grid, coef)
-
-
-def inverse_transform(spectrum: SpectrumField) -> TensorField:
-    """Inverse transform; the (tiny) imaginary residue of real fields is dropped."""
-    vals = np.fft.ifftn(spectrum.coefficients, axes=_axes(spectrum.grid))
-    return TensorField(spectrum.grid, vals.real / spectrum.grid.spectrum_scale)
 
 
 # --------------------------------------------------------------------------
@@ -542,13 +496,10 @@ def random_bandlimited(
     return field
 
 
-def plane_wave_field(grid: TorusGrid, xi0, v, envelope=None) -> TensorField:
+def plane_wave_field(grid: TorusGrid, xi0, v) -> TensorField:
     """The real plane wave Re(v e^{i x . xi0}); spectrum supported on {+-xi0}.
 
-    xi0 must be a nonzero grid frequency without Nyquist components.  An
-    optional envelope (callable of the point array or a scalar array)
-    multiplies the wave and smears the spectrum; the result is re-projected
-    to zero mean in that case.
+    xi0 must be a nonzero grid frequency without Nyquist components.
     """
     xi0 = np.asarray(xi0)
     if xi0.shape != (grid.n,):
@@ -566,12 +517,7 @@ def plane_wave_field(grid: TorusGrid, xi0, v, envelope=None) -> TensorField:
     v = np.asarray(v)
     phase = grid.points @ xi_int.astype(float)
     wave = np.exp(1j * phase)[..., None] * v
-    vals = wave.real
-    if envelope is not None:
-        env = envelope(grid.points) if callable(envelope) else np.asarray(envelope)
-        vals = vals * env[..., None]
-        vals = vals - vals.mean(axis=tuple(range(grid.n)))
-    return TensorField(grid, vals)
+    return TensorField(grid, wave.real)
 
 
 def bump_field(
@@ -600,8 +546,3 @@ def bump_field(
     vals = profile[..., None] * v
     field = TensorField(grid, vals)
     return field.with_zero_mean() if zero_mean else field
-
-
-def constant_field(grid: TorusGrid, v) -> TensorField:
-    v = np.asarray(v, dtype=float)
-    return TensorField(grid, np.broadcast_to(v, grid.shape + v.shape).copy())

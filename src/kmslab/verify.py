@@ -58,7 +58,6 @@ __all__ = [
     "PreconditionError",
     "InequalityConfig",
     "TrialResult",
-    "KernelConstants",
     "FieldFamily",
     "ConstantEstimate",
     "RefinementStudy",
@@ -95,6 +94,13 @@ RHS_NEGLIGIBLE = 1e-14
 LHS_NEGLIGIBLE = 1e-10
 SWEEP_CHUNK = 1024
 WITNESS_BLOCK = 256
+# relative singular-value threshold for a null direction of the stacked right side
+NULL_TOL = 1e-12
+# relative threshold below which ker(A) cap ker(B[xi]) counts as nontrivial
+WITNESS_TOL = 1e-10
+# sphere sample that check_hypotheses classifies
+HYPOTHESIS_SAMPLE_COUNT = 512
+HYPOTHESIS_SAMPLE_SEED = 11
 
 
 class PreconditionError(ValueError):
@@ -125,21 +131,6 @@ def _json_float(x):
     if math.isinf(x):
         return "inf"
     return float(x)
-
-
-@dataclass(frozen=True)
-class KernelConstants:
-    """Dimensional constants of the Riesz/Newtonian kernel."""
-
-    n: int
-    omega_n: float
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "KernelConstants":
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-        return cls(n=n, omega_n=omega)
 
 
 @dataclass(eq=False)
@@ -256,14 +247,16 @@ class TrialResult:
         }
 
 
-def check_hypotheses(config: InequalityConfig, count: int = 512, seed: int = 11):
+def check_hypotheses(config: InequalityConfig):
     """Classifier check matching the inequality variant.
 
     Returns (ok, note, classification_echo).  The caller decides whether a
     failed hypothesis is fatal (library default) or merely flagged (the
     p = 1 probe keeps running "outside theorem hypotheses").
     """
-    sampling = SphereSampling.standard(config.n, count=count, seed=seed)
+    sampling = SphereSampling.standard(
+        config.n, count=HYPOTHESIS_SAMPLE_COUNT, seed=HYPOTHESIS_SAMPLE_SEED
+    )
     ident = config.inequality_id
     if ident == "korn_ell":
         report = classify(config.operator, sampling)
@@ -403,7 +396,7 @@ def single_frequency_trial(config: InequalityConfig, xi, v) -> TrialResult:
         return _profile_norm(grid, m, q, odd)
 
     a, b, c = _frequency_scales(config, xi_abs, profiles)
-    bmat = eval_symbol(config.operator, xi.astype(float)).entries
+    bmat = eval_symbol(config.operator, xi.astype(float))
     bv = float(np.linalg.norm(bmat @ v))
     if config.inequality_id == "korn_ell":
         lhs = a * float(np.linalg.norm(v))
@@ -428,7 +421,7 @@ def _plane_wave_descriptor(xi, v) -> dict:
     }
 
 
-def worst_vector(config: InequalityConfig, xi, null_tol: float = 1e-12):
+def worst_vector(config: InequalityConfig, xi):
     """Adversarial fiber vector for a single frequency, found by SVD.
 
     Maximizes |L v| / |S v| with L the (scaled) left side and S the stacked
@@ -438,11 +431,11 @@ def worst_vector(config: InequalityConfig, xi, null_tol: float = 1e-12):
     freqs = np.asarray(xi, dtype=float)[None]
     desc = config.correction_descriptor
     cmats = None if desc is None else np.real(desc.on_frequencies(freqs))
-    vs, flags, _ = _sweep_vectors(config, freqs, cmats, null_tol)
+    vs, flags, _ = _sweep_vectors(config, freqs, cmats)
     return vs[0], bool(flags[0])
 
 
-def _sweep_vectors(config, freqs, cmats, null_tol=1e-12):
+def _sweep_vectors(config, freqs, cmats):
     """Vectorized worst_vector over a (F, n) stack of frequencies.
 
     cmats holds the real part of the correction at each frequency (None
@@ -476,7 +469,7 @@ def _sweep_vectors(config, freqs, cmats, null_tol=1e-12):
             smin = s[..., -1]
         else:
             smin = np.zeros(count)
-        flags = smin <= null_tol * np.maximum(s[..., 0], 1.0)
+        flags = smin <= NULL_TOL * np.maximum(s[..., 0], 1.0)
         vs = vh[:, -1, :]
         return vs, flags, _trial_ratios(a * np.linalg.norm(vs, axis=1), c * bv_norms(vs))
 
@@ -490,7 +483,7 @@ def _sweep_vectors(config, freqs, cmats, null_tol=1e-12):
 
     u, s, vh = np.linalg.svd(smat, full_matrices=False)
     smax = np.maximum(s[..., 0], 1.0)
-    inv = np.where(s > null_tol * smax[..., None], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    inv = np.where(s > NULL_TOL * smax[..., None], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     pinv = np.einsum("fji,fj,fkj->fik", vh, inv, u)
     row_proj = pinv @ smat
     null_proj = eye - row_proj
@@ -531,7 +524,7 @@ def _svd_right(mats):
     return s[..., 0], vh[..., 0, :]
 
 
-def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid, tol: float = 1e-10):
+def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
     """Lowest grid frequency carrying a unit vector in ker(A) cap ker(B[xi]).
 
     Returns (xi, v) or None; the scan order (by |xi|, then lexicographic)
@@ -548,7 +541,7 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid, to
             [amat, symbol_on_frequencies(spec, block.astype(float)).real], axis=1
         )
         s = np.linalg.svd(stacked, compute_uv=False)
-        hits = np.flatnonzero(s[:, -1] <= tol * np.maximum(s[:, 0], 1.0))
+        hits = np.flatnonzero(s[:, -1] <= WITNESS_TOL * np.maximum(s[:, 0], 1.0))
         if hits.size:
             # singular vectors only for the first hit; LAPACK factorises each
             # matrix on its own, so v matches a batched factorisation bit for bit
@@ -699,6 +692,10 @@ def estimate_constant(
     if family is None:
         family = FieldFamily()
     if trials is not None:
+        if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+            raise ArgumentError(
+                "trials", f"trials must be a non-negative integer, got {trials!r}"
+            )
         family = replace(family, random_trials=trials)
     hyp_ok, note, class_echo = check_hypotheses(config)
     if enforce and not hyp_ok:
@@ -774,6 +771,20 @@ def estimate_constant(
     )
 
 
+def _check_sizes(sizes) -> list:
+    """sizes as a list; ArgumentError("sizes") unless non-empty, increasing, even and >= 4."""
+    try:
+        sizes = list(sizes)
+    except TypeError:
+        raise ArgumentError("sizes", f"sizes must be a list of grid sizes, got {sizes!r}") from None
+    even = all(isinstance(m, (int, np.integer)) and m % 2 == 0 and m >= 4 for m in sizes)
+    if not sizes or not even or sorted(sizes) != sizes:
+        raise ArgumentError(
+            "sizes", "sizes must be a non-empty list of increasing even integers >= 4"
+        )
+    return sizes
+
+
 @dataclass(eq=False)
 class RefinementStudy:
     """Constant estimates across a chain of grid refinements."""
@@ -810,10 +821,7 @@ def refinement_study(
     pins them.  A grid-stable maximum ratio is the discrete proxy for the
     inequality holding with a grid-independent constant.
     """
-    sizes = list(sizes)
-    even = all(isinstance(m, (int, np.integer)) and m % 2 == 0 and m >= 4 for m in sizes)
-    if not even or sorted(sizes) != sizes:
-        raise ArgumentError("sizes", "sizes must be increasing even integers >= 4")
+    sizes = _check_sizes(sizes)
     estimates = []
     for m in sizes:
         cfg = config.with_grid(TorusGrid(config.n, m))
@@ -869,7 +877,6 @@ def necessity_demo(
     spec: OperatorSpec,
     grid: TorusGrid,
     p: float = 2.0,
-    tol: float = 1e-10,
 ) -> NecessityDemoResult:
     """Show that dropping the correction breaks the constant-rank inequality.
 
@@ -881,7 +888,7 @@ def necessity_demo(
     """
     if not 1 < p < grid.n:
         raise ArgumentError("p", f"need 1 < p < n, got p={p}, n={grid.n}")
-    found = search_kernel_witness(part, spec, grid, tol=tol)
+    found = search_kernel_witness(part, spec, grid)
     if found is None:
         return NecessityDemoResult(
             found=False,
@@ -935,6 +942,11 @@ class CrosscheckResult:
                 for k, v in self.details.items()
             },
         }
+
+
+def _unit_ball_volume(n: int) -> float:
+    """omega_n, the volume of the unit ball in R^n."""
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
 _EVAL_OFFSETS = (
@@ -1039,8 +1051,7 @@ def curl_riesz_crosscheck(
     div_op = catalog_operator("div_matrix_rowwise", 3)
     source = apply_operator(div_op, apply_partmap(dev, field))
 
-    constants = KernelConstants.for_dimension(3)
-    prefactor = 1.0 / (3.0 * constants.omega_n)
+    prefactor = 1.0 / (3.0 * _unit_ball_volume(3))
     points = g.points
     gvals = source.values
     half = g.points_per_axis // 2
@@ -1116,7 +1127,7 @@ def p1_probe(
     or cancelling hypothesis fails on ker(A) the probe still runs and flags
     the verdict as outside the theorem hypotheses.
     """
-    sizes = list(sizes)
+    sizes = _check_sizes(sizes)
     base = InequalityConfig(
         inequality_id="korn_const_p1",
         operator=spec,

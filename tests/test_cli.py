@@ -51,6 +51,7 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
     [
         ("refine", ["verify", "--refine", "16,8"]),
         ("refine", ["verify", "--refine", "8,10,13"]),
+        ("refine", ["verify", "--refine", ","]),
         ("grid", ["verify", "--grid", "7"]),
         ("on-kernel-of", ["classify", *CURLVEC, "--on-kernel-of", "sym"]),
         ("tol", ["classify", *CURLVEC, "--tol", "2"]),
@@ -70,6 +71,7 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
         ("seed", ["classify", *CURLVEC, "--seed", "-1"]),
         ("seed", ["verify", "--seed", "-1"]),
         ("seed", ["verify", "--refine", "8", "--seed", "-1"]),
+        ("trials", ["verify", "--trials", "-1"]),
         ("seed", ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "1",
                   "--seed", "-1"]),
     ],
@@ -91,6 +93,17 @@ def test_bad_config_seed_exit_2_names_it(tmp_path, capsys, seed):
     cfg.write_text(json.dumps(dict(KMS_CFG, seed=seed)))
     assert run_cli(["verify", "--config", str(cfg)]) == 2
     assert "'seed'" in capsys.readouterr().err
+
+
+# "cutoff" is no config key: the random-field cutoff is always M // 4
+@pytest.mark.parametrize(
+    "key,value", [("trials", True), ("trials", -1), ("cutoff", 4), ("sizes", 8), ("sizes", [])]
+)
+def test_bad_config_value_exit_2_names_it(tmp_path, capsys, key, value):
+    cfg = tmp_path / "kms.cfg"
+    cfg.write_text(json.dumps(dict(KMS_CFG, **{key: value})))
+    assert run_cli(["verify", "--config", str(cfg)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_import_and_classify_load_no_scipy():
@@ -383,20 +396,6 @@ class TestBinio:
         assert np.array_equal(f.values, g.values)
         assert lp_norm(f, 2) == lp_norm(g, 2)
 
-    def test_multiplier_roundtrip(self, tmp_path):
-        from kmslab.binio import read_multiplier_grid, write_multiplier_grid
-        from kmslab.multipliers import identity_multiplier
-
-        grid = TorusGrid(2, 4)
-        table = identity_multiplier(3).on_frequencies(
-            grid.frequency_grid, zero_mask=grid.zero_mask
-        )
-        path = tmp_path / "m.kmd"
-        write_multiplier_grid(path, grid, table)
-        grid2, table2 = read_multiplier_grid(path)
-        assert grid2.points_per_axis == 4
-        assert np.array_equal(table, table2)
-
     def test_bad_magic(self, tmp_path):
         from kmslab.binio import BinaryFormatError
 
@@ -405,21 +404,17 @@ class TestBinio:
         with pytest.raises(BinaryFormatError):
             read_field(path)
 
-    @pytest.mark.parametrize("container", ["field", "multiplier"])
-    def test_header_faults_name_path_and_field(self, tmp_path, container):
+    def test_header_faults_name_path_and_field(self, tmp_path):
         import struct
 
-        from kmslab.binio import BinaryFormatError, read_multiplier_grid
+        from kmslab.binio import BinaryFormatError
 
-        if container == "field":
-            read, magic, tail = read_field, b"KMSF", struct.pack("<I", 3)
-        else:
-            read, magic, tail = read_multiplier_grid, b"KMSM", struct.pack("<IIB", 1, 1, 0)
+        magic, tail = b"KMSF", struct.pack("<I", 3)
         truncated = tmp_path / "short.bin"
         truncated.write_bytes((magic + struct.pack("<III", 1, 2, 8) + tail)[:9])
         with pytest.raises(BinaryFormatError, match=r"short\.bin.*'n'"):
-            read(truncated)
+            read_field(truncated)
         odd_grid = tmp_path / "odd.bin"
         odd_grid.write_bytes(magic + struct.pack("<III", 1, 2, 5) + tail)
         with pytest.raises(BinaryFormatError, match=r"odd\.bin.*'M' = 5"):
-            read(odd_grid)
+            read_field(odd_grid)

@@ -14,6 +14,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fullgrid_reference import (
+    SpectrumField,
+    frequency_norm2,
+    inverse_transform,
+    transform,
+    zero_mask,
+)
 from kmslab.operators import (
     MultiIndex,
     OperatorSpec,
@@ -22,14 +29,11 @@ from kmslab.operators import (
     multiindex_enumerate,
 )
 from kmslab.torus import (
-    SpectrumField,
     TensorField,
     TorusGrid,
     apply_operator,
-    inverse_transform,
     plane_wave_field,
     random_bandlimited,
-    transform,
 )
 from kmslab.verify import InequalityConfig, kms_sides, single_frequency_trial, trial_ratio
 
@@ -89,9 +93,9 @@ def reference_sides(cfg, fld):
         return lp(np.concatenate(blocks, axis=-1), p)
 
     def negative(values, s):
-        nz = ~grid.zero_mask
+        nz = ~zero_mask(grid)
         weights = np.zeros(grid.shape)
-        weights[nz] = grid.frequency_norm2[nz] ** (-s)
+        weights[nz] = frequency_norm2(grid)[nz] ** (-s)
         return math.sqrt(np.sum(weights * np.sum(np.abs(spectrum(values)) ** 2, axis=-1)))
 
     k, p, vals = cfg.k, cfg.p, fld.values
@@ -100,7 +104,7 @@ def reference_sides(cfg, fld):
     reduced = vals
     if cfg.correction_enabled:
         table = cfg.correction_descriptor.on_frequencies(
-            grid.frequency_grid, zero_mask=grid.zero_mask
+            grid.frequency_grid, zero_mask=zero_mask(grid)
         )
         reduced = vals - samples(np.einsum("...rc,...c->...r", table, spectrum(vals)))
     a_vals = cfg.part.apply(vals)

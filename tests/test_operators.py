@@ -57,12 +57,12 @@ class TestEvalSymbol:
     def test_gradient_picks_component(self):
         grad = catalog_operator("gradient", 3)
         sym = eval_symbol(grad, np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(sym.entries, np.array([[1.0], [0.0], [0.0]]))
+        assert np.allclose(sym, np.array([[1.0], [0.0], [0.0]]))
 
     def test_zero_frequency_first_order(self):
         for name in ("gradient", "curl_vector", "sym_gradient"):
             spec = catalog_operator(name, 3)
-            assert np.all(eval_symbol(spec, np.zeros(3)).entries == 0)
+            assert np.all(eval_symbol(spec, np.zeros(3)) == 0)
 
     def test_curl_matches_cross_product(self):
         curl = catalog_operator("curl_vector", 3)
@@ -70,7 +70,7 @@ class TestEvalSymbol:
         for _ in range(20):
             xi = rng.standard_normal(3)
             v = rng.standard_normal(3)
-            assert np.allclose(eval_symbol(curl, xi).entries @ v, np.cross(xi, v), atol=1e-13)
+            assert np.allclose(eval_symbol(curl, xi) @ v, np.cross(xi, v), atol=1e-13)
 
     def test_dimension_mismatch(self):
         grad = catalog_operator("gradient", 3)
@@ -80,13 +80,13 @@ class TestEvalSymbol:
     def test_real_frequency_gives_real_entries(self):
         eps = catalog_operator("sym_gradient", 3)
         sym = eval_symbol(eps, np.array([1.0, 2.0, -1.0]))
-        assert not np.iscomplexobj(sym.entries)
+        assert not np.iscomplexobj(sym)
 
     def test_complex_frequency_supported(self):
         grad = catalog_operator("gradient", 2)
         sym = eval_symbol(grad, np.array([1.0 + 1j, 2.0]))
-        assert np.iscomplexobj(sym.entries)
-        assert sym.entries[0, 0] == pytest.approx(1.0 + 1j)
+        assert np.iscomplexobj(sym)
+        assert sym[0, 0] == pytest.approx(1.0 + 1j)
 
 
 def test_homogeneity_random():
@@ -96,8 +96,8 @@ def test_homogeneity_random():
         spec = specs[i % len(specs)]
         xi = rng.standard_normal(3)
         c = float(rng.uniform(0.2, 3.0)) * (1 if i % 2 else -1)
-        base = eval_symbol(spec, xi).entries
-        scaled = eval_symbol(spec, c * xi).entries
+        base = eval_symbol(spec, xi)
+        scaled = eval_symbol(spec, c * xi)
         assert np.linalg.norm(scaled - c**spec.k * base) <= 1e-12 * np.linalg.norm(base) * abs(c) ** spec.k
 
 
@@ -121,7 +121,7 @@ class TestOperatorSpec:
         freqs = rng.standard_normal((17, 3))
         batch = symbol_on_frequencies(spec, freqs)
         for i, xi in enumerate(freqs):
-            assert np.allclose(batch[i], eval_symbol(spec, xi).entries, atol=1e-14)
+            assert np.allclose(batch[i], eval_symbol(spec, xi), atol=1e-14)
 
 
 class TestPartMap:
@@ -201,14 +201,14 @@ class TestCatalog:
             xi = rng.standard_normal(3)
             a = rng.standard_normal(3)
             P = np.outer(a, xi).reshape(9)
-            assert np.linalg.norm(eval_symbol(curl, xi).entries @ P) <= 1e-12
+            assert np.linalg.norm(eval_symbol(curl, xi) @ P) <= 1e-12
 
     def test_rowwise_curl_matches_row_cross_oracle(self):
         curl = catalog_operator("curl_matrix_rowwise", 3)
         rng = np.random.default_rng(6)
         xi = rng.standard_normal(3)
         P = rng.standard_normal((3, 3))
-        got = (eval_symbol(curl, xi).entries @ P.reshape(9)).reshape(3, 3)
+        got = (eval_symbol(curl, xi) @ P.reshape(9)).reshape(3, 3)
         want = np.stack([np.cross(xi, P[i]) for i in range(3)])
         assert np.allclose(got, want, atol=1e-13)
 
@@ -218,8 +218,8 @@ class TestCatalog:
         rng = np.random.default_rng(8)
         xi = rng.standard_normal(3)
         P = rng.standard_normal(9)
-        raw = (eval_symbol(curl, xi).entries @ P).reshape(3, 3)
-        got = (eval_symbol(symcurl, xi).entries @ P).reshape(3, 3)
+        raw = (eval_symbol(curl, xi) @ P).reshape(3, 3)
+        got = (eval_symbol(symcurl, xi) @ P).reshape(3, 3)
         assert np.allclose(got, (raw + raw.T) / 2.0, atol=1e-13)
 
     def test_divergence_rowwise(self):
@@ -227,7 +227,7 @@ class TestCatalog:
         rng = np.random.default_rng(10)
         xi = rng.standard_normal(3)
         P = rng.standard_normal((3, 3))
-        got = eval_symbol(div, xi).entries @ P.reshape(9)
+        got = eval_symbol(div, xi) @ P.reshape(9)
         assert np.allclose(got, P @ xi, atol=1e-13)
 
 
@@ -240,8 +240,8 @@ class TestRestrictSymbol:
         for _ in range(5):
             xi = rng.standard_normal(3)
             eta = rng.standard_normal(restricted.d)
-            lhs = eval_symbol(restricted, xi).entries @ eta
-            rhs = eval_symbol(curl, xi).entries @ (part.kernel_basis @ eta)
+            lhs = eval_symbol(restricted, xi) @ eta
+            rhs = eval_symbol(curl, xi) @ (part.kernel_basis @ eta)
             assert np.allclose(lhs, rhs, atol=1e-13)
 
     def test_identity_part_gives_vacuous(self):
@@ -258,8 +258,8 @@ class TestRestrictSymbol:
         assert restricted.d == 3
         rng = np.random.default_rng(12)
         xi = rng.standard_normal(3)
-        s_orig = np.linalg.svd(eval_symbol(eps, xi).entries, compute_uv=False)
-        s_new = np.linalg.svd(eval_symbol(restricted, xi).entries, compute_uv=False)
+        s_orig = np.linalg.svd(eval_symbol(eps, xi), compute_uv=False)
+        s_new = np.linalg.svd(eval_symbol(restricted, xi), compute_uv=False)
         assert np.allclose(np.sort(s_orig), np.sort(s_new), atol=1e-12)
 
     def test_sym_curl_on_dev_kernel_is_zero(self):
@@ -271,7 +271,7 @@ class TestRestrictSymbol:
         rng = np.random.default_rng(13)
         for _ in range(5):
             xi = rng.standard_normal(3)
-            assert np.linalg.norm(eval_symbol(restricted, xi).entries) <= 1e-14
+            assert np.linalg.norm(eval_symbol(restricted, xi)) <= 1e-14
 
     def test_dimension_mismatch(self):
         grad = catalog_operator("gradient", 3)

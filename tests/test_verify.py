@@ -16,8 +16,8 @@ from kmslab.torus import (
 from kmslab.verify import (
     FieldFamily,
     InequalityConfig,
-    KernelConstants,
     PreconditionError,
+    _unit_ball_volume,
     check_hypotheses,
     curl_riesz_crosscheck,
     estimate_constant,
@@ -67,6 +67,19 @@ def test_bad_seed_names_it(grid8, curl, seed):
         assert err.value.argument == "seed"
 
 
+@pytest.mark.parametrize("trials", [-1, True, 1.5, "3"])
+def test_bad_trials_names_it(grid8, curl, trials):
+    cfg = InequalityConfig("kms_sym", curl, catalog_partmap("sym", 3), 2.0, grid8)
+    calls = [
+        lambda: estimate_constant(cfg, family=small_family(1), trials=trials),
+        lambda: refinement_study(cfg, [8], family=small_family(1), trials=trials),
+    ]
+    for call in calls:
+        with pytest.raises(ArgumentError) as err:
+            call()
+        assert err.value.argument == "trials"
+
+
 class TestTrialRatio:
     def test_plain(self):
         assert trial_ratio(2.0, 4.0) == 0.5
@@ -81,16 +94,16 @@ class TestTrialRatio:
         assert trial_ratio(0.0, 0.0) == 0.0
 
 
-class TestKernelConstants:
+class TestUnitBallVolume:
     def test_closed_form(self):
         for n, want in [(1, 2.0), (2, math.pi), (3, 4 * math.pi / 3)]:
-            assert KernelConstants.for_dimension(n).omega_n == pytest.approx(want, rel=1e-12)
+            assert _unit_ball_volume(n) == pytest.approx(want, rel=1e-12)
 
     def test_recursion_oracle(self):
         # omega_n = 2 pi omega_{n-2} / n
         for n in range(3, 9):
-            a = KernelConstants.for_dimension(n).omega_n
-            b = KernelConstants.for_dimension(n - 2).omega_n
+            a = _unit_ball_volume(n)
+            b = _unit_ball_volume(n - 2)
             assert a == pytest.approx(2 * math.pi * b / n, rel=1e-12)
 
 
@@ -125,7 +138,7 @@ class TestConfigValidation:
             )
 
     def test_zero_mean_precondition(self, grid16, curl):
-        from kmslab.torus import constant_field
+        from fullgrid_reference import constant_field
 
         cfg = InequalityConfig("korn_const", curl, catalog_partmap("tr", 3), 2.0, grid16)
         with pytest.raises(PreconditionError):
@@ -432,6 +445,13 @@ class TestRefinement:
         with pytest.raises(ValueError):
             refinement_study(cfg, [16, 8])
 
+    def test_empty_sizes_rejected(self, grid8, curl):
+        # no estimate, no verdict: all_finite would hold vacuously
+        cfg = InequalityConfig("korn_const", curl, catalog_partmap("tr", 3), 2.0, grid8)
+        with pytest.raises(ArgumentError) as err:
+            refinement_study(cfg, [])
+        assert err.value.argument == "sizes"
+
 
 class TestConst2:
     def test_negative_norm_variant_bounded(self, grid8, curl):
@@ -470,6 +490,12 @@ class TestCrosscheck:
 
 
 class TestP1Probe:
+    @pytest.mark.parametrize("sizes", [[], [7, 8]])
+    def test_bad_sizes_named(self, curl, sizes):
+        with pytest.raises(ArgumentError) as err:
+            p1_probe(catalog_partmap("tr", 3), curl, sizes)
+        assert err.value.argument == "sizes"
+
     def test_gradient_sobolev_case(self):
         # elliptic and cancelling: the L^1 -> L^{n/(n-1)} bound holds
         grad = catalog_operator("gradient", 3)
