@@ -224,7 +224,7 @@ def cmd_field_gen(args):
     if args.kind == "random":
         if args.d is None or args.d < 1:
             raise ConfigError("d", "random fields need --d >= 1")
-        cutoff = args.cutoff if args.cutoff else max(1, args.grid // 4)
+        cutoff = args.cutoff if args.cutoff is not None else max(1, args.grid // 4)
         flags = {"cutoff": "cutoff", "seed": "seed"}
         field = _user_value(flags, random_bandlimited, grid, args.d, cutoff, args.seed)
         descriptor = {"kind": "random", "d": args.d, "cutoff": cutoff, "seed": args.seed}

@@ -18,6 +18,9 @@ fields, and localized bumps.  Single-frequency trials are evaluated in
 closed form: for P = cos(x.xi) v every norm in play factorizes into an
 algebraic fiber part and a scalar profile norm that depends only on
 M / gcd(xi, M), so the sweep costs small dense linear algebra per frequency.
+Where a symmetry check proves the sweep ratio constant on the orbits of the
+signed permutations of Z^n, the sweep evaluates one frequency per orbit and
+counts it for every canonical member (see _orbit_invariant, _sweep_chunks).
 """
 
 from __future__ import annotations
@@ -93,6 +96,9 @@ _CORRECTION_IDS = ("korn_const", "korn_const2_p2", "korn_const_p1")
 RHS_NEGLIGIBLE = 1e-14
 LHS_NEGLIGIBLE = 1e-10
 SWEEP_CHUNK = 1024
+# an orbit whose representative's sweep ratio reaches this is swept member by
+# member: catalog sweep ratios stay below 10 unless roundoff makes them > 1e10
+ORBIT_RATIO_LIMIT = 1e8
 WITNESS_BLOCK = 256
 # relative singular-value threshold for a null direction of the stacked right side
 NULL_TOL = 1e-12
@@ -623,20 +629,27 @@ class _TrialCollector:
     def add(self, family_name, ratio, descriptor):
         self.add_many(family_name, [ratio], lambda i: descriptor)
 
-    def add_many(self, family_name, ratios, describe):
+    def add_many(self, family_name, ratios, describe, counts=None):
         """Add non-empty ratios in order; describe(i) builds the descriptor of ratios[i].
 
-        The first infinite ratio takes the argmax; before any, the first
-        largest finite ratio does.
+        ratios[i] counts as counts[i] trials (default 1 each).  The first
+        infinite ratio takes the argmax; before any, the first largest
+        finite ratio does.
         """
         ratios = np.asarray(ratios, dtype=float)
-        self.n += ratios.size
         prev = self.family_maxima.get(family_name, 0.0)
         self.family_maxima[family_name] = max(prev, float(ratios.max()))
         infinite = np.isinf(ratios)
-        self.finite.extend(ratios[~infinite].tolist())
-        if infinite.any():
+        finite = ratios[~infinite]
+        if counts is None:
+            self.n += ratios.size
             self.inf_count += int(infinite.sum())
+        else:
+            self.n += int(counts.sum())
+            self.inf_count += int(counts[infinite].sum())
+            finite = np.repeat(finite, counts[~infinite])
+        self.finite.extend(finite.tolist())
+        if infinite.any():
             if not math.isinf(self.best) or not self.argmax:
                 self.argmax = describe(int(np.argmax(infinite)))
             self.best = math.inf
@@ -647,21 +660,107 @@ class _TrialCollector:
                 self.argmax = describe(i)
 
 
-def _sweep_chunks(config):
-    """(freqs, vectors, ratios) over the canonical grid frequencies, chunk by chunk.
+def _signed_permutation_generators(n):
+    """The n - 1 adjacent swaps and one sign flip, which generate the signed permutations of Z^n."""
+    gens = []
+    for j in range(n - 1):
+        g = np.eye(n)
+        g[[j, j + 1]] = g[[j + 1, j]]
+        gens.append(g)
+    flip = np.eye(n)
+    flip[0, 0] = -1.0
+    return gens + [flip]
 
-    Chunks bound the stacked SVD arrays held at once on fine grids.  The
-    correction is read from its half-grid table, which kms_sides uses too.
+
+def _orbit_invariant(config) -> bool:
+    """Whether the sweep ratio is constant on the signed-permutation orbits of frequencies.
+
+    The ratio at xi depends on xi through |xi| and M / gcd(xi, M), which no
+    signed permutation g changes, and through the Grams A^T A, B[xi]^H B[xi]
+    and (Re B[xi])^T (Re B[xi]), which the stacked SVD reads; the correction
+    is the projector onto ker A cap ker B[xi].  With the source action
+    rho(g) = g (x) ... (x) g (r factors, d = n^r), the ratio at g xi equals
+    the one at xi once rho^T G(g xi) rho = G(xi) holds for each Gram G.
+    That is checked for the n generators of the group at the integer points
+    {-2k ... 2k}^n, which determine a polynomial of degree 2k.  An operator
+    whose d is no power of n fails.
+    """
+    n, d, k = config.n, config.operator.d, config.k
+    r = 0
+    while n ** r < d and n > 1:
+        r += 1
+    if n ** r != d:
+        return False
+    axis = np.arange(-2 * k, 2 * k + 1, dtype=float)
+    points = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+
+    def grams(xi):
+        bmat = symbol_on_frequencies(config.operator, xi)
+        out = [np.conj(np.swapaxes(bmat, 1, 2)) @ bmat]
+        if np.iscomplexobj(bmat):
+            out.append(np.swapaxes(bmat.real, 1, 2) @ bmat.real)
+        if config.part is not None:
+            out.append(config.part.matrix.T @ config.part.matrix)
+        return out
+
+    base = grams(points)
+    for g in _signed_permutation_generators(n):
+        rho = np.ones((1, 1))
+        for _ in range(r):
+            rho = np.kron(rho, g)
+        for want, got in zip(base, grams(points @ g.T)):
+            moved = rho.T @ got @ rho
+            if np.max(np.abs(moved - want)) > 1e-12 * np.max(np.abs(want)):
+                return False
+    return True
+
+
+def _sweep_chunks(config):
+    """(freqs, vectors, ratios, counts) over the canonical grid frequencies, chunk by chunk.
+
+    When _orbit_invariant(config) holds, each signed-permutation orbit (the
+    canonical frequencies sharing a sorted |xi|) is swept at its first
+    member, whose ratio counts for all of its members.  An orbit whose
+    representative is flagged, infinite or at least ORBIT_RATIO_LIMIT is
+    swept member by member.  Otherwise every canonical frequency is swept.
+    Either way the yielded frequencies are in canonical order.  Chunks bound
+    the stacked SVD arrays held at once on fine grids.  The correction is
+    read from its half-grid table, which kms_sides uses too.
     """
     grid, desc = config.grid, config.correction_descriptor
     table = None if desc is None else desc.grid_table(grid)
     freqs = grid.frequency_list(canonical=True)
-    for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
-        chunk = freqs[lo : lo + SWEEP_CHUNK]
+
+    def sweep(idx):
+        chunk = freqs[idx]
         cmats = None if table is None else _table_correction(grid, table, chunk)
-        chunk = chunk.astype(float)
-        vs, _, ratios = _sweep_vectors(config, chunk, cmats)
-        yield chunk, vs, ratios
+        return _sweep_vectors(config, chunk.astype(float), cmats)
+
+    orbits = _orbit_invariant(config)
+    units = np.arange(freqs.shape[0])
+    if orbits:
+        # orbit o is numbered by its sorted |xi|; reps[o] is its first member
+        _, reps, orbit, size = np.unique(
+            np.sort(np.abs(freqs), axis=1), axis=0,
+            return_index=True, return_inverse=True, return_counts=True,
+        )
+        orbit = orbit.reshape(-1)
+        swept = [sweep(reps[lo : lo + SWEEP_CHUNK]) for lo in range(0, reps.size, SWEEP_CHUNK)]
+        rep_vs, rep_flags, rep_ratios = (np.concatenate(part) for part in zip(*swept))
+        trusted = ~rep_flags & (rep_ratios < ORBIT_RATIO_LIMIT)
+        units = np.flatnonzero(~trusted[orbit] | (units == reps[orbit]))
+    for lo in range(0, units.size, SWEEP_CHUNK):
+        idx = units[lo : lo + SWEEP_CHUNK]
+        if not orbits:
+            vs, _, ratios = sweep(idx)
+            yield freqs[idx].astype(float), vs, ratios, np.ones(idx.size, dtype=np.int64)
+            continue
+        stored = trusted[orbit[idx]]
+        vs = rep_vs[orbit[idx]]
+        ratios = rep_ratios[orbit[idx]]
+        if not stored.all():
+            vs[~stored], _, ratios[~stored] = sweep(idx[~stored])
+        yield freqs[idx].astype(float), vs, ratios, np.where(stored, size[orbit[idx]], 1)
 
 
 def _table_correction(grid, table, freqs):
@@ -684,9 +783,13 @@ def estimate_constant(
 ) -> ConstantEstimate:
     """Estimate the empirical inequality constant over a field family.
 
-    Deterministic given the seed; the single-frequency sweep is exhaustive
-    over the grid (one representative per +-xi pair).  Infinite ratios
-    propagate to max_ratio and are counted separately.
+    Deterministic given the seed.  The single-frequency sweep covers every
+    canonical frequency (one of each +-xi pair).  Where _orbit_invariant
+    proves the ratio constant on signed-permutation orbits it evaluates
+    the first canonical frequency of each orbit and counts it once per
+    canonical member; an orbit whose representative is flagged, infinite
+    or at least ORBIT_RATIO_LIMIT is evaluated member by member.  Infinite
+    ratios propagate to max_ratio and are counted separately.
     """
     check_seed(seed)
     if family is None:
@@ -706,9 +809,9 @@ def estimate_constant(
     collector = _TrialCollector()
 
     if family.sweep:
-        for freqs, vs, ratios in _sweep_chunks(config):
+        for freqs, vs, ratios, counts in _sweep_chunks(config):
             collector.add_many(
-                "sweep", ratios, lambda i: _plane_wave_descriptor(freqs[i], vs[i])
+                "sweep", ratios, lambda i: _plane_wave_descriptor(freqs[i], vs[i]), counts
             )
 
     cutoff = family.random_cutoff

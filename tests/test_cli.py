@@ -68,6 +68,8 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
         ("n", ["field", "gen", "--kind", "random", "--n", "0", "--grid", "8", "--d", "1"]),
         ("cutoff", ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "1",
                     "--cutoff", "4"]),
+        ("cutoff", ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "1",
+                    "--cutoff", "0"]),
         ("seed", ["classify", *CURLVEC, "--seed", "-1"]),
         ("seed", ["verify", "--seed", "-1"]),
         ("seed", ["verify", "--refine", "8", "--seed", "-1"]),

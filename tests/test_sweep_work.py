@@ -2,17 +2,29 @@
 
 The reference implementations below factorise every matrix the way the
 sweep did before it skipped work; the pruned paths must return the same
-bits.  The work-count guards pin how many matrices are factorised with
-singular vectors and where the correction is evaluated, so a redundant
-factorisation or evaluation fails here.
+bits.  The orbit sweep, which sweeps one frequency per signed-permutation
+orbit, is held against the full sweep over every canonical frequency.  The
+work-count guards pin how many matrices are factorised with singular
+vectors and where the correction is evaluated, so a redundant factorisation
+or evaluation fails here.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from kmslab.operators import catalog_operator, catalog_partmap, symbol_on_frequencies
+from kmslab.operators import (
+    MultiIndex,
+    OperatorSpec,
+    catalog_operator,
+    catalog_partmap,
+    symbol_on_frequencies,
+)
 from kmslab.torus import TorusGrid
 from kmslab.verify import (
+    INEQUALITY_IDS,
+    SWEEP_CHUNK,
     FieldFamily,
     InequalityConfig,
     estimate_constant,
@@ -20,6 +32,7 @@ from kmslab.verify import (
 )
 from kmslab.verify import (
     _frequency_scales,
+    _orbit_invariant,
     _profile_norm,
     _reduced_order,
     _sweep_chunks,
@@ -171,9 +184,21 @@ def svd_with_vectors(monkeypatch):
 def test_kms_sym_sweep_factorises_two_matrices_per_frequency(svd_with_vectors):
     cfg = make_config("kms_sym", "sym", 2.0, None, 16)
     chunks, factorised = svd_with_vectors(lambda: list(_sweep_chunks(cfg)))
-    swept = sum(chunk.shape[0] for chunk, _, _ in chunks)
-    assert swept == cfg.grid.frequency_list(canonical=True).shape[0]
+    swept = sum(chunk.shape[0] for chunk, _, _, _ in chunks)
+    # 1,687 canonical frequencies fall into 119 signed-permutation orbits
+    assert swept == 119
     assert factorised == 2 * swept
+
+
+@pytest.mark.parametrize(
+    "ident,part_name,p", [("kms_sym", "sym", 2.0), ("korn_const_p1", "tr", 1.0)]
+)
+def test_benchmark_configs_take_the_orbit_path(ident, part_name, p):
+    cfg = make_config(ident, part_name, p, None, 16)
+    assert _orbit_invariant(cfg)
+    chunks = list(_sweep_chunks(cfg))
+    assert sum(chunk.shape[0] for chunk, _, _, _ in chunks) == 119
+    assert sum(int(counts.sum()) for _, _, _, counts in chunks) == 1687
 
 
 @pytest.mark.parametrize("part_name", ["sym", "tr"])
@@ -198,3 +223,153 @@ def test_korn_const_p1_evaluates_the_correction_on_the_half_grid_only():
     estimate_constant(cfg, FieldFamily(random_trials=2, bump_widths=(0.5,)), seed=0)
     nyquist_mirror = int(np.count_nonzero(np.any(grid.half_nyquist_mask, axis=-1)))
     assert sum(evaluated) == int(np.prod(grid.half_shape)) + nyquist_mirror
+
+
+# --------------------------------------------------------------------------
+# the orbit sweep against the full sweep
+# --------------------------------------------------------------------------
+
+SWEEP_ONLY = FieldFamily(sweep=True, random_trials=0, bump_widths=(), witness=False)
+FORCED_P = {"korn_const_p1": 1.0, "korn_const2_p2": 2.0}
+
+
+def full_sweep(cfg):
+    """(freqs, vectors, ratios) at every canonical frequency, chunk by chunk in canonical order."""
+    grid, desc = cfg.grid, cfg.correction_descriptor
+    table = None if desc is None else desc.grid_table(grid)
+    freqs = grid.frequency_list(canonical=True)
+    out = []
+    for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
+        chunk = freqs[lo : lo + SWEEP_CHUNK]
+        cmats = None if table is None else _table_correction(grid, table, chunk)
+        vs, _, ratios = _sweep_vectors(cfg, chunk.astype(float), cmats)
+        out.append((chunk, vs, ratios))
+    return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def sweep_statistics(freqs, ratios):
+    """The sweep-only ConstantEstimate fields, from one ratio per canonical frequency."""
+    infinite = np.isinf(ratios)
+    finite = ratios[~infinite] if (~infinite).any() else np.array([0.0])
+    first = int(np.argmax(infinite)) if infinite.any() else int(np.argmax(ratios))
+    return {
+        "n_trials": ratios.size,
+        "infinite_count": int(infinite.sum()),
+        "max_ratio": math.inf if infinite.any() else float(ratios.max()),
+        "max_finite_ratio": float(finite.max()),
+        "median_ratio": float(np.median(finite)),
+        "argmax_xi": [int(x) for x in freqs[first]],
+    }
+
+
+def close(got, want, rtol=1e-12):
+    if math.isinf(got) or math.isinf(want):
+        return got == want
+    return abs(got - want) <= rtol * max(abs(got), abs(want))
+
+
+def catalog_cases():
+    cases = [("korn_ell", "sym_gradient", None)]
+    for ident in INEQUALITY_IDS[1:]:
+        for op in ("curl_matrix_rowwise", "div_matrix_rowwise", "sym_curl_matrix"):
+            for part in ("sym", "dev", "tr", "skew", "zero"):
+                if ident != "kms_sym" or (op, part) == ("curl_matrix_rowwise", "sym"):
+                    cases.append((ident, op, part))
+    return cases
+
+
+def assert_matches_full_sweep(cfg):
+    assert _orbit_invariant(cfg)
+    freqs, _, ratios = full_sweep(cfg)
+    want = sweep_statistics(freqs, ratios)
+    got = estimate_constant(cfg, SWEEP_ONLY, enforce=False)
+    assert got.n_trials == want["n_trials"]
+    assert got.infinite_count == want["infinite_count"]
+    for key in ("max_ratio", "max_finite_ratio", "median_ratio"):
+        assert close(getattr(got, key), want[key]), key
+    if got.argmax["xi"] != want["argmax_xi"]:
+        # a roundoff tie: the reference ratio there is the maximum to 1e-12
+        assert not math.isinf(want["max_ratio"])
+        moved = np.flatnonzero(np.all(freqs == got.argmax["xi"], axis=1))
+        assert moved.size == 1 and close(float(ratios[moved[0]]), want["max_ratio"])
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("ident,op,part_name", catalog_cases())
+def test_orbit_sweep_matches_the_full_sweep(ident, op, part_name, m):
+    part = None if part_name is None else catalog_partmap(part_name, 3)
+    assert_matches_full_sweep(
+        InequalityConfig(
+            ident, catalog_operator(op, 3), part, FORCED_P.get(ident, 2.0), TorusGrid(3, m)
+        )
+    )
+
+
+def pair_products():
+    # B[xi] = (xi_1 xi_2, xi_2 xi_3, xi_1 xi_3) vanishes on the axes only
+    coeffs = {}
+    for row, e in enumerate(((1, 1, 0), (0, 1, 1), (1, 0, 1))):
+        coeffs[MultiIndex(e)] = np.eye(3)[:, [row]]
+    return OperatorSpec("pair_products", n=3, d=1, l=3, k=2, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("m", [8, 40])
+def test_orbits_swept_member_by_member_keep_their_place(m):
+    # the axis orbits give inf and are swept member by member, between
+    # representatives of the other orbits; M = 40 spans two chunks
+    cfg = InequalityConfig("korn_ell", pair_products(), None, 2.0, TorusGrid(3, m))
+    chunks = list(_sweep_chunks(cfg))
+    counts = np.concatenate([c[3] for c in chunks])
+    ratios = np.concatenate([c[2] for c in chunks])
+    assert np.array_equal(np.isinf(ratios), counts == 1)
+    assert (len(chunks) > 1) == (m == 40)
+    assert_matches_full_sweep(cfg)
+
+
+def test_orbits_at_the_ratio_limit_are_swept_member_by_member():
+    # a sym_gradient scaled by 1e-9 has sweep ratios near 1.4e9, none flagged
+    eps = catalog_operator("sym_gradient", 3)
+    scaled = OperatorSpec(
+        "tiny_sym_gradient", n=3, d=3, l=9, k=1,
+        coeffs={alpha: 1e-9 * mat for alpha, mat in eps.coeffs.items()},
+    )
+    cfg = InequalityConfig("korn_ell", scaled, None, 2.0, TorusGrid(3, 8))
+    assert _orbit_invariant(cfg)
+    chunks = list(_sweep_chunks(cfg))
+    freqs, vs, ratios = full_sweep(cfg)
+    assert ratios.min() >= 1e8 and np.isfinite(ratios).all()
+    assert np.array_equal(np.concatenate([c[0] for c in chunks]), freqs)
+    assert np.array_equal(np.concatenate([c[2] for c in chunks]), ratios)
+    assert all(np.all(c[3] == 1) for c in chunks)
+
+
+def anisotropic_curl():
+    curl = catalog_operator("curl_matrix_rowwise", 3)
+    coeffs = {a: (2.0 if a.exponents[0] else 1.0) * mat for a, mat in curl.coeffs.items()}
+    return OperatorSpec("anisotropic_curl", n=3, d=9, l=9, k=1, coeffs=coeffs)
+
+
+def pair_sum_symbol():
+    # xi_1 xi_2 + xi_2 xi_3 + xi_1 xi_3: fixed by permutations, not by sign flips
+    coeffs = {MultiIndex(e): np.ones((1, 1)) for e in ((1, 1, 0), (0, 1, 1), (1, 0, 1))}
+    return OperatorSpec("pair_sum", n=3, d=1, l=1, k=2, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize(
+    "ident,spec,part",
+    [
+        ("korn_const", anisotropic_curl(), catalog_partmap("tr", 3)),
+        ("korn_ell", pair_sum_symbol(), None),
+    ],
+    ids=["anisotropic-curl", "pair-sum"],
+)
+def test_broken_symmetry_fails_the_check_and_sweeps_every_frequency(ident, spec, part, m):
+    cfg = InequalityConfig(ident, spec, part, 2.0, TorusGrid(3, m))
+    assert not _orbit_invariant(cfg)
+    chunks = list(_sweep_chunks(cfg))
+    freqs, vs, ratios = full_sweep(cfg)
+    assert np.array_equal(np.concatenate([c[0] for c in chunks]), freqs)
+    assert np.array_equal(np.concatenate([c[1] for c in chunks]), vs)
+    assert np.array_equal(np.concatenate([c[2] for c in chunks]), ratios)
+    assert all(np.all(c[3] == 1) for c in chunks)

@@ -214,31 +214,39 @@ class TestSingleFrequencyExactness:
 
 
 class TestBatchedSweep:
-    # every inequality id at M = 8; kms_sym at M = 16 spans two chunks
+    # every inequality id at M = 8; at M = 40 the 1,539 orbits span two chunks
     @pytest.mark.parametrize(
-        "ident,part_name,p,m",
+        "ident,part_name,p,m,orbits",
         [
-            ("korn_ell", None, 2.0, 8),
-            ("kms_sym", "sym", 2.0, 8),
-            ("asplit", "dev", 2.0, 8),
-            ("korn_ellip", "sym", 2.0, 8),
-            ("korn_const", "tr", 2.0, 8),
-            ("korn_const2_p2", "tr", 2.0, 8),
-            ("korn_const_p1", "tr", 1.0, 8),
-            ("kms_sym", "sym", 2.0, 16),
+            ("korn_ell", None, 2.0, 8, 19),
+            ("kms_sym", "sym", 2.0, 8, 19),
+            ("asplit", "dev", 2.0, 8, 19),
+            ("korn_ellip", "sym", 2.0, 8, 19),
+            ("korn_const", "tr", 2.0, 8, 19),
+            ("korn_const2_p2", "tr", 2.0, 8, 19),
+            ("korn_const_p1", "tr", 1.0, 8, 19),
+            ("kms_sym", "sym", 2.0, 40, 1539),
         ],
     )
-    def test_ratios_match_single_frequency_reference(self, curl, ident, part_name, p, m):
+    def test_ratios_match_single_frequency_reference(self, curl, ident, part_name, p, m, orbits):
         grid = TorusGrid(3, m)
         if ident == "korn_ell":
             cfg = InequalityConfig(ident, catalog_operator("sym_gradient", 3), None, p, grid)
         else:
             cfg = InequalityConfig(ident, curl, catalog_partmap(part_name, 3), p, grid)
         chunks = list(_sweep_chunks(cfg))
-        assert (len(chunks) > 1) == (m == 16)
-        freqs = np.concatenate([chunk for chunk, _, _ in chunks])
-        assert np.array_equal(freqs, grid.frequency_list(canonical=True))
-        for chunk, vs, ratios in chunks:
+        assert (len(chunks) > 1) == (m == 40)
+        freqs = np.concatenate([chunk for chunk, _, _, _ in chunks])
+        counts = np.concatenate([count for _, _, _, count in chunks])
+        # one representative per orbit, the first canonical frequency of its sorted |xi|
+        canonical = grid.frequency_list(canonical=True)
+        keys = np.sort(np.abs(canonical), axis=1)
+        _, first, size = np.unique(keys, axis=0, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        assert freqs.shape[0] == orbits
+        assert np.array_equal(freqs, canonical[first[order]])
+        assert np.array_equal(counts, size[order])
+        for chunk, vs, ratios, _ in chunks:
             for xi, v, ratio in zip(chunk, vs, ratios):
                 ref = single_frequency_trial(cfg, xi, v).ratio
                 if math.isinf(ref) or math.isinf(ratio):
