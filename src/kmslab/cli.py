@@ -32,6 +32,7 @@ from .operators import (
 from .specfile import ConfigError, SpecFileError, load_verify_config, parse_operator_file
 from .torus import TorusGrid, bump_field, lp_norm, plane_wave_field, random_bandlimited
 from .verify import (
+    FieldFamily,
     PreconditionError,
     curl_riesz_crosscheck,
     estimate_constant,
@@ -174,12 +175,13 @@ def cmd_verify(args):
     trials = args.trials if args.trials is not None else extras["trials"]
     seed = args.seed if args.seed is not None else extras["seed"]
     sizes = _csv_ints(args.refine, "refine") if args.refine else extras.get("sizes")
-    flags = {"sizes": "refine" if args.refine else "sizes", "seed": "seed", "trials": "trials"}
+    family = _user_value({"random_trials": "trials"}, FieldFamily, random_trials=trials)
+    flags = {"sizes": "refine" if args.refine else "sizes", "seed": "seed"}
     if sizes is not None:
-        study = _user_value(flags, refinement_study, config, sizes, trials=trials, seed=seed)
+        study = _user_value(flags, refinement_study, config, sizes, family, seed=seed)
         results = {"kind": "refinement_study", "study": study.to_dict()}
     else:
-        estimate = _user_value(flags, estimate_constant, config, trials=trials, seed=seed)
+        estimate = _user_value(flags, estimate_constant, config, family, seed=seed)
         results = {"kind": "estimate_constant", "estimate": estimate.to_dict()}
     _emit(_report(args, seed, config.describe(), results), args.out)
     return 0

@@ -422,14 +422,13 @@ def homog_sobolev_norm(field: TensorField, m: int, p: float) -> float:
     return HalfSpectrum.of(field).sobolev_norm(m, p)
 
 
-def negative_sobolev_norm_l2(field: TensorField, s: float, p: float = 2.0) -> float:
+def negative_sobolev_norm_l2(field: TensorField, s: float) -> float:
     """Homogeneous negative-order norm via Fourier weights, p = 2 only.
 
-    Returns (sum_{xi != 0} |xi|^{-2s} ||f_hat(xi)||^2)^{1/2}.  Other p are
-    rejected: the package has no grid-honest realization of W^{-s,p} norms.
+    Returns (sum_{xi != 0} |xi|^{-2s} ||f_hat(xi)||^2)^{1/2}.  There is no
+    exponent argument: the package has no grid-honest realization of
+    W^{-s,p} norms for p != 2.
     """
-    if p != 2:
-        raise ValueError("negative-order Sobolev norms are implemented for p = 2 only")
     if s < 0:
         raise ValueError("order s must be >= 0")
     _require_zero_mean(field, "negative-order Sobolev norm")

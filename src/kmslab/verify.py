@@ -18,9 +18,10 @@ fields, and localized bumps.  Single-frequency trials are evaluated in
 closed form: for P = cos(x.xi) v every norm in play factorizes into an
 algebraic fiber part and a scalar profile norm that depends only on
 M / gcd(xi, M), so the sweep costs small dense linear algebra per frequency.
-Where a symmetry check proves the sweep ratio constant on the orbits of the
-signed permutations of Z^n, the sweep evaluates one frequency per orbit and
-counts it for every canonical member (see _orbit_invariant, _sweep_chunks).
+The sweep evaluates one frequency per orbit and counts it for every
+canonical member.  An orbit is a signed-permutation orbit of Z^n where a
+symmetry check proves the sweep ratio constant on those orbits, and a single
+frequency otherwise (see _orbit_invariant, _sweep).
 """
 
 from __future__ import annotations
@@ -114,18 +115,16 @@ class PreconditionError(ValueError):
 
 
 def trial_ratio(lhs: float, rhs: float) -> float:
-    """lhs/rhs with the degenerate-denominator convention.
+    """lhs/rhs with the degenerate-denominator convention of _trial_ratios."""
+    return float(_trial_ratios(np.float64(lhs), np.float64(rhs)))
+
+
+def _trial_ratios(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs/rhs elementwise, with the degenerate-denominator convention.
 
     rhs below 1e-14 counts as zero: the ratio is inf when lhs is above
     1e-10 (a genuine failure) and 0 when both sides are negligible.
     """
-    if rhs <= RHS_NEGLIGIBLE:
-        return math.inf if lhs > LHS_NEGLIGIBLE else 0.0
-    return lhs / rhs
-
-
-def _trial_ratios(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """trial_ratio applied elementwise."""
     degenerate = rhs <= RHS_NEGLIGIBLE
     ratio = lhs / np.where(degenerate, 1.0, rhs)
     return np.where(degenerate, np.where(lhs > LHS_NEGLIGIBLE, math.inf, 0.0), ratio)
@@ -210,14 +209,9 @@ class InequalityConfig:
         return self._correction_cache
 
     def with_grid(self, grid: TorusGrid) -> "InequalityConfig":
-        return InequalityConfig(
-            inequality_id=self.inequality_id,
-            operator=self.operator,
-            part=self.part,
-            p=self.p,
-            grid=grid,
-            correction_enabled=self.correction_enabled,
-        )
+        # the copy builds its own correction descriptor: a shared one would
+        # keep this grid's correction table alive while the copy builds its own
+        return replace(self, grid=grid)
 
     def describe(self) -> dict:
         return {
@@ -571,6 +565,13 @@ class FieldFamily:
     bump_widths: tuple = (0.4, 0.8)
     witness: bool = True
 
+    def __post_init__(self):
+        trials = self.random_trials
+        if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+            raise ArgumentError(
+                "random_trials", f"random_trials must be a non-negative integer, got {trials!r}"
+            )
+
     def describe(self) -> dict:
         return {
             "sweep": self.sweep,
@@ -715,52 +716,56 @@ def _orbit_invariant(config) -> bool:
     return True
 
 
-def _sweep_chunks(config):
-    """(freqs, vectors, ratios, counts) over the canonical grid frequencies, chunk by chunk.
+def _sweep(config):
+    """(freqs, vectors, ratios, counts) at one frequency per orbit, in canonical order.
 
-    When _orbit_invariant(config) holds, each signed-permutation orbit (the
-    canonical frequencies sharing a sorted |xi|) is swept at its first
-    member, whose ratio counts for all of its members.  An orbit whose
+    When _orbit_invariant(config) holds, an orbit is a signed-permutation
+    orbit (the canonical frequencies sharing a sorted |xi|); otherwise every
+    canonical frequency is an orbit of its own.  Each orbit is swept at its
+    first member, whose ratio counts for all of its members.  An orbit whose
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT is
-    swept member by member.  Otherwise every canonical frequency is swept.
-    Either way the yielded frequencies are in canonical order.  Chunks bound
-    the stacked SVD arrays held at once on fine grids.  The correction is
-    read from its half-grid table, which kms_sides uses too.
+    untrusted: its representative keeps its ratio with count 1 and its other
+    members are swept one by one.  The correction is read from its
+    half-grid table, which kms_sides uses too.
     """
     grid, desc = config.grid, config.correction_descriptor
     table = None if desc is None else desc.grid_table(grid)
     freqs = grid.frequency_list(canonical=True)
+    members = np.arange(freqs.shape[0])
 
     def sweep(idx):
-        chunk = freqs[idx]
-        cmats = None if table is None else _table_correction(grid, table, chunk)
-        return _sweep_vectors(config, chunk.astype(float), cmats)
+        # chunks bound the stacked SVD arrays held at once on fine grids
+        vs = np.empty((idx.size, config.operator.d))
+        flags = np.empty(idx.size, dtype=bool)
+        ratios = np.empty(idx.size)
+        for lo in range(0, idx.size, SWEEP_CHUNK):
+            part = slice(lo, lo + SWEEP_CHUNK)
+            chunk = freqs[idx[part]]
+            cmats = None if table is None else _table_correction(grid, table, chunk)
+            vs[part], flags[part], ratios[part] = _sweep_vectors(
+                config, chunk.astype(float), cmats
+            )
+        return vs, flags, ratios
 
-    orbits = _orbit_invariant(config)
-    units = np.arange(freqs.shape[0])
-    if orbits:
+    if _orbit_invariant(config):
         # orbit o is numbered by its sorted |xi|; reps[o] is its first member
         _, reps, orbit, size = np.unique(
             np.sort(np.abs(freqs), axis=1), axis=0,
             return_index=True, return_inverse=True, return_counts=True,
         )
         orbit = orbit.reshape(-1)
-        swept = [sweep(reps[lo : lo + SWEEP_CHUNK]) for lo in range(0, reps.size, SWEEP_CHUNK)]
-        rep_vs, rep_flags, rep_ratios = (np.concatenate(part) for part in zip(*swept))
-        trusted = ~rep_flags & (rep_ratios < ORBIT_RATIO_LIMIT)
-        units = np.flatnonzero(~trusted[orbit] | (units == reps[orbit]))
-    for lo in range(0, units.size, SWEEP_CHUNK):
-        idx = units[lo : lo + SWEEP_CHUNK]
-        if not orbits:
-            vs, _, ratios = sweep(idx)
-            yield freqs[idx].astype(float), vs, ratios, np.ones(idx.size, dtype=np.int64)
-            continue
-        stored = trusted[orbit[idx]]
-        vs = rep_vs[orbit[idx]]
-        ratios = rep_ratios[orbit[idx]]
-        if not stored.all():
-            vs[~stored], _, ratios[~stored] = sweep(idx[~stored])
-        yield freqs[idx].astype(float), vs, ratios, np.where(stored, size[orbit[idx]], 1)
+    else:
+        reps = orbit = members
+        size = np.ones(members.size, dtype=np.int64)
+    rep_vs, rep_flags, rep_ratios = sweep(reps)
+    trusted = ~rep_flags & (rep_ratios < ORBIT_RATIO_LIMIT)
+    units = np.flatnonzero(~trusted[orbit] | (members == reps[orbit]))
+    owner = orbit[units]
+    vs, ratios = rep_vs[owner], rep_ratios[owner]
+    others = units != reps[owner]
+    vs[others], _, ratios[others] = sweep(units[others])
+    counts = np.where(trusted[owner], size[owner], 1)
+    return freqs[units].astype(float), vs, ratios, counts
 
 
 def _table_correction(grid, table, freqs):
@@ -777,29 +782,24 @@ def _table_correction(grid, table, freqs):
 def estimate_constant(
     config: InequalityConfig,
     family: FieldFamily | None = None,
-    trials: int | None = None,
     seed: int = 0,
     enforce: bool = True,
 ) -> ConstantEstimate:
     """Estimate the empirical inequality constant over a field family.
 
     Deterministic given the seed.  The single-frequency sweep covers every
-    canonical frequency (one of each +-xi pair).  Where _orbit_invariant
-    proves the ratio constant on signed-permutation orbits it evaluates
-    the first canonical frequency of each orbit and counts it once per
-    canonical member; an orbit whose representative is flagged, infinite
-    or at least ORBIT_RATIO_LIMIT is evaluated member by member.  Infinite
-    ratios propagate to max_ratio and are counted separately.
+    canonical frequency (one of each +-xi pair) through _sweep: it
+    evaluates the first canonical frequency of each orbit and counts it
+    once per canonical member.  Orbits are the signed-permutation orbits
+    where _orbit_invariant proves the ratio constant on them, single
+    frequencies otherwise; the other members of an orbit whose
+    representative is flagged, infinite or at least ORBIT_RATIO_LIMIT are
+    evaluated one by one.  Infinite ratios propagate to max_ratio and are
+    counted separately.
     """
     check_seed(seed)
     if family is None:
         family = FieldFamily()
-    if trials is not None:
-        if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
-            raise ArgumentError(
-                "trials", f"trials must be a non-negative integer, got {trials!r}"
-            )
-        family = replace(family, random_trials=trials)
     hyp_ok, note, class_echo = check_hypotheses(config)
     if enforce and not hyp_ok:
         raise PreconditionError(note)
@@ -809,10 +809,10 @@ def estimate_constant(
     collector = _TrialCollector()
 
     if family.sweep:
-        for freqs, vs, ratios, counts in _sweep_chunks(config):
-            collector.add_many(
-                "sweep", ratios, lambda i: _plane_wave_descriptor(freqs[i], vs[i]), counts
-            )
+        freqs, vs, ratios, counts = _sweep(config)
+        collector.add_many(
+            "sweep", ratios, lambda i: _plane_wave_descriptor(freqs[i], vs[i]), counts
+        )
 
     cutoff = family.random_cutoff
     if cutoff is None:
@@ -914,7 +914,6 @@ def refinement_study(
     config: InequalityConfig,
     sizes,
     family: FieldFamily | None = None,
-    trials: int | None = None,
     seed: int = 0,
     enforce: bool = True,
 ) -> RefinementStudy:
@@ -928,9 +927,7 @@ def refinement_study(
     estimates = []
     for m in sizes:
         cfg = config.with_grid(TorusGrid(config.n, m))
-        estimates.append(
-            estimate_constant(cfg, family=family, trials=trials, seed=seed, enforce=enforce)
-        )
+        estimates.append(estimate_constant(cfg, family=family, seed=seed, enforce=enforce))
     maxima = [e.max_ratio for e in estimates]
     growths = []
     for lo, hi in zip(maxima, maxima[1:]):
@@ -1073,8 +1070,6 @@ _BUMP_MATRIX = np.array(
 def curl_riesz_crosscheck(
     field: TensorField | None = None,
     mode: str = "symbol",
-    part_name: str = "tr",
-    operator_name: str = "curl_matrix_rowwise",
     grid: TorusGrid | None = None,
     eval_points: int = 10,
     width: float = 0.5,
@@ -1091,12 +1086,6 @@ def curl_riesz_crosscheck(
     evaluation points, with a loose tolerance acknowledging the
     periodic-versus-whole-space mismatch.
     """
-    from .operators import OPERATOR_ALIASES, PARTMAP_ALIASES
-
-    if OPERATOR_ALIASES.get(operator_name, operator_name) != "curl_matrix_rowwise":
-        raise ValueError("the explicit kernel is cross-checked for B = curl_matrix_rowwise only")
-    if PARTMAP_ALIASES.get(part_name, part_name) != "tr":
-        raise ValueError("the explicit kernel is cross-checked for A = tr only")
     if mode not in ("symbol", "quadrature"):
         raise ValueError("mode must be 'symbol' or 'quadrature'")
     if not 1 <= eval_points <= 10:
@@ -1220,7 +1209,6 @@ def p1_probe(
     spec: OperatorSpec,
     sizes,
     family: FieldFamily | None = None,
-    trials: int | None = None,
     seed: int = 0,
 ) -> ProbeResult:
     """Boundedness probe of the constant-rank inequality at p = 1.
@@ -1238,15 +1226,14 @@ def p1_probe(
         p=1.0,
         grid=TorusGrid(spec.n, sizes[0]),
     )
-    hyp_ok, note, _ = check_hypotheses(base)
-    study = refinement_study(
-        base, sizes, family=family, trials=trials, seed=seed, enforce=False
-    )
+    study = refinement_study(base, sizes, family=family, seed=seed, enforce=False)
+    # the hypotheses do not depend on the grid: every estimate carries the same
+    first = study.estimates[0]
     return ProbeResult(
         sizes=sizes,
         max_ratios=study.max_ratios,
         growth_fractions=study.growth_fractions,
-        hypotheses_met=hyp_ok,
-        hypotheses_note=note,
+        hypotheses_met=first.hypotheses_met,
+        hypotheses_note=first.hypotheses_note,
         estimates=study.estimates,
     )

@@ -2,11 +2,11 @@
 
 The reference implementations below factorise every matrix the way the
 sweep did before it skipped work; the pruned paths must return the same
-bits.  The orbit sweep, which sweeps one frequency per signed-permutation
-orbit, is held against the full sweep over every canonical frequency.  The
-work-count guards pin how many matrices are factorised with singular
-vectors and where the correction is evaluated, so a redundant factorisation
-or evaluation fails here.
+bits.  The sweep, which sweeps one frequency per orbit, is held against the
+full sweep over every canonical frequency.  The work-count guards pin how
+many frequencies are swept, how many matrices are factorised with singular
+vectors and where the correction is evaluated, so a redundant sweep,
+factorisation or evaluation fails here.
 """
 
 import math
@@ -35,7 +35,7 @@ from kmslab.verify import (
     _orbit_invariant,
     _profile_norm,
     _reduced_order,
-    _sweep_chunks,
+    _sweep,
     _sweep_vectors,
     _table_correction,
 )
@@ -181,24 +181,40 @@ def svd_with_vectors(monkeypatch):
     return call
 
 
-def test_kms_sym_sweep_factorises_two_matrices_per_frequency(svd_with_vectors):
+def test_kms_sym_sweep_factorises_two_matrices_per_frequency(svd_with_vectors, sweep_calls):
     cfg = make_config("kms_sym", "sym", 2.0, None, 16)
-    chunks, factorised = svd_with_vectors(lambda: list(_sweep_chunks(cfg)))
-    swept = sum(chunk.shape[0] for chunk, _, _, _ in chunks)
+    (freqs, _, _, _), factorised = svd_with_vectors(_sweep, cfg)
     # 1,687 canonical frequencies fall into 119 signed-permutation orbits
-    assert swept == 119
-    assert factorised == 2 * swept
+    assert freqs.shape[0] == 119
+    assert sweep_calls == [119]
+    assert factorised == 2 * 119
 
 
 @pytest.mark.parametrize(
     "ident,part_name,p", [("kms_sym", "sym", 2.0), ("korn_const_p1", "tr", 1.0)]
 )
-def test_benchmark_configs_take_the_orbit_path(ident, part_name, p):
+def test_benchmark_configs_take_the_orbit_path(sweep_calls, ident, part_name, p):
     cfg = make_config(ident, part_name, p, None, 16)
     assert _orbit_invariant(cfg)
-    chunks = list(_sweep_chunks(cfg))
-    assert sum(chunk.shape[0] for chunk, _, _, _ in chunks) == 119
-    assert sum(int(counts.sum()) for _, _, _, counts in chunks) == 1687
+    freqs, _, _, counts = _sweep(cfg)
+    assert freqs.shape[0] == 119
+    assert int(counts.sum()) == 1687
+    assert sweep_calls == [119]
+
+
+@pytest.mark.parametrize("ident", ["asplit", "korn_ellip"])
+def test_untrusted_representatives_are_swept_once(sweep_calls, ident):
+    # with A = tr every representative reads >= 1e8, so each of the 119 orbits
+    # is untrusted; its representative's ratio stands and only the other
+    # members are swept, 1,687 canonical frequencies in all
+    cfg = make_config(ident, "tr", 2.0, None, 16)
+    assert _orbit_invariant(cfg)
+    freqs, _, ratios, counts = _sweep(cfg)
+    assert sweep_calls[0] == 119
+    assert sum(sweep_calls) == 1687
+    assert np.array_equal(freqs, cfg.grid.frequency_list(canonical=True))
+    assert np.all(counts == 1)
+    assert np.array_equal(ratios, full_sweep(cfg)[2])
 
 
 @pytest.mark.parametrize("part_name", ["sym", "tr"])
@@ -314,15 +330,17 @@ def pair_products():
 
 
 @pytest.mark.parametrize("m", [8, 40])
-def test_orbits_swept_member_by_member_keep_their_place(m):
+def test_orbits_swept_member_by_member_keep_their_place(sweep_calls, m):
     # the axis orbits give inf and are swept member by member, between
-    # representatives of the other orbits; M = 40 spans two chunks
+    # representatives of the other orbits; at M = 40 the 1,539
+    # representatives span two chunks
     cfg = InequalityConfig("korn_ell", pair_products(), None, 2.0, TorusGrid(3, m))
-    chunks = list(_sweep_chunks(cfg))
-    counts = np.concatenate([c[3] for c in chunks])
-    ratios = np.concatenate([c[2] for c in chunks])
+    freqs, _, ratios, counts = _sweep(cfg)
     assert np.array_equal(np.isinf(ratios), counts == 1)
-    assert (len(chunks) > 1) == (m == 40)
+    # each axis orbit (0, 0, a) has 3 canonical members, 2 of them swept again
+    axis_orbits = m // 2 - 1
+    assert sweep_calls == ([1024, 1539 - 1024] if m == 40 else [19]) + [2 * axis_orbits]
+    assert freqs.shape[0] == sum(sweep_calls)
     assert_matches_full_sweep(cfg)
 
 
@@ -335,12 +353,12 @@ def test_orbits_at_the_ratio_limit_are_swept_member_by_member():
     )
     cfg = InequalityConfig("korn_ell", scaled, None, 2.0, TorusGrid(3, 8))
     assert _orbit_invariant(cfg)
-    chunks = list(_sweep_chunks(cfg))
+    got_freqs, _, got_ratios, counts = _sweep(cfg)
     freqs, vs, ratios = full_sweep(cfg)
     assert ratios.min() >= 1e8 and np.isfinite(ratios).all()
-    assert np.array_equal(np.concatenate([c[0] for c in chunks]), freqs)
-    assert np.array_equal(np.concatenate([c[2] for c in chunks]), ratios)
-    assert all(np.all(c[3] == 1) for c in chunks)
+    assert np.array_equal(got_freqs, freqs)
+    assert np.array_equal(got_ratios, ratios)
+    assert np.all(counts == 1)
 
 
 def anisotropic_curl():
@@ -364,12 +382,16 @@ def pair_sum_symbol():
     ],
     ids=["anisotropic-curl", "pair-sum"],
 )
-def test_broken_symmetry_fails_the_check_and_sweeps_every_frequency(ident, spec, part, m):
+def test_broken_symmetry_fails_the_check_and_sweeps_every_frequency(
+    sweep_calls, ident, spec, part, m
+):
     cfg = InequalityConfig(ident, spec, part, 2.0, TorusGrid(3, m))
     assert not _orbit_invariant(cfg)
-    chunks = list(_sweep_chunks(cfg))
+    got = _sweep(cfg)
+    # every frequency is an orbit of its own, swept once
+    assert sum(sweep_calls) == got[0].shape[0]
     freqs, vs, ratios = full_sweep(cfg)
-    assert np.array_equal(np.concatenate([c[0] for c in chunks]), freqs)
-    assert np.array_equal(np.concatenate([c[1] for c in chunks]), vs)
-    assert np.array_equal(np.concatenate([c[2] for c in chunks]), ratios)
-    assert all(np.all(c[3] == 1) for c in chunks)
+    assert np.array_equal(got[0], freqs)
+    assert np.array_equal(got[1], vs)
+    assert np.array_equal(got[2], ratios)
+    assert np.all(got[3] == 1)

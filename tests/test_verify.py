@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kmslab import verify
 from kmslab.multipliers import pseudoinverse_symbol
 from kmslab.operators import ArgumentError, catalog_operator, catalog_partmap
 from kmslab.torus import (
@@ -31,7 +32,7 @@ from kmslab.verify import (
     trial_ratio,
     worst_vector,
 )
-from kmslab.verify import _sweep_chunks
+from kmslab.verify import _sweep
 
 
 def small_family(trials=5):
@@ -68,16 +69,10 @@ def test_bad_seed_names_it(grid8, curl, seed):
 
 
 @pytest.mark.parametrize("trials", [-1, True, 1.5, "3"])
-def test_bad_trials_names_it(grid8, curl, trials):
-    cfg = InequalityConfig("kms_sym", curl, catalog_partmap("sym", 3), 2.0, grid8)
-    calls = [
-        lambda: estimate_constant(cfg, family=small_family(1), trials=trials),
-        lambda: refinement_study(cfg, [8], family=small_family(1), trials=trials),
-    ]
-    for call in calls:
-        with pytest.raises(ArgumentError) as err:
-            call()
-        assert err.value.argument == "trials"
+def test_bad_trials_names_it(trials):
+    with pytest.raises(ArgumentError) as err:
+        FieldFamily(random_trials=trials)
+    assert err.value.argument == "random_trials"
 
 
 class TestTrialRatio:
@@ -228,16 +223,18 @@ class TestBatchedSweep:
             ("kms_sym", "sym", 2.0, 40, 1539),
         ],
     )
-    def test_ratios_match_single_frequency_reference(self, curl, ident, part_name, p, m, orbits):
+    def test_ratios_match_single_frequency_reference(
+        self, sweep_calls, curl, ident, part_name, p, m, orbits
+    ):
         grid = TorusGrid(3, m)
         if ident == "korn_ell":
             cfg = InequalityConfig(ident, catalog_operator("sym_gradient", 3), None, p, grid)
         else:
             cfg = InequalityConfig(ident, curl, catalog_partmap(part_name, 3), p, grid)
-        chunks = list(_sweep_chunks(cfg))
-        assert (len(chunks) > 1) == (m == 40)
-        freqs = np.concatenate([chunk for chunk, _, _, _ in chunks])
-        counts = np.concatenate([count for _, _, _, count in chunks])
+        freqs, vs, ratios, counts = _sweep(cfg)
+        # every orbit is trusted, so the representatives are all that is swept
+        assert sum(sweep_calls) == orbits
+        assert (len(sweep_calls) > 1) == (m == 40)
         # one representative per orbit, the first canonical frequency of its sorted |xi|
         canonical = grid.frequency_list(canonical=True)
         keys = np.sort(np.abs(canonical), axis=1)
@@ -246,13 +243,12 @@ class TestBatchedSweep:
         assert freqs.shape[0] == orbits
         assert np.array_equal(freqs, canonical[first[order]])
         assert np.array_equal(counts, size[order])
-        for chunk, vs, ratios, _ in chunks:
-            for xi, v, ratio in zip(chunk, vs, ratios):
-                ref = single_frequency_trial(cfg, xi, v).ratio
-                if math.isinf(ref) or math.isinf(ratio):
-                    assert ratio == ref, xi
-                else:
-                    assert abs(ratio - ref) <= 1e-12 * max(abs(ref), abs(ratio)), xi
+        for xi, v, ratio in zip(freqs, vs, ratios):
+            ref = single_frequency_trial(cfg, xi, v).ratio
+            if math.isinf(ref) or math.isinf(ratio):
+                assert ratio == ref, xi
+            else:
+                assert abs(ratio - ref) <= 1e-12 * max(abs(ref), abs(ratio)), xi
 
 
 class TestKmsSymAlgebra:
@@ -490,12 +486,6 @@ class TestCrosscheck:
         assert res.details["max_spectral_magnitude"] <= 1e-12
         assert res.max_relative_deviation == 0.0
 
-    def test_wrong_operator_pair_rejected(self):
-        with pytest.raises(ValueError):
-            curl_riesz_crosscheck(mode="symbol", operator_name="gradient")
-        with pytest.raises(ValueError):
-            curl_riesz_crosscheck(mode="symbol", part_name="sym")
-
 
 class TestP1Probe:
     @pytest.mark.parametrize("sizes", [[], [7, 8]])
@@ -511,6 +501,21 @@ class TestP1Probe:
         probe = p1_probe(zero, grad, [8, 16], family=small_family(), seed=0)
         assert probe.hypotheses_met
         assert all(r < 5.0 for r in probe.max_ratios)
+
+    def test_classifies_once_per_size(self, monkeypatch, curl):
+        # the hypotheses do not depend on M: each estimate checks them once
+        checked = []
+        check = verify.check_hypotheses
+
+        def counting(config):
+            checked.append(config.grid.points_per_axis)
+            return check(config)
+
+        monkeypatch.setattr(verify, "check_hypotheses", counting)
+        probe = p1_probe(catalog_partmap("tr", 3), curl, [8, 16], family=small_family(1))
+        assert checked == [8, 16]
+        assert probe.hypotheses_met
+        assert probe.hypotheses_note == probe.estimates[0].hypotheses_note
 
     def test_exponent_is_n_over_n_minus_one(self, grid8, curl):
         tr = catalog_partmap("tr", 3)
