@@ -277,7 +277,6 @@ class ClassificationReport:
     is_constant_rank: bool
     is_cancelling: bool
     vacuous: bool = False
-    c_ellipticity: CEllipticVerdict | None = None
     conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
     def to_dict(self) -> dict:
@@ -297,7 +296,7 @@ class ClassificationReport:
             "is_elliptic": self.is_elliptic,
             "is_constant_rank": self.is_constant_rank,
             "is_cancelling": self.is_cancelling,
-            "is_c_elliptic": None if self.c_ellipticity is None else self.c_ellipticity.to_dict(),
+            "is_c_elliptic": None,
             "vacuous": self.vacuous,
             "conventions": dict(self.conventions),
         }

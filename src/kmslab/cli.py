@@ -20,16 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .binio import BinaryFormatError, write_field
+from .binio import write_field
 from .classify import SphereSampling, classify, classify_on_kernel, is_c_elliptic
 from .operators import (
     CONVENTIONS,
     PARTMAP_ALIASES,
-    ArgumentError,
     catalog_operator,
     catalog_partmap,
 )
-from .specfile import ConfigError, SpecFileError, load_verify_config, parse_operator_file
+from .specfile import (
+    ConfigError,
+    SpecFileError,
+    _user_value,
+    load_verify_config,
+    parse_operator_file,
+)
 from .torus import TorusGrid, bump_field, lp_norm, plane_wave_field, random_bandlimited
 from .verify import (
     FieldFamily,
@@ -63,7 +68,8 @@ def _report(args, seed, config_echo, results):
 
 
 def _emit(report, out):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # a non-finite float is a bug: strict JSON has no NaN or Infinity
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
         print(f"report written to {out}")
@@ -86,21 +92,6 @@ def _csv_floats(text, what):
     except ValueError:
         pass
     raise ConfigError(what, f"expected comma-separated finite numbers, got {text!r}")
-
-
-def _user_value(flags, build, *args, **kwargs):
-    """build(*args, **kwargs), with the flags behind its arguments.
-
-    flags maps argument names to flag names.  An ArgumentError about one of
-    these arguments becomes a ConfigError naming the flag; every other
-    exception propagates.
-    """
-    try:
-        return build(*args, **kwargs)
-    except ArgumentError as exc:
-        if exc.argument not in flags:
-            raise
-        raise ConfigError(flags[exc.argument], str(exc)) from None
 
 
 def _grid(n, points):
@@ -354,7 +345,7 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (SpecFileError, ConfigError, BinaryFormatError) as exc:
+    except (SpecFileError, ConfigError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "ArgumentError",
+    "check_count",
     "check_seed",
     "MultiIndex",
     "OperatorSpec",
@@ -63,10 +64,15 @@ class ArgumentError(ValueError):
         super().__init__(message)
 
 
+def check_count(argument: str, value) -> None:
+    """Raise ArgumentError(argument) unless value is a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ArgumentError(argument, f"{argument} must be a non-negative integer, got {value!r}")
+
+
 def check_seed(seed) -> None:
     """Raise ArgumentError("seed") unless seed is a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ArgumentError("seed", f"seed must be a non-negative integer, got {seed!r}")
+    check_count("seed", seed)
 
 
 @dataclass(frozen=True)

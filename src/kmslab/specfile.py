@@ -33,7 +33,7 @@ from .operators import (
     OperatorSpec,
     catalog_operator,
     catalog_partmap,
-    check_seed,
+    check_count,
 )
 from .torus import TorusGrid
 from .verify import INEQUALITY_IDS, InequalityConfig
@@ -65,6 +65,21 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config field {field!r}: {message}")
+
+
+def _user_value(flags, build, *args, **kwargs):
+    """build(*args, **kwargs), with the flags or config keys behind its arguments.
+
+    flags maps argument names to flag or key names.  An ArgumentError about
+    one of these arguments becomes a ConfigError naming the flag or key;
+    every other exception propagates.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ArgumentError as exc:
+        if exc.argument not in flags:
+            raise
+        raise ConfigError(flags[exc.argument], str(exc)) from None
 
 
 def _parse_int(token, line, field):
@@ -250,29 +265,22 @@ def load_verify_config(path):
     if correction is not None and not isinstance(correction, bool):
         raise ConfigError("correction", "expected a boolean")
 
-    try:
-        grid = TorusGrid(n, grid_size)
-        config = InequalityConfig(
-            inequality_id=ident,
-            operator=operator,
-            part=part,
-            p=p,
-            grid=grid,
-            correction_enabled=correction,
-        )
-    except ValueError as exc:
-        raise ConfigError("inequality", str(exc)) from None
+    grid = _user_value({"n": "n", "points_per_axis": "grid_size"}, TorusGrid, n, grid_size)
+    keys = {
+        "inequality_id": "inequality",
+        "operator": "operator",
+        "part": "partmap",
+        "p": "p",
+        "grid": "n",
+        "correction_enabled": "correction",
+    }
+    config = _user_value(keys, InequalityConfig, ident, operator, part, p, grid, correction)
 
     extras = {
         "trials": doc.get("trials", 50),
         "seed": doc.get("seed", 0),
         "sizes": doc.get("sizes"),
     }
-    trials = extras["trials"]
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigError("trials", "expected a positive integer")
-    try:
-        check_seed(extras["seed"])
-    except ArgumentError as exc:
-        raise ConfigError("seed", str(exc)) from None
+    for key in ("trials", "seed"):
+        _user_value({key: key}, check_count, key, extras[key])
     return config, extras

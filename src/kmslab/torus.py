@@ -168,16 +168,14 @@ class TorusGrid:
         pts.setflags(write=False)
         return pts
 
-    def frequency_list(self, skip_zero=True, skip_nyquist=True, canonical=False):
-        """Flat (count, n) array of grid frequencies.
+    def frequency_list(self, skip_nyquist=True, canonical=False):
+        """Flat (count, n) array of the nonzero grid frequencies.
 
         canonical=True keeps one representative of each {xi, -xi} pair (the
         lexicographically positive one), which suffices for real fields.
         """
         flat = self.frequency_grid.reshape(-1, self.n)
-        keep = np.ones(flat.shape[0], dtype=bool)
-        if skip_zero:
-            keep &= np.any(flat != 0, axis=1)
+        keep = np.any(flat != 0, axis=1)
         if skip_nyquist:
             keep &= ~np.any(flat == -self.points_per_axis // 2, axis=1)
         flat = flat[keep]
@@ -535,8 +533,8 @@ def bump_field(
     center = np.asarray(center, dtype=float)
     if center.shape != (grid.n,):
         raise ArgumentError("center", f"center must have shape ({grid.n},)")
-    if width <= 0:
-        raise ArgumentError("width", "width must be positive")
+    if not 0 < width < math.inf:
+        raise ArgumentError("width", "width must be positive and finite")
     v = np.asarray(v, dtype=float)
     delta = grid.points - center
     delta = (delta + math.pi) % (2.0 * math.pi) - math.pi

@@ -39,6 +39,7 @@ from .operators import (
     PartMap,
     catalog_operator,
     catalog_partmap,
+    check_count,
     check_seed,
     eval_symbol,
     symbol_on_frequencies,
@@ -131,7 +132,8 @@ def _trial_ratios(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _json_float(x):
-    if x is None:
+    """x for a JSON report: inf becomes "inf", and None or NaN (undefined) null."""
+    if x is None or math.isnan(x):
         return None
     if math.isinf(x):
         return "inf"
@@ -152,22 +154,26 @@ class InequalityConfig:
     def __post_init__(self):
         ident = self.inequality_id
         if ident not in INEQUALITY_IDS:
-            raise ValueError(f"unknown inequality id {ident!r}; known: {INEQUALITY_IDS}")
+            raise ArgumentError(
+                "inequality_id", f"unknown inequality id {ident!r}; known: {INEQUALITY_IDS}"
+            )
         if self.operator.n != self.grid.n:
-            raise ValueError("operator and grid dimensions differ")
+            raise ArgumentError("grid", "operator and grid dimensions differ")
         if ident == "korn_ell":
             if self.part is not None:
-                raise ValueError("korn_ell has no pointwise part; pass part=None")
+                raise ArgumentError("part", "korn_ell has no pointwise part; pass part=None")
         else:
             if self.part is None:
-                raise ValueError(f"{ident} needs a part map (use the zero map for A = 0)")
+                raise ArgumentError("part", f"{ident} needs a part map (use the zero map for A = 0)")
             if self.part.d != self.operator.d:
-                raise ValueError("part map and operator fiber dimensions differ")
+                raise ArgumentError("part", "part map and operator fiber dimensions differ")
         if ident == "kms_sym":
-            if self.operator.name != "curl_matrix_rowwise" or self.part.name != "sym":
-                raise ValueError("kms_sym fixes A = sym and B = curl_matrix_rowwise")
+            if self.operator.name != "curl_matrix_rowwise":
+                raise ArgumentError("operator", "kms_sym fixes B = curl_matrix_rowwise")
+            if self.part.name != "sym":
+                raise ArgumentError("part", "kms_sym fixes A = sym")
         if ident == "asplit" and self.operator.k != 1:
-            raise ValueError("asplit expects a first-order differential part")
+            raise ArgumentError("operator", "asplit expects a first-order differential part")
         n = self.grid.n
         if ident == "korn_const_p1":
             if self.p != 1:
@@ -183,7 +189,7 @@ class InequalityConfig:
         if self.correction_enabled is None:
             self.correction_enabled = ident in _CORRECTION_IDS
         if self.correction_enabled and ident not in _CORRECTION_IDS:
-            raise ValueError(f"{ident} carries no correction term")
+            raise ArgumentError("correction_enabled", f"{ident} carries no correction term")
         self._correction_cache = None
 
     @property
@@ -409,13 +415,13 @@ def single_frequency_trial(config: InequalityConfig, xi, v) -> TrialResult:
         av = float(np.linalg.norm(config.part.apply(v)))
         lhs = a * float(np.linalg.norm(w))
         rhs = b * av + c * bv
-    descriptor = _plane_wave_descriptor(xi, v)
+    descriptor = _plane_wave_descriptor(xi, v, "plane_wave")
     return TrialResult(lhs, rhs, trial_ratio(lhs, rhs), descriptor, config.describe())
 
 
-def _plane_wave_descriptor(xi, v) -> dict:
+def _plane_wave_descriptor(xi, v, generator) -> dict:
     return {
-        "generator": "plane_wave",
+        "generator": generator,
         "xi": [int(x) for x in np.rint(xi)],
         "v": [float(x) for x in v],
     }
@@ -566,11 +572,7 @@ class FieldFamily:
     witness: bool = True
 
     def __post_init__(self):
-        trials = self.random_trials
-        if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
-            raise ArgumentError(
-                "random_trials", f"random_trials must be a non-negative integer, got {trials!r}"
-            )
+        check_count("random_trials", self.random_trials)
 
     def describe(self) -> dict:
         return {
@@ -618,47 +620,36 @@ class ConstantEstimate:
         }
 
 
-class _TrialCollector:
-    def __init__(self):
-        self.finite = []
-        self.best = -1.0
-        self.argmax = {}
-        self.inf_count = 0
-        self.family_maxima = {}
-        self.n = 0
+def _reduce(rows) -> dict:
+    """The trial statistics of a ConstantEstimate from non-empty rows.
 
-    def add(self, family_name, ratio, descriptor):
-        self.add_many(family_name, [ratio], lambda i: descriptor)
-
-    def add_many(self, family_name, ratios, describe, counts=None):
-        """Add non-empty ratios in order; describe(i) builds the descriptor of ratios[i].
-
-        ratios[i] counts as counts[i] trials (default 1 each).  The first
-        infinite ratio takes the argmax; before any, the first largest
-        finite ratio does.
-        """
-        ratios = np.asarray(ratios, dtype=float)
-        prev = self.family_maxima.get(family_name, 0.0)
-        self.family_maxima[family_name] = max(prev, float(ratios.max()))
-        infinite = np.isinf(ratios)
-        finite = ratios[~infinite]
-        if counts is None:
-            self.n += ratios.size
-            self.inf_count += int(infinite.sum())
-        else:
-            self.n += int(counts.sum())
-            self.inf_count += int(counts[infinite].sum())
-            finite = np.repeat(finite, counts[~infinite])
-        self.finite.extend(finite.tolist())
-        if infinite.any():
-            if not math.isinf(self.best) or not self.argmax:
-                self.argmax = describe(int(np.argmax(infinite)))
-            self.best = math.inf
-        elif not math.isinf(self.best):
-            i = int(np.argmax(ratios))
-            if ratios[i] > self.best:
-                self.best = float(ratios[i])
-                self.argmax = describe(i)
+    A row (family, ratios, counts, describe) counts ratios[i] as counts[i]
+    trials, and describe(i) builds its field descriptor.  The argmax is the
+    first infinite ratio, else the first largest ratio, in row order.  The
+    finite ratios, repeated by their counts, give the maximum and median
+    finite ratio; both read 0.0 when there are none.
+    """
+    ratios = np.concatenate([r for _, r, _, _ in rows])
+    counts = np.concatenate([c for _, _, c, _ in rows])
+    infinite = np.isinf(ratios)
+    finite = np.repeat(ratios[~infinite], counts[~infinite])
+    if finite.size == 0:
+        finite = np.zeros(1)
+    best = int(np.argmax(infinite if infinite.any() else ratios))
+    starts = np.cumsum([0] + [len(r) for _, r, _, _ in rows[:-1]])
+    row = int(np.searchsorted(starts, best, side="right")) - 1
+    family_maxima = {}
+    for name, r, _, _ in rows:
+        family_maxima[name] = max(family_maxima.get(name, 0.0), float(np.max(r)))
+    return {
+        "n_trials": int(counts.sum()),
+        "max_ratio": float(ratios[best]),
+        "max_finite_ratio": float(np.max(finite)),
+        "median_ratio": float(np.median(finite)),
+        "argmax": rows[row][3](best - int(starts[row])),
+        "infinite_count": int(counts[infinite].sum()),
+        "family_maxima": family_maxima,
+    }
 
 
 def _signed_permutation_generators(n):
@@ -787,87 +778,83 @@ def estimate_constant(
 ) -> ConstantEstimate:
     """Estimate the empirical inequality constant over a field family.
 
-    Deterministic given the seed.  The single-frequency sweep covers every
-    canonical frequency (one of each +-xi pair) through _sweep: it
-    evaluates the first canonical frequency of each orbit and counts it
-    once per canonical member.  Orbits are the signed-permutation orbits
-    where _orbit_invariant proves the ratio constant on them, single
+    Deterministic given the seed.  Each family contributes rows of trial
+    ratios, in the order sweep, random, bump, witness, and one reduction
+    (_reduce) turns them into the estimate.  The single-frequency sweep is
+    one row over every canonical frequency (one of each +-xi pair), built by
+    _sweep: it evaluates the first canonical frequency of each orbit and
+    counts it once per canonical member.  Orbits are the signed-permutation
+    orbits where _orbit_invariant proves the ratio constant on them, single
     frequencies otherwise; the other members of an orbit whose
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT are
-    evaluated one by one.  Infinite ratios propagate to max_ratio and are
-    counted separately.
+    evaluated one by one.  Every random, bump and witness field is one row,
+    evaluated as soon as it is generated.  When no witness exists the
+    witness row holds ratio 0.0.  Infinite ratios propagate to max_ratio and
+    are counted separately.  A family that generates no trial for the
+    config raises ArgumentError("family") before any classification.
     """
     check_seed(seed)
     if family is None:
         family = FieldFamily()
+    witness = family.witness and config.inequality_id != "korn_ell"
+    if not (family.sweep or family.random_trials or family.bump_widths or witness):
+        raise ArgumentError("family", "the field family generates no trial for this inequality")
     hyp_ok, note, class_echo = check_hypotheses(config)
     if enforce and not hyp_ok:
         raise PreconditionError(note)
 
     grid = config.grid
     d = config.operator.d
-    collector = _TrialCollector()
+    rows = []
+
+    # callers pass each field straight in, so it is dropped once its ratio is known
+    def add_field(name, fld, descriptor):
+        rows.append((name, [trial_ratio(*kms_sides(config, fld))], [1], lambda i: descriptor))
 
     if family.sweep:
         freqs, vs, ratios, counts = _sweep(config)
-        collector.add_many(
-            "sweep", ratios, lambda i: _plane_wave_descriptor(freqs[i], vs[i]), counts
-        )
+        rows.append(("sweep", ratios, counts,
+                     lambda i: _plane_wave_descriptor(freqs[i], vs[i], "plane_wave")))
 
     cutoff = family.random_cutoff
     if cutoff is None:
         cutoff = max(1, grid.points_per_axis // 4)
     for t in range(family.random_trials):
-        fld = random_bandlimited(
-            grid, d, cutoff, seed=np.random.SeedSequence((seed, 101, t))
+        add_field(
+            "random",
+            random_bandlimited(grid, d, cutoff, seed=np.random.SeedSequence((seed, 101, t))),
+            {"generator": "random_bandlimited", "seed_root": seed, "index": t, "cutoff": cutoff},
         )
-        descriptor = {
-            "generator": "random_bandlimited",
-            "seed_root": seed,
-            "index": t,
-            "cutoff": cutoff,
-        }
-        trial = run_trial(config, fld, descriptor)
-        collector.add("random", trial.ratio, descriptor)
 
     center = np.full(grid.n, math.pi)
     for i, width in enumerate(family.bump_widths):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 202, i)))
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        fld = bump_field(grid, center, width, v)
-        descriptor = {"generator": "bump", "width": width, "seed_root": seed, "index": i}
-        trial = run_trial(config, fld, descriptor)
-        collector.add("bump", trial.ratio, descriptor)
+        add_field(
+            "bump",
+            bump_field(grid, center, width, v),
+            {"generator": "bump", "width": width, "seed_root": seed, "index": i},
+        )
 
-    if family.witness and config.inequality_id != "korn_ell":
+    if witness:
         found = search_kernel_witness(config.part, config.operator, grid)
-        if found is not None:
-            xi, v = found
-            fld = plane_wave_field(grid, xi, v)
-            descriptor = {
-                "generator": "witness_plane_wave",
-                "xi": [int(x) for x in xi],
-                "v": [float(x) for x in v],
-            }
-            trial = run_trial(config, fld, descriptor)
-            collector.add("witness", trial.ratio, descriptor)
+        if found is None:
+            missing = {"generator": "witness_plane_wave", "xi": None}
+            rows.append(("witness", [0.0], [1], lambda i: missing))
         else:
-            collector.add("witness", 0.0, {"generator": "witness_plane_wave", "xi": None})
+            xi, v = found
+            add_field(
+                "witness",
+                plane_wave_field(grid, xi, v),
+                _plane_wave_descriptor(xi, v, "witness_plane_wave"),
+            )
 
-    finite = np.array(collector.finite) if collector.finite else np.array([0.0])
-    max_finite = float(np.max(finite))
     return ConstantEstimate(
         config=config.describe(),
         family=family.describe(),
         seed=seed,
-        n_trials=collector.n,
-        max_ratio=math.inf if collector.inf_count else collector.best,
-        max_finite_ratio=max_finite,
-        median_ratio=float(np.median(finite)),
-        argmax=collector.argmax,
-        infinite_count=collector.inf_count,
-        family_maxima=collector.family_maxima,
+        **_reduce(rows),
         hypotheses_met=hyp_ok,
         hypotheses_note=note,
         classification=class_echo,
@@ -904,7 +891,7 @@ class RefinementStudy:
             "sizes": list(self.sizes),
             "max_ratios": [_json_float(r) for r in self.max_ratios],
             "growth_fractions": [_json_float(g) for g in self.growth_fractions],
-            "max_growth": _json_float(self.max_growth) if self.max_growth is not None else None,
+            "max_growth": _json_float(self.max_growth),
             "all_finite": self.all_finite,
             "estimates": [e.to_dict() for e in self.estimates],
         }
@@ -1008,16 +995,12 @@ def necessity_demo(
     )
     uncorrected_cfg = InequalityConfig(**base, correction_enabled=False)
     corrected_cfg = InequalityConfig(**base, correction_enabled=True)
-    descriptor = {
-        "generator": "witness_plane_wave",
-        "xi": [int(x) for x in xi],
-        "v": [float(x) for x in v],
-    }
+    descriptor = _plane_wave_descriptor(xi, v, "witness_plane_wave")
     return NecessityDemoResult(
         found=True,
         message="witness found; uncorrected ratio diverges, corrected left side vanishes",
-        xi=[int(x) for x in xi],
-        v=[float(x) for x in v],
+        xi=descriptor["xi"],
+        v=descriptor["v"],
         uncorrected=run_trial(uncorrected_cfg, fld, descriptor),
         corrected=run_trial(corrected_cfg, fld, descriptor),
     )
@@ -1100,7 +1083,7 @@ def curl_riesz_crosscheck(
 
     if mode == "symbol":
         g = grid or TorusGrid(3, 16)
-        freqs = g.frequency_list(skip_zero=True, skip_nyquist=False).astype(float)
+        freqs = g.frequency_list(skip_nyquist=False).astype(float)
         table = np.real(full_desc.on_frequencies(freqs))
         units = freqs / np.linalg.norm(freqs, axis=1)[:, None]
         proj = np.einsum("fi,fj->fij", units, units)

@@ -24,8 +24,12 @@ def run_cli(args):
     return main(list(args))
 
 
+def _reject_constant(name):
+    raise ValueError(f"report is not strict JSON: it holds {name}")
+
+
 def load_report(path, schema):
-    report = json.loads(path.read_text())
+    report = json.loads(path.read_text(), parse_constant=_reject_constant)
     jsonschema.validate(report, schema)
     return report
 
@@ -63,6 +67,7 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
         ("width", ["crosscheck", "curl-riesz", "--mode", "quadrature", "--width", "-1"]),
         ("width", ["crosscheck", "curl-riesz", "--mode", "symbol", "--width", "-1"]),
         ("width", [*BUMP, "--value", "1", "--width", "0"]),
+        ("width", [*BUMP, "--value", "1", "--width", "inf"]),
         ("center", [*BUMP, "--value", "1", "--center", "1"]),
         ("value", [*BUMP, "--value", "1,nan"]),
         ("n", ["field", "gen", "--kind", "random", "--n", "0", "--grid", "8", "--d", "1"]),
@@ -106,6 +111,46 @@ def test_bad_config_value_exit_2_names_it(tmp_path, capsys, key, value):
     cfg.write_text(json.dumps(dict(KMS_CFG, **{key: value})))
     assert run_cli(["verify", "--config", str(cfg)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,changes",
+    [
+        ("p", {"p": 5.0}),
+        ("grid_size", {"grid_size": 7}),
+        ("partmap", {"inequality": "korn_const", "operator": "curl_vector", "partmap": "tr"}),
+        ("correction", {"correction": True}),
+    ],
+)
+def test_bad_inequality_setting_exit_2_names_its_key(tmp_path, capsys, key, changes):
+    cfg = tmp_path / "kms.cfg"
+    cfg.write_text(json.dumps(dict(KMS_CFG, **changes)))
+    assert run_cli(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "'inequality'" not in err
+
+
+def test_config_trials_zero_runs_the_sweep(tmp_path, schema):
+    cfg = tmp_path / "kms.cfg"
+    cfg.write_text(json.dumps(dict(KMS_CFG, trials=0)))
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    estimate = load_report(out, schema)["results"]["estimate"]
+    assert estimate["family"]["random_trials"] == 0
+    assert "random" not in estimate["family_maxima"]
+
+
+def test_undefined_growth_is_null(tmp_path, schema):
+    # without the correction both maxima diverge, so their growth is undefined
+    doc = dict(KMS_CFG, inequality="korn_const", partmap="tr", correction=False, trials=1)
+    cfg = tmp_path / "uncorrected.cfg"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", "--config", str(cfg), "--refine", "8,12", "--out", str(out)]) == 0
+    study = load_report(out, schema)["results"]["study"]
+    assert study["max_ratios"] == ["inf", "inf"]
+    assert study["growth_fractions"] == [None]
+    assert study["max_growth"] is None
 
 
 def test_import_and_classify_load_no_scipy():

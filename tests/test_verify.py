@@ -132,6 +132,24 @@ class TestConfigValidation:
                 correction_enabled=True,
             )
 
+    def test_each_rejection_names_its_argument(self, grid16, curl):
+        tr, sym = catalog_partmap("tr", 3), catalog_partmap("sym", 3)
+        cases = [
+            ("inequality_id", ("nope", curl, tr, 2.0, grid16)),
+            ("grid", ("korn_const", curl, tr, 2.0, TorusGrid(2, 16))),
+            ("part", ("korn_ell", curl, tr, 2.0, grid16)),
+            ("part", ("korn_const", curl, None, 2.0, grid16)),
+            ("part", ("korn_const", catalog_operator("curl_vector", 3), tr, 2.0, grid16)),
+            ("operator", ("kms_sym", catalog_operator("div_matrix_rowwise", 3), sym, 2.0, grid16)),
+            ("part", ("kms_sym", curl, tr, 2.0, grid16)),
+            ("p", ("korn_const", curl, tr, 3.0, grid16)),
+            ("correction_enabled", ("korn_ellip", curl, sym, 2.0, grid16, True)),
+        ]
+        for argument, args in cases:
+            with pytest.raises(ArgumentError) as err:
+                InequalityConfig(*args)
+            assert err.value.argument == argument, args[0]
+
     def test_zero_mean_precondition(self, grid16, curl):
         from fullgrid_reference import constant_field
 
@@ -418,6 +436,39 @@ class TestEstimates:
         assert "outside theorem hypotheses" in note
         est = estimate_constant(cfg, family=small_family(), seed=0, enforce=False)
         assert not est.hypotheses_met
+
+    @pytest.mark.parametrize("ident", ["kms_sym", "korn_ell"])
+    def test_empty_family_rejected_before_classification(self, grid8, curl, monkeypatch, ident):
+        def classified(config):
+            raise AssertionError("classified an empty family")
+
+        monkeypatch.setattr(verify, "check_hypotheses", classified)
+        if ident == "korn_ell":
+            cfg = InequalityConfig(ident, catalog_operator("sym_gradient", 3), None, 2.0, grid8)
+        else:
+            cfg = InequalityConfig(ident, curl, catalog_partmap("sym", 3), 2.0, grid8)
+        # korn_ell has no witness family, so witness=True adds no trial to it
+        family = FieldFamily(
+            sweep=False, random_trials=0, bump_widths=(), witness=ident == "korn_ell"
+        )
+        with pytest.raises(ArgumentError) as err:
+            estimate_constant(cfg, family=family)
+        assert err.value.argument == "family"
+
+    def test_first_infinite_ratio_in_family_order_takes_the_argmax(self, grid8, curl):
+        # the sweep and the witness both diverge; the sweep comes first
+        tr = catalog_partmap("tr", 3)
+        cfg = InequalityConfig("korn_const", curl, tr, 2.0, grid8, correction_enabled=False)
+        est = estimate_constant(cfg, family=small_family(), seed=0)
+        assert math.isinf(est.family_maxima["sweep"])
+        assert math.isinf(est.family_maxima["witness"])
+        freqs, vs, ratios, _ = _sweep(cfg)
+        first = int(np.argmax(np.isinf(ratios)))
+        assert est.argmax == {
+            "generator": "plane_wave",
+            "xi": [int(x) for x in freqs[first]],
+            "v": [float(x) for x in vs[first]],
+        }
 
 
 class TestRefinement:
