@@ -27,6 +27,8 @@ from .operators import (
     ArgumentError,
     OperatorSpec,
     PartMap,
+    Report,
+    check_count,
     check_seed,
     restrict_symbol,
     symbol_on_frequencies,
@@ -235,7 +237,7 @@ class SphereSampling:
 
 
 @dataclass(frozen=True, eq=False)
-class CEllipticVerdict:
+class CEllipticVerdict(Report):
     """Sampled C-ellipticity verdict with the worst frequency seen."""
 
     is_c_elliptic: bool
@@ -245,21 +247,15 @@ class CEllipticVerdict:
     refined: bool
 
     def to_dict(self) -> dict:
-        return {
-            "is_c_elliptic": self.is_c_elliptic,
-            "verdict_kind": "sampled",
-            "witness": None
-            if self.witness is None
-            else [[float(z.real), float(z.imag)] for z in self.witness],
-            "min_singular_value": self.min_singular_value,
-            "max_singular_value": self.max_singular_value,
-            "refined": self.refined,
-        }
+        return {**super().to_dict(), "verdict_kind": "sampled"}
 
 
 @dataclass(frozen=True, eq=False)
-class ClassificationReport:
-    """Machine-readable outcome of a sampled symbol classification."""
+class ClassificationReport(Report):
+    """Machine-readable outcome of a sampled symbol classification.
+
+    rank_histogram maps each sampled rank, as a decimal string, to its count.
+    """
 
     operator: str
     n: int
@@ -280,26 +276,7 @@ class ClassificationReport:
     conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
     def to_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "n": self.n,
-            "d": self.d,
-            "l": self.l,
-            "k": self.k,
-            "tol": self.tol,
-            "sampling": dict(self.sampling),
-            "min_singular_value": self.min_singular_value,
-            "max_singular_value": self.max_singular_value,
-            "rank_histogram": {str(r): int(c) for r, c in sorted(self.rank_histogram.items())},
-            "common_rank": self.common_rank,
-            "residual_image_dim": int(self.residual_image_dim),
-            "is_elliptic": self.is_elliptic,
-            "is_constant_rank": self.is_constant_rank,
-            "is_cancelling": self.is_cancelling,
-            "is_c_elliptic": None,
-            "vacuous": self.vacuous,
-            "conventions": dict(self.conventions),
-        }
+        return {**super().to_dict(), "is_c_elliptic": None}
 
 
 def subspace_intersection(basis_u: np.ndarray, basis_v: np.ndarray) -> np.ndarray:
@@ -329,7 +306,7 @@ def _vacuous_report(spec, sampling, tol):
         sampling=sampling.describe(),
         min_singular_value=None,
         max_singular_value=None,
-        rank_histogram={0: sampling.count},
+        rank_histogram={"0": sampling.count},
         common_rank=0,
         residual_image_dim=0,
         is_elliptic=True,
@@ -373,7 +350,7 @@ def classify(
     global_max = float(np.max(per_max))
     global_min = float(np.min(per_min))
     hist_vals, hist_counts = np.unique(ranks, return_counts=True)
-    rank_histogram = {int(r): int(c) for r, c in zip(hist_vals, hist_counts)}
+    rank_histogram = {str(r): int(c) for r, c in zip(hist_vals, hist_counts)}
     is_constant_rank = len(rank_histogram) == 1
     common_rank = int(hist_vals[0]) if is_constant_rank else None
     is_elliptic = global_min > tol * global_max
@@ -441,6 +418,7 @@ def is_c_elliptic(
     Nelder-Mead descent of sigma_min over the sphere, which sharpens the
     refutation power; the verdict remains a sampled one either way.
     """
+    check_count("refine_steps", refine_steps)
     if sampling is None:
         sampling = SphereSampling.standard(spec.n, complex_mode=True)
     if not sampling.complex_mode:

@@ -153,7 +153,14 @@ def cmd_classify(args):
         complex_sampling = SphereSampling.standard(
             spec.n, count=args.samples, seed=args.seed, complex_mode=True
         )
-        verdict = is_c_elliptic(spec, complex_sampling, tol=args.tol, refine_steps=args.refine)
+        verdict = _user_value(
+            {"refine_steps": "refine"},
+            is_c_elliptic,
+            spec,
+            complex_sampling,
+            tol=args.tol,
+            refine_steps=args.refine,
+        )
         results["is_c_elliptic"] = verdict.to_dict()
     _emit(_report(args, args.seed, config_echo, results), args.out)
     return 0
@@ -165,9 +172,9 @@ def cmd_verify(args):
         config = config.with_grid(_grid(config.n, args.grid))
     trials = args.trials if args.trials is not None else extras["trials"]
     seed = args.seed if args.seed is not None else extras["seed"]
-    sizes = _csv_ints(args.refine, "refine") if args.refine else extras.get("sizes")
+    sizes = _csv_ints(args.refine, "refine") if args.refine is not None else extras.get("sizes")
     family = _user_value({"random_trials": "trials"}, FieldFamily, random_trials=trials)
-    flags = {"sizes": "refine" if args.refine else "sizes", "seed": "seed"}
+    flags = {"sizes": "refine" if args.refine is not None else "sizes", "seed": "seed"}
     if sizes is not None:
         study = _user_value(flags, refinement_study, config, sizes, family, seed=seed)
         results = {"kind": "refinement_study", "study": study.to_dict()}
@@ -198,7 +205,7 @@ def cmd_demo_necessity(args):
 
 
 def cmd_crosscheck(args):
-    grid = _grid(3, args.grid) if args.grid else None
+    grid = _grid(3, args.grid) if args.grid is not None else None
     result = _user_value(
         {"eval_points": "points", "width": "width"},
         curl_riesz_crosscheck,

@@ -81,11 +81,10 @@ class MultiplierDescriptor:
         """The matrix at a single nonzero frequency (length-n array)."""
         return self.batch(np.asarray(xi, dtype=float)[None])[0]
 
-    def on_frequencies(self, freqs: np.ndarray, zero_mask: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate on a stack of frequencies; zero-masked entries are annihilated."""
+    def on_frequencies(self, freqs: np.ndarray) -> np.ndarray:
+        """Evaluate on a stack of frequencies; zero frequencies are annihilated."""
         freqs = np.asarray(freqs, dtype=float)
-        if zero_mask is None:
-            zero_mask = ~np.any(freqs != 0, axis=-1)
+        zero_mask = ~np.any(freqs != 0, axis=-1)
         # zero frequencies are replaced by a harmless stand-in and
         # annihilated below; homogeneous symbols are undefined at 0
         safe = np.where(zero_mask[..., None], 1.0, freqs)
@@ -107,10 +106,10 @@ class MultiplierDescriptor:
             # filled one first-axis slab at a time, so the batch's intermediates
             # (symbol stacks, SVD workspaces) stay a fraction of the table; each
             # matrix is evaluated on its own, as in one batch over the half grid
-            freqs, zero = grid.half_frequency_grid, grid.half_zero_mask
+            freqs = grid.half_frequency_grid
             table = None
             for i in range(freqs.shape[0]):
-                slab = self.on_frequencies(freqs[i : i + 1].astype(float), zero[i : i + 1])
+                slab = self.on_frequencies(freqs[i : i + 1].astype(float))
                 if table is None:
                     table = np.empty(grid.half_shape + slab.shape[grid.n :], slab.dtype)
                 table[i : i + 1] = slab

@@ -20,7 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -42,6 +42,8 @@ __all__ = [
     "CATALOG_PARTMAPS",
     "OPERATOR_ALIASES",
     "CONVENTIONS",
+    "Report",
+    "jsonable",
 ]
 
 # Relative singular-value cutoff for kernel extraction from part maps.
@@ -54,6 +56,37 @@ CONVENTIONS = {
     "matrix_divergence": "row-wise",
     "torus_domain": "[0, 2*pi)^n, zero-mean fields stand in for compact support",
 }
+
+
+class Report:
+    """Base of the dataclasses kmslab writes as JSON: the keys are the fields."""
+
+    def to_dict(self) -> dict:
+        return {f.name: jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
+def jsonable(x):
+    """x in the JSON report format, which strict JSON (no NaN, no Infinity) can hold.
+
+    A Report becomes its to_dict(); a dict keeps its keys; a list, tuple or
+    array becomes a list; a float is "inf" when infinite, None when NaN
+    (undefined) and float(x) otherwise; a complex number becomes [re, im];
+    numpy integers and booleans become int and bool.  Everything else, ints
+    and strings among it, passes through unchanged.
+    """
+    if isinstance(x, Report):
+        return x.to_dict()
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, (float, np.floating)):
+        return "inf" if math.isinf(x) else None if math.isnan(x) else float(x)
+    if isinstance(x, (complex, np.complexfloating)):
+        return [jsonable(x.real), jsonable(x.imag)]
+    if isinstance(x, (np.integer, np.bool_)):
+        return x.item()
+    return x
 
 
 class ArgumentError(ValueError):

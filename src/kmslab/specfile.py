@@ -222,7 +222,8 @@ def load_verify_config(path):
         if key not in doc:
             raise ConfigError(key, "missing required key")
         val = doc[key]
-        if not isinstance(val, types):
+        # bool subclasses int, but a JSON true is no number
+        if isinstance(val, bool) or not isinstance(val, types):
             raise ConfigError(key, f"expected {what}")
         return val
 

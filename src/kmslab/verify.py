@@ -27,7 +27,7 @@ frequency otherwise (see _orbit_invariant, _sweep).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .operators import (
     ArgumentError,
     OperatorSpec,
     PartMap,
+    Report,
     catalog_operator,
     catalog_partmap,
     check_count,
@@ -129,15 +130,6 @@ def _trial_ratios(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     degenerate = rhs <= RHS_NEGLIGIBLE
     ratio = lhs / np.where(degenerate, 1.0, rhs)
     return np.where(degenerate, np.where(lhs > LHS_NEGLIGIBLE, math.inf, 0.0), ratio)
-
-
-def _json_float(x):
-    """x for a JSON report: inf becomes "inf", and None or NaN (undefined) null."""
-    if x is None or math.isnan(x):
-        return None
-    if math.isinf(x):
-        return "inf"
-    return float(x)
 
 
 @dataclass(eq=False)
@@ -234,23 +226,14 @@ class InequalityConfig:
 
 
 @dataclass(eq=False)
-class TrialResult:
+class TrialResult(Report):
     """Both sides of one inequality trial and their ratio."""
 
     lhs: float
     rhs: float
     ratio: float
-    field_descriptor: dict
+    field: dict
     config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": _json_float(self.ratio),
-            "field": dict(self.field_descriptor),
-            "config": dict(self.config),
-        }
 
 
 def check_hypotheses(config: InequalityConfig):
@@ -562,7 +545,7 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FieldFamily:
+class FieldFamily(Report):
     """Which generators feed estimate_constant."""
 
     sweep: bool = True
@@ -574,18 +557,9 @@ class FieldFamily:
     def __post_init__(self):
         check_count("random_trials", self.random_trials)
 
-    def describe(self) -> dict:
-        return {
-            "sweep": self.sweep,
-            "random_trials": self.random_trials,
-            "random_cutoff": self.random_cutoff,
-            "bump_widths": list(self.bump_widths),
-            "witness": self.witness,
-        }
-
 
 @dataclass(eq=False)
-class ConstantEstimate:
+class ConstantEstimate(Report):
     """Aggregated statistics of inequality trials over a field family."""
 
     config: dict
@@ -601,23 +575,6 @@ class ConstantEstimate:
     hypotheses_met: bool
     hypotheses_note: str
     classification: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "config": dict(self.config),
-            "family": dict(self.family),
-            "seed": self.seed,
-            "n_trials": self.n_trials,
-            "max_ratio": _json_float(self.max_ratio),
-            "max_finite_ratio": _json_float(self.max_finite_ratio),
-            "median_ratio": _json_float(self.median_ratio),
-            "argmax": dict(self.argmax),
-            "infinite_count": self.infinite_count,
-            "family_maxima": {k: _json_float(v) for k, v in self.family_maxima.items()},
-            "hypotheses_met": self.hypotheses_met,
-            "hypotheses_note": self.hypotheses_note,
-            "classification": dict(self.classification),
-        }
 
 
 def _reduce(rows) -> dict:
@@ -852,7 +809,7 @@ def estimate_constant(
 
     return ConstantEstimate(
         config=config.describe(),
-        family=family.describe(),
+        family=family.to_dict(),
         seed=seed,
         **_reduce(rows),
         hypotheses_met=hyp_ok,
@@ -876,7 +833,7 @@ def _check_sizes(sizes) -> list:
 
 
 @dataclass(eq=False)
-class RefinementStudy:
+class RefinementStudy(Report):
     """Constant estimates across a chain of grid refinements."""
 
     sizes: list
@@ -885,16 +842,6 @@ class RefinementStudy:
     growth_fractions: list
     max_growth: float | None
     all_finite: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "max_ratios": [_json_float(r) for r in self.max_ratios],
-            "growth_fractions": [_json_float(g) for g in self.growth_fractions],
-            "max_growth": _json_float(self.max_growth),
-            "all_finite": self.all_finite,
-            "estimates": [e.to_dict() for e in self.estimates],
-        }
 
 
 def refinement_study(
@@ -938,7 +885,7 @@ def refinement_study(
 # --------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class NecessityDemoResult:
+class NecessityDemoResult(Report):
     """Paired corrected/uncorrected trials on a kernel-intersection witness."""
 
     found: bool
@@ -947,16 +894,6 @@ class NecessityDemoResult:
     v: list | None
     uncorrected: TrialResult | None
     corrected: TrialResult | None
-
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "message": self.message,
-            "xi": self.xi,
-            "v": self.v,
-            "uncorrected": None if self.uncorrected is None else self.uncorrected.to_dict(),
-            "corrected": None if self.corrected is None else self.corrected.to_dict(),
-        }
 
 
 def necessity_demo(
@@ -1011,20 +948,10 @@ def necessity_demo(
 # --------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class CrosscheckResult:
+class CrosscheckResult(Report):
     mode: str
     max_relative_deviation: float
     details: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "max_relative_deviation": self.max_relative_deviation,
-            "details": {
-                k: (_json_float(v) if isinstance(v, float) else v)
-                for k, v in self.details.items()
-            },
-        }
 
 
 def _unit_ball_volume(n: int) -> float:
@@ -1168,23 +1095,13 @@ def curl_riesz_crosscheck(
 # --------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class ProbeResult:
+class ProbeResult(Report):
     sizes: list
     max_ratios: list
     growth_fractions: list
     hypotheses_met: bool
     hypotheses_note: str
     estimates: list
-
-    def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "max_ratios": [_json_float(r) for r in self.max_ratios],
-            "growth_fractions": [_json_float(g) for g in self.growth_fractions],
-            "hypotheses_met": self.hypotheses_met,
-            "hypotheses_note": self.hypotheses_note,
-            "estimates": [e.to_dict() for e in self.estimates],
-        }
 
 
 def p1_probe(

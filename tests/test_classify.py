@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -269,3 +270,15 @@ class TestCElliptic:
     def test_verdict_flagged_as_sampled(self):
         verdict = is_c_elliptic(catalog_operator("gradient", 2))
         assert verdict.to_dict()["verdict_kind"] == "sampled"
+
+    def test_vacuous_verdict_is_strict_json(self):
+        curl = catalog_operator("curl_matrix_rowwise", 3)
+        vacuous = restrict_symbol(curl, catalog_partmap("identity", 3, dim=curl.d))
+        sampling = SphereSampling.standard(3, count=16, complex_mode=True)
+        text = json.dumps(is_c_elliptic(vacuous, sampling).to_dict(), allow_nan=False)
+        assert json.loads(text)["min_singular_value"] == "inf"
+
+    def test_negative_refine_steps_rejected(self):
+        with pytest.raises(ArgumentError) as excinfo:
+            is_c_elliptic(catalog_operator("gradient", 2), refine_steps=-1)
+        assert excinfo.value.argument == "refine_steps"

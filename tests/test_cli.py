@@ -56,6 +56,8 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
         ("refine", ["verify", "--refine", "16,8"]),
         ("refine", ["verify", "--refine", "8,10,13"]),
         ("refine", ["verify", "--refine", ","]),
+        ("refine", ["verify", "--refine", ""]),
+        ("refine", ["classify", *CURLVEC, "--complex", "--refine", "-1"]),
         ("grid", ["verify", "--grid", "7"]),
         ("on-kernel-of", ["classify", *CURLVEC, "--on-kernel-of", "sym"]),
         ("tol", ["classify", *CURLVEC, "--tol", "2"]),
@@ -64,6 +66,7 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
         ("p", ["demo", "necessity", "--A", "tr", "--B", "curl3", "--grid", "8", "--p", "3.5"]),
         ("p", ["demo", "necessity", "--A", "sym", "--B", "curl3", "--grid", "8", "--p", "3.5"]),
         ("points", ["crosscheck", "curl-riesz", "--points", "0"]),
+        ("grid", ["crosscheck", "curl-riesz", "--grid", "0"]),
         ("width", ["crosscheck", "curl-riesz", "--mode", "quadrature", "--width", "-1"]),
         ("width", ["crosscheck", "curl-riesz", "--mode", "symbol", "--width", "-1"]),
         ("width", [*BUMP, "--value", "1", "--width", "0"]),
@@ -104,13 +107,32 @@ def test_bad_config_seed_exit_2_names_it(tmp_path, capsys, seed):
 
 # "cutoff" is no config key: the random-field cutoff is always M // 4
 @pytest.mark.parametrize(
-    "key,value", [("trials", True), ("trials", -1), ("cutoff", 4), ("sizes", 8), ("sizes", [])]
+    "key,value",
+    [
+        ("trials", True),
+        ("trials", -1),
+        ("cutoff", 4),
+        ("sizes", 8),
+        ("sizes", []),
+        ("n", True),
+        ("p", True),
+        ("grid_size", True),
+    ],
 )
 def test_bad_config_value_exit_2_names_it(tmp_path, capsys, key, value):
     cfg = tmp_path / "kms.cfg"
     cfg.write_text(json.dumps(dict(KMS_CFG, **{key: value})))
     assert run_cli(["verify", "--config", str(cfg)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_config_p_true_exit_2_names_it(tmp_path, capsys):
+    # true == 1 is the p that korn_const_p1 forces, so only the type check rejects it
+    doc = dict(KMS_CFG, inequality="korn_const_p1", partmap="tr", p=True)
+    cfg = tmp_path / "p1.cfg"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--config", str(cfg)]) == 2
+    assert "'p'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

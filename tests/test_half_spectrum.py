@@ -103,9 +103,7 @@ def reference_sides(cfg, fld):
         return sobolev(vals, k, p), lp(operator(vals), p)
     reduced = vals
     if cfg.correction_enabled:
-        table = cfg.correction_descriptor.on_frequencies(
-            grid.frequency_grid, zero_mask=zero_mask(grid)
-        )
+        table = cfg.correction_descriptor.on_frequencies(grid.frequency_grid)
         reduced = vals - samples(np.einsum("...rc,...c->...r", table, spectrum(vals)))
     a_vals = cfg.part.apply(vals)
     if cfg.inequality_id == "korn_const2_p2":

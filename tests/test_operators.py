@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from kmslab.operators import (
     MultiIndex,
     OperatorSpec,
     PartMap,
+    Report,
     catalog_operator,
     catalog_partmap,
     eval_symbol,
@@ -277,3 +280,55 @@ class TestRestrictSymbol:
         grad = catalog_operator("gradient", 3)
         with pytest.raises(ValueError):
             restrict_symbol(grad, catalog_partmap("sym", 3))
+
+
+@dataclass
+class _Inner(Report):
+    ratio: float
+
+
+@dataclass
+class _Outer(Report):
+    big: float
+    undefined: float
+    count: int
+    index: np.int64
+    flag: np.bool_
+    scale: np.float32
+    witness: np.ndarray
+    pair: tuple
+    inner: _Inner
+    table: dict
+    note: str | None
+
+
+def test_report_serializer():
+    outer = _Outer(
+        big=math.inf,
+        undefined=math.nan,
+        count=4,
+        index=np.int64(3),
+        flag=np.bool_(True),
+        scale=np.float32(0.5),
+        witness=np.array([1.0 + 2.0j, -0.5j]),
+        pair=(1, 2.5),
+        inner=_Inner(np.float64(math.inf)),
+        table={"a": np.nan, "b": [np.int32(1), 0.25]},
+        note=None,
+    )
+    out = outer.to_dict()
+    assert out == {
+        "big": "inf",
+        "undefined": None,
+        "count": 4,
+        "index": 3,
+        "flag": True,
+        "scale": 0.5,
+        "witness": [[1.0, 2.0], [0.0, -0.5]],
+        "pair": [1, 2.5],
+        "inner": {"ratio": "inf"},
+        "table": {"a": None, "b": [1, 0.25]},
+        "note": None,
+    }
+    assert [type(out[k]) for k in ("count", "index", "flag", "scale")] == [int, int, bool, float]
+    assert json.loads(json.dumps(out, allow_nan=False)) == out
