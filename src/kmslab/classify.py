@@ -356,7 +356,6 @@ def classify(
     is_elliptic = global_min > tol * global_max
 
     basis = None
-    trace = []
     for i in range(s.shape[0]):
         r = int(ranks[i])
         image = u[i][:, :r]
@@ -364,10 +363,9 @@ def classify(
             basis = image
         else:
             basis = subspace_intersection(basis, image)
-        trace.append(basis.shape[1])
         if basis.shape[1] == 0:
             break
-    residual_dim = trace[-1] if trace else spec.l
+    residual_dim = spec.l if basis is None else basis.shape[1]
 
     return ClassificationReport(
         operator=spec.name,

@@ -22,15 +22,11 @@ import numpy as np
 from . import __version__
 from .binio import write_field
 from .classify import SphereSampling, classify, classify_on_kernel, is_c_elliptic
-from .operators import (
-    CONVENTIONS,
-    PARTMAP_ALIASES,
-    catalog_operator,
-    catalog_partmap,
-)
+from .operators import CONVENTIONS, catalog_operator
 from .specfile import (
     ConfigError,
     SpecFileError,
+    _resolve_partmap,
     _user_value,
     load_verify_config,
     parse_operator_file,
@@ -109,20 +105,6 @@ def _load_operator(args):
         except (KeyError, ValueError) as exc:
             raise ConfigError("catalog", str(exc)) from None
     raise ConfigError("spec", "one of --spec or --catalog is required")
-
-
-def _resolve_partmap(flag, name, spec):
-    """The part map `name` for the operator spec; flag names the option."""
-    try:
-        key = PARTMAP_ALIASES.get(name, name)
-        part = catalog_partmap(key, spec.n, dim=spec.d if key in ("identity", "zero") else None)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(flag, str(exc)) from None
-    if part.d != spec.d:
-        raise ConfigError(
-            flag, f"part map {part.name} acts on R^{part.d} but {spec.name} on R^{spec.d}"
-        )
-    return part
 
 
 def cmd_classify(args):
@@ -207,7 +189,7 @@ def cmd_demo_necessity(args):
 def cmd_crosscheck(args):
     grid = _grid(3, args.grid) if args.grid is not None else None
     result = _user_value(
-        {"eval_points": "points", "width": "width"},
+        {"eval_points": "points", "width": "width", "grid": "grid"},
         curl_riesz_crosscheck,
         mode=args.mode,
         grid=grid,

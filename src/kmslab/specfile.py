@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .operators import (
+    PARTMAP_ALIASES,
     ArgumentError,
     MultiIndex,
     OperatorSpec,
@@ -36,7 +37,7 @@ from .operators import (
     check_count,
 )
 from .torus import TorusGrid
-from .verify import INEQUALITY_IDS, InequalityConfig
+from .verify import InequalityConfig
 
 __all__ = [
     "SpecFileError",
@@ -80,6 +81,23 @@ def _user_value(flags, build, *args, **kwargs):
         if exc.argument not in flags:
             raise
         raise ConfigError(flags[exc.argument], str(exc)) from None
+
+
+def _resolve_partmap(flag, name, spec):
+    """The part map `name` for the operator spec; flag names the option or key.
+
+    identity and zero take the operator's fiber dimension.
+    """
+    try:
+        key = PARTMAP_ALIASES.get(name, name)
+        part = catalog_partmap(key, spec.n, dim=spec.d if key in ("identity", "zero") else None)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(flag, str(exc)) from None
+    if part.d != spec.d:
+        raise ConfigError(
+            flag, f"part map {part.name} acts on R^{part.d} but {spec.name} on R^{spec.d}"
+        )
+    return part
 
 
 def _parse_int(token, line, field):
@@ -228,8 +246,6 @@ def load_verify_config(path):
         return val
 
     ident = need("inequality", str, "a string")
-    if ident not in INEQUALITY_IDS:
-        raise ConfigError("inequality", f"unknown id {ident!r}; known: {list(INEQUALITY_IDS)}")
     n = need("n", int, "an integer")
     grid_size = need("grid_size", int, "an integer")
     p = float(need("p", (int, float), "a number"))
@@ -250,17 +266,11 @@ def load_verify_config(path):
         if operator.n != n:
             raise ConfigError("operator", f"operator dimension {operator.n} != config n={n}")
 
-    part = None
-    part_entry = doc.get("partmap")
-    if ident != "korn_ell":
-        if not isinstance(part_entry, str):
-            raise ConfigError("partmap", f"{ident} needs a part map name")
-        try:
-            part = catalog_partmap(part_entry, n, dim=operator.d if part_entry in ("identity", "zero", "id") else None)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("partmap", str(exc)) from None
-    elif part_entry is not None:
-        raise ConfigError("partmap", "korn_ell takes no part map (use null)")
+    part = doc.get("partmap")
+    if part is not None:
+        if not isinstance(part, str):
+            raise ConfigError("partmap", "expected a part map name or null")
+        part = _resolve_partmap("partmap", part, operator)
 
     correction = doc.get("correction")
     if correction is not None and not isinstance(correction, bool):

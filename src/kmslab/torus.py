@@ -168,20 +168,20 @@ class TorusGrid:
         pts.setflags(write=False)
         return pts
 
-    def frequency_list(self, skip_nyquist=True, canonical=False):
-        """Flat (count, n) array of the nonzero grid frequencies.
+    @cached_property
+    def canonical_frequencies(self) -> np.ndarray:
+        """Flat (count, n) array of the nonzero frequencies without a Nyquist coordinate.
 
-        canonical=True keeps one representative of each {xi, -xi} pair (the
-        lexicographically positive one), which suffices for real fields.
+        One representative of each {xi, -xi} pair (the lexicographically
+        positive one) is kept, which suffices for real fields; the order is
+        that of frequency_grid.
         """
         flat = self.frequency_grid.reshape(-1, self.n)
-        keep = np.any(flat != 0, axis=1)
-        if skip_nyquist:
-            keep &= ~np.any(flat == -self.points_per_axis // 2, axis=1)
+        keep = np.any(flat != 0, axis=1) & ~np.any(flat == -self.points_per_axis // 2, axis=1)
         flat = flat[keep]
-        if canonical:
-            lead = flat[np.arange(flat.shape[0]), np.argmax(flat != 0, axis=1)]
-            flat = flat[lead > 0]
+        lead = flat[np.arange(flat.shape[0]), np.argmax(flat != 0, axis=1)]
+        flat = flat[lead > 0]
+        flat.setflags(write=False)
         return flat
 
 
@@ -467,12 +467,11 @@ def random_bandlimited(
     d: int,
     cutoff: int,
     seed: int | np.random.SeedSequence,
-    normalize: bool = True,
 ) -> TensorField:
     """Zero-mean random field supported on frequencies with |xi_j| <= cutoff.
 
     Deterministic given the seed (a non-negative integer or a SeedSequence);
-    normalized to unit L^2 norm by default.
+    normalized to unit L^2 norm.
     """
     if not 1 <= cutoff < grid.points_per_axis // 2:
         raise ArgumentError("cutoff", "cutoff must satisfy 1 <= cutoff < M/2")
@@ -486,10 +485,9 @@ def random_bandlimited(
     hat *= keep[..., None]
     vals = np.fft.irfftn(hat, s=grid.shape, axes=_axes(grid))
     field = TensorField(grid, vals)
-    if normalize:
-        nrm = lp_norm(field, 2)
-        if nrm > 0:
-            field = field * (1.0 / nrm)
+    nrm = lp_norm(field, 2)
+    if nrm > 0:
+        field = field * (1.0 / nrm)
     return field
 
 

@@ -69,12 +69,10 @@ __all__ = [
     "RefinementStudy",
     "NecessityDemoResult",
     "CrosscheckResult",
-    "ProbeResult",
     "trial_ratio",
     "kms_sides",
     "run_trial",
     "single_frequency_trial",
-    "worst_vector",
     "search_kernel_witness",
     "estimate_constant",
     "refinement_study",
@@ -153,7 +151,7 @@ class InequalityConfig:
             raise ArgumentError("grid", "operator and grid dimensions differ")
         if ident == "korn_ell":
             if self.part is not None:
-                raise ArgumentError("part", "korn_ell has no pointwise part; pass part=None")
+                raise ArgumentError("part", "korn_ell takes no part map")
         else:
             if self.part is None:
                 raise ArgumentError("part", f"{ident} needs a part map (use the zero map for A = 0)")
@@ -410,28 +408,17 @@ def _plane_wave_descriptor(xi, v, generator) -> dict:
     }
 
 
-def worst_vector(config: InequalityConfig, xi):
-    """Adversarial fiber vector for a single frequency, found by SVD.
-
-    Maximizes |L v| / |S v| with L the (scaled) left side and S the stacked
-    right-side matrix; when S has a null direction that the left side does
-    not annihilate, that direction is returned with an infinity flag.
-    """
-    freqs = np.asarray(xi, dtype=float)[None]
-    desc = config.correction_descriptor
-    cmats = None if desc is None else np.real(desc.on_frequencies(freqs))
-    vs, flags, _ = _sweep_vectors(config, freqs, cmats)
-    return vs[0], bool(flags[0])
-
-
 def _sweep_vectors(config, freqs, cmats):
-    """Vectorized worst_vector over a (F, n) stack of frequencies.
+    """Adversarial fiber vectors for a (F, n) stack of frequencies, found by SVD.
 
-    cmats holds the real part of the correction at each frequency (None
-    without correction).  Returns (vectors, flags, ratios); ratios[i] is the
-    plane-wave trial ratio of single_frequency_trial(config, freqs[i],
-    vectors[i]), computed from the same batched symbols instead of one
-    evaluation per frequency.  Per frequency, only the stacked right side S
+    Per frequency, v maximizes |L v| / |S v| with L the (scaled) left side
+    and S the stacked right-side matrix; where S has a null direction that
+    the left side does not annihilate, v is that direction and its flag is
+    set (an infinite ratio).  cmats holds the real part of the correction
+    at each frequency (None without correction).  Returns (vectors, flags,
+    ratios); ratios[i] is the plane-wave trial ratio of
+    single_frequency_trial(config, freqs[i], vectors[i]), computed from the
+    same batched symbols instead of one evaluation per frequency.  Only S
     and L S^+ are factorised with singular vectors; the null gain L N is
     factorised only where its Frobenius norm could flag it.
     """
@@ -519,7 +506,7 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
     Returns (xi, v) or None; the scan order (by |xi|, then lexicographic)
     makes the result deterministic.
     """
-    freqs = grid.frequency_list(canonical=True)
+    freqs = grid.canonical_frequencies
     norm2 = np.sum(freqs.astype(float) ** 2, axis=1)
     keys = [freqs[:, j] for j in reversed(range(freqs.shape[1]))] + [norm2]
     freqs = freqs[np.lexsort(tuple(keys))]
@@ -550,7 +537,6 @@ class FieldFamily(Report):
 
     sweep: bool = True
     random_trials: int = 50
-    random_cutoff: int | None = None
     bump_widths: tuple = (0.4, 0.8)
     witness: bool = True
 
@@ -678,7 +664,7 @@ def _sweep(config):
     """
     grid, desc = config.grid, config.correction_descriptor
     table = None if desc is None else desc.grid_table(grid)
-    freqs = grid.frequency_list(canonical=True)
+    freqs = grid.canonical_frequencies
     members = np.arange(freqs.shape[0])
 
     def sweep(idx):
@@ -773,9 +759,7 @@ def estimate_constant(
         rows.append(("sweep", ratios, counts,
                      lambda i: _plane_wave_descriptor(freqs[i], vs[i], "plane_wave")))
 
-    cutoff = family.random_cutoff
-    if cutoff is None:
-        cutoff = max(1, grid.points_per_axis // 4)
+    cutoff = max(1, grid.points_per_axis // 4)
     for t in range(family.random_trials):
         add_field(
             "random",
@@ -819,15 +803,16 @@ def estimate_constant(
 
 
 def _check_sizes(sizes) -> list:
-    """sizes as a list; ArgumentError("sizes") unless non-empty, increasing, even and >= 4."""
+    """sizes as a list; ArgumentError("sizes") unless non-empty, even, >= 4 and strictly increasing."""
     try:
         sizes = list(sizes)
     except TypeError:
         raise ArgumentError("sizes", f"sizes must be a list of grid sizes, got {sizes!r}") from None
     even = all(isinstance(m, (int, np.integer)) and m % 2 == 0 and m >= 4 for m in sizes)
-    if not sizes or not even or sorted(sizes) != sizes:
+    increasing = all(lo < hi for lo, hi in zip(sizes, sizes[1:]))
+    if not sizes or not even or not increasing:
         raise ArgumentError(
-            "sizes", "sizes must be a non-empty list of increasing even integers >= 4"
+            "sizes", "sizes must be a non-empty list of strictly increasing even integers >= 4"
         )
     return sizes
 
@@ -853,9 +838,9 @@ def refinement_study(
 ) -> RefinementStudy:
     """Re-estimate the constant on successively finer grids.
 
-    Random-field cutoffs scale with the grid (M // 4) unless the family
-    pins them.  A grid-stable maximum ratio is the discrete proxy for the
-    inequality holding with a grid-independent constant.
+    Random-field cutoffs scale with the grid (max(1, M // 4)).  A
+    grid-stable maximum ratio is the discrete proxy for the inequality
+    holding with a grid-independent constant.
     """
     sizes = _check_sizes(sizes)
     estimates = []
@@ -910,8 +895,9 @@ def necessity_demo(
     correction is unnecessary on this grid, the constant-rank inequality
     degenerates to the elliptic one, and that is reported instead.
     """
-    if not 1 < p < grid.n:
-        raise ArgumentError("p", f"need 1 < p < n, got p={p}, n={grid.n}")
+    base = dict(inequality_id="korn_const", operator=spec, part=part, p=p, grid=grid)
+    uncorrected_cfg = InequalityConfig(**base, correction_enabled=False)
+    corrected_cfg = InequalityConfig(**base, correction_enabled=True)
     found = search_kernel_witness(part, spec, grid)
     if found is None:
         return NecessityDemoResult(
@@ -927,11 +913,6 @@ def necessity_demo(
         )
     xi, v = found
     fld = plane_wave_field(grid, xi, v)
-    base = dict(
-        inequality_id="korn_const", operator=spec, part=part, p=p, grid=grid
-    )
-    uncorrected_cfg = InequalityConfig(**base, correction_enabled=False)
-    corrected_cfg = InequalityConfig(**base, correction_enabled=True)
     descriptor = _plane_wave_descriptor(xi, v, "witness_plane_wave")
     return NecessityDemoResult(
         found=True,
@@ -978,7 +959,6 @@ _BUMP_MATRIX = np.array(
 
 
 def curl_riesz_crosscheck(
-    field: TensorField | None = None,
     mode: str = "symbol",
     grid: TorusGrid | None = None,
     eval_points: int = 10,
@@ -1010,7 +990,8 @@ def curl_riesz_crosscheck(
 
     if mode == "symbol":
         g = grid or TorusGrid(3, 16)
-        freqs = g.frequency_list(skip_nyquist=False).astype(float)
+        # every nonzero frequency: the zero frequency leads the grid
+        freqs = g.frequency_grid.reshape(-1, 3)[1:].astype(float)
         table = np.real(full_desc.on_frequencies(freqs))
         units = freqs / np.linalg.norm(freqs, axis=1)[:, None]
         proj = np.einsum("fi,fj->fij", units, units)
@@ -1039,16 +1020,14 @@ def curl_riesz_crosscheck(
         )
 
     g = grid or TorusGrid(3, 32)
-    if field is None:
-        center = np.full(3, math.pi)
-        field = bump_field(g, center, width, _BUMP_MATRIX.reshape(9))
-    else:
-        g = field.grid
-    if field.fiber_dim != 9:
-        raise ValueError("quadrature mode needs a 3x3 matrix field (fiber 9)")
-    if not field.is_zero_mean:
-        raise PreconditionError("quadrature mode needs a zero-mean field")
-
+    half = g.points_per_axis // 2
+    offsets = _EVAL_OFFSETS[:eval_points]
+    reach = max(max(o) for o in offsets)
+    if half + reach >= g.points_per_axis:
+        raise ArgumentError(
+            "grid", f"{eval_points} evaluation points need at least {2 * reach + 2} points per axis"
+        )
+    field = bump_field(g, np.full(3, math.pi), width, _BUMP_MATRIX.reshape(9))
     corr = apply_multiplier(full_desc, field)
     div_op = catalog_operator("div_matrix_rowwise", 3)
     source = apply_operator(div_op, apply_partmap(dev, field))
@@ -1056,11 +1035,9 @@ def curl_riesz_crosscheck(
     prefactor = 1.0 / (3.0 * _unit_ball_volume(3))
     points = g.points
     gvals = source.values
-    half = g.points_per_axis // 2
     deviations = []
     magnitudes = []
-    pairs = []
-    for offset in _EVAL_OFFSETS[:eval_points]:
+    for offset in offsets:
         idx = tuple(half + o for o in offset)
         x = points[idx]
         disp = x - points
@@ -1075,7 +1052,6 @@ def curl_riesz_crosscheck(
         spectral = corr.values[idx].reshape(3, 3)
         deviations.append(float(np.linalg.norm(quad - spectral)))
         magnitudes.append(float(np.linalg.norm(spectral)))
-        pairs.append({"index": list(idx), "quadrature": quad.reshape(9).tolist()})
     scale = max(magnitudes)
     deviation = max(deviations) / scale if scale > 0 else 0.0
     return CrosscheckResult(
@@ -1094,29 +1070,21 @@ def curl_riesz_crosscheck(
 # p = 1 probe
 # --------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class ProbeResult(Report):
-    sizes: list
-    max_ratios: list
-    growth_fractions: list
-    hypotheses_met: bool
-    hypotheses_note: str
-    estimates: list
-
-
 def p1_probe(
     part: PartMap,
     spec: OperatorSpec,
     sizes,
     family: FieldFamily | None = None,
     seed: int = 0,
-) -> ProbeResult:
+) -> RefinementStudy:
     """Boundedness probe of the constant-rank inequality at p = 1.
 
     The exponent is p* = n/(n-1).  Boundedness across refinements is
     reported as an observed property, never a proof; when the constant-rank
     or cancelling hypothesis fails on ker(A) the probe still runs and flags
-    the verdict as outside the theorem hypotheses.
+    the verdict as outside the theorem hypotheses.  The result is the
+    korn_const_p1 refinement study; each estimate carries the hypothesis
+    check, which does not depend on the grid.
     """
     sizes = _check_sizes(sizes)
     base = InequalityConfig(
@@ -1126,14 +1094,4 @@ def p1_probe(
         p=1.0,
         grid=TorusGrid(spec.n, sizes[0]),
     )
-    study = refinement_study(base, sizes, family=family, seed=seed, enforce=False)
-    # the hypotheses do not depend on the grid: every estimate carries the same
-    first = study.estimates[0]
-    return ProbeResult(
-        sizes=sizes,
-        max_ratios=study.max_ratios,
-        growth_fractions=study.growth_fractions,
-        hypotheses_met=first.hypotheses_met,
-        hypotheses_note=first.hypotheses_note,
-        estimates=study.estimates,
-    )
+    return refinement_study(base, sizes, family=family, seed=seed, enforce=False)

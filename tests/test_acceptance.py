@@ -228,7 +228,7 @@ def test_criterion_09_p1_probe():
     curl = catalog_operator("curl_matrix_rowwise", 3)
     tr = catalog_partmap("tr", 3)
     probe = p1_probe(tr, curl, [8, 16, 32], family=FieldFamily(random_trials=20), seed=11)
-    assert probe.hypotheses_met
+    assert probe.estimates[0].hypotheses_met
     assert all(not math.isinf(r) for r in probe.max_ratios)
     growths = [g for g in probe.growth_fractions if not math.isnan(g)]
     assert all(g < 0.25 for g in growths)

@@ -55,6 +55,7 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
     [
         ("refine", ["verify", "--refine", "16,8"]),
         ("refine", ["verify", "--refine", "8,10,13"]),
+        ("refine", ["verify", "--refine", "8,8"]),
         ("refine", ["verify", "--refine", ","]),
         ("refine", ["verify", "--refine", ""]),
         ("refine", ["classify", *CURLVEC, "--complex", "--refine", "-1"]),
@@ -67,6 +68,8 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
         ("p", ["demo", "necessity", "--A", "sym", "--B", "curl3", "--grid", "8", "--p", "3.5"]),
         ("points", ["crosscheck", "curl-riesz", "--points", "0"]),
         ("grid", ["crosscheck", "curl-riesz", "--grid", "0"]),
+        ("grid", ["crosscheck", "curl-riesz", "--mode", "quadrature", "--grid", "4"]),
+        ("grid", ["crosscheck", "curl-riesz", "--mode", "quadrature", "--grid", "6"]),
         ("width", ["crosscheck", "curl-riesz", "--mode", "quadrature", "--width", "-1"]),
         ("width", ["crosscheck", "curl-riesz", "--mode", "symbol", "--width", "-1"]),
         ("width", [*BUMP, "--value", "1", "--width", "0"]),

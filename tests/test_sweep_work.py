@@ -96,7 +96,7 @@ def reference_flags_and_vectors(cfg, freqs, cmats, null_tol=1e-12):
 
 def reference_witness(part, spec, grid, tol=1e-10):
     """Lowest witness with every frequency factorised with singular vectors."""
-    freqs = grid.frequency_list(canonical=True)
+    freqs = grid.canonical_frequencies
     norm2 = np.sum(freqs.astype(float) ** 2, axis=1)
     keys = [freqs[:, j] for j in reversed(range(freqs.shape[1]))] + [norm2]
     freqs = freqs[np.lexsort(tuple(keys))]
@@ -119,7 +119,7 @@ def correction_on_frequencies(cfg, freqs):
 @pytest.mark.parametrize("ident,part_name,p,correction", PART_CASES, ids=CASE_IDS)
 def test_pruned_null_gain_matches_unpruned_reference(ident, part_name, p, correction, m):
     cfg = make_config(ident, part_name, p, correction, m)
-    freqs = cfg.grid.frequency_list(canonical=True).astype(float)
+    freqs = cfg.grid.canonical_frequencies.astype(float)
     cmats = correction_on_frequencies(cfg, freqs)
     vs, flags, _ = _sweep_vectors(cfg, freqs, cmats)
     want_flags, want_vs = reference_flags_and_vectors(cfg, freqs, cmats)
@@ -140,7 +140,7 @@ def test_pruned_null_gain_matches_unpruned_reference(ident, part_name, p, correc
 )
 def test_sweep_correction_read_from_the_grid_table(ident, part_name, p, m):
     cfg = make_config(ident, part_name, p, None, m)
-    freqs = cfg.grid.frequency_list(canonical=True)
+    freqs = cfg.grid.canonical_frequencies
     table = cfg.correction_descriptor.grid_table(cfg.grid)
     got = _table_correction(cfg.grid, table, freqs)
     want = correction_on_frequencies(cfg, freqs.astype(float))
@@ -212,7 +212,7 @@ def test_untrusted_representatives_are_swept_once(sweep_calls, ident):
     freqs, _, ratios, counts = _sweep(cfg)
     assert sweep_calls[0] == 119
     assert sum(sweep_calls) == 1687
-    assert np.array_equal(freqs, cfg.grid.frequency_list(canonical=True))
+    assert np.array_equal(freqs, cfg.grid.canonical_frequencies)
     assert np.all(counts == 1)
     assert np.array_equal(ratios, full_sweep(cfg)[2])
 
@@ -253,7 +253,7 @@ def full_sweep(cfg):
     """(freqs, vectors, ratios) at every canonical frequency, chunk by chunk in canonical order."""
     grid, desc = cfg.grid, cfg.correction_descriptor
     table = None if desc is None else desc.grid_table(grid)
-    freqs = grid.frequency_list(canonical=True)
+    freqs = grid.canonical_frequencies
     out = []
     for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
         chunk = freqs[lo : lo + SWEEP_CHUNK]

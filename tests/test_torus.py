@@ -47,11 +47,14 @@ class TestTorusGrid:
                 continue
             assert tuple(-c for c in f) in freqs
 
-    def test_frequency_list_canonical_halves(self):
+    def test_canonical_frequencies_halves(self):
         for n, m in [(1, 4), (1, 10), (2, 8), (3, 6), (4, 4)]:
             grid = TorusGrid(n, m)
-            full = grid.frequency_list()
-            canon = grid.frequency_list(canonical=True)
+            flat = grid.frequency_grid.reshape(-1, n)
+            full = flat[np.any(flat != 0, axis=1) & ~np.any(flat == -(m // 2), axis=1)]
+            canon = grid.canonical_frequencies
+            assert not canon.flags.writeable
+            assert grid.canonical_frequencies is canon
             assert full.shape[0] == 2 * canon.shape[0]
             # the representative of {xi, -xi} is the one whose leading nonzero is positive
             leading_positive = [xi for xi in full if next(c for c in xi if c != 0) > 0]
@@ -90,7 +93,7 @@ class TestTransform:
 
     def test_parseval_direct_sum_oracle(self):
         grid = TorusGrid(2, 16)
-        f = random_bandlimited(grid, 3, 5, seed=1, normalize=False)
+        f = random_bandlimited(grid, 3, 5, seed=1)
         direct = math.sqrt(np.sum(np.linalg.norm(f.values, axis=-1) ** 2) * grid.cell_volume)
         assert lp_norm(f, 2) == pytest.approx(direct, rel=1e-13)
         coef = transform(f).coefficients
@@ -98,7 +101,7 @@ class TestTransform:
 
     def test_real_field_spectrum_conjugate_symmetric(self):
         grid = TorusGrid(2, 8)
-        f = random_bandlimited(grid, 2, 3, seed=20, normalize=False)
+        f = random_bandlimited(grid, 2, 3, seed=20)
         coef = transform(f).coefficients
         for idx in np.ndindex(*grid.shape):
             xi = grid.frequency_grid[idx]
@@ -282,8 +285,8 @@ class TestNegativeSobolev:
 
     def test_duality_cauchy_schwarz(self):
         grid = TorusGrid(2, 16)
-        f = random_bandlimited(grid, 1, 5, seed=13, normalize=False)
-        g = random_bandlimited(grid, 1, 5, seed=14, normalize=False)
+        f = random_bandlimited(grid, 1, 5, seed=13)
+        g = random_bandlimited(grid, 1, 5, seed=14)
         inner = float(np.sum(f.values * g.values)) * grid.cell_volume
         for s in (1, 2):
             bound = negative_sobolev_norm_l2(f, float(s)) * homog_sobolev_norm(g, s, 2.0)

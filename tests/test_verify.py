@@ -30,9 +30,8 @@ from kmslab.verify import (
     search_kernel_witness,
     single_frequency_trial,
     trial_ratio,
-    worst_vector,
 )
-from kmslab.verify import _sweep
+from kmslab.verify import _sweep, _sweep_vectors
 
 
 def small_family(trials=5):
@@ -254,7 +253,7 @@ class TestBatchedSweep:
         assert sum(sweep_calls) == orbits
         assert (len(sweep_calls) > 1) == (m == 40)
         # one representative per orbit, the first canonical frequency of its sorted |xi|
-        canonical = grid.frequency_list(canonical=True)
+        canonical = grid.canonical_frequencies
         keys = np.sort(np.abs(canonical), axis=1)
         _, first, size = np.unique(keys, axis=0, return_index=True, return_counts=True)
         order = np.argsort(first)
@@ -325,12 +324,20 @@ class TestWitnessAndNecessity:
         demo = necessity_demo(catalog_partmap("identity", 3), curl, grid16)
         assert not demo.found
 
+    @staticmethod
+    def sweep_vector(cfg, xi):
+        freqs = np.asarray(xi, dtype=float)[None]
+        desc = cfg.correction_descriptor
+        cmats = None if desc is None else np.real(desc.on_frequencies(freqs))
+        vs, flags, _ = _sweep_vectors(cfg, freqs, cmats)
+        return vs[0], bool(flags[0])
+
     def test_worst_vector_flags_uncorrected_witness(self, grid8, curl):
         tr = catalog_partmap("tr", 3)
         cfg = InequalityConfig(
             "korn_const", curl, tr, 2.0, grid8, correction_enabled=False
         )
-        v, flag = worst_vector(cfg, np.array([0.0, 0.0, 1.0]))
+        v, flag = self.sweep_vector(cfg, [0, 0, 1])
         assert flag
         trial = single_frequency_trial(cfg, np.array([0, 0, 1]), v)
         assert math.isinf(trial.ratio)
@@ -338,7 +345,7 @@ class TestWitnessAndNecessity:
     def test_worst_vector_finite_when_corrected(self, grid8, curl):
         tr = catalog_partmap("tr", 3)
         cfg = InequalityConfig("korn_const", curl, tr, 2.0, grid8)
-        v, flag = worst_vector(cfg, np.array([0.0, 0.0, 1.0]))
+        v, flag = self.sweep_vector(cfg, [0, 0, 1])
         assert not flag
         trial = single_frequency_trial(cfg, np.array([0, 0, 1]), v)
         assert trial.ratio < 10.0
@@ -528,18 +535,21 @@ class TestCrosscheck:
         res = curl_riesz_crosscheck(mode="quadrature", grid=TorusGrid(3, 16), eval_points=4)
         assert res.max_relative_deviation <= 0.2
 
-    def test_pure_trace_field_gives_zero(self):
-        grid = TorusGrid(3, 16)
-        from kmslab.torus import bump_field
+    @pytest.mark.parametrize("m,points", [(4, 3), (4, 10), (6, 5), (6, 10)])
+    def test_quadrature_point_off_the_grid_names_grid(self, m, points):
+        with pytest.raises(ArgumentError) as err:
+            curl_riesz_crosscheck(mode="quadrature", grid=TorusGrid(3, m), eval_points=points)
+        assert err.value.argument == "grid"
 
-        f = bump_field(grid, np.full(3, math.pi), 0.5, np.eye(3).reshape(9))
-        res = curl_riesz_crosscheck(field=f, mode="quadrature", grid=grid, eval_points=3)
-        assert res.details["max_spectral_magnitude"] <= 1e-12
-        assert res.max_relative_deviation == 0.0
+    def test_quadrature_largest_point_count_per_grid(self):
+        # point 3, (2, 0, 1), leaves M = 4 and point 5, (1, 2, 3), leaves M = 6
+        for m, points in [(4, 2), (6, 4), (8, 10)]:
+            res = curl_riesz_crosscheck(mode="quadrature", grid=TorusGrid(3, m), eval_points=points)
+            assert res.details["eval_points"] == points
 
 
 class TestP1Probe:
-    @pytest.mark.parametrize("sizes", [[], [7, 8]])
+    @pytest.mark.parametrize("sizes", [[], [7, 8], [8, 8]])
     def test_bad_sizes_named(self, curl, sizes):
         with pytest.raises(ArgumentError) as err:
             p1_probe(catalog_partmap("tr", 3), curl, sizes)
@@ -550,7 +560,7 @@ class TestP1Probe:
         grad = catalog_operator("gradient", 3)
         zero = catalog_partmap("zero", 3, dim=1)
         probe = p1_probe(zero, grad, [8, 16], family=small_family(), seed=0)
-        assert probe.hypotheses_met
+        assert probe.estimates[0].hypotheses_met
         assert all(r < 5.0 for r in probe.max_ratios)
 
     def test_classifies_once_per_size(self, monkeypatch, curl):
@@ -565,8 +575,8 @@ class TestP1Probe:
         monkeypatch.setattr(verify, "check_hypotheses", counting)
         probe = p1_probe(catalog_partmap("tr", 3), curl, [8, 16], family=small_family(1))
         assert checked == [8, 16]
-        assert probe.hypotheses_met
-        assert probe.hypotheses_note == probe.estimates[0].hypotheses_note
+        assert all(e.hypotheses_met for e in probe.estimates)
+        assert probe.estimates[1].hypotheses_note == probe.estimates[0].hypotheses_note
 
     def test_exponent_is_n_over_n_minus_one(self, grid8, curl):
         tr = catalog_partmap("tr", 3)
