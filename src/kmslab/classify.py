@@ -316,6 +316,16 @@ def _vacuous_report(spec, sampling, tol):
     )
 
 
+def _sigma_min(spec, s):
+    """The smallest of the d singular values of each symbol, from the (..., min(l, d)) stack s.
+
+    A wide symbol (l < d) is never injective, so its value is 0.
+    """
+    if spec.l >= spec.d:
+        return s[..., -1]
+    return np.zeros(s.shape[:-1])
+
+
 def classify(
     spec: OperatorSpec,
     sampling: SphereSampling | None = None,
@@ -340,11 +350,7 @@ def classify(
     symbols = symbol_on_frequencies(spec, sampling.points)
     u, s, _ = np.linalg.svd(symbols)
     per_max = s[:, 0]
-    # smallest of d singular values; a wide matrix (l < d) is never injective
-    if spec.l >= spec.d:
-        per_min = s[:, -1]
-    else:
-        per_min = np.zeros(s.shape[0])
+    per_min = _sigma_min(spec, s)
     ranks = np.sum(s > tol * per_max[:, None], axis=1)
 
     global_max = float(np.max(per_max))
@@ -396,13 +402,6 @@ def classify_on_kernel(
     return classify(restrict_symbol(spec, part), sampling=sampling, tol=tol)
 
 
-def _sigma_min(spec, point):
-    s = np.linalg.svd(symbol_on_frequencies(spec, point[None])[0], compute_uv=False)
-    if spec.l >= spec.d and s.size:
-        return float(s[-1])
-    return 0.0
-
-
 def is_c_elliptic(
     spec: OperatorSpec,
     sampling: SphereSampling | None = None,
@@ -429,7 +428,7 @@ def is_c_elliptic(
     symbols = symbol_on_frequencies(spec, sampling.points)
     s = np.linalg.svd(symbols, compute_uv=False)
     per_max = s[:, 0]
-    per_min = s[:, -1] if spec.l >= spec.d else np.zeros(s.shape[0])
+    per_min = _sigma_min(spec, s)
     global_max = float(np.max(per_max))
     order = np.argsort(per_min)
     best_idx = int(order[0])
@@ -447,7 +446,8 @@ def is_c_elliptic(
             nrm = np.linalg.norm(z)
             if nrm == 0:
                 return global_max
-            return _sigma_min(spec, z / nrm)
+            symbol = symbol_on_frequencies(spec, (z / nrm)[None])[0]
+            return float(_sigma_min(spec, np.linalg.svd(symbol, compute_uv=False)))
 
         for idx in order[: min(4, len(order))]:
             z0 = sampling.points[int(idx)]

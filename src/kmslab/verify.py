@@ -14,10 +14,13 @@ through a pointwise part A[P] plus a differential part B P:
 The empirical constant of an inequality is estimated over three field
 families: an exhaustive single-frequency sweep (with the adversarial fiber
 vector picked per frequency by an SVD subproblem), random band-limited
-fields, and localized bumps.  Single-frequency trials are evaluated in
-closed form: for P = cos(x.xi) v every norm in play factorizes into an
-algebraic fiber part and a scalar profile norm that depends only on
-M / gcd(xi, M), so the sweep costs small dense linear algebra per frequency.
+fields, and localized bumps.  Every plane wave (the sweep, the kernel
+witness, the necessity demo) is evaluated in closed form: for
+P = cos(x.xi) v every norm in play factorizes into an algebraic fiber part
+and a scalar profile norm that depends only on M / gcd(xi, M), and the
+correction is its symbol at xi, so a plane wave costs small dense linear
+algebra and no FFT.  Random and bump fields go through kms_sides, the only
+reader of the half-grid correction table.
 The sweep evaluates one frequency per orbit and counts it for every
 canonical member.  An orbit is a signed-permutation orbit of Z^n where a
 symmetry check proves the sweep ratio constant on those orbits, and a single
@@ -54,7 +57,6 @@ from .torus import (
     apply_partmap,
     bump_field,
     lp_norm,
-    plane_wave_field,
     random_bandlimited,
     sobolev_conjugate,
 )
@@ -71,7 +73,6 @@ __all__ = [
     "CrosscheckResult",
     "trial_ratio",
     "kms_sides",
-    "run_trial",
     "single_frequency_trial",
     "search_kernel_witness",
     "estimate_constant",
@@ -317,11 +318,6 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
     return lhs, a_norm + b_hat.sobolev_norm(0, p)
 
 
-def run_trial(config: InequalityConfig, fld: TensorField, descriptor: dict) -> TrialResult:
-    lhs, rhs = kms_sides(config, fld)
-    return TrialResult(lhs, rhs, trial_ratio(lhs, rhs), descriptor, config.describe())
-
-
 # --------------------------------------------------------------------------
 # exact single-frequency trials
 # --------------------------------------------------------------------------
@@ -371,7 +367,9 @@ def single_frequency_trial(config: InequalityConfig, xi, v) -> TrialResult:
     """Exact trial for the plane wave P = cos(x.xi) v, no FFT involved.
 
     Agrees with the FFT path of kms_sides on plane_wave_field(xi, v) to
-    roundoff; the per-frequency reference for the batched sweep.
+    roundoff.  It evaluates the witness row of estimate_constant and both
+    trials of necessity_demo, and is the per-frequency reference for the
+    batched sweep.
     """
     xi = np.asarray(xi)
     v = np.asarray(v, dtype=float)
@@ -408,15 +406,15 @@ def _plane_wave_descriptor(xi, v, generator) -> dict:
     }
 
 
-def _sweep_vectors(config, freqs, cmats):
+def _sweep_vectors(config, freqs):
     """Adversarial fiber vectors for a (F, n) stack of frequencies, found by SVD.
 
     Per frequency, v maximizes |L v| / |S v| with L the (scaled) left side
     and S the stacked right-side matrix; where S has a null direction that
     the left side does not annihilate, v is that direction and its flag is
-    set (an infinite ratio).  cmats holds the real part of the correction
-    at each frequency (None without correction).  Returns (vectors, flags,
-    ratios); ratios[i] is the plane-wave trial ratio of
+    set (an infinite ratio).  The correction enters through the real part of
+    its symbol at these frequencies, evaluated in one batch.  Returns
+    (vectors, flags, ratios); ratios[i] is the plane-wave trial ratio of
     single_frequency_trial(config, freqs[i], vectors[i]), computed from the
     same batched symbols instead of one evaluation per frequency.  Only S
     and L S^+ are factorised with singular vectors; the null gain L N is
@@ -451,6 +449,7 @@ def _sweep_vectors(config, freqs, cmats):
 
     eye = np.eye(d)
     if config.correction_enabled:
+        cmats = np.real(config.correction_descriptor.on_frequencies(freqs))
         lmat = a[:, None, None] * (eye - cmats)
     else:
         lmat = a[:, None, None] * np.broadcast_to(eye, (count, d, d))
@@ -659,12 +658,10 @@ def _sweep(config):
     first member, whose ratio counts for all of its members.  An orbit whose
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT is
     untrusted: its representative keeps its ratio with count 1 and its other
-    members are swept one by one.  The correction is read from its
-    half-grid table, which kms_sides uses too.
+    members are swept one by one.  Every frequency is evaluated in closed
+    form by _sweep_vectors; no correction table is built.
     """
-    grid, desc = config.grid, config.correction_descriptor
-    table = None if desc is None else desc.grid_table(grid)
-    freqs = grid.canonical_frequencies
+    freqs = config.grid.canonical_frequencies
     members = np.arange(freqs.shape[0])
 
     def sweep(idx):
@@ -674,10 +671,8 @@ def _sweep(config):
         ratios = np.empty(idx.size)
         for lo in range(0, idx.size, SWEEP_CHUNK):
             part = slice(lo, lo + SWEEP_CHUNK)
-            chunk = freqs[idx[part]]
-            cmats = None if table is None else _table_correction(grid, table, chunk)
             vs[part], flags[part], ratios[part] = _sweep_vectors(
-                config, chunk.astype(float), cmats
+                config, freqs[idx[part]].astype(float)
             )
         return vs, flags, ratios
 
@@ -702,17 +697,6 @@ def _sweep(config):
     return freqs[units].astype(float), vs, ratios, counts
 
 
-def _table_correction(grid, table, freqs):
-    """Real part of the correction at integer canonical frequencies, from the half-grid table.
-
-    Canonical frequencies carry no Nyquist coordinate, so their bins hold
-    m(xi) itself; where xi_last < 0 the bin of -xi holds m(-xi) = conj m(xi),
-    whose real part is the same.
-    """
-    idx = np.where(freqs[:, -1:] < 0, -freqs, freqs) % grid.points_per_axis
-    return table[tuple(idx.T)].real
-
-
 def estimate_constant(
     config: InequalityConfig,
     family: FieldFamily | None = None,
@@ -730,9 +714,10 @@ def estimate_constant(
     orbits where _orbit_invariant proves the ratio constant on them, single
     frequencies otherwise; the other members of an orbit whose
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT are
-    evaluated one by one.  Every random, bump and witness field is one row,
-    evaluated as soon as it is generated.  When no witness exists the
-    witness row holds ratio 0.0.  Infinite ratios propagate to max_ratio and
+    evaluated one by one.  Every random and bump field is one row, evaluated
+    by kms_sides as soon as it is generated.  The witness plane wave is one
+    row, evaluated in closed form by single_frequency_trial; when no witness
+    exists it holds ratio 0.0.  Infinite ratios propagate to max_ratio and
     are counted separately.  A family that generates no trial for the
     config raises ArgumentError("family") before any classification.
     """
@@ -781,15 +766,12 @@ def estimate_constant(
     if witness:
         found = search_kernel_witness(config.part, config.operator, grid)
         if found is None:
-            missing = {"generator": "witness_plane_wave", "xi": None}
-            rows.append(("witness", [0.0], [1], lambda i: missing))
+            descriptor, ratio = {"generator": "witness_plane_wave", "xi": None}, 0.0
         else:
             xi, v = found
-            add_field(
-                "witness",
-                plane_wave_field(grid, xi, v),
-                _plane_wave_descriptor(xi, v, "witness_plane_wave"),
-            )
+            descriptor = _plane_wave_descriptor(xi, v, "witness_plane_wave")
+            ratio = single_frequency_trial(config, xi, v).ratio
+        rows.append(("witness", [ratio], [1], lambda i: descriptor))
 
     return ConstantEstimate(
         config=config.describe(),
@@ -891,7 +873,8 @@ def necessity_demo(
 
     Searches the grid for a frequency xi and unit v in ker(A) cap ker(B[xi]);
     the plane wave cos(x.xi) v then has vanishing right side while only the
-    corrected left side vanishes with it.  When no witness exists the
+    corrected left side vanishes with it.  Both trials are evaluated in
+    closed form by single_frequency_trial.  When no witness exists the
     correction is unnecessary on this grid, the constant-rank inequality
     degenerates to the elliptic one, and that is reported instead.
     """
@@ -912,15 +895,14 @@ def necessity_demo(
             corrected=None,
         )
     xi, v = found
-    fld = plane_wave_field(grid, xi, v)
     descriptor = _plane_wave_descriptor(xi, v, "witness_plane_wave")
     return NecessityDemoResult(
         found=True,
         message="witness found; uncorrected ratio diverges, corrected left side vanishes",
         xi=descriptor["xi"],
         v=descriptor["v"],
-        uncorrected=run_trial(uncorrected_cfg, fld, descriptor),
-        corrected=run_trial(corrected_cfg, fld, descriptor),
+        uncorrected=replace(single_frequency_trial(uncorrected_cfg, xi, v), field=descriptor),
+        corrected=replace(single_frequency_trial(corrected_cfg, xi, v), field=descriptor),
     )
 
 
@@ -982,6 +964,10 @@ def curl_riesz_crosscheck(
         raise ArgumentError("eval_points", "eval_points must lie in [1, 10]")
     if not width > 0:
         raise ArgumentError("width", "width must be positive")
+    if grid is not None and grid.n != 3:
+        raise ArgumentError(
+            "grid", f"the Curl correction is checked on a 3-D grid, got n = {grid.n}"
+        )
 
     op = catalog_operator("curl_matrix_rowwise", 3)
     part = catalog_partmap("tr", 3)

@@ -23,9 +23,9 @@ def sweep_calls(monkeypatch):
     calls = []
     sweep_vectors = verify._sweep_vectors
 
-    def counting(config, freqs, cmats):
+    def counting(config, freqs):
         calls.append(freqs.shape[0])
-        return sweep_vectors(config, freqs, cmats)
+        return sweep_vectors(config, freqs)
 
     monkeypatch.setattr(verify, "_sweep_vectors", counting)
     return calls

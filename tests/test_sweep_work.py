@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from kmslab.multipliers import MultiplierDescriptor
 from kmslab.operators import (
     MultiIndex,
     OperatorSpec,
@@ -37,7 +38,6 @@ from kmslab.verify import (
     _reduced_order,
     _sweep,
     _sweep_vectors,
-    _table_correction,
 )
 
 CURL = catalog_operator("curl_matrix_rowwise", 3)
@@ -121,30 +121,11 @@ def test_pruned_null_gain_matches_unpruned_reference(ident, part_name, p, correc
     cfg = make_config(ident, part_name, p, correction, m)
     freqs = cfg.grid.canonical_frequencies.astype(float)
     cmats = correction_on_frequencies(cfg, freqs)
-    vs, flags, _ = _sweep_vectors(cfg, freqs, cmats)
+    vs, flags, _ = _sweep_vectors(cfg, freqs)
     want_flags, want_vs = reference_flags_and_vectors(cfg, freqs, cmats)
     assert np.array_equal(flags, want_flags)
     assert np.array_equal(vs, want_vs)
     assert flags.any() == (correction is False)
-
-
-@pytest.mark.parametrize("m", [8, 16])
-@pytest.mark.parametrize(
-    "ident,part_name,p",
-    [
-        ("korn_const", "tr", 2.0),
-        ("korn_const2_p2", "tr", 2.0),
-        ("korn_const_p1", "tr", 1.0),
-        ("korn_const", "zero", 2.0),
-    ],
-)
-def test_sweep_correction_read_from_the_grid_table(ident, part_name, p, m):
-    cfg = make_config(ident, part_name, p, None, m)
-    freqs = cfg.grid.canonical_frequencies
-    table = cfg.correction_descriptor.grid_table(cfg.grid)
-    got = _table_correction(cfg.grid, table, freqs)
-    want = correction_on_frequencies(cfg, freqs.astype(float))
-    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("m", [8, 16])
@@ -225,7 +206,7 @@ def test_witness_scan_factorises_with_vectors_at_most_once(svd_with_vectors, par
     assert factorised == (0 if found is None else 1)
 
 
-def test_korn_const_p1_evaluates_the_correction_on_the_half_grid_only():
+def test_korn_const_p1_evaluates_each_correction_frequency_once():
     cfg = make_config("korn_const_p1", "tr", 1.0, None, 16)
     desc, grid = cfg.correction_descriptor, cfg.grid
     evaluated = []
@@ -237,8 +218,28 @@ def test_korn_const_p1_evaluates_the_correction_on_the_half_grid_only():
 
     desc.batch = counting
     estimate_constant(cfg, FieldFamily(random_trials=2, bump_widths=(0.5,)), seed=0)
+    # the sweep's 119 representatives in one batch, the half-grid table of the
+    # field trials with its Nyquist mirror, then the kernel witness
     nyquist_mirror = int(np.count_nonzero(np.any(grid.half_nyquist_mask, axis=-1)))
-    assert sum(evaluated) == int(np.prod(grid.half_shape)) + nyquist_mirror
+    assert evaluated[0] == 119
+    assert sum(evaluated[1:-1]) == int(np.prod(grid.half_shape)) + nyquist_mirror
+    assert evaluated[-1] == 1
+
+
+@pytest.mark.parametrize("ident,p", [("korn_const", 2.0), ("korn_const_p1", 1.0)])
+def test_sweep_only_family_builds_no_correction_table(monkeypatch, ident, p):
+    built = []
+    grid_table = MultiplierDescriptor.grid_table
+
+    def counting(self, grid):
+        built.append(grid.points_per_axis)
+        return grid_table(self, grid)
+
+    monkeypatch.setattr(MultiplierDescriptor, "grid_table", counting)
+    family = FieldFamily(random_trials=0, bump_widths=(), witness=False)
+    est = estimate_constant(make_config(ident, "tr", p, None, 16), family)
+    assert est.n_trials == 1687
+    assert built == []
 
 
 # --------------------------------------------------------------------------
@@ -251,14 +252,11 @@ FORCED_P = {"korn_const_p1": 1.0, "korn_const2_p2": 2.0}
 
 def full_sweep(cfg):
     """(freqs, vectors, ratios) at every canonical frequency, chunk by chunk in canonical order."""
-    grid, desc = cfg.grid, cfg.correction_descriptor
-    table = None if desc is None else desc.grid_table(grid)
-    freqs = grid.canonical_frequencies
+    freqs = cfg.grid.canonical_frequencies
     out = []
     for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
         chunk = freqs[lo : lo + SWEEP_CHUNK]
-        cmats = None if table is None else _table_correction(grid, table, chunk)
-        vs, _, ratios = _sweep_vectors(cfg, chunk.astype(float), cmats)
+        vs, _, ratios = _sweep_vectors(cfg, chunk.astype(float))
         out.append((chunk, vs, ratios))
     return tuple(np.concatenate(part) for part in zip(*out))
 

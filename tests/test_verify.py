@@ -26,7 +26,6 @@ from kmslab.verify import (
     necessity_demo,
     p1_probe,
     refinement_study,
-    run_trial,
     search_kernel_witness,
     single_frequency_trial,
     trial_ratio,
@@ -209,9 +208,9 @@ class TestSingleFrequencyExactness:
             v = rng.standard_normal(9)
             v /= np.linalg.norm(v)
             alg = single_frequency_trial(cfg, xi, v)
-            fft = run_trial(cfg, plane_wave_field(grid16, xi, v), {})
-            assert alg.lhs == pytest.approx(fft.lhs, rel=1e-10, abs=1e-12)
-            assert alg.rhs == pytest.approx(fft.rhs, rel=1e-10, abs=1e-12)
+            lhs, rhs = kms_sides(cfg, plane_wave_field(grid16, xi, v))
+            assert alg.lhs == pytest.approx(lhs, rel=1e-10, abs=1e-12)
+            assert alg.rhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_korn_ell_exactness(self, grid16):
         eps = catalog_operator("sym_gradient", 3)
@@ -220,9 +219,9 @@ class TestSingleFrequencyExactness:
         v = np.array([0.3, -1.0, 0.7])
         v /= np.linalg.norm(v)
         alg = single_frequency_trial(cfg, xi, v)
-        fft = run_trial(cfg, plane_wave_field(grid16, xi, v), {})
-        assert alg.lhs == pytest.approx(fft.lhs, rel=1e-10)
-        assert alg.rhs == pytest.approx(fft.rhs, rel=1e-10)
+        lhs, rhs = kms_sides(cfg, plane_wave_field(grid16, xi, v))
+        assert alg.lhs == pytest.approx(lhs, rel=1e-10)
+        assert alg.rhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestBatchedSweep:
@@ -300,15 +299,42 @@ class TestWitnessAndNecessity:
         tr = catalog_partmap("tr", 3)
         xi, v = search_kernel_witness(tr, curl, grid16)
         cfg = InequalityConfig("korn_const", curl, tr, 2.0, grid16)
-        trial = run_trial(cfg, plane_wave_field(grid16, xi, v), {})
-        assert trial.lhs <= 1e-10
-        assert trial.rhs <= 1e-12
-        assert trial.ratio == 0.0
+        # kms_sides' FFT path on a kernel witness; verify evaluates plane waves in closed form
+        lhs, rhs = kms_sides(cfg, plane_wave_field(grid16, xi, v))
+        assert lhs <= 1e-10
+        assert rhs <= 1e-12
+        assert trial_ratio(lhs, rhs) == 0.0
+
+    @pytest.mark.parametrize(
+        "ident,p,correction",
+        [("korn_const", 2.0, None), ("korn_const", 2.0, False), ("korn_const_p1", 1.0, None)],
+        ids=["korn_const", "korn_const-uncorrected", "korn_const_p1"],
+    )
+    def test_witness_row_is_the_single_frequency_trial(self, grid8, curl, ident, p, correction):
+        tr = catalog_partmap("tr", 3)
+        cfg = InequalityConfig(ident, curl, tr, p, grid8, correction_enabled=correction)
+        xi, v = search_kernel_witness(tr, curl, grid8)
+        family = FieldFamily(sweep=False, random_trials=0, bump_widths=())
+        est = estimate_constant(cfg, family=family, enforce=False)
+        assert est.family_maxima["witness"] == single_frequency_trial(cfg, xi, v).ratio
+        assert est.argmax == {
+            "generator": "witness_plane_wave",
+            "xi": [int(x) for x in xi],
+            "v": [float(x) for x in v],
+        }
 
     def test_necessity_demo_trace_curl(self, grid16, curl):
         tr = catalog_partmap("tr", 3)
         demo = necessity_demo(tr, curl, grid16)
         assert demo.found
+        xi, v = search_kernel_witness(tr, curl, grid16)
+        for trial, correction in [(demo.uncorrected, False), (demo.corrected, True)]:
+            cfg = InequalityConfig(
+                "korn_const", curl, tr, 2.0, grid16, correction_enabled=correction
+            )
+            want = single_frequency_trial(cfg, xi, v)
+            assert (trial.lhs, trial.rhs, trial.ratio) == (want.lhs, want.rhs, want.ratio)
+            assert trial.field == {"generator": "witness_plane_wave", "xi": demo.xi, "v": demo.v}
         assert demo.uncorrected.rhs <= 1e-12
         assert demo.uncorrected.lhs >= 0.1
         assert math.isinf(demo.uncorrected.ratio)
@@ -326,10 +352,7 @@ class TestWitnessAndNecessity:
 
     @staticmethod
     def sweep_vector(cfg, xi):
-        freqs = np.asarray(xi, dtype=float)[None]
-        desc = cfg.correction_descriptor
-        cmats = None if desc is None else np.real(desc.on_frequencies(freqs))
-        vs, flags, _ = _sweep_vectors(cfg, freqs, cmats)
+        vs, flags, _ = _sweep_vectors(cfg, np.asarray(xi, dtype=float)[None])
         return vs[0], bool(flags[0])
 
     def test_worst_vector_flags_uncorrected_witness(self, grid8, curl):
@@ -539,6 +562,14 @@ class TestCrosscheck:
     def test_quadrature_point_off_the_grid_names_grid(self, m, points):
         with pytest.raises(ArgumentError) as err:
             curl_riesz_crosscheck(mode="quadrature", grid=TorusGrid(3, m), eval_points=points)
+        assert err.value.argument == "grid"
+
+    # M = 8 keeps every quadrature point on the grid, so only the dimension is wrong
+    @pytest.mark.parametrize("mode,m", [("symbol", 6), ("quadrature", 8)])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_grid_of_another_dimension_names_grid(self, mode, m, n):
+        with pytest.raises(ArgumentError) as err:
+            curl_riesz_crosscheck(mode=mode, grid=TorusGrid(n, m))
         assert err.value.argument == "grid"
 
     def test_quadrature_largest_point_count_per_grid(self):
