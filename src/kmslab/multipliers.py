@@ -19,22 +19,41 @@ part (m(xi) + conj m(xi'))/2, xi' the grid representative of -xi (Nyquist
 coordinates stay at -M/2).  Tables are for multipliers that map real fields
 to real fields, m(-xi) = conj m(xi) (the identity, the projectors and the
 operator-input reconstruction multipliers of real symbols); off the Nyquist
-planes their Hermitian part is m(xi) itself, so only Nyquist bins are
-evaluated twice.  The last-axis bin-0 plane holds both xi and -xi; a table
-whose entries there break m(-xi) = conj m(xi) is refused with ValueError
-(e.g. the reconstruction multiplier of an odd-order operator without
-operator_input).  A descriptor caches the table of the grid it was last
-asked for.
+planes their Hermitian part is m(xi) itself.  The last-axis bin-0 plane
+holds both xi and -xi; a table whose entries there break
+m(-xi) = conj m(xi), relative to the largest entry, is refused with
+ValueError (e.g. the reconstruction multiplier of an odd-order operator
+without operator_input).  A descriptor caches the table of the grid it was
+last asked for.
+
+A table evaluates batch once per orbit representative.  Kernel projectors
+and corrections have degree 0, so the bins on one ray from 0 share a matrix
+and the key of xi is xi / gcd(xi).  Where operators.orbit_tensor_power
+certifies the operator and part map, a correction also follows the signed
+permutations g of Z^n, m(g xi) = rho(g) m(xi) rho(g)^T with
+rho(g) = g (x) ... (x) g, and the key is sorted |xi| / gcd(xi): 733 keys
+for the 17,407 nonzero bins at n = 3, M = 32.  Every other bin gets its
+representative's matrix with entries moved and negated by rho(g), which is
+exact.  Other multipliers evaluate every bin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations, product
 from typing import Callable
 
 import numpy as np
 
-from .operators import MultiIndex, OperatorSpec, PartMap, restrict_symbol, symbol_on_frequencies
+from .operators import (
+    MultiIndex,
+    OperatorSpec,
+    PartMap,
+    orbit_tensor_power,
+    restrict_symbol,
+    signed_permutation_action,
+    symbol_on_frequencies,
+)
 
 __all__ = [
     "MultiplierDescriptor",
@@ -53,6 +72,11 @@ HERMITIAN_TOL = 1e-8
 # sphere sample that infer_constant_rank classifies
 RANK_SAMPLE_COUNT = 256
 RANK_SAMPLE_SEED = 7
+# MultiplierDescriptor._symmetry of a degree-0 multiplier with no certified
+# signed-permutation symmetry
+RAYS = "rays"
+# representatives evaluated in one batch while a grid table is built
+TABLE_CHUNK = 1024
 
 
 class MultiplierConstructionError(RuntimeError):
@@ -69,12 +93,18 @@ class MultiplierDescriptor:
 
     batch maps a (..., n) stack of nonzero frequencies to the matching
     (...,) + shape stack of matrices.  The table of the most recent grid is
-    cached, keyed by (n, points_per_axis).
+    cached, keyed by (n, points_per_axis).  _symmetry records what
+    grid_table may assume of batch: None, nothing; RAYS, degree 0
+    (m(c xi) = m(xi) for c > 0); an int r, degree 0 and
+    m(g xi) = rho(g) m(xi) rho(g)^T for every signed permutation g of Z^n,
+    with rho(g) = g (x) ... (x) g (r factors, see
+    operators.orbit_tensor_power).
     """
 
     shape: tuple[int, int]
     provenance: str
     batch: Callable[[np.ndarray], np.ndarray]
+    _symmetry: int | str | None = field(default=None, repr=False)
     _grid_cache: tuple = field(default=(None, None), repr=False)
 
     def evaluate(self, xi) -> np.ndarray:
@@ -96,6 +126,11 @@ class MultiplierDescriptor:
         """Hermitian-part matrices on the half grid of a TorusGrid, cached.
 
         Shape grid.half_shape + shape, bins as in grid.half_frequency_grid.
+        batch is evaluated once per representative (see _orbits): with
+        _symmetry an int, one per sorted |xi| / gcd(xi); with RAYS, one per
+        xi / gcd(xi); otherwise once per distinct bin.  Every other bin, and
+        the mirror xi' of every Nyquist-plane bin, is its representative's
+        matrix moved by the signed index permutation rho(g), which is exact.
         Raises ValueError when m(-xi) differs from conj m(xi) on the
         last-axis bin-0 plane, which holds both: such a multiplier does not
         map real fields to real fields.
@@ -103,30 +138,131 @@ class MultiplierDescriptor:
         key = (grid.n, grid.points_per_axis)
         cached_key, table = self._grid_cache
         if cached_key != key:
-            # filled one first-axis slab at a time, so the batch's intermediates
-            # (symbol stacks, SVD workspaces) stay a fraction of the table; each
-            # matrix is evaluated on its own, as in one batch over the half grid
-            freqs = grid.half_frequency_grid
-            table = None
-            for i in range(freqs.shape[0]):
-                slab = self.on_frequencies(freqs[i : i + 1].astype(float))
-                if table is None:
-                    table = np.empty(grid.half_shape + slab.shape[grid.n :], slab.dtype)
-                table[i : i + 1] = slab
-            planes = np.any(grid.half_nyquist_mask, axis=-1)
-            mirror = self.on_frequencies(grid.half_mirror_grid[planes].astype(float))
+            n = grid.n
+            # bin 0 is the zero frequency, which every multiplier annihilates
+            half = grid.half_frequency_grid.reshape(-1, n)
+            planes = np.flatnonzero(np.any(grid.half_nyquist_mask, axis=-1))
+            freqs = np.concatenate([half[1:], grid.half_mirror_grid.reshape(-1, n)[planes]])
+            keys, rep, elem = self._orbits(freqs, grid.points_per_axis)
+            # targets in representative order: each chunk of representatives
+            # fills one run of targets, one group element at a time, so no
+            # intermediate grows with the table
+            order = np.argsort(rep, kind="stable")
+            bounds = np.searchsorted(
+                rep[order], np.arange(0, keys.shape[0] + TABLE_CHUNK, TABLE_CHUNK)
+            )
+            for c, lo in enumerate(range(0, keys.shape[0], TABLE_CHUNK)):
+                values = self._on_representatives(keys[lo : lo + TABLE_CHUNK])
+                if lo == 0:
+                    table = np.empty((half.shape[0],) + values.shape[1:], values.dtype)
+                    table[0] = 0.0
+                    mirror = np.empty((planes.size,) + values.shape[1:], values.dtype)
+                run = order[bounds[c] : bounds[c + 1]]
+                run = run[np.argsort(elem[run], kind="stable")]
+                for targets in np.split(run, np.flatnonzero(np.diff(elem[run])) + 1):
+                    moved = self._move(values, rep[targets] - lo, elem[targets[0]], n)
+                    in_half = targets < half.shape[0] - 1
+                    table[targets[in_half] + 1] = moved[in_half]
+                    mirror[targets[~in_half] - (half.shape[0] - 1)] = moved[~in_half]
             table[planes] = 0.5 * (table[planes] + mirror.conj())
+            table = table.reshape(grid.half_shape + table.shape[1:])
             _check_real_to_real(self.provenance, grid, table[..., 0, :, :])
             table.setflags(write=False)
             self._grid_cache = (key, table)
         return table
 
+    def _orbits(self, freqs, m):
+        """(keys, rep, elem) for a (F, n) stack of nonzero grid frequencies.
+
+        freqs[i] is a positive multiple of g keys[rep[i]], g the signed
+        permutation with code elem[i] (_element_codes).  The key of xi is
+        sorted |xi| / gcd(xi) when _symmetry is an int; it is xi / gcd(xi)
+        with RAYS and xi itself otherwise, and g the identity in both.
+        """
+        n = freqs.shape[1]
+        perm = np.broadcast_to(np.arange(n), freqs.shape)
+        negative = np.zeros(freqs.shape, dtype=bool)
+        keys = freqs
+        if self._symmetry is not None:
+            keys = freqs // np.gcd.reduce(freqs, axis=1)[:, None]
+        if self._symmetry not in (None, RAYS):
+            perm = np.argsort(np.abs(keys), axis=1, kind="stable")
+            keys = np.take_along_axis(keys, perm, axis=1)
+            negative = keys < 0
+            keys = np.abs(keys)
+        # keys lie in [-m/2, m/2]^n, so this code is one-to-one
+        code = np.sum((keys + m // 2) * (m + 1) ** np.arange(n), axis=1)
+        _, first, rep = np.unique(code, return_index=True, return_inverse=True)
+        return keys[first], rep.reshape(-1), _element_codes(perm, negative)
+
+    def _on_representatives(self, keys):
+        """The matrices at a stack of keys of _orbits.
+
+        With _symmetry an int, each matrix is then made exactly invariant
+        under the stabilizer of its key: m(key) = rho(h) m(key) rho(h)^T holds
+        for each h with h key = key, but a factorisation keeps that only to
+        roundoff.  Each orbit of entry positions under the stabilizer takes
+        the value of its first entry, with the sign rho(h) carries there, or
+        0 where the orbit maps an entry onto minus itself.  So a bin reached
+        from its key through two group elements gets one matrix, bit for bit.
+        """
+        values = self.on_frequencies(keys.astype(float))
+        if self._symmetry in (None, RAYS):
+            return values
+        n, d = keys.shape[1], values.shape[-1]
+        # the stabilizer of a sorted non-negative key depends only on which
+        # entries vanish and which neighbours are equal
+        pattern = np.concatenate([keys == 0, keys[:, 1:] == keys[:, :-1]], axis=1)
+        pattern = np.sum(pattern * 2 ** np.arange(pattern.shape[1]), axis=1)
+        flat = values.reshape(-1, d * d)
+        for code in np.unique(pattern):
+            rows = np.flatnonzero(pattern == code)
+            key = keys[rows[0]]
+            pos, sign = [], []
+            for perm in permutations(range(n)):
+                for signs in product((1.0, -1.0), repeat=n):
+                    if np.array_equal(key[list(perm)], np.multiply(signs, key)):
+                        src, sgn = signed_permutation_action(perm, signs, self._symmetry)
+                        pos.append((src[:, None] * d + src[None, :]).reshape(-1))
+                        sign.append(np.outer(sgn, sgn).reshape(-1))
+            pos, sign = np.array(pos), np.array(sign)
+            first = pos.min(axis=0)
+            carried = sign[pos.argmin(axis=0), np.arange(d * d)]
+            odd = np.any((pos == first) & (sign != carried), axis=0)
+            flat[rows] = flat[rows][:, first] * np.where(odd, 0.0, carried)
+        return values
+
+    def _move(self, values, idx, code, n):
+        """rho(g) values[idx] rho(g)^T for the signed permutation g with this code."""
+        perm, signs = _element(code, n)
+        if np.array_equal(perm, np.arange(n)) and np.all(signs > 0):
+            return values[idx]
+        src, sgn = signed_permutation_action(perm, signs, self._symmetry)
+        d = src.size
+        pos = (idx[:, None] * d + src[None, :])[:, :, None] * d + src
+        return values.reshape(-1)[pos] * np.outer(sgn, sgn)
+
+
+def _element_codes(perm, negative):
+    """One integer per signed permutation e_j -> (-1)^negative[j] e_perm[j], row by row."""
+    n = perm.shape[1]
+    weights = np.arange(n)
+    return np.sum(perm * n**weights, axis=1) * 2**n + np.sum(negative * 2**weights, axis=1)
+
+
+def _element(code, n):
+    """(perm, signs) of an _element_codes code."""
+    weights = np.arange(n)
+    perm = code // 2**n // n**weights % n
+    signs = np.where(code % 2**n >> weights & 1, -1.0, 1.0)
+    return perm, signs
+
 
 def _check_real_to_real(provenance, grid, plane):
-    """Raise ValueError unless plane(xi') = conj plane(xi) on the bin-0 plane."""
+    """Raise ValueError unless plane(xi') = conj plane(xi) on the bin-0 plane, relative to max|plane|."""
     flip = (-np.arange(grid.points_per_axis)) % grid.points_per_axis
     mirrored = plane[np.ix_(*[flip] * (grid.n - 1))]
-    scale = max(1.0, float(np.max(np.abs(plane))))
+    scale = float(np.max(np.abs(plane)))
     deviation = float(np.max(np.abs(plane - mirrored.conj())))
     if deviation > HERMITIAN_TOL * scale:
         raise ValueError(
@@ -234,6 +370,7 @@ def kernel_projection_symbol(spec: OperatorSpec, rank: int) -> MultiplierDescrip
         shape=(spec.d, spec.d),
         provenance=f"kernel_projection({spec.name}, r={rank})",
         batch=batch,
+        _symmetry=RAYS,
     )
 
 
@@ -314,22 +451,25 @@ def composed_correction_symbol(
     else:
         restricted = restrict_symbol(spec, part)
         if restricted.d == 0:
-            return MultiplierDescriptor(
-                shape=(d, d),
-                provenance=f"correction_restricted({spec.name}, ker({part.name})=0)",
-                batch=lambda freqs: np.zeros(np.asarray(freqs).shape[:-1] + (d, d)),
-            )
-        inner = kernel_projection_symbol(restricted, infer_constant_rank(restricted))
-        kb = part.kernel_basis
+            def batch(freqs):
+                return np.zeros(np.asarray(freqs).shape[:-1] + (d, d))
 
-        def batch(freqs):
-            pi = inner.on_frequencies(np.asarray(freqs, dtype=float))
-            return kb @ pi @ kb.T
+            provenance = f"correction_restricted({spec.name}, ker({part.name})=0)"
+        else:
+            inner = kernel_projection_symbol(restricted, infer_constant_rank(restricted))
+            kb = part.kernel_basis
 
-        provenance = f"correction_restricted({spec.name}, ker({part.name}))"
+            def batch(freqs):
+                pi = inner.on_frequencies(np.asarray(freqs, dtype=float))
+                return kb @ pi @ kb.T
 
+            provenance = f"correction_restricted({spec.name}, ker({part.name}))"
+
+    # a projector onto ker A cap ker B[xi] has degree 0 and follows the Grams
+    power = orbit_tensor_power(spec, part)
     return MultiplierDescriptor(
         shape=(d, d),
         provenance=provenance,
         batch=batch,
+        _symmetry=RAYS if power is None else power,
     )

@@ -38,6 +38,8 @@ __all__ = [
     "catalog_operator",
     "catalog_partmap",
     "restrict_symbol",
+    "signed_permutation_action",
+    "orbit_tensor_power",
     "CATALOG_OPERATORS",
     "CATALOG_PARTMAPS",
     "OPERATOR_ALIASES",
@@ -519,3 +521,85 @@ def restrict_symbol(spec: OperatorSpec, part: PartMap) -> OperatorSpec:
         k=spec.k,
         coeffs=coeffs,
     )
+
+
+# --------------------------------------------------------------------------
+# signed-permutation symmetry
+# --------------------------------------------------------------------------
+
+def signed_permutation_action(perm, signs, r: int):
+    """The fibre action rho = g (x) ... (x) g (r factors) of a signed permutation g, as indices.
+
+    g maps e_j to signs[j] e_{perm[j]}.  Returns (src, sgn), of length n^r,
+    with (rho M rho^T)[K, L] = sgn[K] sgn[L] M[src[K], src[L]] for a matrix
+    M on the flattened (row-major) fibre, and rho[K, src[K]] = sgn[K] the
+    only nonzero entry of row K.
+    """
+    perm, signs = np.asarray(perm), np.asarray(signs, dtype=float)
+    inv = np.argsort(perm)
+    src, sgn = np.zeros(1, dtype=np.int64), np.ones(1)
+    for _ in range(r):
+        src = (src[:, None] * perm.size + inv[None, :]).reshape(-1)
+        sgn = (sgn[:, None] * signs[inv][None, :]).reshape(-1)
+    return src, sgn
+
+
+def _signed_permutation_generators(n):
+    """The n - 1 adjacent swaps and one sign flip, which generate the signed permutations of Z^n.
+
+    Each is a (perm, signs) pair as in signed_permutation_action.
+    """
+    gens = []
+    for j in range(n - 1):
+        perm = np.arange(n)
+        perm[[j, j + 1]] = perm[[j + 1, j]]
+        gens.append((perm, np.ones(n)))
+    flip = np.ones(n)
+    flip[0] = -1.0
+    return gens + [(np.arange(n), flip)]
+
+
+def orbit_tensor_power(spec: OperatorSpec, part: PartMap | None) -> int | None:
+    """The r with which the signed permutations of Z^n act on the fibre, or None.
+
+    Every quantity kmslab derives from B at a frequency xi reads the Grams
+    A^T A, B[xi]^H B[xi] and (Re B[xi])^T (Re B[xi]): the sweep ratio, the
+    kernel projectors and the correction, the projector onto
+    ker A cap ker B[xi].  With the fibre action rho(g) = g (x) ... (x) g
+    (r factors, d = n^r), those quantities follow g, m(g xi) =
+    rho(g) m(xi) rho(g)^T, once rho^T G(g xi) rho = G(xi) holds for each
+    Gram G.  That is checked for the n generators of the group at the
+    integer points {-2k ... 2k}^n, which determine a polynomial of degree
+    2k; r is returned when every check passes.  An operator whose d is no
+    power of n fails.  part may be None (no pointwise part).
+    """
+    n, d, k = spec.n, spec.d, spec.k
+    r = 0
+    while n ** r < d and n > 1:
+        r += 1
+    if n ** r != d:
+        return None
+    axis = np.arange(-2 * k, 2 * k + 1, dtype=float)
+    points = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+
+    def grams(xi):
+        bmat = symbol_on_frequencies(spec, xi)
+        out = [np.conj(np.swapaxes(bmat, 1, 2)) @ bmat]
+        if np.iscomplexobj(bmat):
+            out.append(np.swapaxes(bmat.real, 1, 2) @ bmat.real)
+        if part is not None:
+            out.append(part.matrix.T @ part.matrix)
+        return out
+
+    base = grams(points)
+    for perm, signs in _signed_permutation_generators(n):
+        g = np.zeros((n, n))
+        g[perm, np.arange(n)] = signs
+        src, sgn = signed_permutation_action(perm, signs, r)
+        rho = np.zeros((d, d))
+        rho[np.arange(d), src] = sgn
+        for want, got in zip(base, grams(points @ g.T)):
+            moved = rho.T @ got @ rho
+            if np.max(np.abs(moved - want)) > 1e-12 * np.max(np.abs(want)):
+                return None
+    return r

@@ -24,7 +24,7 @@ reader of the half-grid correction table.
 The sweep evaluates one frequency per orbit and counts it for every
 canonical member.  An orbit is a signed-permutation orbit of Z^n where a
 symmetry check proves the sweep ratio constant on those orbits, and a single
-frequency otherwise (see _orbit_invariant, _sweep).
+frequency otherwise (see operators.orbit_tensor_power, _sweep).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .operators import (
     check_count,
     check_seed,
     eval_symbol,
+    orbit_tensor_power,
     symbol_on_frequencies,
 )
 from .torus import (
@@ -594,67 +595,15 @@ def _reduce(rows) -> dict:
     }
 
 
-def _signed_permutation_generators(n):
-    """The n - 1 adjacent swaps and one sign flip, which generate the signed permutations of Z^n."""
-    gens = []
-    for j in range(n - 1):
-        g = np.eye(n)
-        g[[j, j + 1]] = g[[j + 1, j]]
-        gens.append(g)
-    flip = np.eye(n)
-    flip[0, 0] = -1.0
-    return gens + [flip]
-
-
-def _orbit_invariant(config) -> bool:
-    """Whether the sweep ratio is constant on the signed-permutation orbits of frequencies.
-
-    The ratio at xi depends on xi through |xi| and M / gcd(xi, M), which no
-    signed permutation g changes, and through the Grams A^T A, B[xi]^H B[xi]
-    and (Re B[xi])^T (Re B[xi]), which the stacked SVD reads; the correction
-    is the projector onto ker A cap ker B[xi].  With the source action
-    rho(g) = g (x) ... (x) g (r factors, d = n^r), the ratio at g xi equals
-    the one at xi once rho^T G(g xi) rho = G(xi) holds for each Gram G.
-    That is checked for the n generators of the group at the integer points
-    {-2k ... 2k}^n, which determine a polynomial of degree 2k.  An operator
-    whose d is no power of n fails.
-    """
-    n, d, k = config.n, config.operator.d, config.k
-    r = 0
-    while n ** r < d and n > 1:
-        r += 1
-    if n ** r != d:
-        return False
-    axis = np.arange(-2 * k, 2 * k + 1, dtype=float)
-    points = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
-
-    def grams(xi):
-        bmat = symbol_on_frequencies(config.operator, xi)
-        out = [np.conj(np.swapaxes(bmat, 1, 2)) @ bmat]
-        if np.iscomplexobj(bmat):
-            out.append(np.swapaxes(bmat.real, 1, 2) @ bmat.real)
-        if config.part is not None:
-            out.append(config.part.matrix.T @ config.part.matrix)
-        return out
-
-    base = grams(points)
-    for g in _signed_permutation_generators(n):
-        rho = np.ones((1, 1))
-        for _ in range(r):
-            rho = np.kron(rho, g)
-        for want, got in zip(base, grams(points @ g.T)):
-            moved = rho.T @ got @ rho
-            if np.max(np.abs(moved - want)) > 1e-12 * np.max(np.abs(want)):
-                return False
-    return True
-
-
 def _sweep(config):
     """(freqs, vectors, ratios, counts) at one frequency per orbit, in canonical order.
 
-    When _orbit_invariant(config) holds, an orbit is a signed-permutation
-    orbit (the canonical frequencies sharing a sorted |xi|); otherwise every
-    canonical frequency is an orbit of its own.  Each orbit is swept at its
+    The sweep ratio at xi reads xi through |xi| and M / gcd(xi, M), which
+    no signed permutation changes, and through the Grams that
+    operators.orbit_tensor_power checks.  When it certifies the operator
+    and part map, the ratio is constant on the signed-permutation orbits,
+    and an orbit is the canonical frequencies sharing a sorted |xi|;
+    otherwise every canonical frequency is an orbit of its own.  Each orbit is swept at its
     first member, whose ratio counts for all of its members.  An orbit whose
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT is
     untrusted: its representative keeps its ratio with count 1 and its other
@@ -676,7 +625,7 @@ def _sweep(config):
             )
         return vs, flags, ratios
 
-    if _orbit_invariant(config):
+    if orbit_tensor_power(config.operator, config.part) is not None:
         # orbit o is numbered by its sorted |xi|; reps[o] is its first member
         _, reps, orbit, size = np.unique(
             np.sort(np.abs(freqs), axis=1), axis=0,
@@ -711,8 +660,8 @@ def estimate_constant(
     one row over every canonical frequency (one of each +-xi pair), built by
     _sweep: it evaluates the first canonical frequency of each orbit and
     counts it once per canonical member.  Orbits are the signed-permutation
-    orbits where _orbit_invariant proves the ratio constant on them, single
-    frequencies otherwise; the other members of an orbit whose
+    orbits where operators.orbit_tensor_power proves the ratio constant on
+    them, single frequencies otherwise; the other members of an orbit whose
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT are
     evaluated one by one.  Every random and bump field is one row, evaluated
     by kms_sides as soon as it is generated.  The witness plane wave is one

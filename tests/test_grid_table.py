@@ -1,0 +1,150 @@
+"""The half-grid correction table against the per-bin oracle, its exact moves and its work.
+
+grid_table evaluates a correction once per representative, sorted |xi| /
+gcd(xi) where operators.orbit_tensor_power certifies the operator and part
+map and xi / gcd(xi) otherwise, and moves that matrix to every other bin of
+the orbit by a signed index permutation.  These tests hold the table against
+tests/table_reference.py, check that the moves are exact, count the
+evaluations, and compare field-trial ratios with those read off the oracle.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from kmslab.multipliers import RAYS, MultiplierDescriptor, composed_correction_symbol
+from kmslab.operators import catalog_operator, catalog_partmap
+from kmslab.torus import TorusGrid
+from kmslab.verify import FieldFamily, InequalityConfig, estimate_constant
+from table_reference import per_bin_table
+from test_sweep_work import anisotropic_curl
+
+OPERATORS = ("curl_matrix_rowwise", "div_matrix_rowwise", "sym_curl_matrix")
+PARTS = ("sym", "dev", "tr", "skew", "zero")
+PROJECTORS = ("restricted", "full")
+
+
+def correction(op, part, projector="restricted"):
+    spec = op if not isinstance(op, str) else catalog_operator(op, 3)
+    return composed_correction_symbol(spec, catalog_partmap(part, 3), projector)
+
+
+def assert_matches_oracle(desc, grid):
+    got, want = desc.grid_table(grid), per_bin_table(desc, grid)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("projector", PROJECTORS)
+@pytest.mark.parametrize("part", PARTS)
+@pytest.mark.parametrize("op", OPERATORS)
+def test_certified_correction_matches_the_per_bin_table(op, part, projector, m):
+    desc = correction(op, part, projector)
+    assert desc._symmetry == 2
+    assert_matches_oracle(desc, TorusGrid(3, m))
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("projector", PROJECTORS)
+@pytest.mark.parametrize("part", ["dev", "tr", "skew"])
+def test_uncertified_correction_matches_the_per_bin_table(part, projector, m):
+    # the anisotropic curl fails the orbit check: bins share a matrix only
+    # along rays, and xi and -xi are evaluated apart
+    desc = correction(anisotropic_curl(), part, projector)
+    assert desc._symmetry == RAYS
+    assert_matches_oracle(desc, TorusGrid(3, m))
+
+
+@settings(max_examples=60)
+@given(
+    case=st.sampled_from(list(itertools.product(OPERATORS, PARTS, PROJECTORS))),
+    m=st.sampled_from([4, 6, 8, 12]),
+    data=st.data(),
+)
+def test_table_follows_signed_permutations_bit_for_bit(case, m, data):
+    # table[g xi] = rho(g) table[xi] rho(g)^T, rho(g) = g (x) g, for xi and
+    # g xi in the half grid and off the Nyquist planes
+    grid = TorusGrid(3, m)
+    table = correction(*case).grid_table(grid)
+    h = m // 2
+    xi = np.array(
+        [data.draw(st.integers(-h + 1, h - 1)) for _ in range(2)]
+        + [data.draw(st.integers(0, h - 1))]
+    )
+    perm = np.array(data.draw(st.permutations(range(3))))
+    signs = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3)))
+    g = np.zeros((3, 3), dtype=int)
+    g[perm, np.arange(3)] = signs
+    gxi = g @ xi
+    assume(gxi[-1] >= 0)
+
+    def entry(freq):
+        return table[tuple(int(c) % m for c in freq[:-1]) + (int(freq[-1]),)]
+
+    rho = np.kron(g, g).astype(float)
+    assert np.array_equal(entry(gxi), rho @ entry(xi) @ rho.T)
+
+
+def counting(desc):
+    """The frequency count of every batch call of desc, in call order."""
+    evaluated = []
+    batch = desc.batch
+
+    def count(freqs):
+        evaluated.append(int(np.prod(np.shape(freqs)[:-1])))
+        return batch(freqs)
+
+    desc.batch = count
+    return evaluated
+
+
+def test_korn_const_table_evaluates_one_frequency_per_orbit():
+    desc = correction("curl_matrix_rowwise", "tr")
+    evaluated = counting(desc)
+    grid = TorusGrid(3, 32)
+    desc.grid_table(grid)
+    # the 17,407 nonzero bins and the mirrors of the Nyquist-plane bins
+    # share 733 nonzero sorted |xi| / gcd(xi)
+    assert int(np.prod(grid.half_shape)) == 17408
+    assert evaluated == [733]
+
+
+def test_uncertified_table_evaluates_one_frequency_per_ray():
+    desc = correction(anisotropic_curl(), "tr")
+    evaluated = counting(desc)
+    grid = TorusGrid(3, 16)
+    desc.grid_table(grid)
+    # 2,303 nonzero bins plus the Nyquist mirrors lie on 2,174 rays from 0
+    assert sum(evaluated) == 2174 < int(np.prod(grid.half_shape)) - 1
+    assert max(evaluated) <= 1024
+
+
+def close(got, want, rtol=1e-12):
+    if math.isinf(got) or math.isinf(want):
+        return got == want
+    return abs(got - want) <= rtol * max(abs(got), abs(want))
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+@pytest.mark.parametrize(
+    "ident,p", [("korn_const", 2.0), ("korn_const_p1", 1.0), ("korn_const2_p2", 2.0)]
+)
+def test_field_ratios_match_the_per_bin_table(monkeypatch, ident, p, m):
+    cfg = InequalityConfig(
+        ident, catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3), p,
+        TorusGrid(3, m),
+    )
+    family = FieldFamily(sweep=False, random_trials=2, witness=False)
+    got = estimate_constant(cfg, family, seed=3, enforce=False)
+    monkeypatch.setattr(MultiplierDescriptor, "grid_table", per_bin_table)
+    want = estimate_constant(cfg.with_grid(cfg.grid), family, seed=3, enforce=False)
+    for key in ("max_ratio", "max_finite_ratio", "median_ratio"):
+        assert close(getattr(got, key), getattr(want, key)), key
+    assert got.family_maxima.keys() == want.family_maxima.keys()
+    for name, value in want.family_maxima.items():
+        assert close(got.family_maxima[name], value), name

@@ -331,13 +331,21 @@ class TestDescriptorPlumbing:
         ],
         ids=["mihlin_korn", "pseudoinverse"],
     )
-    def test_grid_table_refuses_non_hermitian_multiplier(self, make):
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_grid_table_refuses_non_hermitian_multiplier(self, make, scale):
         # first-order real symbol: m(-xi) = -conj m(xi), which maps real
-        # fields to complex ones
+        # fields to complex ones; the check is relative, so scaling the
+        # symbol, and with it the deviation, changes nothing
+        from kmslab.operators import OperatorSpec
         from kmslab.torus import TensorField, TorusGrid, apply_multiplier
 
         grid = TorusGrid(3, 4)
-        desc = make(catalog_operator("sym_gradient", 3))
+        eps = catalog_operator("sym_gradient", 3)
+        scaled = OperatorSpec(
+            "scaled_sym_gradient", n=3, d=3, l=9, k=1,
+            coeffs={alpha: scale * mat for alpha, mat in eps.coeffs.items()},
+        )
+        desc = make(scaled)
         with pytest.raises(ValueError, match="real fields"):
             desc.grid_table(grid)
         with pytest.raises(ValueError, match="real fields"):

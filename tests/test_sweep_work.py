@@ -20,6 +20,7 @@ from kmslab.operators import (
     OperatorSpec,
     catalog_operator,
     catalog_partmap,
+    orbit_tensor_power,
     symbol_on_frequencies,
 )
 from kmslab.torus import TorusGrid
@@ -33,7 +34,6 @@ from kmslab.verify import (
 )
 from kmslab.verify import (
     _frequency_scales,
-    _orbit_invariant,
     _profile_norm,
     _reduced_order,
     _sweep,
@@ -176,7 +176,7 @@ def test_kms_sym_sweep_factorises_two_matrices_per_frequency(svd_with_vectors, s
 )
 def test_benchmark_configs_take_the_orbit_path(sweep_calls, ident, part_name, p):
     cfg = make_config(ident, part_name, p, None, 16)
-    assert _orbit_invariant(cfg)
+    assert orbit_tensor_power(cfg.operator, cfg.part) == 2
     freqs, _, _, counts = _sweep(cfg)
     assert freqs.shape[0] == 119
     assert int(counts.sum()) == 1687
@@ -189,7 +189,7 @@ def test_untrusted_representatives_are_swept_once(sweep_calls, ident):
     # is untrusted; its representative's ratio stands and only the other
     # members are swept, 1,687 canonical frequencies in all
     cfg = make_config(ident, "tr", 2.0, None, 16)
-    assert _orbit_invariant(cfg)
+    assert orbit_tensor_power(cfg.operator, cfg.part) is not None
     freqs, _, ratios, counts = _sweep(cfg)
     assert sweep_calls[0] == 119
     assert sum(sweep_calls) == 1687
@@ -218,12 +218,11 @@ def test_korn_const_p1_evaluates_each_correction_frequency_once():
 
     desc.batch = counting
     estimate_constant(cfg, FieldFamily(random_trials=2, bump_widths=(0.5,)), seed=0)
-    # the sweep's 119 representatives in one batch, the half-grid table of the
-    # field trials with its Nyquist mirror, then the kernel witness
-    nyquist_mirror = int(np.count_nonzero(np.any(grid.half_nyquist_mask, axis=-1)))
-    assert evaluated[0] == 119
-    assert sum(evaluated[1:-1]) == int(np.prod(grid.half_shape)) + nyquist_mirror
-    assert evaluated[-1] == 1
+    # the sweep's 119 representatives in one batch; the half-grid table of the
+    # field trials at its 118 nonzero sorted |xi| / gcd(xi), which cover the
+    # Nyquist mirrors too (2,304 bins); then the kernel witness
+    assert evaluated == [119, 118, 1]
+    assert int(np.prod(grid.half_shape)) == 2304
 
 
 @pytest.mark.parametrize("ident,p", [("korn_const", 2.0), ("korn_const_p1", 1.0)])
@@ -293,7 +292,7 @@ def catalog_cases():
 
 
 def assert_matches_full_sweep(cfg):
-    assert _orbit_invariant(cfg)
+    assert orbit_tensor_power(cfg.operator, cfg.part) is not None
     freqs, _, ratios = full_sweep(cfg)
     want = sweep_statistics(freqs, ratios)
     got = estimate_constant(cfg, SWEEP_ONLY, enforce=False)
@@ -350,7 +349,7 @@ def test_orbits_at_the_ratio_limit_are_swept_member_by_member():
         coeffs={alpha: 1e-9 * mat for alpha, mat in eps.coeffs.items()},
     )
     cfg = InequalityConfig("korn_ell", scaled, None, 2.0, TorusGrid(3, 8))
-    assert _orbit_invariant(cfg)
+    assert orbit_tensor_power(cfg.operator, cfg.part) is not None
     got_freqs, _, got_ratios, counts = _sweep(cfg)
     freqs, vs, ratios = full_sweep(cfg)
     assert ratios.min() >= 1e8 and np.isfinite(ratios).all()
@@ -384,7 +383,7 @@ def test_broken_symmetry_fails_the_check_and_sweeps_every_frequency(
     sweep_calls, ident, spec, part, m
 ):
     cfg = InequalityConfig(ident, spec, part, 2.0, TorusGrid(3, m))
-    assert not _orbit_invariant(cfg)
+    assert orbit_tensor_power(cfg.operator, cfg.part) is None
     got = _sweep(cfg)
     # every frequency is an orbit of its own, swept once
     assert sum(sweep_calls) == got[0].shape[0]
