@@ -26,8 +26,9 @@ ValueError (e.g. the reconstruction multiplier of an odd-order operator
 without operator_input).  A descriptor caches the table of the grid it was
 last asked for.
 
-A table evaluates batch once per orbit representative.  Kernel projectors
-and corrections have degree 0, so the bins on one ray from 0 share a matrix
+A table evaluates batch once per key of operators.frequency_orbits, the
+one orbit decomposition of grid frequencies.  Kernel projectors and
+corrections have degree 0, so the bins on one ray from 0 share a matrix
 and the key of xi is xi / gcd(xi).  Where operators.orbit_tensor_power
 certifies the operator and part map, a correction also follows the signed
 permutations g of Z^n, m(g xi) = rho(g) m(xi) rho(g)^T with
@@ -49,8 +50,10 @@ from .operators import (
     MultiIndex,
     OperatorSpec,
     PartMap,
+    frequency_orbits,
     orbit_tensor_power,
     restrict_symbol,
+    signed_permutation,
     signed_permutation_action,
     symbol_on_frequencies,
 )
@@ -126,14 +129,14 @@ class MultiplierDescriptor:
         """Hermitian-part matrices on the half grid of a TorusGrid, cached.
 
         Shape grid.half_shape + shape, bins as in grid.half_frequency_grid.
-        batch is evaluated once per representative (see _orbits): with
-        _symmetry an int, one per sorted |xi| / gcd(xi); with RAYS, one per
-        xi / gcd(xi); otherwise once per distinct bin.  Every other bin, and
-        the mirror xi' of every Nyquist-plane bin, is its representative's
-        matrix moved by the signed index permutation rho(g), which is exact.
-        Raises ValueError when m(-xi) differs from conj m(xi) on the
-        last-axis bin-0 plane, which holds both: such a multiplier does not
-        map real fields to real fields.
+        batch is evaluated once per key of operators.frequency_orbits: with
+        _symmetry an int (signed, rays), one per sorted |xi| / gcd(xi); with
+        RAYS (rays), one per xi / gcd(xi); otherwise once per distinct bin.
+        Every other bin, and the mirror xi' of every Nyquist-plane bin, is
+        its key's matrix moved by the signed index permutation rho(g), which
+        is exact.  Raises ValueError when m(-xi) differs from conj m(xi) on
+        the last-axis bin-0 plane, which holds both: such a multiplier does
+        not map real fields to real fields.
         """
         key = (grid.n, grid.points_per_axis)
         cached_key, table = self._grid_cache
@@ -143,7 +146,9 @@ class MultiplierDescriptor:
             half = grid.half_frequency_grid.reshape(-1, n)
             planes = np.flatnonzero(np.any(grid.half_nyquist_mask, axis=-1))
             freqs = np.concatenate([half[1:], grid.half_mirror_grid.reshape(-1, n)[planes]])
-            keys, rep, elem = self._orbits(freqs, grid.points_per_axis)
+            keys, rep, elem = frequency_orbits(
+                freqs, signed=self._symmetry not in (None, RAYS), rays=self._symmetry is not None
+            )
             # targets in representative order: each chunk of representatives
             # fills one run of targets, one group element at a time, so no
             # intermediate grows with the table
@@ -171,32 +176,8 @@ class MultiplierDescriptor:
             self._grid_cache = (key, table)
         return table
 
-    def _orbits(self, freqs, m):
-        """(keys, rep, elem) for a (F, n) stack of nonzero grid frequencies.
-
-        freqs[i] is a positive multiple of g keys[rep[i]], g the signed
-        permutation with code elem[i] (_element_codes).  The key of xi is
-        sorted |xi| / gcd(xi) when _symmetry is an int; it is xi / gcd(xi)
-        with RAYS and xi itself otherwise, and g the identity in both.
-        """
-        n = freqs.shape[1]
-        perm = np.broadcast_to(np.arange(n), freqs.shape)
-        negative = np.zeros(freqs.shape, dtype=bool)
-        keys = freqs
-        if self._symmetry is not None:
-            keys = freqs // np.gcd.reduce(freqs, axis=1)[:, None]
-        if self._symmetry not in (None, RAYS):
-            perm = np.argsort(np.abs(keys), axis=1, kind="stable")
-            keys = np.take_along_axis(keys, perm, axis=1)
-            negative = keys < 0
-            keys = np.abs(keys)
-        # keys lie in [-m/2, m/2]^n, so this code is one-to-one
-        code = np.sum((keys + m // 2) * (m + 1) ** np.arange(n), axis=1)
-        _, first, rep = np.unique(code, return_index=True, return_inverse=True)
-        return keys[first], rep.reshape(-1), _element_codes(perm, negative)
-
     def _on_representatives(self, keys):
-        """The matrices at a stack of keys of _orbits.
+        """The matrices at a stack of keys of operators.frequency_orbits.
 
         With _symmetry an int, each matrix is then made exactly invariant
         under the stabilizer of its key: m(key) = rho(h) m(key) rho(h)^T holds
@@ -234,28 +215,13 @@ class MultiplierDescriptor:
 
     def _move(self, values, idx, code, n):
         """rho(g) values[idx] rho(g)^T for the signed permutation g with this code."""
-        perm, signs = _element(code, n)
+        perm, signs = signed_permutation(code, n)
         if np.array_equal(perm, np.arange(n)) and np.all(signs > 0):
             return values[idx]
         src, sgn = signed_permutation_action(perm, signs, self._symmetry)
         d = src.size
         pos = (idx[:, None] * d + src[None, :])[:, :, None] * d + src
         return values.reshape(-1)[pos] * np.outer(sgn, sgn)
-
-
-def _element_codes(perm, negative):
-    """One integer per signed permutation e_j -> (-1)^negative[j] e_perm[j], row by row."""
-    n = perm.shape[1]
-    weights = np.arange(n)
-    return np.sum(perm * n**weights, axis=1) * 2**n + np.sum(negative * 2**weights, axis=1)
-
-
-def _element(code, n):
-    """(perm, signs) of an _element_codes code."""
-    weights = np.arange(n)
-    perm = code // 2**n // n**weights % n
-    signs = np.where(code % 2**n >> weights & 1, -1.0, 1.0)
-    return perm, signs
 
 
 def _check_real_to_real(provenance, grid, plane):

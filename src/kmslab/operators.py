@@ -39,6 +39,8 @@ __all__ = [
     "catalog_partmap",
     "restrict_symbol",
     "signed_permutation_action",
+    "signed_permutation",
+    "frequency_orbits",
     "orbit_tensor_power",
     "CATALOG_OPERATORS",
     "CATALOG_PARTMAPS",
@@ -542,6 +544,39 @@ def signed_permutation_action(perm, signs, r: int):
         src = (src[:, None] * perm.size + inv[None, :]).reshape(-1)
         sgn = (sgn[:, None] * signs[inv][None, :]).reshape(-1)
     return src, sgn
+
+
+def signed_permutation(code, n: int):
+    """(perm, signs) of an element code of frequency_orbits, for signed_permutation_action."""
+    weights = np.arange(n)
+    return code // 2**n // n**weights % n, np.where(code % 2**n >> weights & 1, -1.0, 1.0)
+
+
+def frequency_orbits(freqs: np.ndarray, signed: bool, rays: bool):
+    """(keys, rep, elem): the orbits of a (F, n) stack of integer frequencies.
+
+    freqs[i] is a positive multiple of g keys[rep[i]], g the signed
+    permutation signed_permutation(elem[i], n).  rays keys xi by
+    xi / gcd(xi) (xi != 0); signed then sorts |xi|, and g puts the order
+    and signs back.  With neither, each distinct frequency is an orbit of
+    its own and g is the identity.  Orbits are numbered by key, in
+    lexicographic order from the last entry.
+    """
+    n = freqs.shape[1]
+    weights = np.arange(n)
+    perm = np.broadcast_to(weights, freqs.shape)
+    keys = freqs // np.gcd.reduce(freqs, axis=1)[:, None] if rays else freqs
+    if signed:
+        perm = np.argsort(np.abs(keys), axis=1, kind="stable")
+        keys = np.take_along_axis(keys, perm, axis=1)
+    negative = signed & (keys < 0)
+    keys = np.abs(keys) if signed else keys
+    # the entries lie in [-half, half], so this code is one-to-one
+    half = int(np.max(np.abs(keys), initial=0))
+    code = np.sum((keys + half) * (2 * half + 1) ** weights, axis=1)
+    _, first, rep = np.unique(code, return_index=True, return_inverse=True)
+    elem = np.sum(perm * n**weights, axis=1) * 2**n + np.sum(negative * 2**weights, axis=1)
+    return keys[first], rep.reshape(-1), elem
 
 
 def _signed_permutation_generators(n):

@@ -51,6 +51,7 @@ __all__ = [
     "bump_field",
 ]
 
+# a field has zero mean when |mean| <= ZERO_MEAN_TOL max|values|
 ZERO_MEAN_TOL = 1e-12
 
 
@@ -212,7 +213,7 @@ class TensorField:
 
     @property
     def is_zero_mean(self) -> bool:
-        scale = 1.0 + float(np.max(np.abs(self.values)))
+        scale = float(np.max(np.abs(self.values)))
         return bool(np.max(np.abs(self.mean)) <= ZERO_MEAN_TOL * scale)
 
     def with_zero_mean(self) -> "TensorField":

@@ -46,6 +46,7 @@ from .operators import (
     check_count,
     check_seed,
     eval_symbol,
+    frequency_orbits,
     orbit_tensor_power,
     symbol_on_frequencies,
 )
@@ -102,7 +103,6 @@ SWEEP_CHUNK = 1024
 # an orbit whose representative's sweep ratio reaches this is swept member by
 # member: catalog sweep ratios stay below 10 unless roundoff makes them > 1e10
 ORBIT_RATIO_LIMIT = 1e8
-WITNESS_BLOCK = 256
 # relative singular-value threshold for a null direction of the stacked right side
 NULL_TOL = 1e-12
 # relative threshold below which ker(A) cap ker(B[xi]) counts as nontrivial
@@ -504,14 +504,20 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
     """Lowest grid frequency carrying a unit vector in ker(A) cap ker(B[xi]).
 
     Returns (xi, v) or None; the scan order (by |xi|, then lexicographic)
-    makes the result deterministic.
+    makes the result deterministic.  Where operators.orbit_tensor_power
+    certifies spec and part, ker A cap ker Re B[g xi] =
+    rho(g) (ker A cap ker Re B[xi]), so one factorisation, at its lowest
+    member, decides a whole orbit (operators.frequency_orbits, signed).
     """
     freqs = grid.canonical_frequencies
     norm2 = np.sum(freqs.astype(float) ** 2, axis=1)
     keys = [freqs[:, j] for j in reversed(range(freqs.shape[1]))] + [norm2]
     freqs = freqs[np.lexsort(tuple(keys))]
-    for lo in range(0, freqs.shape[0], WITNESS_BLOCK):
-        block = freqs[lo : lo + WITNESS_BLOCK]
+    certified = orbit_tensor_power(spec, part) is not None
+    _, orbit, _ = frequency_orbits(freqs, signed=certified, rays=False)
+    freqs = freqs[np.sort(np.unique(orbit, return_index=True)[1])]  # lowest members, in order
+    for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
+        block = freqs[lo : lo + SWEEP_CHUNK]
         amat = np.broadcast_to(part.matrix, (block.shape[0],) + part.matrix.shape)
         stacked = np.concatenate(
             [amat, symbol_on_frequencies(spec, block.astype(float)).real], axis=1
@@ -601,17 +607,16 @@ def _sweep(config):
     The sweep ratio at xi reads xi through |xi| and M / gcd(xi, M), which
     no signed permutation changes, and through the Grams that
     operators.orbit_tensor_power checks.  When it certifies the operator
-    and part map, the ratio is constant on the signed-permutation orbits,
-    and an orbit is the canonical frequencies sharing a sorted |xi|;
-    otherwise every canonical frequency is an orbit of its own.  Each orbit is swept at its
-    first member, whose ratio counts for all of its members.  An orbit whose
+    and part map, the ratio is constant on the signed-permutation orbits
+    (operators.frequency_orbits, by sorted |xi|); otherwise every canonical
+    frequency is an orbit of its own.  Each orbit is swept at its first
+    member, whose ratio counts for all of its members.  An orbit whose
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT is
     untrusted: its representative keeps its ratio with count 1 and its other
     members are swept one by one.  Every frequency is evaluated in closed
     form by _sweep_vectors; no correction table is built.
     """
     freqs = config.grid.canonical_frequencies
-    members = np.arange(freqs.shape[0])
 
     def sweep(idx):
         # chunks bound the stacked SVD arrays held at once on fine grids
@@ -625,19 +630,12 @@ def _sweep(config):
             )
         return vs, flags, ratios
 
-    if orbit_tensor_power(config.operator, config.part) is not None:
-        # orbit o is numbered by its sorted |xi|; reps[o] is its first member
-        _, reps, orbit, size = np.unique(
-            np.sort(np.abs(freqs), axis=1), axis=0,
-            return_index=True, return_inverse=True, return_counts=True,
-        )
-        orbit = orbit.reshape(-1)
-    else:
-        reps = orbit = members
-        size = np.ones(members.size, dtype=np.int64)
+    certified = orbit_tensor_power(config.operator, config.part) is not None
+    _, orbit, _ = frequency_orbits(freqs, signed=certified, rays=False)
+    _, reps, size = np.unique(orbit, return_index=True, return_counts=True)  # first members
     rep_vs, rep_flags, rep_ratios = sweep(reps)
     trusted = ~rep_flags & (rep_ratios < ORBIT_RATIO_LIMIT)
-    units = np.flatnonzero(~trusted[orbit] | (members == reps[orbit]))
+    units = np.flatnonzero(~trusted[orbit] | (np.arange(orbit.size) == reps[orbit]))
     owner = orbit[units]
     vs, ratios = rep_vs[owner], rep_ratios[owner]
     others = units != reps[owner]

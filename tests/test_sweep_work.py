@@ -2,11 +2,12 @@
 
 The reference implementations below factorise every matrix the way the
 sweep did before it skipped work; the pruned paths must return the same
-bits.  The sweep, which sweeps one frequency per orbit, is held against the
-full sweep over every canonical frequency.  The work-count guards pin how
-many frequencies are swept, how many matrices are factorised with singular
-vectors and where the correction is evaluated, so a redundant sweep,
-factorisation or evaluation fails here.
+bits.  The sweep and the witness scan, which take one frequency per orbit,
+are held against the full sweep and the full scan over every canonical
+frequency.  The work-count guards pin how many frequencies are swept, how
+many matrices are factorised (with singular vectors, or at all) and where
+the correction is evaluated, so a redundant sweep, factorisation or
+evaluation fails here.
 """
 
 import math
@@ -41,6 +42,12 @@ from kmslab.verify import (
 )
 
 CURL = catalog_operator("curl_matrix_rowwise", 3)
+
+
+def anisotropic_curl():
+    coeffs = {a: (2.0 if a.exponents[0] else 1.0) * mat for a, mat in CURL.coeffs.items()}
+    return OperatorSpec("anisotropic_curl", n=3, d=9, l=9, k=1, coeffs=coeffs)
+
 
 # every inequality id with a part map, and korn_const without its correction,
 # whose kernel witnesses are flagged
@@ -128,29 +135,52 @@ def test_pruned_null_gain_matches_unpruned_reference(ident, part_name, p, correc
     assert flags.any() == (correction is False)
 
 
+WITNESS_PARTS = ("sym", "dev", "tr", "skew", "zero")
+# every n = 3 catalog operator, the n = 2 matrix divergence and the
+# anisotropic curl, which fails the orbit check, with every part map
+WITNESS_CASES = [
+    (spec, part)
+    for spec in (
+        CURL,
+        catalog_operator("div_matrix_rowwise", 3),
+        catalog_operator("sym_curl_matrix", 3),
+        catalog_operator("div_matrix_rowwise", 2),
+        anisotropic_curl(),
+    )
+    for part in WITNESS_PARTS
+]
+
+
 @pytest.mark.parametrize("m", [8, 16])
-@pytest.mark.parametrize("part_name", ["sym", "tr", "dev", "skew"])
-def test_witness_scan_matches_full_svd_scan(part_name, m):
-    part, grid = catalog_partmap(part_name, 3), TorusGrid(3, m)
-    got = search_kernel_witness(part, CURL, grid)
-    want = reference_witness(part, CURL, grid)
-    # sym(a (x) xi) = 0 and dev(a (x) xi) = 0 force a = 0
-    assert (got is None) == (want is None) == (part_name in ("sym", "dev"))
+@pytest.mark.parametrize(
+    "spec,part_name", WITNESS_CASES, ids=[f"{s.name}-n{s.n}-{p}" for s, p in WITNESS_CASES]
+)
+def test_witness_scan_matches_full_svd_scan(spec, part_name, m):
+    part, grid = catalog_partmap(part_name, spec.n), TorusGrid(spec.n, m)
+    assert (orbit_tensor_power(spec, part) is None) == (spec.name == "anisotropic_curl")
+    got = search_kernel_witness(part, spec, grid)
+    want = reference_witness(part, spec, grid)
+    assert (got is None) == (want is None)
+    if spec is CURL:
+        # sym(a (x) xi) = 0 and dev(a (x) xi) = 0 force a = 0
+        assert (got is None) == (part_name in ("sym", "dev"))
     if got is not None:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
 
-@pytest.fixture
-def svd_with_vectors(monkeypatch):
-    """call(fn, *args) -> (fn(*args), matrices np.linalg.svd factorised with singular vectors)."""
+def svd_counter(monkeypatch, vectors_only):
+    """call(fn, *args) -> (fn(*args), matrices np.linalg.svd factorised).
+
+    With vectors_only, singular-values-only calls are not counted.
+    """
     svd = np.linalg.svd
 
     def call(fn, *args):
         counts = []
 
         def counting(a, *svd_args, **kwargs):
-            if kwargs.get("compute_uv", True):
+            if kwargs.get("compute_uv", True) or not vectors_only:
                 counts.append(int(np.prod(np.shape(a)[:-2])))
             return svd(a, *svd_args, **kwargs)
 
@@ -160,6 +190,18 @@ def svd_with_vectors(monkeypatch):
         return result, sum(counts)
 
     return call
+
+
+@pytest.fixture
+def svd_with_vectors(monkeypatch):
+    """call(fn, *args) -> (fn(*args), matrices np.linalg.svd factorised with singular vectors)."""
+    return svd_counter(monkeypatch, vectors_only=True)
+
+
+@pytest.fixture
+def svd_factorised(monkeypatch):
+    """call(fn, *args) -> (fn(*args), matrices np.linalg.svd factorised in any mode)."""
+    return svd_counter(monkeypatch, vectors_only=False)
 
 
 def test_kms_sym_sweep_factorises_two_matrices_per_frequency(svd_with_vectors, sweep_calls):
@@ -204,6 +246,15 @@ def test_witness_scan_factorises_with_vectors_at_most_once(svd_with_vectors, par
     found, factorised = svd_with_vectors(search_kernel_witness, part, CURL, grid)
     assert (found is None) == (part_name == "sym")
     assert factorised == (0 if found is None else 1)
+
+
+def test_witness_scan_factorises_once_per_orbit(svd_factorised):
+    # kms_sym has no witness: the 1,687 canonical frequencies fall into 119
+    # signed-permutation orbits, and each is decided at one member
+    part, grid = catalog_partmap("sym", 3), TorusGrid(3, 16)
+    found, factorised = svd_factorised(search_kernel_witness, part, CURL, grid)
+    assert found is None
+    assert factorised == 119
 
 
 def test_korn_const_p1_evaluates_each_correction_frequency_once():
@@ -356,12 +407,6 @@ def test_orbits_at_the_ratio_limit_are_swept_member_by_member():
     assert np.array_equal(got_freqs, freqs)
     assert np.array_equal(got_ratios, ratios)
     assert np.all(counts == 1)
-
-
-def anisotropic_curl():
-    curl = catalog_operator("curl_matrix_rowwise", 3)
-    coeffs = {a: (2.0 if a.exponents[0] else 1.0) * mat for a, mat in curl.coeffs.items()}
-    return OperatorSpec("anisotropic_curl", n=3, d=9, l=9, k=1, coeffs=coeffs)
 
 
 def pair_sum_symbol():

@@ -9,6 +9,7 @@ from kmslab.operators import ArgumentError, catalog_operator, catalog_partmap
 from kmslab.torus import (
     TorusGrid,
     apply_partmap,
+    bump_field,
     homog_sobolev_norm,
     lp_norm,
     plane_wave_field,
@@ -148,12 +149,18 @@ class TestConfigValidation:
                 InequalityConfig(*args)
             assert err.value.argument == argument, args[0]
 
-    def test_zero_mean_precondition(self, grid16, curl):
+    @pytest.mark.parametrize("scale", [1e-20, 1e-13, 1e-6, 1.0, 1e6, 1e13, 1e20])
+    def test_zero_mean_precondition(self, grid16, curl, scale):
+        # the check is relative: a constant field in ker tr is refused at every
+        # scale, zero-mean random and bump fields are accepted at every scale
         from fullgrid_reference import constant_field
 
         cfg = InequalityConfig("korn_const", curl, catalog_partmap("tr", 3), 2.0, grid16)
         with pytest.raises(PreconditionError):
-            kms_sides(cfg, constant_field(grid16, np.ones(9)))
+            kms_sides(cfg, constant_field(grid16, scale * np.diag([1.0, -1.0, 0.0]).reshape(-1)))
+        bump = bump_field(grid16, np.full(3, 1.0), 0.5, np.eye(9)[1])
+        for fld in (random_bandlimited(grid16, 9, 4, seed=5), bump):
+            kms_sides(cfg, fld * scale)
 
 
 class TestKornEll:
