@@ -12,7 +12,15 @@ fields; every report states this.
 
 The calculus works on the real-FFT half spectrum of a field
 (`HalfSpectrum`): one rfftn, its last axis halved to the bins
-0 ... M/2 - 1, -M/2 (`TorusGrid.half_frequency_grid`).  A field's L^2 norm
+0 ... M/2 - 1, -M/2 (`TorusGrid.half_frequency_grid`).  A spectrum holds
+its coefficients on a `BandBox`, the bins with |xi_j| <= c on every axis
+(0 ... c on the last); the full half grid is the box c = M/2.  Transforms
+run only over the 1-D lines that carry the box, and every grid array a
+spectrum reads (frequencies, Hermitian powers, Parseval weights, |xi|^2,
+the zero mask, multiplier tables) is read through it.  `random_bandlimited`
+synthesizes its field from a box spectrum and hands that spectrum on, so a
+random field is never transformed again; every other field starts on the
+full box.  A field's L^2 norm
 is the Parseval sum with `TorusGrid.parseval_weights` (1 on the last-axis
 bins 0 and M/2, whose partners -xi lie in the half grid too, 2
 elsewhere).  A multiplier m
@@ -32,11 +40,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import ArgumentError, OperatorSpec, check_seed, multiindex_enumerate
+from .operators import ArgumentError, OperatorSpec, check_count, check_seed, multiindex_enumerate
 
 __all__ = [
     "TorusGrid",
     "TensorField",
+    "BandBox",
     "HalfSpectrum",
     "apply_operator",
     "apply_multiplier",
@@ -186,14 +195,77 @@ class TorusGrid:
         return flat
 
 
+@dataclass(frozen=True, eq=False)
+class BandBox:
+    """The half-grid bins with |xi_j| <= cutoff on every axis, 0 ... cutoff on the last.
+
+    1 <= cutoff <= M/2; cutoff = M/2 is the full half grid, and every
+    smaller box leaves out the Nyquist bins.  On a full axis the box keeps
+    the bins 0 ... c, -c ... -1, in grid order.  take() restricts an array of
+    shape grid.half_shape + (...) to the box; the full box returns it as it
+    is, so the full-grid calculus is the box calculus at cutoff M/2.
+    """
+
+    grid: TorusGrid
+    cutoff: int
+
+    def __post_init__(self):
+        if not 1 <= self.cutoff <= self.grid.points_per_axis // 2:
+            raise ArgumentError("cutoff", "a box cutoff must satisfy 1 <= cutoff <= M/2")
+
+    @property
+    def is_full(self) -> bool:
+        return self.cutoff == self.grid.points_per_axis // 2
+
+    @property
+    def shape(self) -> tuple:
+        if self.is_full:
+            return self.grid.half_shape
+        return (2 * self.cutoff + 1,) * (self.grid.n - 1) + (self.cutoff + 1,)
+
+    @property
+    def axis_bins(self) -> np.ndarray:
+        """The bins of a full axis that the box keeps: 0 ... c, then M - c ... M - 1."""
+        m, c = self.grid.points_per_axis, self.cutoff
+        return np.concatenate([np.arange(c + 1), np.arange(m - c, m)])
+
+    def take(self, array: np.ndarray) -> np.ndarray:
+        """array (shape grid.half_shape + trailing axes) on the box's bins."""
+        if self.is_full:
+            return array
+        n = self.grid.n
+        out = array[(slice(None),) * (n - 1) + (slice(0, self.cutoff + 1),)]
+        return out[np.ix_(*[self.axis_bins] * (n - 1))] if n > 1 else out
+
+    frequencies = property(lambda self: self.take(self.grid.half_frequency_grid))
+    nyquist_mask = property(lambda self: self.take(self.grid.half_nyquist_mask))
+    zero_mask = property(lambda self: self.take(self.grid.half_zero_mask))
+    frequency_norm2 = property(lambda self: self.take(self.grid.half_frequency_norm2))
+    parseval_weights = property(lambda self: self.take(self.grid.parseval_weights))
+
+
 @dataclass(eq=False)
 class TensorField:
-    """A real d-vector-valued function sampled on a TorusGrid."""
+    """A real d-vector-valued function sampled on a TorusGrid.
+
+    Complex or non-finite values are refused with ValueError.
+    """
 
     grid: TorusGrid
     values: np.ndarray
+    # the exact half spectrum random_bandlimited synthesized the (read-only)
+    # values from, returned by HalfSpectrum.of; None on every other field
+    _spectrum = None
+
+    def __setattr__(self, name, value):
+        # new values leave the spectrum of the old ones behind
+        if name == "values":
+            self.__dict__.pop("_spectrum", None)
+        super().__setattr__(name, value)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("field values must be real")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape[: self.grid.n] != self.grid.shape or vals.ndim != self.grid.n + 1:
             raise ValueError(
@@ -244,41 +316,74 @@ class TensorField:
             raise ValueError("fields have different fiber dimensions")
 
 
-def _axes(grid):
-    return tuple(range(grid.n))
-
-
 # --------------------------------------------------------------------------
 # half-spectrum calculus
 # --------------------------------------------------------------------------
 
-def _forward(grid, values):
-    """Parseval-normalized real-FFT half spectrum of (grid.shape + (d,)) samples."""
-    return np.fft.rfftn(values, axes=_axes(grid)) * grid.spectrum_scale
+def _rfftn(box, values):
+    """numpy's rfftn of (grid.shape + (d,)) samples over the grid axes, on the box only.
+
+    rfftn is a loop of 1-D transforms: rfft on the last grid axis, then fft
+    from the second-to-last axis down to the first.  This is that loop over
+    only the lines that carry box bins, so the result is rfftn's restricted
+    to the box, bit for bit.
+    """
+    n = box.grid.n
+    out = np.fft.rfftn(values, axes=(n - 1,))
+    out = out[(slice(None),) * (n - 1) + (slice(0, box.cutoff + 1),)]
+    for axis in range(n - 2, -1, -1):
+        out = np.fft.fftn(out, axes=(axis,))
+        if not box.is_full:
+            out = out.take(box.axis_bins, axis=axis)
+    return out
 
 
-def _inverse(grid, coef):
-    """Real samples of a half spectrum; trailing component axes are kept."""
-    return np.fft.irfftn(coef, s=grid.shape, axes=_axes(grid)) / grid.spectrum_scale
+def _irfftn(box, coef):
+    """numpy's irfftn, over the grid axes, of box coefficients zero-padded to the half grid.
+
+    irfftn is ifft from the first grid axis up, then irfft on the last.  A
+    line with no box bin is zero and stays zero until the last transform, so
+    each step pads only the axis it transforms; irfft pads the last axis
+    itself.  Bit for bit the samples irfftn gives; trailing axes are kept.
+    """
+    n, m = box.grid.n, box.grid.points_per_axis
+    out = coef
+    for axis in range(n - 1):
+        if not box.is_full:
+            padded = np.zeros(out.shape[:axis] + (m,) + out.shape[axis + 1 :], complex)
+            padded[(slice(None),) * axis + (box.axis_bins,)] = out
+            out = padded
+        out = np.fft.ifftn(out, axes=(axis,))
+    return np.fft.irfftn(out, s=(m,), axes=(n - 1,))
 
 
-def _hermitian_power(grid, alpha):
-    """Hermitian part of (i xi)^alpha on the half grid.
+def _forward(box, values):
+    """Parseval-normalized real-FFT half spectrum of (grid.shape + (d,)) samples, on the box."""
+    return _rfftn(box, values) * box.grid.spectrum_scale
+
+
+def _inverse(box, coef):
+    """Real samples of a half spectrum on the box; trailing component axes are kept."""
+    return _irfftn(box, coef) / box.grid.spectrum_scale
+
+
+def _hermitian_power(box, alpha):
+    """Hermitian part of (i xi)^alpha on the box's bins.
 
     (i xi)^alpha where the Nyquist coordinates of xi carry even total order
     in alpha, 0 where it is odd.
     """
-    nyquist = grid.half_nyquist_mask
+    nyquist = box.nyquist_mask
     order = sum(e * nyquist[..., j] for j, e in enumerate(alpha.exponents) if e)
-    power = alpha.power(1j * grid.half_frequency_grid.astype(float))
+    power = alpha.power(1j * box.frequencies.astype(float))
     return np.where(np.asarray(order) % 2 == 1, 0.0, power)
 
 
-def _parseval_norm(grid, coef, weight=None):
-    """L^2 norm of the real field with half spectrum coef; weight multiplies each bin."""
+def _parseval_norm(box, coef, weight=None):
+    """L^2 norm of the real field with half spectrum coef on the box; weight multiplies each bin."""
     pairs = np.ascontiguousarray(coef).view(float)
     power = np.einsum("...j,...j->...", pairs, pairs)
-    weights = grid.parseval_weights if weight is None else grid.parseval_weights * weight
+    weights = box.parseval_weights if weight is None else box.parseval_weights * weight
     return math.sqrt(float(np.vdot(weights, power)))
 
 
@@ -292,9 +397,11 @@ def _lp(grid, values, p):
 
 @dataclass(eq=False)
 class HalfSpectrum:
-    """Real-FFT half spectrum of a real field, Parseval-normalized.
+    """Real-FFT half spectrum of a real field, Parseval-normalized, on a BandBox.
 
-    coefficients has shape grid.half_shape + (d,).  Operators and
+    coefficients has shape box.shape + (d,) and is zero off the box; the
+    box is read off that shape (its last grid axis holds cutoff + 1 bins),
+    and the full box has shape grid.half_shape + (d,).  Operators and
     multipliers act through their Hermitian parts (module docstring), so
     to_field() is the real field the full-grid calculus would give.
     """
@@ -304,33 +411,41 @@ class HalfSpectrum:
 
     @classmethod
     def of(cls, field: TensorField) -> "HalfSpectrum":
-        return cls(field.grid, _forward(field.grid, field.values))
+        """The spectrum random_bandlimited kept for the field, else one full-box transform."""
+        if field._spectrum is not None:
+            return field._spectrum
+        full = BandBox(field.grid, field.grid.points_per_axis // 2)
+        return cls(field.grid, _forward(full, field.values))
+
+    @property
+    def box(self) -> BandBox:
+        return BandBox(self.grid, self.coefficients.shape[self.grid.n - 1] - 1)
 
     def to_field(self) -> TensorField:
-        return TensorField(self.grid, _inverse(self.grid, self.coefficients))
+        return TensorField(self.grid, _inverse(self.box, self.coefficients))
 
     def __sub__(self, other: "HalfSpectrum") -> "HalfSpectrum":
         return HalfSpectrum(self.grid, self.coefficients - other.coefficients)
 
     def apply_operator(self, spec: OperatorSpec) -> "HalfSpectrum":
         """B u from u: coefficients map by the Hermitian part of B[i xi]."""
-        grid, coef = self.grid, self.coefficients
+        box, coef = self.box, self.coefficients
         # one 2-d product per coefficient, not one per leading index
         flat = coef.reshape(-1, coef.shape[-1])
         out = np.zeros(coef.shape[:-1] + (spec.l,), dtype=complex)
         for alpha, mat in spec.coeffs.items():
-            power = _hermitian_power(grid, alpha)
+            power = _hermitian_power(box, alpha)
             out += power[..., None] * (flat @ mat.real.T).reshape(out.shape)
             if np.iscomplexobj(mat):
                 # conj flips i Im B_alpha along with (i xi)^alpha: the Hermitian
                 # part keeps it exactly where the plain power vanishes
-                odd = alpha.power(1j * grid.half_frequency_grid.astype(float)) - power
+                odd = alpha.power(1j * box.frequencies.astype(float)) - power
                 out += odd[..., None] * (flat @ (1j * mat.imag).T).reshape(out.shape)
-        return HalfSpectrum(grid, out)
+        return HalfSpectrum(self.grid, out)
 
     def apply_multiplier(self, desc) -> "HalfSpectrum":
-        """m(D) u from u, through desc.grid_table."""
-        table = desc.grid_table(self.grid)
+        """m(D) u from u, through desc.grid_table read on the box."""
+        table = self.box.take(desc.grid_table(self.grid))
         out = np.einsum("...rc,...c->...r", table, self.coefficients)
         return HalfSpectrum(self.grid, out)
 
@@ -349,7 +464,7 @@ class HalfSpectrum:
         indices = multiindex_enumerate(self.grid.n, m)
         out = np.empty(coef.shape[:-1] + (len(indices), coef.shape[-1]), dtype=complex)
         for b, beta in enumerate(indices):
-            weight = math.sqrt(beta.multiplicity()) * _hermitian_power(self.grid, beta)
+            weight = math.sqrt(beta.multiplicity()) * _hermitian_power(self.box, beta)
             out[..., b, :] = weight[..., None] * coef
         return out.reshape(coef.shape[:-1] + (-1,))
 
@@ -358,16 +473,17 @@ class HalfSpectrum:
         otherwise one inverse transform of all its components."""
         blocks = self._derivative(m)
         if p == 2:
-            return _parseval_norm(self.grid, blocks)
-        return _lp(self.grid, _inverse(self.grid, blocks), p)
+            return _parseval_norm(self.box, blocks)
+        return _lp(self.grid, _inverse(self.box, blocks), p)
 
     def negative_sobolev_norm(self, s: float) -> float:
         """(sum_{xi != 0} |xi|^{-2s} ||f_hat(xi)||^2)^{1/2} over the full spectrum."""
-        norm2 = self.grid.half_frequency_norm2
+        box = self.box
+        norm2 = box.frequency_norm2
         weight = np.zeros_like(norm2)
-        nz = ~self.grid.half_zero_mask
+        nz = ~box.zero_mask
         weight[nz] = norm2[nz] ** (-s)
-        return _parseval_norm(self.grid, self.coefficients, weight)
+        return _parseval_norm(box, self.coefficients, weight)
 
 
 def apply_operator(spec: OperatorSpec, field: TensorField) -> TensorField:
@@ -471,24 +587,36 @@ def random_bandlimited(
 ) -> TensorField:
     """Zero-mean random field supported on frequencies with |xi_j| <= cutoff.
 
+    The real-FFT spectrum of white noise (d standard normals per grid
+    point) is cut to the band box of cutoff, its zero mode dropped, and
+    transformed back; only the lines that carry the box are transformed, and
+    the samples are those of the full rfftn, mask and irfftn bit for bit.
     Deterministic given the seed (a non-negative integer or a SeedSequence);
-    normalized to unit L^2 norm.
+    normalized to unit L^2 norm.  The field keeps its box spectrum, so
+    HalfSpectrum.of (and kms_sides) take no transform of it; its values are
+    read-only, so that spectrum cannot go stale.
     """
+    check_count("d", d)
+    check_count("cutoff", cutoff)
+    if d < 1:
+        raise ArgumentError("d", "the fibre dimension d must be >= 1")
     if not 1 <= cutoff < grid.points_per_axis // 2:
         raise ArgumentError("cutoff", "cutoff must satisfy 1 <= cutoff < M/2")
     if not isinstance(seed, np.random.SeedSequence):
         check_seed(seed)
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(grid.shape + (d,))
-    hat = np.fft.rfftn(white, axes=_axes(grid))
-    freqs = grid.half_frequency_grid
-    keep = np.all(np.abs(freqs) <= cutoff, axis=-1) & ~grid.half_zero_mask
-    hat *= keep[..., None]
-    vals = np.fft.irfftn(hat, s=grid.shape, axes=_axes(grid))
+    box = BandBox(grid, cutoff)
+    hat = _rfftn(box, rng.standard_normal(grid.shape + (d,)))
+    hat[box.zero_mask] = 0.0
+    vals = _irfftn(box, hat)
+    nrm = _lp(grid, vals, 2)
+    scale = 1.0 / nrm if nrm > 0 else 1.0
+    vals = vals * scale
+    vals.setflags(write=False)
+    hat *= grid.spectrum_scale * scale
+    hat.setflags(write=False)
     field = TensorField(grid, vals)
-    nrm = lp_norm(field, 2)
-    if nrm > 0:
-        field = field * (1.0 / nrm)
+    field._spectrum = HalfSpectrum(grid, hat)
     return field
 
 

@@ -20,7 +20,8 @@ P = cos(x.xi) v every norm in play factorizes into an algebraic fiber part
 and a scalar profile norm that depends only on M / gcd(xi, M), and the
 correction is its symbol at xi, so a plane wave costs small dense linear
 algebra and no FFT.  Random and bump fields go through kms_sides, the only
-reader of the half-grid correction table.
+reader of the half-grid correction table; a random field brings its spectrum
+on its band box and takes no forward transform.
 The sweep evaluates one frequency per orbit and counts it for every
 canonical member.  An orbit is a signed-permutation orbit of Z^n where a
 symmetry check proves the sweep ratio constant on those orbits, and a single
@@ -285,10 +286,12 @@ def _validate_field(config, fld):
 def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]:
     """Evaluate both sides of the configured inequality for one field.
 
-    The field is transformed once, to its real-FFT half spectrum; the
-    correction, the part map, B[i xi] and the derivative blocks act on that
-    spectrum.  L^2 norms are Parseval sums; every other L^p norm takes one
-    inverse transform.
+    The correction, the part map, B[i xi] and the derivative blocks act on
+    the field's real-FFT half spectrum (HalfSpectrum.of).  A random_bandlimited
+    field brings its spectrum on its band box, so it takes no forward
+    transform and everything below runs on the box; any other field is
+    transformed once, on the full half grid.  L^2 norms are Parseval sums;
+    every other L^p norm takes one inverse transform from the box.
     """
     _validate_field(config, fld)
     k, p = config.k, config.p
@@ -296,6 +299,12 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
     b_hat = f_hat.apply_operator(config.operator)
     if config.inequality_id == "korn_ell":
         return f_hat.sobolev_norm(k, p), b_hat.sobolev_norm(0, p)
+    # the norm of B P first, so its spectrum is freed before the correction's is built
+    if config.inequality_id == "korn_const2_p2":
+        b_norm = b_hat.negative_sobolev_norm(float(k))
+    else:
+        b_norm = b_hat.sobolev_norm(0, p)
+    del b_hat
     c_hat = None
     if config.correction_enabled:
         c_hat = f_hat.apply_multiplier(config.correction_descriptor)
@@ -303,8 +312,7 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
         reduced_hat = f_hat if c_hat is None else f_hat - c_hat
         a_hat = f_hat.apply_partmap(config.part)
         lhs = reduced_hat.negative_sobolev_norm(1.0)
-        rhs = a_hat.negative_sobolev_norm(1.0) + b_hat.negative_sobolev_norm(float(k))
-        return lhs, rhs
+        return lhs, a_hat.negative_sobolev_norm(1.0) + b_norm
     m, q = k - 1, config.p_star
     if m == 0 and q != 2:
         # P and A P are at hand; P - corr P is P minus the samples of corr P^,
@@ -316,7 +324,7 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
         reduced_hat = f_hat if c_hat is None else f_hat - c_hat
         lhs = reduced_hat.sobolev_norm(m, q)
         a_norm = f_hat.apply_partmap(config.part).sobolev_norm(m, q)
-    return lhs, a_norm + b_hat.sobolev_norm(0, p)
+    return lhs, a_norm + b_norm
 
 
 # --------------------------------------------------------------------------
@@ -662,11 +670,14 @@ def estimate_constant(
     them, single frequencies otherwise; the other members of an orbit whose
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT are
     evaluated one by one.  Every random and bump field is one row, evaluated
-    by kms_sides as soon as it is generated.  The witness plane wave is one
-    row, evaluated in closed form by single_frequency_trial; when no witness
-    exists it holds ratio 0.0.  Infinite ratios propagate to max_ratio and
-    are counted separately.  A family that generates no trial for the
-    config raises ArgumentError("family") before any classification.
+    by kms_sides as soon as it is generated and dropped, with its spectrum,
+    once its ratio is known.  A random field is evaluated on the band-box
+    spectrum it was synthesized from, with no forward transform; a bump on
+    the full half grid.  The witness plane wave is one row, evaluated in
+    closed form by single_frequency_trial; when no witness exists it holds
+    ratio 0.0.  Infinite ratios propagate to max_ratio and are counted
+    separately.  A family that generates no trial for the config raises
+    ArgumentError("family") before any classification.
     """
     check_seed(seed)
     if family is None:
