@@ -13,13 +13,14 @@ All multipliers annihilate the zero frequency: homogeneous symbols are
 undefined there and torus fields are reduced to zero mean before multiplier
 application.
 
-Grid tables (`MultiplierDescriptor.grid_table`) live on the real-FFT half
-grid of a TorusGrid and act on real fields: each bin stores the Hermitian
-part (m(xi) + conj m(xi'))/2, xi' the grid representative of -xi (Nyquist
-coordinates stay at -M/2).  Tables are for multipliers that map real fields
-to real fields, m(-xi) = conj m(xi) (the identity, the projectors and the
-operator-input reconstruction multipliers of real symbols); off the Nyquist
-planes their Hermitian part is m(xi) itself.  The last-axis bin-0 plane
+Grid tables (`MultiplierDescriptor.grid_table`, an `OrbitTable`) live on
+the real-FFT half grid of a TorusGrid and act on real fields: each bin
+stands for the Hermitian part (m(xi) + conj m(xi'))/2, xi' the grid
+representative of -xi (Nyquist coordinates stay at -M/2).  Tables are for
+multipliers that map real fields to real fields, m(-xi) = conj m(xi) (the
+identity, the projectors and the operator-input reconstruction multipliers
+of real symbols); off the Nyquist planes their Hermitian part is m(xi)
+itself.  The last-axis bin-0 plane
 holds both xi and -xi; a table whose entries there break
 m(-xi) = conj m(xi), relative to the largest entry, is refused with
 ValueError (e.g. the reconstruction multiplier of an odd-order operator
@@ -33,9 +34,12 @@ and the key of xi is xi / gcd(xi).  Where operators.orbit_tensor_power
 certifies the operator and part map, a correction also follows the signed
 permutations g of Z^n, m(g xi) = rho(g) m(xi) rho(g)^T with
 rho(g) = g (x) ... (x) g, and the key is sorted |xi| / gcd(xi): 733 keys
-for the 17,407 nonzero bins at n = 3, M = 32.  Every other bin gets its
-representative's matrix with entries moved and negated by rho(g), which is
-exact.  Other multipliers evaluate every bin.
+for the 17,407 nonzero bins at n = 3, M = 32.  Other multipliers evaluate
+every bin.  The table keeps the key matrices and, per bin, the key and g;
+no matrix per bin is stored.  OrbitTable.apply works TABLE_CHUNK bins at a
+time: rho(g)^T on the vector, one batched product with the key matrices,
+rho(g) on the result.  OrbitTable.matrices gives any bins' matrices, with
+entries moved and negated by rho(g), which is exact.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .operators import (
 
 __all__ = [
     "MultiplierDescriptor",
+    "OrbitTable",
     "MultiplierConstructionError",
     "ConstantRankViolation",
     "mihlin_korn_multiplier",
@@ -78,7 +83,8 @@ RANK_SAMPLE_SEED = 7
 # MultiplierDescriptor._symmetry of a degree-0 multiplier with no certified
 # signed-permutation symmetry
 RAYS = "rays"
-# representatives evaluated in one batch while a grid table is built
+# representatives evaluated in one batch while a grid table is built, and
+# bins taken at a time when it is applied
 TABLE_CHUNK = 1024
 
 
@@ -125,18 +131,18 @@ class MultiplierDescriptor:
         out[zero_mask] = 0.0
         return out
 
-    def grid_table(self, grid) -> np.ndarray:
-        """Hermitian-part matrices on the half grid of a TorusGrid, cached.
+    def grid_table(self, grid) -> "OrbitTable":
+        """The Hermitian-part matrices on the half grid of a TorusGrid, by orbit, cached.
 
-        Shape grid.half_shape + shape, bins as in grid.half_frequency_grid.
         batch is evaluated once per key of operators.frequency_orbits: with
         _symmetry an int (signed, rays), one per sorted |xi| / gcd(xi); with
         RAYS (rays), one per xi / gcd(xi); otherwise once per distinct bin.
-        Every other bin, and the mirror xi' of every Nyquist-plane bin, is
-        its key's matrix moved by the signed index permutation rho(g), which
-        is exact.  Raises ValueError when m(-xi) differs from conj m(xi) on
-        the last-axis bin-0 plane, which holds both: such a multiplier does
-        not map real fields to real fields.
+        The table keeps those matrices and, for every bin and for the mirror
+        xi' of every Nyquist-plane bin, the key and the signed permutation
+        g that move the key's matrix there by rho(g), which is exact; it
+        holds no matrix per bin.  Raises ValueError when m(-xi) differs from
+        conj m(xi) on the last-axis bin-0 plane, which holds both: such a
+        multiplier does not map real fields to real fields.
         """
         key = (grid.n, grid.points_per_axis)
         cached_key, table = self._grid_cache
@@ -146,33 +152,33 @@ class MultiplierDescriptor:
             half = grid.half_frequency_grid.reshape(-1, n)
             planes = np.flatnonzero(np.any(grid.half_nyquist_mask, axis=-1))
             freqs = np.concatenate([half[1:], grid.half_mirror_grid.reshape(-1, n)[planes]])
+            r = None if self._symmetry in (None, RAYS) else self._symmetry
             keys, rep, elem = frequency_orbits(
-                freqs, signed=self._symmetry not in (None, RAYS), rays=self._symmetry is not None
+                freqs, signed=r is not None, rays=self._symmetry is not None
             )
-            # targets in representative order: each chunk of representatives
-            # fills one run of targets, one group element at a time, so no
-            # intermediate grows with the table
-            order = np.argsort(rep, kind="stable")
-            bounds = np.searchsorted(
-                rep[order], np.arange(0, keys.shape[0] + TABLE_CHUNK, TABLE_CHUNK)
-            )
-            for c, lo in enumerate(range(0, keys.shape[0], TABLE_CHUNK)):
-                values = self._on_representatives(keys[lo : lo + TABLE_CHUNK])
+            for lo in range(0, keys.shape[0], TABLE_CHUNK):
+                chunk = self._on_representatives(keys[lo : lo + TABLE_CHUNK])
                 if lo == 0:
-                    table = np.empty((half.shape[0],) + values.shape[1:], values.dtype)
-                    table[0] = 0.0
-                    mirror = np.empty((planes.size,) + values.shape[1:], values.dtype)
-                run = order[bounds[c] : bounds[c + 1]]
-                run = run[np.argsort(elem[run], kind="stable")]
-                for targets in np.split(run, np.flatnonzero(np.diff(elem[run])) + 1):
-                    moved = self._move(values, rep[targets] - lo, elem[targets[0]], n)
-                    in_half = targets < half.shape[0] - 1
-                    table[targets[in_half] + 1] = moved[in_half]
-                    mirror[targets[~in_half] - (half.shape[0] - 1)] = moved[~in_half]
-            table[planes] = 0.5 * (table[planes] + mirror.conj())
-            table = table.reshape(grid.half_shape + table.shape[1:])
-            _check_real_to_real(self.provenance, grid, table[..., 0, :, :])
-            table.setflags(write=False)
+                    # the last row stays 0: the matrix of the zero frequency
+                    values = np.zeros((keys.shape[0] + 1,) + chunk.shape[1:], chunk.dtype)
+                values[lo : lo + chunk.shape[0]] = chunk
+            elems, code = np.unique(elem, return_inverse=True)
+            rep, code = rep.astype(np.int32), code.astype(np.int32)
+            bins = half.shape[0]
+            mirror = np.full(bins, -1, np.int32)
+            mirror[planes] = np.arange(planes.size)
+            table = OrbitTable(
+                shape=grid.half_shape + values.shape[1:],
+                values=values,
+                rep=np.append(np.int32(keys.shape[0]), rep[: bins - 1]).reshape(grid.half_shape),
+                code=np.append(np.int32(0), code[: bins - 1]).reshape(grid.half_shape),
+                mirror=mirror.reshape(grid.half_shape),
+                mirror_rep=rep[bins - 1 :],
+                mirror_code=code[bins - 1 :],
+                rows=_actions(elems, n, r, values.shape[-2]),
+                cols=_actions(elems, n, r, values.shape[-1]),
+            )
+            _check_real_to_real(self.provenance, grid, table.matrices((..., 0)))
             self._grid_cache = (key, table)
         return table
 
@@ -213,15 +219,117 @@ class MultiplierDescriptor:
             flat[rows] = flat[rows][:, first] * np.where(odd, 0.0, carried)
         return values
 
-    def _move(self, values, idx, code, n):
-        """rho(g) values[idx] rho(g)^T for the signed permutation g with this code."""
-        perm, signs = signed_permutation(code, n)
-        if np.array_equal(perm, np.arange(n)) and np.all(signs > 0):
-            return values[idx]
-        src, sgn = signed_permutation_action(perm, signs, self._symmetry)
-        d = src.size
-        pos = (idx[:, None] * d + src[None, :])[:, :, None] * d + src
-        return values.reshape(-1)[pos] * np.outer(sgn, sgn)
+
+def _actions(elems, n, r, size):
+    """(src, sgn, inv, inv_sgn) of rho(g) on a fibre of this size, one row per element code.
+
+    rho(g) x is x[src] * sgn and rho(g)^T x is x[inv] * inv_sgn, as in
+    operators.signed_permutation_action; with r None every code is the
+    identity.
+    """
+    if r is None:
+        src, sgn = np.tile(np.arange(size), (elems.size, 1)), np.ones((elems.size, size))
+    else:
+        pairs = [signed_permutation_action(*signed_permutation(e, n), r) for e in elems]
+        src, sgn = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+    inv = np.argsort(src, axis=1)
+    return src, sgn, inv, np.take_along_axis(sgn, inv, axis=1)
+
+
+@dataclass(eq=False)
+class OrbitTable:
+    """A multiplier's Hermitian-part matrices on the half grid of a TorusGrid, by orbit.
+
+    values holds one matrix per key of operators.frequency_orbits and a
+    last row of 0, the zero frequency's matrix.  rep, code and mirror have
+    the half-grid shape: bin b holds rho(g) values[rep[b]] rho(g)^T, g the
+    element with action row code[b] in rows (the matrix rows) and cols (the
+    columns), each a tuple from _actions.  A Nyquist-plane bin has
+    mirror[b] >= 0 and averages that with the conjugate of its mirror xi''s
+    matrix, given by mirror_rep and mirror_code at mirror[b]; mirror is -1
+    elsewhere.  shape is grid.half_shape + the matrix shape.
+    """
+
+    shape: tuple
+    values: np.ndarray
+    rep: np.ndarray
+    code: np.ndarray
+    mirror: np.ndarray
+    mirror_rep: np.ndarray
+    mirror_code: np.ndarray
+    rows: tuple
+    cols: tuple
+
+    def __post_init__(self):
+        # a descriptor hands the same cached table to every caller
+        for array in self._arrays():
+            array.setflags(write=False)
+
+    def _arrays(self):
+        fixed = [self.values, self.rep, self.code, self.mirror, self.mirror_rep, self.mirror_code]
+        return fixed + list(self.rows) + list(self.cols)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self._arrays())
+
+    def matrices(self, bins=...) -> np.ndarray:
+        """The matrices at half-grid bins: bins indexes an array of this shape (all, by default)."""
+        rep, code, mirror = (np.asarray(a[bins]) for a in (self.rep, self.code, self.mirror))
+        out = self._moved(self.values[rep], code)
+        planes = mirror >= 0
+        if np.any(planes):
+            at = mirror[planes]
+            mirrored = self._moved(self.values[self.mirror_rep[at]], self.mirror_code[at])
+            out[planes] = 0.5 * (out[planes] + mirrored.conj())
+        return out
+
+    def apply(self, box, coef: np.ndarray) -> np.ndarray:
+        """The multiplier applied bin by bin to coefficients on a torus.BandBox.
+
+        coef has shape box.shape + (columns,); the bins are taken
+        TABLE_CHUNK at a time, so no per-bin matrix is formed.
+        """
+        rep, code, mirror = (box.take(a).reshape(-1) for a in (self.rep, self.code, self.mirror))
+        vec = coef.reshape(-1, coef.shape[-1]).astype(complex, copy=False)
+        out = np.empty((vec.shape[0], self.shape[-2]), complex)
+        for lo in range(0, vec.shape[0], TABLE_CHUNK):
+            run = slice(lo, lo + TABLE_CHUNK)
+            out[run] = self._applied(rep[run], code[run], vec[run], conj=False)
+        planes = np.flatnonzero(mirror >= 0)
+        for lo in range(0, planes.size, TABLE_CHUNK):
+            run = planes[lo : lo + TABLE_CHUNK]
+            at = mirror[run]
+            mirrored = self._applied(self.mirror_rep[at], self.mirror_code[at], vec[run], conj=True)
+            out[run] = 0.5 * (out[run] + mirrored)
+        return out.reshape(coef.shape[:-1] + (-1,))
+
+    def _moved(self, mats, code):
+        """rho(g) mats rho(g)^T for the element of each code; exact."""
+        mats = np.take_along_axis(mats, self.rows[0][code][..., :, None], axis=-2)
+        mats *= self.rows[1][code][..., :, None]
+        mats = np.take_along_axis(mats, self.cols[0][code][..., None, :], axis=-1)
+        mats *= self.cols[1][code][..., None, :]
+        return mats
+
+    def _applied(self, rep, code, vec, conj):
+        """rho(g) m rho(g)^T vec per bin, m = values[rep], or its conjugate when conj."""
+        pulled = _signed_take(vec, *(np.take(a, code, axis=0) for a in self.cols[2:]))
+        mats = np.take(self.values, rep, axis=0)
+        if np.iscomplexobj(mats):
+            out = ((mats.conj() if conj else mats) @ pulled[..., None])[..., 0]
+        else:
+            # a real matrix times the (re, im) pairs of each complex entry
+            pairs = pulled.view(float).reshape(pulled.shape + (2,))
+            out = (mats @ pairs).view(complex)[..., 0]
+        return _signed_take(out, *(np.take(a, code, axis=0) for a in self.rows[:2]))
+
+
+def _signed_take(x, src, sgn):
+    """x[i, src[i, j]] * sgn[i, j] for each row i of a 2-d array x."""
+    out = np.take(x.reshape(-1), src + np.arange(x.shape[0])[:, None] * x.shape[1])
+    out *= sgn
+    return out
 
 
 def _check_real_to_real(provenance, grid, plane):

@@ -18,9 +18,10 @@ its coefficients on a `BandBox`, the bins with |xi_j| <= c on every axis
 run only over the 1-D lines that carry the box, and every grid array a
 spectrum reads (frequencies, Hermitian powers, Parseval weights, |xi|^2,
 the zero mask, multiplier tables) is read through it.  `random_bandlimited`
-synthesizes its field from a box spectrum and hands that spectrum on, so a
-random field is never transformed again; every other field starts on the
-full box.  A field's L^2 norm
+synthesizes its field from a box spectrum and `bump_field` from the 1-D
+transforms of its profiles; each hands that spectrum on, so a generated
+field is never transformed again.  Every other field starts on the full
+box.  A field's L^2 norm
 is the Parseval sum with `TorusGrid.parseval_weights` (1 on the last-axis
 bins 0 and M/2, whose partners -xi lie in the half grid too, 2
 elsewhere).  A multiplier m
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -253,8 +254,9 @@ class TensorField:
 
     grid: TorusGrid
     values: np.ndarray
-    # the exact half spectrum random_bandlimited synthesized the (read-only)
-    # values from, returned by HalfSpectrum.of; None on every other field
+    # the exact half spectrum random_bandlimited or bump_field synthesized
+    # the (read-only) values from, returned by HalfSpectrum.of; None on
+    # every other field
     _spectrum = None
 
     def __setattr__(self, name, value):
@@ -285,6 +287,10 @@ class TensorField:
 
     @property
     def is_zero_mean(self) -> bool:
+        """|mean| <= ZERO_MEAN_TOL max|values|, or the kept spectrum's zero mode is 0."""
+        if self._spectrum is not None:
+            # the generator sets the zero mode to exactly 0 for a zero-mean field
+            return not np.any(self._spectrum.coefficients[(0,) * self.grid.n])
         scale = float(np.max(np.abs(self.values)))
         return bool(np.max(np.abs(self.mean)) <= ZERO_MEAN_TOL * scale)
 
@@ -411,7 +417,7 @@ class HalfSpectrum:
 
     @classmethod
     def of(cls, field: TensorField) -> "HalfSpectrum":
-        """The spectrum random_bandlimited kept for the field, else one full-box transform."""
+        """The spectrum the field's generator kept, else one full-box transform."""
         if field._spectrum is not None:
             return field._spectrum
         full = BandBox(field.grid, field.grid.points_per_axis // 2)
@@ -444,10 +450,9 @@ class HalfSpectrum:
         return HalfSpectrum(self.grid, out)
 
     def apply_multiplier(self, desc) -> "HalfSpectrum":
-        """m(D) u from u, through desc.grid_table read on the box."""
-        table = self.box.take(desc.grid_table(self.grid))
-        out = np.einsum("...rc,...c->...r", table, self.coefficients)
-        return HalfSpectrum(self.grid, out)
+        """m(D) u from u, through desc.grid_table applied on the box."""
+        table = desc.grid_table(self.grid)
+        return HalfSpectrum(self.grid, table.apply(self.box, self.coefficients))
 
     def apply_partmap(self, part) -> "HalfSpectrum":
         return HalfSpectrum(self.grid, part.apply(self.coefficients))
@@ -653,9 +658,13 @@ def bump_field(
 ) -> TensorField:
     """Gaussian bump exp(-|x - c|^2 / (2 w^2)) v with periodic distance.
 
-    With zero_mean=True (default) the mean is projected out so the field is
-    usable in homogeneous norms; pass False to compare against whole-space
-    quadrature oracles.
+    The Gaussian is the product of n 1-D profiles, so its half spectrum is
+    the outer product of their fft (the first n - 1 axes) and rfft (the
+    last), times v: no n-D transform is taken.  The field keeps that
+    spectrum, as random_bandlimited does, and its values are read-only.
+    With zero_mean=True (default) the zero mode is 0 and the mean is
+    subtracted from the values, so the field is usable in homogeneous norms;
+    pass False to compare against whole-space quadrature oracles.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (grid.n,):
@@ -663,10 +672,22 @@ def bump_field(
     if not 0 < width < math.inf:
         raise ArgumentError("width", "width must be positive and finite")
     v = np.asarray(v, dtype=float)
-    delta = grid.points - center
-    delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-    r2 = np.sum(delta**2, axis=-1)
-    profile = np.exp(-r2 / (2.0 * width**2))
+    axis = 2.0 * math.pi * np.arange(grid.points_per_axis) / grid.points_per_axis
+    profiles = [
+        np.exp(-(((axis - c + math.pi) % (2.0 * math.pi) - math.pi) ** 2) / (2.0 * width**2))
+        for c in center
+    ]
+    spectra = [np.fft.fftn(p, axes=(0,)) for p in profiles[:-1]]
+    spectra.append(np.fft.rfftn(profiles[-1], axes=(0,)))
+    profile = reduce(np.multiply.outer, profiles)
+    hat = reduce(np.multiply.outer, spectra) * grid.spectrum_scale
+    if zero_mean:
+        profile -= math.prod(p.mean() for p in profiles)
+        hat[(0,) * grid.n] = 0.0
     vals = profile[..., None] * v
+    vals.setflags(write=False)
+    hat = hat[..., None] * v
+    hat.setflags(write=False)
     field = TensorField(grid, vals)
-    return field.with_zero_mean() if zero_mean else field
+    field._spectrum = HalfSpectrum(grid, hat)
+    return field

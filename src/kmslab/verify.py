@@ -287,11 +287,14 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
     """Evaluate both sides of the configured inequality for one field.
 
     The correction, the part map, B[i xi] and the derivative blocks act on
-    the field's real-FFT half spectrum (HalfSpectrum.of).  A random_bandlimited
-    field brings its spectrum on its band box, so it takes no forward
-    transform and everything below runs on the box; any other field is
-    transformed once, on the full half grid.  L^2 norms are Parseval sums;
-    every other L^p norm takes one inverse transform from the box.
+    the field's real-FFT half spectrum (HalfSpectrum.of).  A generated field
+    brings the spectrum it was synthesized from, so it takes no forward
+    transform: a random_bandlimited field on its band box, where everything
+    below runs, and a bump_field on the full half grid.  Any other field is
+    transformed once, on the full half grid.  The correction is applied from
+    its orbit table (OrbitTable.apply), with no matrix per bin.  L^2 norms
+    are Parseval sums; every other L^p norm takes one inverse transform from
+    the box.
     """
     _validate_field(config, fld)
     k, p = config.k, config.p
@@ -671,9 +674,11 @@ def estimate_constant(
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT are
     evaluated one by one.  Every random and bump field is one row, evaluated
     by kms_sides as soon as it is generated and dropped, with its spectrum,
-    once its ratio is known.  A random field is evaluated on the band-box
-    spectrum it was synthesized from, with no forward transform; a bump on
-    the full half grid.  The witness plane wave is one row, evaluated in
+    once its ratio is known.  No field takes a forward transform: a random
+    field is evaluated on the band-box spectrum it was synthesized from, and
+    a bump on the full half-grid spectrum of its 1-D profiles.  A correction
+    term builds the compact orbit table of its grid once, for the first
+    field trial.  The witness plane wave is one row, evaluated in
     closed form by single_frequency_trial; when no witness exists it holds
     ratio 0.0.  Infinite ratios propagate to max_ratio and are counted
     separately.  A family that generates no trial for the config raises

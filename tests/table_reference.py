@@ -21,3 +21,13 @@ def per_bin_table(desc, grid):
     mirror = desc.on_frequencies(grid.half_mirror_grid[planes].astype(float))
     table[planes] = 0.5 * (table[planes] + mirror.conj())
     return table
+
+
+class PerBinTable:
+    """per_bin_table applied by einsum, a stand-in for the table grid_table returns."""
+
+    def __init__(self, desc, grid):
+        self.dense = per_bin_table(desc, grid)
+
+    def apply(self, box, coef):
+        return np.einsum("...rc,...c->...r", box.take(self.dense), coef)

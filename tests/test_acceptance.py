@@ -184,7 +184,7 @@ def test_criterion_06_elliptic_degeneration():
     sym = catalog_partmap("sym", 3)
     grid = TorusGrid(3, 16)
     corr = composed_correction_symbol(curl, sym)
-    table = corr.grid_table(grid)
+    table = corr.grid_table(grid).matrices()
     peak = float(np.max(np.abs(table)))
     assert peak <= 1e-12
 

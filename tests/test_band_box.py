@@ -181,6 +181,42 @@ def test_random_trial_transform_counts(monkeypatch, ident, want):
     assert calls == want
 
 
+@pytest.mark.parametrize(
+    "ident,want",
+    [
+        # the samples of the correction for L^6 only
+        ("korn_const", [("_irfftn", True)]),
+        ("korn_const2_p2", []),
+    ],
+)
+def test_bump_trial_takes_no_forward_transform(monkeypatch, ident, want):
+    cfg = make_config(ident, 16)
+    d = cfg.operator.d
+    fld = bump_field(cfg.grid, np.full(3, math.pi), 0.4, np.ones(d) / math.sqrt(d))
+    calls = _counted(monkeypatch)
+    kms_sides(cfg, fld)
+    assert calls == want
+
+
+@pytest.mark.parametrize("zero_mean", [True, False])
+@pytest.mark.parametrize("m", [8, 32, 48])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bump_spectrum_is_the_transform_of_its_values(n, m, zero_mean):
+    grid = TorusGrid(n, m)
+    full = BandBox(grid, m // 2)
+    # on a grid point and off the grid
+    for center in (np.full(n, math.pi), 0.37 + 1.9 * np.arange(n)):
+        for width in (0.05, 0.4, 0.8):
+            fld = bump_field(grid, center, width, np.array([0.6, -0.8]), zero_mean=zero_mean)
+            kept = HalfSpectrum.of(fld)
+            assert kept is fld._spectrum and kept.box.is_full
+            want = torus._forward(full, fld.values)
+            assert np.max(np.abs(kept.coefficients - want)) <= 1e-12 * np.max(np.abs(want))
+            # the zero-mean check reads the zero mode
+            assert fld.is_zero_mean == zero_mean
+            assert not fld.values.flags.writeable and not kept.coefficients.flags.writeable
+
+
 def test_every_transform_goes_through_the_names_the_tracer_wraps(monkeypatch):
     # perfbench's tracer counts np.fft.{rfftn,fftn,ifftn,irfftn}; a 1-D
     # np.fft call would escape it

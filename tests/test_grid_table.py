@@ -2,8 +2,9 @@
 
 grid_table evaluates a correction once per representative, sorted |xi| /
 gcd(xi) where operators.orbit_tensor_power certifies the operator and part
-map and xi / gcd(xi) otherwise, and moves that matrix to every other bin of
-the orbit by a signed index permutation.  These tests hold the table against
+map and xi / gcd(xi) otherwise, and keeps for every bin the representative
+and the signed index permutation that moves its matrix there.  These tests
+hold the table's matrices and its chunked apply against
 tests/table_reference.py, check that the moves are exact, count the
 evaluations, and compare field-trial ratios with those read off the oracle.
 """
@@ -16,11 +17,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kmslab.multipliers import RAYS, MultiplierDescriptor, composed_correction_symbol
-from kmslab.operators import catalog_operator, catalog_partmap
-from kmslab.torus import TorusGrid
+from kmslab.multipliers import (
+    RAYS,
+    MultiplierDescriptor,
+    composed_correction_symbol,
+    mihlin_korn_multiplier,
+)
+from kmslab.operators import MultiIndex, catalog_operator, catalog_partmap
+from kmslab.torus import HalfSpectrum, TensorField, TorusGrid, random_bandlimited
 from kmslab.verify import FieldFamily, InequalityConfig, estimate_constant
-from table_reference import per_bin_table
+from table_reference import PerBinTable, per_bin_table
 from test_sweep_work import anisotropic_curl
 
 OPERATORS = ("curl_matrix_rowwise", "div_matrix_rowwise", "sym_curl_matrix")
@@ -34,7 +40,7 @@ def correction(op, part, projector="restricted"):
 
 
 def assert_matches_oracle(desc, grid):
-    got, want = desc.grid_table(grid), per_bin_table(desc, grid)
+    got, want = desc.grid_table(grid).matrices(), per_bin_table(desc, grid)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -84,10 +90,51 @@ def test_table_follows_signed_permutations_bit_for_bit(case, m, data):
     assume(gxi[-1] >= 0)
 
     def entry(freq):
-        return table[tuple(int(c) % m for c in freq[:-1]) + (int(freq[-1]),)]
+        return table.matrices(tuple(int(c) % m for c in freq[:-1]) + (int(freq[-1]),))
 
     rho = np.kron(g, g).astype(float)
     assert np.array_equal(entry(gxi), rho @ entry(xi) @ rho.T)
+
+
+def assert_apply_matches_oracle(desc, grid):
+    # white noise has content on every bin, the Nyquist planes included; a
+    # band-limited field's spectrum lives on its box
+    rng = np.random.default_rng(grid.points_per_axis)
+    values = rng.standard_normal(grid.shape + desc.shape[1:])
+    band = random_bandlimited(grid, desc.shape[1], grid.points_per_axis // 4, seed=1)
+    oracle = PerBinTable(desc, grid)
+    for spectrum in (HalfSpectrum.of(TensorField(grid, values)), HalfSpectrum.of(band)):
+        got = spectrum.apply_multiplier(desc).coefficients
+        want = oracle.apply(spectrum.box, spectrum.coefficients)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("projector", PROJECTORS)
+@pytest.mark.parametrize("part", PARTS)
+@pytest.mark.parametrize("op", OPERATORS)
+def test_compact_apply_matches_the_per_bin_table(op, part, projector, m):
+    assert_apply_matches_oracle(correction(op, part, projector), TorusGrid(3, m))
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("part", ["dev", "tr", "skew"])
+def test_compact_apply_matches_the_per_bin_table_off_the_orbit_check(part, m):
+    desc = correction(anisotropic_curl(), part)
+    assert desc._symmetry == RAYS
+    assert_apply_matches_oracle(desc, TorusGrid(3, m))
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_compact_apply_matches_the_per_bin_table_for_a_complex_multiplier(m):
+    # no symmetry: one key per bin, every code the identity, a complex matmul
+    desc = mihlin_korn_multiplier(
+        catalog_operator("sym_gradient", 3), MultiIndex((1, 0, 0)), operator_input=True
+    )
+    grid = TorusGrid(3, m)
+    assert desc._symmetry is None and np.iscomplexobj(desc.grid_table(grid).values)
+    assert_apply_matches_oracle(desc, grid)
 
 
 def counting(desc):
@@ -124,6 +171,10 @@ def test_uncertified_table_evaluates_one_frequency_per_ray():
     assert max(evaluated) <= 1024
 
 
+def per_bin_grid_table(desc, grid):
+    return PerBinTable(desc, grid)
+
+
 def close(got, want, rtol=1e-12):
     if math.isinf(got) or math.isinf(want):
         return got == want
@@ -141,7 +192,7 @@ def test_field_ratios_match_the_per_bin_table(monkeypatch, ident, p, m):
     )
     family = FieldFamily(sweep=False, random_trials=2, witness=False)
     got = estimate_constant(cfg, family, seed=3, enforce=False)
-    monkeypatch.setattr(MultiplierDescriptor, "grid_table", per_bin_table)
+    monkeypatch.setattr(MultiplierDescriptor, "grid_table", per_bin_grid_table)
     want = estimate_constant(cfg.with_grid(cfg.grid), family, seed=3, enforce=False)
     for key in ("max_ratio", "max_finite_ratio", "median_ratio"):
         assert close(getattr(got, key), getattr(want, key)), key

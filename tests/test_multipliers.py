@@ -283,8 +283,8 @@ class TestDescriptorPlumbing:
         grid = TorusGrid(2, 4)
         ident = identity_multiplier(2)
         table = ident.grid_table(grid)
-        assert np.allclose(table[0, 0], 0.0)
-        assert np.allclose(table[1, 0], np.eye(2))
+        assert np.allclose(table.matrices((0, 0)), 0.0)
+        assert np.allclose(table.matrices((1, 0)), np.eye(2))
 
     def test_grid_table_cached(self):
         from kmslab.torus import TorusGrid
@@ -307,21 +307,30 @@ class TestDescriptorPlumbing:
         assert second.shape == (8, 5, 2, 2)
         assert ident.grid_table(TorusGrid(2, 8)) is second
 
-    def test_grid_table_build_peak_memory_below_twice_the_table(self):
+    def test_compact_table_build_and_field_estimate_peak_memory(self):
+        # korn_const (A = tr) at M = 32: the dense half-grid table took
+        # 11,280,384 bytes; the compact table's build peaks below that, and a
+        # whole estimate over the benchmark's field family below 20 MB
         import tracemalloc
 
         from kmslab.torus import TorusGrid
+        from kmslab.verify import FieldFamily, InequalityConfig, estimate_constant
 
-        desc = composed_correction_symbol(
-            catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3)
-        )
-        tracemalloc.start()
-        try:
-            table = desc.grid_table(TorusGrid(3, 32))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * table.nbytes
+        curl, tr = catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3)
+        desc = composed_correction_symbol(curl, tr)
+        cfg = InequalityConfig("korn_const", curl, tr, 2.0, TorusGrid(3, 32))
+        family = FieldFamily(sweep=False, random_trials=4, bump_widths=(0.4, 0.8), witness=False)
+        peaks = []
+        runs = (lambda: desc.grid_table(TorusGrid(3, 32)), lambda: estimate_constant(cfg, family))
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 11_280_384
+        assert peaks[1] < 20_000_000
 
     @pytest.mark.parametrize(
         "make",
@@ -361,6 +370,6 @@ class TestDescriptorPlumbing:
         freqs = grid.half_frequency_grid
         mirror = np.where(freqs == -2, freqs, -freqs)
         want = 0.5 * (desc.on_frequencies(freqs) + desc.on_frequencies(mirror).conj())
-        table = desc.grid_table(grid)
+        table = desc.grid_table(grid).matrices()
         assert table.shape == (4, 4, 3, 3, 9)
         assert np.max(np.abs(table - want)) <= 1e-14

@@ -2,7 +2,8 @@
 
 perfbench/tracer.py swaps layer functions for wrappers and fails with
 AttributeError on a name kmslab no longer has, which otherwise shows only
-when someone runs the benchmark with tracing on.
+when someone runs the benchmark with tracing on.  It also weak-refs each
+correction table grid_table returns and reads its nbytes.
 """
 
 import importlib
@@ -47,10 +48,15 @@ def _descriptor():
     return kernel_projection_symbol(catalog_operator("gradient", 2), 1)
 
 
-def test_tracer_wraps_every_name_and_undo_restores_them():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_wraps_every_name_and_undo_restores_them():
+    tracer = _tracer()
 
     functions, methods = _current()
     undo = tracer.instrument(tracer.Tracer())
@@ -64,3 +70,29 @@ def test_tracer_wraps_every_name_and_undo_restores_them():
         undo()
     assert _current() == (functions, methods)
     assert "evaluate" not in vars(_descriptor())
+
+
+def test_traced_estimate_counts_the_compact_table_once():
+    # what a --trace 1 run reads of the correction table: one build, and its
+    # bytes are the compact table's (the tracer weak-refs the table)
+    from kmslab.operators import catalog_operator, catalog_partmap
+    from kmslab.torus import TorusGrid
+    from kmslab.verify import FieldFamily, InequalityConfig, estimate_constant
+
+    tracer = _tracer()
+    cfg = InequalityConfig(
+        "korn_const", catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3), 2.0,
+        TorusGrid(3, 16),
+    )
+    trace = tracer.Tracer()
+    trace.request = "setup"
+    undo = tracer.instrument(trace)
+    try:
+        estimate_constant(cfg, FieldFamily(sweep=False, random_trials=2, witness=False), seed=1)
+    finally:
+        undo()
+    metrics = tracer.per_layer_metrics(trace, 1)
+    table = cfg.correction_descriptor.grid_table(cfg.grid)
+    assert metrics["multipliers.table_builds"][0] == 1
+    assert metrics["multipliers.table_hit_ratio"][0] == 0.75
+    assert metrics["multipliers.table_bytes"][0] == table.nbytes < 1_000_000

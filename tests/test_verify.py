@@ -396,7 +396,7 @@ class TestSpecializations:
         sym = catalog_partmap("sym", 3)
         const_cfg = InequalityConfig("korn_const", curl, sym, 2.0, grid8)
         ellip_cfg = InequalityConfig("korn_ellip", curl, sym, 2.0, grid8)
-        table = const_cfg.correction_descriptor.grid_table(grid8)
+        table = const_cfg.correction_descriptor.grid_table(grid8).matrices()
         assert np.max(np.abs(table)) <= 1e-12
         for seed in range(3):
             f = random_bandlimited(grid8, 9, 2, seed=seed)
