@@ -1,4 +1,4 @@
-"""Command-line interface: classify, verify, demo, crosscheck, field.
+"""Command-line interface: classify, verify, demo, crosscheck.
 
 Every run emits a single JSON report with the inputs echoed (command line,
 seeds, parsed config, tool version) so that replaying the manifest
@@ -17,10 +17,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .binio import write_field
 from .classify import SphereSampling, classify, classify_on_kernel, is_c_elliptic
 from .operators import CONVENTIONS, catalog_operator
 from .specfile import (
@@ -31,7 +28,7 @@ from .specfile import (
     load_verify_config,
     parse_operator_file,
 )
-from .torus import TorusGrid, bump_field, lp_norm, plane_wave_field, random_bandlimited
+from .torus import TorusGrid
 from .verify import (
     FieldFamily,
     PreconditionError,
@@ -78,16 +75,6 @@ def _csv_ints(text, what):
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
         raise ConfigError(what, f"expected comma-separated integers, got {text!r}") from None
-
-
-def _csv_floats(text, what):
-    try:
-        values = [float(t) for t in text.split(",") if t.strip() != ""]
-        if np.all(np.isfinite(values)):
-            return values
-    except ValueError:
-        pass
-    raise ConfigError(what, f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _grid(n, points):
@@ -201,55 +188,6 @@ def cmd_crosscheck(args):
     return 0
 
 
-def cmd_field_gen(args):
-    grid = _grid(args.n, args.grid)
-    if args.kind == "random":
-        if args.d is None or args.d < 1:
-            raise ConfigError("d", "random fields need --d >= 1")
-        cutoff = args.cutoff if args.cutoff is not None else max(1, args.grid // 4)
-        flags = {"cutoff": "cutoff", "seed": "seed"}
-        field = _user_value(flags, random_bandlimited, grid, args.d, cutoff, args.seed)
-        descriptor = {"kind": "random", "d": args.d, "cutoff": cutoff, "seed": args.seed}
-    elif args.kind == "plane":
-        if not args.xi or not args.value:
-            raise ConfigError("xi", "plane waves need --xi and --value")
-        xi = np.array(_csv_ints(args.xi, "xi"))
-        v = np.array(_csv_floats(args.value, "value"))
-        field = _user_value({"xi0": "xi"}, plane_wave_field, grid, xi, v)
-        descriptor = {"kind": "plane", "xi": xi.tolist(), "value": v.tolist()}
-    else:
-        if not args.value:
-            raise ConfigError("value", "bump fields need --value")
-        v = np.array(_csv_floats(args.value, "value"))
-        center = (
-            np.array(_csv_floats(args.center, "center"))
-            if args.center
-            else np.full(args.n, np.pi)
-        )
-        flags = {"center": "center", "width": "width"}
-        field = _user_value(flags, bump_field, grid, center, args.width, v)
-        descriptor = {
-            "kind": "bump",
-            "center": center.tolist(),
-            "width": args.width,
-            "value": v.tolist(),
-        }
-    write_field(args.out, field)
-    summary = _report(
-        args,
-        args.seed,
-        descriptor,
-        {
-            "written": str(args.out),
-            "l2_norm": lp_norm(field, 2),
-            "fiber_dim": field.fiber_dim,
-            "points_per_axis": grid.points_per_axis,
-        },
-    )
-    _emit(summary, args.report)
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kmslab",
@@ -301,24 +239,7 @@ def build_parser():
     p_cr.add_argument("--out", help="report path (stdout when omitted)")
     p_cr.set_defaults(func=cmd_crosscheck)
 
-    p_field = sub.add_parser("field", help="field generators")
-    field_sub = p_field.add_subparsers(dest="field_command", required=True)
-    p_gen = field_sub.add_parser("gen", help="generate a field snapshot")
-    p_gen.add_argument("--kind", choices=("random", "plane", "bump"), required=True)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--grid", type=int, required=True)
-    p_gen.add_argument("--d", type=int, help="fiber dimension (random)")
-    p_gen.add_argument("--cutoff", type=int, help="band limit (random)")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--xi", help="comma-separated integer frequency (plane)")
-    p_gen.add_argument("--value", help="comma-separated fiber vector (plane/bump)")
-    p_gen.add_argument("--center", help="comma-separated center (bump)")
-    p_gen.add_argument("--width", type=float, default=0.5, help="bump width")
-    p_gen.add_argument("--out", required=True, help="binary field output (.kfd)")
-    p_gen.add_argument("--report", help="JSON summary path (stdout when omitted)")
-    p_gen.set_defaults(func=cmd_field_gen)
-
-    for sp in (p_cls, p_ver, p_nec, p_cr, p_gen):
+    for sp in (p_cls, p_ver, p_nec, p_cr):
         sp.add_argument(
             "--stamp-time",
             action="store_true",

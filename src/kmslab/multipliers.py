@@ -15,17 +15,15 @@ application.
 
 Grid tables (`MultiplierDescriptor.grid_table`, an `OrbitTable`) live on
 the real-FFT half grid of a TorusGrid and act on real fields: each bin
-stands for the Hermitian part (m(xi) + conj m(xi'))/2, xi' the grid
-representative of -xi (Nyquist coordinates stay at -M/2).  Tables are for
+holds m(xi), and the Nyquist-plane bins, where no spectrum has content
+(torus module docstring), hold 0 like the zero frequency.  Tables are for
 multipliers that map real fields to real fields, m(-xi) = conj m(xi) (the
 identity, the projectors and the operator-input reconstruction multipliers
-of real symbols); off the Nyquist planes their Hermitian part is m(xi)
-itself.  The last-axis bin-0 plane
-holds both xi and -xi; a table whose entries there break
-m(-xi) = conj m(xi), relative to the largest entry, is refused with
-ValueError (e.g. the reconstruction multiplier of an odd-order operator
-without operator_input).  A descriptor caches the table of the grid it was
-last asked for.
+of real symbols).  The last-axis bin-0 plane holds both xi and -xi; a
+table whose entries there break m(-xi) = conj m(xi), relative to the
+largest entry, is refused with ValueError (e.g. the reconstruction
+multiplier of an odd-order operator without operator_input).  A descriptor
+caches the table of the grid it was last asked for.
 
 A table evaluates batch once per key of operators.frequency_orbits, the
 one orbit decomposition of grid frequencies.  Kernel projectors and
@@ -33,13 +31,14 @@ corrections have degree 0, so the bins on one ray from 0 share a matrix
 and the key of xi is xi / gcd(xi).  Where operators.orbit_tensor_power
 certifies the operator and part map, a correction also follows the signed
 permutations g of Z^n, m(g xi) = rho(g) m(xi) rho(g)^T with
-rho(g) = g (x) ... (x) g, and the key is sorted |xi| / gcd(xi): 733 keys
-for the 17,407 nonzero bins at n = 3, M = 32.  Other multipliers evaluate
-every bin.  The table keeps the key matrices and, per bin, the key and g;
-no matrix per bin is stored.  OrbitTable.apply works TABLE_CHUNK bins at a
-time: rho(g)^T on the vector, one batched product with the key matrices,
-rho(g) on the result.  OrbitTable.matrices gives any bins' matrices, with
-entries moved and negated by rho(g), which is exact.
+rho(g) = g (x) ... (x) g, and the key is sorted |xi| / gcd(xi): 625 keys
+for the 15,375 nonzero bins off the Nyquist planes at n = 3, M = 32.
+Other multipliers evaluate every bin.  The table keeps the key matrices
+and, per bin, the key and g; no matrix per bin is stored.
+OrbitTable.apply works TABLE_CHUNK bins at a time: rho(g)^T on the
+vector, one batched product with the key matrices, rho(g) on the result.
+OrbitTable.matrices gives any bins' matrices, with entries moved and
+negated by rho(g), which is exact.
 """
 
 from __future__ import annotations
@@ -132,29 +131,32 @@ class MultiplierDescriptor:
         return out
 
     def grid_table(self, grid) -> "OrbitTable":
-        """The Hermitian-part matrices on the half grid of a TorusGrid, by orbit, cached.
+        """The matrices on the half grid of a TorusGrid, by orbit, cached.
 
-        batch is evaluated once per key of operators.frequency_orbits: with
-        _symmetry an int (signed, rays), one per sorted |xi| / gcd(xi); with
-        RAYS (rays), one per xi / gcd(xi); otherwise once per distinct bin.
-        The table keeps those matrices and, for every bin and for the mirror
-        xi' of every Nyquist-plane bin, the key and the signed permutation
-        g that move the key's matrix there by rho(g), which is exact; it
-        holds no matrix per bin.  Raises ValueError when m(-xi) differs from
-        conj m(xi) on the last-axis bin-0 plane, which holds both: such a
-        multiplier does not map real fields to real fields.
+        batch is evaluated once per key of operators.frequency_orbits over
+        the nonzero bins off the Nyquist planes: with _symmetry an int
+        (signed, rays), one per sorted |xi| / gcd(xi); with RAYS (rays), one
+        per xi / gcd(xi); otherwise once per bin.  The table keeps those
+        matrices and, for every bin, the key and the signed permutation g
+        that move the key's matrix there by rho(g), which is exact; bin 0
+        and the Nyquist-plane bins read 0.  It holds no matrix per bin.
+        Raises ValueError when m(-xi) differs from conj m(xi) on the
+        last-axis bin-0 plane, which holds both: such a multiplier does not
+        map real fields to real fields.
         """
         key = (grid.n, grid.points_per_axis)
         cached_key, table = self._grid_cache
         if cached_key != key:
             n = grid.n
-            # bin 0 is the zero frequency, which every multiplier annihilates
-            half = grid.half_frequency_grid.reshape(-1, n)
-            planes = np.flatnonzero(np.any(grid.half_nyquist_mask, axis=-1))
-            freqs = np.concatenate([half[1:], grid.half_mirror_grid.reshape(-1, n)[planes]])
+            freqs = grid.half_frequency_grid.reshape(-1, n)
+            # bin 0 and the Nyquist-plane bins keep the zero row: every
+            # multiplier annihilates the zero frequency, and every spectrum
+            # holds 0 on the Nyquist rows
+            nyquist = np.any(freqs == -(grid.points_per_axis // 2), axis=1)
+            live = np.flatnonzero(np.any(freqs != 0, axis=1) & ~nyquist)
             r = None if self._symmetry in (None, RAYS) else self._symmetry
             keys, rep, elem = frequency_orbits(
-                freqs, signed=r is not None, rays=self._symmetry is not None
+                freqs[live], signed=r is not None, rays=self._symmetry is not None
             )
             for lo in range(0, keys.shape[0], TABLE_CHUNK):
                 chunk = self._on_representatives(keys[lo : lo + TABLE_CHUNK])
@@ -163,18 +165,15 @@ class MultiplierDescriptor:
                     values = np.zeros((keys.shape[0] + 1,) + chunk.shape[1:], chunk.dtype)
                 values[lo : lo + chunk.shape[0]] = chunk
             elems, code = np.unique(elem, return_inverse=True)
-            rep, code = rep.astype(np.int32), code.astype(np.int32)
-            bins = half.shape[0]
-            mirror = np.full(bins, -1, np.int32)
-            mirror[planes] = np.arange(planes.size)
+            bin_rep = np.full(freqs.shape[0], keys.shape[0], np.int32)
+            bin_rep[live] = rep
+            bin_code = np.zeros(freqs.shape[0], np.int32)
+            bin_code[live] = code
             table = OrbitTable(
                 shape=grid.half_shape + values.shape[1:],
                 values=values,
-                rep=np.append(np.int32(keys.shape[0]), rep[: bins - 1]).reshape(grid.half_shape),
-                code=np.append(np.int32(0), code[: bins - 1]).reshape(grid.half_shape),
-                mirror=mirror.reshape(grid.half_shape),
-                mirror_rep=rep[bins - 1 :],
-                mirror_code=code[bins - 1 :],
+                rep=bin_rep.reshape(grid.half_shape),
+                code=bin_code.reshape(grid.half_shape),
                 rows=_actions(elems, n, r, values.shape[-2]),
                 cols=_actions(elems, n, r, values.shape[-1]),
             )
@@ -238,25 +237,20 @@ def _actions(elems, n, r, size):
 
 @dataclass(eq=False)
 class OrbitTable:
-    """A multiplier's Hermitian-part matrices on the half grid of a TorusGrid, by orbit.
+    """A multiplier's matrices on the half grid of a TorusGrid, by orbit.
 
     values holds one matrix per key of operators.frequency_orbits and a
-    last row of 0, the zero frequency's matrix.  rep, code and mirror have
-    the half-grid shape: bin b holds rho(g) values[rep[b]] rho(g)^T, g the
-    element with action row code[b] in rows (the matrix rows) and cols (the
-    columns), each a tuple from _actions.  A Nyquist-plane bin has
-    mirror[b] >= 0 and averages that with the conjugate of its mirror xi''s
-    matrix, given by mirror_rep and mirror_code at mirror[b]; mirror is -1
-    elsewhere.  shape is grid.half_shape + the matrix shape.
+    last row of 0, the matrix of the zero frequency and of every
+    Nyquist-plane bin.  rep and code have the half-grid shape: bin b holds
+    rho(g) values[rep[b]] rho(g)^T, g the element with action row code[b]
+    in rows (the matrix rows) and cols (the columns), each a tuple from
+    _actions.  shape is grid.half_shape + the matrix shape.
     """
 
     shape: tuple
     values: np.ndarray
     rep: np.ndarray
     code: np.ndarray
-    mirror: np.ndarray
-    mirror_rep: np.ndarray
-    mirror_code: np.ndarray
     rows: tuple
     cols: tuple
 
@@ -266,8 +260,7 @@ class OrbitTable:
             array.setflags(write=False)
 
     def _arrays(self):
-        fixed = [self.values, self.rep, self.code, self.mirror, self.mirror_rep, self.mirror_code]
-        return fixed + list(self.rows) + list(self.cols)
+        return [self.values, self.rep, self.code] + list(self.rows) + list(self.cols)
 
     @property
     def nbytes(self) -> int:
@@ -275,14 +268,7 @@ class OrbitTable:
 
     def matrices(self, bins=...) -> np.ndarray:
         """The matrices at half-grid bins: bins indexes an array of this shape (all, by default)."""
-        rep, code, mirror = (np.asarray(a[bins]) for a in (self.rep, self.code, self.mirror))
-        out = self._moved(self.values[rep], code)
-        planes = mirror >= 0
-        if np.any(planes):
-            at = mirror[planes]
-            mirrored = self._moved(self.values[self.mirror_rep[at]], self.mirror_code[at])
-            out[planes] = 0.5 * (out[planes] + mirrored.conj())
-        return out
+        return self._moved(self.values[np.asarray(self.rep[bins])], np.asarray(self.code[bins]))
 
     def apply(self, box, coef: np.ndarray) -> np.ndarray:
         """The multiplier applied bin by bin to coefficients on a torus.BandBox.
@@ -290,18 +276,12 @@ class OrbitTable:
         coef has shape box.shape + (columns,); the bins are taken
         TABLE_CHUNK at a time, so no per-bin matrix is formed.
         """
-        rep, code, mirror = (box.take(a).reshape(-1) for a in (self.rep, self.code, self.mirror))
+        rep, code = (box.take(a).reshape(-1) for a in (self.rep, self.code))
         vec = coef.reshape(-1, coef.shape[-1]).astype(complex, copy=False)
         out = np.empty((vec.shape[0], self.shape[-2]), complex)
         for lo in range(0, vec.shape[0], TABLE_CHUNK):
             run = slice(lo, lo + TABLE_CHUNK)
-            out[run] = self._applied(rep[run], code[run], vec[run], conj=False)
-        planes = np.flatnonzero(mirror >= 0)
-        for lo in range(0, planes.size, TABLE_CHUNK):
-            run = planes[lo : lo + TABLE_CHUNK]
-            at = mirror[run]
-            mirrored = self._applied(self.mirror_rep[at], self.mirror_code[at], vec[run], conj=True)
-            out[run] = 0.5 * (out[run] + mirrored)
+            out[run] = self._applied(rep[run], code[run], vec[run])
         return out.reshape(coef.shape[:-1] + (-1,))
 
     def _moved(self, mats, code):
@@ -312,12 +292,12 @@ class OrbitTable:
         mats *= self.cols[1][code][..., None, :]
         return mats
 
-    def _applied(self, rep, code, vec, conj):
-        """rho(g) m rho(g)^T vec per bin, m = values[rep], or its conjugate when conj."""
+    def _applied(self, rep, code, vec):
+        """rho(g) m rho(g)^T vec per bin, m = values[rep]."""
         pulled = _signed_take(vec, *(np.take(a, code, axis=0) for a in self.cols[2:]))
         mats = np.take(self.values, rep, axis=0)
         if np.iscomplexobj(mats):
-            out = ((mats.conj() if conj else mats) @ pulled[..., None])[..., 0]
+            out = (mats @ pulled[..., None])[..., 0]
         else:
             # a real matrix times the (re, im) pairs of each complex entry
             pairs = pulled.view(float).reshape(pulled.shape + (2,))

@@ -16,21 +16,24 @@ The calculus works on the real-FFT half spectrum of a field
 its coefficients on a `BandBox`, the bins with |xi_j| <= c on every axis
 (0 ... c on the last); the full half grid is the box c = M/2.  Transforms
 run only over the 1-D lines that carry the box, and every grid array a
-spectrum reads (frequencies, Hermitian powers, Parseval weights, |xi|^2,
-the zero mask, multiplier tables) is read through it.  `random_bandlimited`
+spectrum reads (frequencies, Parseval weights, |xi|^2, the zero mask,
+multiplier tables) is read through it.  `random_bandlimited`
 synthesizes its field from a box spectrum and `bump_field` from the 1-D
 transforms of its profiles; each hands that spectrum on, so a generated
 field is never transformed again.  Every other field starts on the full
-box.  A field's L^2 norm
-is the Parseval sum with `TorusGrid.parseval_weights` (1 on the last-axis
-bins 0 and M/2, whose partners -xi lie in the half grid too, 2
-elsewhere).  A multiplier m
-acts on the half spectrum through its Hermitian part
-(m(xi) + conj m(xi'))/2, with xi' the grid representative of -xi (Nyquist
-coordinates stay at -M/2): that is what multiplying the full spectrum and
-keeping the real part of the inverse computes.  For (i xi)^alpha it
-vanishes where the Nyquist coordinates carry odd total order and is
-(i xi)^alpha elsewhere.
+box.  A field's L^2 norm is the Parseval sum with
+`TorusGrid.parseval_weights` (1 on the last-axis bins 0 and M/2, whose
+partners -xi lie in the half grid too, 2 elsewhere).
+
+The trial space is the band without Nyquist rows: every half spectrum
+holds 0 wherever a coordinate of xi is -M/2.  A real field's Nyquist mode
+has vanishing odd derivatives on the grid, so it would give every
+odd-order operator a spurious null direction there.  `HalfSpectrum.of`
+sets those rows to 0 after its transform, `bump_field` drops the Nyquist
+term of each 1-D profile and `random_bandlimited` stays below M/2.  On
+that space an operator acts by (i xi)^alpha Re B_alpha and a multiplier by
+m(xi): what multiplying the full spectrum and keeping the real part of the
+inverse computes.
 """
 
 from __future__ import annotations
@@ -129,24 +132,6 @@ class TorusGrid:
         return grid
 
     @cached_property
-    def half_nyquist_mask(self) -> np.ndarray:
-        """True at the Nyquist coordinates (-M/2) of half_frequency_grid."""
-        mask = self.half_frequency_grid == -(self.points_per_axis // 2)
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def half_mirror_grid(self) -> np.ndarray:
-        """The grid representative xi' of -xi for every half-grid bin.
-
-        Nyquist coordinates stay at -M/2; off the Nyquist planes xi' = -xi.
-        """
-        xi = self.half_frequency_grid
-        grid = np.where(self.half_nyquist_mask, xi, -xi)
-        grid.setflags(write=False)
-        return grid
-
-    @cached_property
     def half_zero_mask(self) -> np.ndarray:
         mask = ~np.any(self.half_frequency_grid != 0, axis=-1)
         mask.setflags(write=False)
@@ -200,11 +185,12 @@ class TorusGrid:
 class BandBox:
     """The half-grid bins with |xi_j| <= cutoff on every axis, 0 ... cutoff on the last.
 
-    1 <= cutoff <= M/2; cutoff = M/2 is the full half grid, and every
-    smaller box leaves out the Nyquist bins.  On a full axis the box keeps
-    the bins 0 ... c, -c ... -1, in grid order.  take() restricts an array of
-    shape grid.half_shape + (...) to the box; the full box returns it as it
-    is, so the full-grid calculus is the box calculus at cutoff M/2.
+    1 <= cutoff <= M/2; cutoff = M/2 is the full half grid, whose Nyquist
+    bins every spectrum holds at 0, and every smaller box leaves them out.
+    On a full axis the box keeps the bins 0 ... c, -c ... -1, in grid order.
+    take() restricts an array of shape grid.half_shape + (...) to the box;
+    the full box returns it as it is, so the full-grid calculus is the box
+    calculus at cutoff M/2.
     """
 
     grid: TorusGrid
@@ -239,7 +225,6 @@ class BandBox:
         return out[np.ix_(*[self.axis_bins] * (n - 1))] if n > 1 else out
 
     frequencies = property(lambda self: self.take(self.grid.half_frequency_grid))
-    nyquist_mask = property(lambda self: self.take(self.grid.half_nyquist_mask))
     zero_mask = property(lambda self: self.take(self.grid.half_zero_mask))
     frequency_norm2 = property(lambda self: self.take(self.grid.half_frequency_norm2))
     parseval_weights = property(lambda self: self.take(self.grid.parseval_weights))
@@ -373,18 +358,6 @@ def _inverse(box, coef):
     return _irfftn(box, coef) / box.grid.spectrum_scale
 
 
-def _hermitian_power(box, alpha):
-    """Hermitian part of (i xi)^alpha on the box's bins.
-
-    (i xi)^alpha where the Nyquist coordinates of xi carry even total order
-    in alpha, 0 where it is odd.
-    """
-    nyquist = box.nyquist_mask
-    order = sum(e * nyquist[..., j] for j, e in enumerate(alpha.exponents) if e)
-    power = alpha.power(1j * box.frequencies.astype(float))
-    return np.where(np.asarray(order) % 2 == 1, 0.0, power)
-
-
 def _parseval_norm(box, coef, weight=None):
     """L^2 norm of the real field with half spectrum coef on the box; weight multiplies each bin."""
     pairs = np.ascontiguousarray(coef).view(float)
@@ -405,11 +378,11 @@ def _lp(grid, values, p):
 class HalfSpectrum:
     """Real-FFT half spectrum of a real field, Parseval-normalized, on a BandBox.
 
-    coefficients has shape box.shape + (d,) and is zero off the box; the
-    box is read off that shape (its last grid axis holds cutoff + 1 bins),
-    and the full box has shape grid.half_shape + (d,).  Operators and
-    multipliers act through their Hermitian parts (module docstring), so
-    to_field() is the real field the full-grid calculus would give.
+    coefficients has shape box.shape + (d,) and is zero off the box and on
+    the Nyquist rows; the box is read off that shape (its last grid axis
+    holds cutoff + 1 bins), and the full box has shape
+    grid.half_shape + (d,).  to_field() is the real field the full-grid
+    calculus would give (module docstring).
     """
 
     grid: TorusGrid
@@ -417,11 +390,15 @@ class HalfSpectrum:
 
     @classmethod
     def of(cls, field: TensorField) -> "HalfSpectrum":
-        """The spectrum the field's generator kept, else one full-box transform."""
+        """The spectrum the field's generator kept, else one full-box transform
+        with its Nyquist rows set to 0: the field projected on the trial space."""
         if field._spectrum is not None:
             return field._spectrum
-        full = BandBox(field.grid, field.grid.points_per_axis // 2)
-        return cls(field.grid, _forward(full, field.values))
+        grid, half = field.grid, field.grid.points_per_axis // 2
+        coef = _forward(BandBox(grid, half), field.values)
+        for axis in range(grid.n):
+            coef[(slice(None),) * axis + (half,)] = 0.0
+        return cls(grid, coef)
 
     @property
     def box(self) -> BandBox:
@@ -434,19 +411,18 @@ class HalfSpectrum:
         return HalfSpectrum(self.grid, self.coefficients - other.coefficients)
 
     def apply_operator(self, spec: OperatorSpec) -> "HalfSpectrum":
-        """B u from u: coefficients map by the Hermitian part of B[i xi]."""
+        """B u from u: coefficients map by (i xi)^alpha Re B_alpha.
+
+        The imaginary part of a complex B_alpha maps a real field to an
+        imaginary one, which the real part of the inverse drops.
+        """
         box, coef = self.box, self.coefficients
         # one 2-d product per coefficient, not one per leading index
         flat = coef.reshape(-1, coef.shape[-1])
         out = np.zeros(coef.shape[:-1] + (spec.l,), dtype=complex)
+        i_xi = 1j * box.frequencies.astype(float)
         for alpha, mat in spec.coeffs.items():
-            power = _hermitian_power(box, alpha)
-            out += power[..., None] * (flat @ mat.real.T).reshape(out.shape)
-            if np.iscomplexobj(mat):
-                # conj flips i Im B_alpha along with (i xi)^alpha: the Hermitian
-                # part keeps it exactly where the plain power vanishes
-                odd = alpha.power(1j * box.frequencies.astype(float)) - power
-                out += odd[..., None] * (flat @ (1j * mat.imag).T).reshape(out.shape)
+            out += alpha.power(i_xi)[..., None] * (flat @ mat.real.T).reshape(out.shape)
         return HalfSpectrum(self.grid, out)
 
     def apply_multiplier(self, desc) -> "HalfSpectrum":
@@ -468,8 +444,9 @@ class HalfSpectrum:
             return coef
         indices = multiindex_enumerate(self.grid.n, m)
         out = np.empty(coef.shape[:-1] + (len(indices), coef.shape[-1]), dtype=complex)
+        i_xi = 1j * self.box.frequencies.astype(float)
         for b, beta in enumerate(indices):
-            weight = math.sqrt(beta.multiplicity()) * _hermitian_power(self.box, beta)
+            weight = math.sqrt(beta.multiplicity()) * beta.power(i_xi)
             out[..., b, :] = weight[..., None] * coef
         return out.reshape(coef.shape[:-1] + (-1,))
 
@@ -656,15 +633,18 @@ def bump_field(
     v,
     zero_mean: bool = True,
 ) -> TensorField:
-    """Gaussian bump exp(-|x - c|^2 / (2 w^2)) v with periodic distance.
+    """Gaussian bump exp(-|x - c|^2 / (2 w^2)) v with periodic distance, Nyquist terms dropped.
 
     The Gaussian is the product of n 1-D profiles, so its half spectrum is
     the outer product of their fft (the first n - 1 axes) and rfft (the
-    last), times v: no n-D transform is taken.  The field keeps that
-    spectrum, as random_bandlimited does, and its values are read-only.
-    With zero_mean=True (default) the zero mode is 0 and the mean is
-    subtracted from the values, so the field is usable in homogeneous norms;
-    pass False to compare against whole-space quadrature oracles.
+    last), times v: no n-D transform is taken.  Each profile loses its
+    Nyquist term, S[M/2] (-1)^i / M at sample i, from its samples and its spectrum, so
+    the field lies in the trial space (module docstring).  The field keeps
+    that spectrum, as random_bandlimited does, and its values are
+    read-only.  With zero_mean=True (default) the zero mode is 0 and the
+    mean is subtracted from the values, so the field is usable in
+    homogeneous norms; pass False to compare against whole-space quadrature
+    oracles.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (grid.n,):
@@ -672,13 +652,18 @@ def bump_field(
     if not 0 < width < math.inf:
         raise ArgumentError("width", "width must be positive and finite")
     v = np.asarray(v, dtype=float)
-    axis = 2.0 * math.pi * np.arange(grid.points_per_axis) / grid.points_per_axis
-    profiles = [
-        np.exp(-(((axis - c + math.pi) % (2.0 * math.pi) - math.pi) ** 2) / (2.0 * width**2))
-        for c in center
-    ]
-    spectra = [np.fft.fftn(p, axes=(0,)) for p in profiles[:-1]]
-    spectra.append(np.fft.rfftn(profiles[-1], axes=(0,)))
+    m = grid.points_per_axis
+    axis = 2.0 * math.pi * np.arange(m) / m
+    nyquist_mode = np.where(np.arange(m) % 2 == 0, 1.0 / m, -1.0 / m)
+    profiles, spectra = [], []
+    for j, c in enumerate(center):
+        distance = (axis - c + math.pi) % (2.0 * math.pi) - math.pi
+        profile = np.exp(-(distance**2) / (2.0 * width**2))
+        transform = np.fft.rfftn if j == grid.n - 1 else np.fft.fftn
+        spectrum = transform(profile, axes=(0,))
+        profiles.append(profile - spectrum[m // 2].real * nyquist_mode)
+        spectrum[m // 2] = 0.0
+        spectra.append(spectrum)
     profile = reduce(np.multiply.outer, profiles)
     hat = reduce(np.multiply.outer, spectra) * grid.spectrum_scale
     if zero_mean:

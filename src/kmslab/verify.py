@@ -287,14 +287,17 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
     """Evaluate both sides of the configured inequality for one field.
 
     The correction, the part map, B[i xi] and the derivative blocks act on
-    the field's real-FFT half spectrum (HalfSpectrum.of).  A generated field
-    brings the spectrum it was synthesized from, so it takes no forward
-    transform: a random_bandlimited field on its band box, where everything
-    below runs, and a bump_field on the full half grid.  Any other field is
-    transformed once, on the full half grid.  The correction is applied from
-    its orbit table (OrbitTable.apply), with no matrix per bin.  L^2 norms
-    are Parseval sums; every other L^p norm takes one inverse transform from
-    the box.
+    the field's real-FFT half spectrum (HalfSpectrum.of), which holds no
+    Nyquist rows: the field is read as its projection on the trial space
+    (torus module docstring).  A generated field brings the spectrum it was
+    synthesized from, so it takes no forward transform: a
+    random_bandlimited field on its band box, where everything below runs,
+    and a bump_field on the full half grid.  Any other field is transformed
+    once, on the full half grid, and where its samples enter a real-space
+    norm they are those of the projection, one inverse transform.  The
+    correction is applied from its orbit table (OrbitTable.apply), with no
+    matrix per bin.  L^2 norms are Parseval sums; every other L^p norm
+    takes one inverse transform from the box.
     """
     _validate_field(config, fld)
     k, p = config.k, config.p
@@ -318,8 +321,11 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
         return lhs, a_hat.negative_sobolev_norm(1.0) + b_norm
     m, q = k - 1, config.p_star
     if m == 0 and q != 2:
-        # P and A P are at hand; P - corr P is P minus the samples of corr P^,
-        # so a vanishing correction leaves korn_const equal to korn_ellip bit for bit
+        # P is at hand, or its projection is one inverse transform away; P - corr P
+        # is P minus the samples of corr P^, so a vanishing correction leaves
+        # korn_const equal to korn_ellip bit for bit
+        if fld._spectrum is None:
+            fld = f_hat.to_field()
         reduced = fld if c_hat is None else fld - c_hat.to_field()
         lhs = lp_norm(reduced, q)
         a_norm = lp_norm(apply_partmap(config.part, fld), q)
@@ -676,7 +682,9 @@ def estimate_constant(
     by kms_sides as soon as it is generated and dropped, with its spectrum,
     once its ratio is known.  No field takes a forward transform: a random
     field is evaluated on the band-box spectrum it was synthesized from, and
-    a bump on the full half-grid spectrum of its 1-D profiles.  A correction
+    a bump on the full half-grid spectrum of its 1-D profiles, whose Nyquist
+    terms bump_field drops, so every trial field lies in the trial space
+    without Nyquist rows (torus module docstring).  A correction
     term builds the compact orbit table of its grid once, for the first
     field trial.  The witness plane wave is one row, evaluated in
     closed form by single_frequency_trial; when no witness exists it holds

@@ -45,6 +45,14 @@ def inverse_transform(spectrum: SpectrumField) -> TensorField:
     return TensorField(spectrum.grid, vals.real / spectrum.grid.spectrum_scale)
 
 
+def nyquist_free(field: TensorField) -> TensorField:
+    """The field with every frequency that has a Nyquist coordinate (-M/2) removed."""
+    spectrum = transform(field)
+    nyquist = np.any(field.grid.frequency_grid == -(field.grid.points_per_axis // 2), axis=-1)
+    spectrum.coefficients[nyquist] = 0.0
+    return inverse_transform(spectrum)
+
+
 def frequency_norm2(grid: TorusGrid) -> np.ndarray:
     """|xi|^2 over grid.frequency_grid."""
     return np.sum(grid.frequency_grid.astype(float) ** 2, axis=-1)

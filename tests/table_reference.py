@@ -1,15 +1,20 @@
 """The per-bin half-grid table that the tests hold MultiplierDescriptor.grid_table against.
 
 It assumes no symmetry of the multiplier: batch is evaluated at every
-half-grid bin, one first-axis slab at a time, and at the mirror xi' of every
-Nyquist-plane bin, which is then averaged with its mirror.
+half-grid bin, one first-axis slab at a time, and the Nyquist-plane bins,
+where no spectrum has content, are set to 0.
 """
 
 import numpy as np
 
 
+def nyquist_planes(grid):
+    """True at the half-grid bins with a Nyquist coordinate (-M/2)."""
+    return np.any(grid.half_frequency_grid == -(grid.points_per_axis // 2), axis=-1)
+
+
 def per_bin_table(desc, grid):
-    """Hermitian-part matrices on grid's half grid, shape grid.half_shape + desc.shape."""
+    """The matrices on grid's half grid, shape grid.half_shape + desc.shape."""
     freqs = grid.half_frequency_grid
     table = None
     for i in range(freqs.shape[0]):
@@ -17,9 +22,7 @@ def per_bin_table(desc, grid):
         if table is None:
             table = np.empty(grid.half_shape + slab.shape[grid.n :], slab.dtype)
         table[i : i + 1] = slab
-    planes = np.any(grid.half_nyquist_mask, axis=-1)
-    mirror = desc.on_frequencies(grid.half_mirror_grid[planes].astype(float))
-    table[planes] = 0.5 * (table[planes] + mirror.conj())
+    table[nyquist_planes(grid)] = 0.0
     return table
 
 

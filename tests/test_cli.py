@@ -5,13 +5,10 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
 import kmslab
-from kmslab.binio import read_field, write_field
 from kmslab.cli import main
-from kmslab.torus import TorusGrid, lp_norm, random_bandlimited
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +44,6 @@ KMS_CFG = {
 
 
 CURLVEC = ["--catalog", "curl_vector", "--n", "3"]
-BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
 
 
 @pytest.mark.parametrize(
@@ -72,21 +68,10 @@ BUMP = ["field", "gen", "--kind", "bump", "--n", "2", "--grid", "8"]
         ("grid", ["crosscheck", "curl-riesz", "--mode", "quadrature", "--grid", "6"]),
         ("width", ["crosscheck", "curl-riesz", "--mode", "quadrature", "--width", "-1"]),
         ("width", ["crosscheck", "curl-riesz", "--mode", "symbol", "--width", "-1"]),
-        ("width", [*BUMP, "--value", "1", "--width", "0"]),
-        ("width", [*BUMP, "--value", "1", "--width", "inf"]),
-        ("center", [*BUMP, "--value", "1", "--center", "1"]),
-        ("value", [*BUMP, "--value", "1,nan"]),
-        ("n", ["field", "gen", "--kind", "random", "--n", "0", "--grid", "8", "--d", "1"]),
-        ("cutoff", ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "1",
-                    "--cutoff", "4"]),
-        ("cutoff", ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "1",
-                    "--cutoff", "0"]),
         ("seed", ["classify", *CURLVEC, "--seed", "-1"]),
         ("seed", ["verify", "--seed", "-1"]),
         ("seed", ["verify", "--refine", "8", "--seed", "-1"]),
         ("trials", ["verify", "--trials", "-1"]),
-        ("seed", ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "1",
-                  "--seed", "-1"]),
     ],
 )
 def test_bad_flag_value_exit_2_names_it(tmp_path, capsys, flag, args):
@@ -94,8 +79,6 @@ def test_bad_flag_value_exit_2_names_it(tmp_path, capsys, flag, args):
         cfg = tmp_path / "kms.cfg"
         cfg.write_text(json.dumps(KMS_CFG))
         args = args[:1] + ["--config", str(cfg)] + args[1:]
-    if args[0] == "field":
-        args = args + ["--out", str(tmp_path / "f.kfd")]
     assert run_cli(args) == 2
     assert f"'{flag}'" in capsys.readouterr().err
 
@@ -414,79 +397,3 @@ class TestCrosscheckCommand:
         assert code == 0
         res = load_report(out, schema)["results"]
         assert res["max_relative_deviation"] <= 1e-12
-
-
-class TestFieldCommand:
-    def test_plane_wave_roundtrip(self, tmp_path, schema):
-        out = tmp_path / "wave.kfd"
-        rep = tmp_path / "rep.json"
-        code = run_cli(
-            ["field", "gen", "--kind", "plane", "--n", "3", "--grid", "8",
-             "--xi", "1,0,2", "--value", "1,0,0,0,0,0,0,0,0", "--out", str(out),
-             "--report", str(rep)]
-        )
-        assert code == 0
-        load_report(rep, schema)
-        field = read_field(out)
-        assert field.grid.points_per_axis == 8
-        assert field.fiber_dim == 9
-
-    def test_random_field(self, tmp_path):
-        out = tmp_path / "f.kfd"
-        rep = tmp_path / "rep.json"
-        code = run_cli(
-            ["field", "gen", "--kind", "random", "--n", "2", "--grid", "8", "--d", "2",
-             "--seed", "3", "--out", str(out), "--report", str(rep)]
-        )
-        assert code == 0
-        field = read_field(out)
-        assert field.is_zero_mean
-
-    def test_bad_xi_exit_2(self, tmp_path):
-        code = run_cli(
-            ["field", "gen", "--kind", "plane", "--n", "2", "--grid", "8",
-             "--xi", "1,x", "--value", "1", "--out", str(tmp_path / "f.kfd")]
-        )
-        assert code == 2
-
-    def test_nyquist_xi_exit_2_names_it(self, tmp_path, capsys):
-        code = run_cli(
-            ["field", "gen", "--kind", "plane", "--n", "2", "--grid", "8",
-             "--xi", "4,0", "--value", "1", "--out", str(tmp_path / "f.kfd")]
-        )
-        assert code == 2
-        assert "'xi'" in capsys.readouterr().err
-
-
-class TestBinio:
-    def test_field_roundtrip(self, tmp_path):
-        grid = TorusGrid(2, 8)
-        f = random_bandlimited(grid, 3, 3, seed=5)
-        path = tmp_path / "f.kfd"
-        write_field(path, f)
-        g = read_field(path)
-        assert np.array_equal(f.values, g.values)
-        assert lp_norm(f, 2) == lp_norm(g, 2)
-
-    def test_bad_magic(self, tmp_path):
-        from kmslab.binio import BinaryFormatError
-
-        path = tmp_path / "junk.kfd"
-        path.write_bytes(b"NOPE" + b"\0" * 32)
-        with pytest.raises(BinaryFormatError):
-            read_field(path)
-
-    def test_header_faults_name_path_and_field(self, tmp_path):
-        import struct
-
-        from kmslab.binio import BinaryFormatError
-
-        magic, tail = b"KMSF", struct.pack("<I", 3)
-        truncated = tmp_path / "short.bin"
-        truncated.write_bytes((magic + struct.pack("<III", 1, 2, 8) + tail)[:9])
-        with pytest.raises(BinaryFormatError, match=r"short\.bin.*'n'"):
-            read_field(truncated)
-        odd_grid = tmp_path / "odd.bin"
-        odd_grid.write_bytes(magic + struct.pack("<III", 1, 2, 5) + tail)
-        with pytest.raises(BinaryFormatError, match=r"odd\.bin.*'M' = 5"):
-            read_field(odd_grid)

@@ -97,8 +97,8 @@ def test_table_follows_signed_permutations_bit_for_bit(case, m, data):
 
 
 def assert_apply_matches_oracle(desc, grid):
-    # white noise has content on every bin, the Nyquist planes included; a
-    # band-limited field's spectrum lives on its box
+    # white noise has content on every bin but the Nyquist planes, which its
+    # spectrum holds at 0; a band-limited field's spectrum lives on its box
     rng = np.random.default_rng(grid.points_per_axis)
     values = rng.standard_normal(grid.shape + desc.shape[1:])
     band = random_bandlimited(grid, desc.shape[1], grid.points_per_axis // 4, seed=1)
@@ -155,10 +155,10 @@ def test_korn_const_table_evaluates_one_frequency_per_orbit():
     evaluated = counting(desc)
     grid = TorusGrid(3, 32)
     desc.grid_table(grid)
-    # the 17,407 nonzero bins and the mirrors of the Nyquist-plane bins
-    # share 733 nonzero sorted |xi| / gcd(xi)
+    # the 31 * 31 * 16 - 1 = 15,375 nonzero bins off the Nyquist planes share
+    # 625 sorted |xi| / gcd(xi): the primitive 0 <= a <= b <= c <= 15
     assert int(np.prod(grid.half_shape)) == 17408
-    assert evaluated == [733]
+    assert evaluated == [625]
 
 
 def test_uncertified_table_evaluates_one_frequency_per_ray():
@@ -166,8 +166,9 @@ def test_uncertified_table_evaluates_one_frequency_per_ray():
     evaluated = counting(desc)
     grid = TorusGrid(3, 16)
     desc.grid_table(grid)
-    # 2,303 nonzero bins plus the Nyquist mirrors lie on 2,174 rays from 0
-    assert sum(evaluated) == 2174 < int(np.prod(grid.half_shape)) - 1
+    # the 15 * 15 * 8 - 1 = 1,799 nonzero bins off the Nyquist planes lie on
+    # 1,513 rays from 0: the primitive vectors of [-7, 7]^2 x [0, 7]
+    assert sum(evaluated) == 1513 < 1799
     assert max(evaluated) <= 1024
 
 

@@ -1,9 +1,10 @@
 """kms_sides on the real-FFT half spectrum against full-grid references.
 
 The reference below is the full-grid formula (complex transform, multiplier
-and symbol on every grid frequency, real part of the inverse); on fields with
-Nyquist content it agrees with the half spectrum only through the Hermitian
-part that the half grid stores.
+and symbol on every grid frequency, real part of the inverse).  kms_sides
+reads a field as its projection on the trial space without Nyquist rows, so
+a field with Nyquist content is held against the reference on that
+projection, which fullgrid_reference.nyquist_free computes on the full grid.
 """
 
 import functools
@@ -18,6 +19,7 @@ from fullgrid_reference import (
     SpectrumField,
     frequency_norm2,
     inverse_transform,
+    nyquist_free,
     transform,
     zero_mask,
 )
@@ -29,13 +31,17 @@ from kmslab.operators import (
     multiindex_enumerate,
 )
 from kmslab.torus import (
+    HalfSpectrum,
     TensorField,
     TorusGrid,
     apply_operator,
+    bump_field,
+    lp_norm,
     plane_wave_field,
     random_bandlimited,
 )
 from kmslab.verify import InequalityConfig, kms_sides, single_frequency_trial, trial_ratio
+from table_reference import nyquist_planes
 
 # one exponent per inequality id
 CASES = [
@@ -133,9 +139,69 @@ def test_nyquist_white_noise_matches_full_grid_reference(ident, part, p):
     for seed in range(2):
         fld = white_noise(cfg.grid, cfg.operator.d, seed)
         got = kms_sides(cfg, fld)
-        want = reference_sides(cfg, fld)
+        want = reference_sides(cfg, nyquist_free(fld))
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * abs(w), (got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_white_noise_spectrum_has_no_nyquist_rows(n):
+    grid = TorusGrid(n, 8)
+    fld = TensorField(grid, np.random.default_rng(n).standard_normal(grid.shape + (2,)))
+    coef = HalfSpectrum.of(fld).coefficients
+    assert coef.shape == grid.half_shape + (2,)
+    assert not np.any(coef[nyquist_planes(grid)])
+    assert np.all(coef[~nyquist_planes(grid)] != 0)
+
+
+@pytest.mark.parametrize("ident,part,p", NYQUIST_CASES, ids=str)
+def test_nyquist_content_leaves_kms_sides_unchanged(ident, part, p):
+    cfg = make_config(ident, part, p, 8)
+    fld = random_bandlimited(cfg.grid, cfg.operator.d, 2, seed=5)
+    noise = white_noise(cfg.grid, cfg.operator.d, 6)
+    nyquist_only = noise - nyquist_free(noise)
+    assert lp_norm(nyquist_only, 2) > lp_norm(fld, 2)
+    got, want = kms_sides(cfg, fld + nyquist_only), kms_sides(cfg, fld)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w), (got, want)
+
+
+# P = cos((M/2) x_1) v lives on the Nyquist rows: its projection on the trial
+# space is 0.  With the Nyquist rows kept, every first-order B read 0 on it
+# while the left side did not, so these ratios read inf.
+SKEW = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / math.sqrt(2)
+TRACE_FREE = np.diag([1.0, -1.0, 0.0]) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("m", [8, 32])
+@pytest.mark.parametrize(
+    "ident,part,p,v",
+    [
+        ("kms_sym", "sym", 1.5, SKEW),
+        ("korn_const", "tr", 1.5, TRACE_FREE),
+        ("korn_const2_p2", "tr", 2.0, TRACE_FREE),
+    ],
+    ids=["kms_sym", "korn_const", "korn_const2_p2"],
+)
+def test_nyquist_wave_reads_its_projection(ident, part, p, v, m):
+    cfg = make_config(ident, part, p, m)
+    wave = np.cos((m // 2) * cfg.grid.points[..., 0])[..., None] * v.reshape(9)
+    fld = TensorField(cfg.grid, wave)
+    lhs, rhs = kms_sides(cfg, fld)
+    assert lhs <= 1e-12 * lp_norm(fld, 2)
+    assert trial_ratio(lhs, rhs) == 0.0
+
+
+@pytest.mark.parametrize("zero_mean", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bump_values_are_its_kept_spectrum(n, zero_mean):
+    grid = TorusGrid(n, 8)
+    for width in (0.4, 0.8):
+        fld = bump_field(grid, np.full(n, 1.3), width, np.array([1.0, -2.0]), zero_mean=zero_mean)
+        f_hat = HalfSpectrum.of(fld)
+        assert not np.any(f_hat.coefficients[nyquist_planes(grid)])
+        scale = np.max(np.abs(fld.values))
+        assert np.max(np.abs(f_hat.to_field().values - fld.values)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5])
@@ -152,14 +218,14 @@ def test_vanishing_correction_bit_for_bit_at_p_not_2(p):
 
 
 def test_complex_coefficient_operator_matches_full_grid_reference():
-    # complex B_alpha: the Hermitian part keeps Re B_alpha where the Nyquist
-    # order is even and i Im B_alpha where it is odd
+    # complex B_alpha: the real part of the inverse keeps Re B_alpha, on the
+    # projection of white noise on the trial space
     grid = TorusGrid(2, 8)
     coeffs = {MultiIndex((2, 0)): [[1 + 2j]], MultiIndex((1, 1)): [[0.5 - 1j]]}
     spec = OperatorSpec("complex_test", n=2, d=1, l=1, k=2, coeffs=coeffs)
     fld = TensorField(grid, np.random.default_rng(3).standard_normal(grid.shape + (1,)))
     freqs = grid.frequency_grid.astype(float)
-    f_hat = transform(fld).coefficients
+    f_hat = transform(nyquist_free(fld)).coefficients
     symbol = sum(
         a.power(1j * freqs)[..., None] * (f_hat @ np.asarray(m).T) for a, m in coeffs.items()
     )

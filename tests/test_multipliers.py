@@ -19,6 +19,7 @@ from kmslab.operators import (
     eval_symbol,
     restrict_symbol,
 )
+from table_reference import nyquist_planes
 
 
 def unit_frequencies(n, count, seed):
@@ -360,16 +361,26 @@ class TestDescriptorPlumbing:
         with pytest.raises(ValueError, match="real fields"):
             apply_multiplier(desc, TensorField(grid, np.zeros(grid.shape + (9,))))
 
-    def test_grid_table_is_hermitian_part_on_half_grid(self):
+    @pytest.mark.parametrize(
+        "make,m",
+        [
+            (lambda: mihlin_korn_multiplier(
+                catalog_operator("sym_gradient", 3), MultiIndex((1, 0, 0)), operator_input=True
+            ), 4),
+            (lambda: composed_correction_symbol(
+                catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3)
+            ), 8),
+        ],
+        ids=["mihlin_korn", "korn_const_tr"],
+    )
+    def test_grid_table_is_the_symbol_off_the_nyquist_planes_and_zero_on_them(self, make, m):
         from kmslab.torus import TorusGrid
 
-        grid = TorusGrid(3, 4)
-        desc = mihlin_korn_multiplier(
-            catalog_operator("sym_gradient", 3), MultiIndex((1, 0, 0)), operator_input=True
-        )
-        freqs = grid.half_frequency_grid
-        mirror = np.where(freqs == -2, freqs, -freqs)
-        want = 0.5 * (desc.on_frequencies(freqs) + desc.on_frequencies(mirror).conj())
+        grid, desc = TorusGrid(3, m), make()
+        freqs, planes = grid.half_frequency_grid, nyquist_planes(grid)
         table = desc.grid_table(grid).matrices()
-        assert table.shape == (4, 4, 3, 3, 9)
-        assert np.max(np.abs(table - want)) <= 1e-14
+        assert table.shape == grid.half_shape + desc.shape
+        assert planes.sum() == np.prod(grid.half_shape) - (m - 1) ** 2 * (m // 2)
+        assert not np.any(table[planes])
+        want = desc.on_frequencies(freqs[~planes])
+        assert np.max(np.abs(table[~planes] - want)) <= 1e-14 * np.max(np.abs(want))

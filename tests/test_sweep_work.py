@@ -270,9 +270,9 @@ def test_korn_const_p1_evaluates_each_correction_frequency_once():
     desc.batch = counting
     estimate_constant(cfg, FieldFamily(random_trials=2, bump_widths=(0.5,)), seed=0)
     # the sweep's 119 representatives in one batch; the half-grid table of the
-    # field trials at its 118 nonzero sorted |xi| / gcd(xi), which cover the
-    # Nyquist mirrors too (2,304 bins); then the kernel witness
-    assert evaluated == [119, 118, 1]
+    # field trials at its 88 sorted |xi| / gcd(xi) off the Nyquist planes
+    # (the primitive 0 <= a <= b <= c <= 7; 2,304 bins); then the kernel witness
+    assert evaluated == [119, 88, 1]
     assert int(np.prod(grid.half_shape)) == 2304
 
 

@@ -13,7 +13,7 @@ from fullgrid_reference import (
     zero_mask,
 )
 from kmslab.multipliers import kernel_projection_symbol, mihlin_korn_multiplier
-from kmslab.operators import MultiIndex, catalog_operator, eval_symbol
+from kmslab.operators import ArgumentError, MultiIndex, catalog_operator, eval_symbol
 from kmslab.torus import (
     TensorField,
     TorusGrid,
@@ -32,12 +32,10 @@ from kmslab.torus import (
 
 class TestTorusGrid:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TorusGrid(3, 5)
-        with pytest.raises(ValueError):
-            TorusGrid(3, 2)
-        with pytest.raises(ValueError):
-            TorusGrid(0, 8)
+        for n, m, argument in ((3, 5, "points_per_axis"), (3, 2, "points_per_axis"), (0, 8, "n")):
+            with pytest.raises(ArgumentError) as err:
+                TorusGrid(n, m)
+            assert err.value.argument == argument
 
     def test_frequency_set_closed_under_negation_except_nyquist(self):
         grid = TorusGrid(2, 8)
@@ -351,12 +349,27 @@ class TestGenerators:
         want = 1j * eval_symbol(curl, xi.astype(float)) @ base
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_plane_wave_rejects_zero_and_nyquist(self):
-        grid = TorusGrid(2, 8)
-        with pytest.raises(ValueError):
-            plane_wave_field(grid, np.array([0, 0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            plane_wave_field(grid, np.array([-4, 1]), np.array([1.0]))
+    @pytest.mark.parametrize("xi0", [(0, 0), (-4, 1), (4, 0), (1, 0.5), (1, 2, 3)])
+    def test_plane_wave_rejections_name_xi0(self, xi0):
+        with pytest.raises(ArgumentError) as err:
+            plane_wave_field(TorusGrid(2, 8), np.array(xi0), np.array([1.0]))
+        assert err.value.argument == "xi0"
+
+    @pytest.mark.parametrize(
+        "argument,center,width",
+        [
+            ("width", (1.0, 2.0), 0.0),
+            ("width", (1.0, 2.0), -0.5),
+            ("width", (1.0, 2.0), math.inf),
+            ("width", (1.0, 2.0), math.nan),
+            ("center", (1.0,), 0.5),
+            ("center", (1.0, 2.0, 3.0), 0.5),
+        ],
+    )
+    def test_bump_rejections_name_the_argument(self, argument, center, width):
+        with pytest.raises(ArgumentError) as err:
+            bump_field(TorusGrid(2, 8), np.array(center), width, np.array([1.0]))
+        assert err.value.argument == argument
 
     def test_bump_l1_matches_gaussian_integral(self):
         # midpoint rule on a width-0.5 periodic Gaussian at M = 64 is
