@@ -19,8 +19,8 @@ run only over the 1-D lines that carry the box, and every grid array a
 spectrum reads (frequencies, Parseval weights, |xi|^2, the zero mask,
 multiplier tables) is read through it.  `random_bandlimited`
 synthesizes its field from a box spectrum and `bump_field` from the 1-D
-transforms of its profiles; each hands that spectrum on, so a generated
-field is never transformed again.  Every other field starts on the full
+transforms of its profiles; each hands that spectrum on, and its samples
+are made on first read of `values`.  Every other field starts on the full
 box.  A field's L^2 norm is the Parseval sum with
 `TorusGrid.parseval_weights` (1 on the last-axis bins 0 and M/2, whose
 partners -xi lie in the half grid too, 2 elsewhere).
@@ -240,14 +240,32 @@ class TensorField:
     grid: TorusGrid
     values: np.ndarray
     # the exact half spectrum random_bandlimited or bump_field synthesized
-    # the (read-only) values from, returned by HalfSpectrum.of; None on
-    # every other field
+    # the field from, returned by HalfSpectrum.of; None on every other field
     _spectrum = None
+
+    @classmethod
+    def _generated(cls, spectrum: "HalfSpectrum", sample) -> "TensorField":
+        """The field of spectrum; sample() makes its values on first read, read-only,
+        so the spectrum cannot go stale."""
+        field = cls.__new__(cls)
+        field.__dict__.update(grid=spectrum.grid, _spectrum=spectrum, _sample=sample)
+        return field
+
+    def __getattr__(self, name):
+        # reached only while a generated field has not made its values yet
+        if name != "values" or "_sample" not in self.__dict__:
+            raise AttributeError(name)
+        vals = self.__dict__["_sample"]()
+        vals.setflags(write=False)
+        self.__dict__["values"] = vals
+        del self.__dict__["_sample"]
+        return vals
 
     def __setattr__(self, name, value):
         # new values leave the spectrum of the old ones behind
         if name == "values":
             self.__dict__.pop("_spectrum", None)
+            self.__dict__.pop("_sample", None)
         super().__setattr__(name, value)
 
     def __post_init__(self):
@@ -264,6 +282,8 @@ class TensorField:
 
     @property
     def fiber_dim(self) -> int:
+        if self._spectrum is not None:
+            return self._spectrum.coefficients.shape[-1]
         return self.values.shape[-1]
 
     @property
@@ -370,8 +390,13 @@ def _lp(grid, values, p):
     """Discrete L^p norm of (grid.shape + (d,)) samples, Euclidean fiber norm."""
     if not 1 <= p < math.inf:
         raise ValueError("need 1 <= p < infinity")
-    point_norms = np.linalg.norm(values, axis=-1)
-    return float((np.sum(point_norms**p) * grid.cell_volume) ** (1.0 / p))
+    # |v|^p as (sum_j v_j^2)^(p/2): one power per point, no square root
+    power = np.einsum("...j,...j->...", values, values)
+    return float((np.sum(power ** (p / 2.0)) * grid.cell_volume) ** (1.0 / p))
+
+
+# multiplication by i on a row (re, im): (re, im) @ R = (-im, re)
+_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(eq=False)
@@ -414,16 +439,22 @@ class HalfSpectrum:
         """B u from u: coefficients map by (i xi)^alpha Re B_alpha.
 
         The imaginary part of a complex B_alpha maps a real field to an
-        imaginary one, which the real part of the inverse drops.
+        imaginary one, which the real part of the inverse drops.  Each alpha
+        is one real product on the (re, im) pairs of the coefficients:
+        i^|alpha| = i^k is the rotation R^k, R = [[0, 1], [-1, 0]] acting on
+        a row (re, im), and xi^alpha weighs the rows.
         """
         box, coef = self.box, self.coefficients
-        # one 2-d product per coefficient, not one per leading index
-        flat = coef.reshape(-1, coef.shape[-1])
-        out = np.zeros(coef.shape[:-1] + (spec.l,), dtype=complex)
-        i_xi = 1j * box.frequencies.astype(float)
+        pairs = np.ascontiguousarray(coef).view(float).reshape(-1, 2 * coef.shape[-1])
+        rotation = np.linalg.matrix_power(_QUARTER_TURN, spec.k % 4)
+        xi = box.frequencies.reshape(-1, self.grid.n).astype(float)
+        out = np.zeros((pairs.shape[0], 2 * spec.l))
+        term = np.empty_like(out)
         for alpha, mat in spec.coeffs.items():
-            out += alpha.power(i_xi)[..., None] * (flat @ mat.real.T).reshape(out.shape)
-        return HalfSpectrum(self.grid, out)
+            np.matmul(pairs, np.kron(mat.real.T, rotation), out=term)
+            term *= alpha.power(xi)[:, None]
+            out += term
+        return HalfSpectrum(self.grid, out.view(complex).reshape(coef.shape[:-1] + (spec.l,)))
 
     def apply_multiplier(self, desc) -> "HalfSpectrum":
         """m(D) u from u, through desc.grid_table applied on the box."""
@@ -570,13 +601,14 @@ def random_bandlimited(
     """Zero-mean random field supported on frequencies with |xi_j| <= cutoff.
 
     The real-FFT spectrum of white noise (d standard normals per grid
-    point) is cut to the band box of cutoff, its zero mode dropped, and
-    transformed back; only the lines that carry the box are transformed, and
-    the samples are those of the full rfftn, mask and irfftn bit for bit.
-    Deterministic given the seed (a non-negative integer or a SeedSequence);
-    normalized to unit L^2 norm.  The field keeps its box spectrum, so
-    HalfSpectrum.of (and kms_sides) take no transform of it; its values are
-    read-only, so that spectrum cannot go stale.
+    point) is cut to the band box of cutoff and its zero mode dropped;
+    only the lines that carry the box are transformed, so the spectrum is
+    that of the full rfftn and mask bit for bit.  It is scaled to unit L^2
+    norm by its Parseval sum.  Deterministic given the seed (a non-negative
+    integer or a SeedSequence).  The field keeps that box spectrum, so
+    HalfSpectrum.of (and kms_sides) take no transform of it; its samples
+    are the inverse transform of the spectrum from the box, made on the
+    first read of values and read-only, so the spectrum cannot go stale.
     """
     check_count("d", d)
     check_count("cutoff", cutoff)
@@ -588,18 +620,13 @@ def random_bandlimited(
         check_seed(seed)
     rng = np.random.default_rng(seed)
     box = BandBox(grid, cutoff)
-    hat = _rfftn(box, rng.standard_normal(grid.shape + (d,)))
+    hat = _forward(box, rng.standard_normal(grid.shape + (d,)))
     hat[box.zero_mask] = 0.0
-    vals = _irfftn(box, hat)
-    nrm = _lp(grid, vals, 2)
-    scale = 1.0 / nrm if nrm > 0 else 1.0
-    vals = vals * scale
-    vals.setflags(write=False)
-    hat *= grid.spectrum_scale * scale
+    nrm = _parseval_norm(box, hat)
+    if nrm > 0:
+        hat *= 1.0 / nrm
     hat.setflags(write=False)
-    field = TensorField(grid, vals)
-    field._spectrum = HalfSpectrum(grid, hat)
-    return field
+    return TensorField._generated(HalfSpectrum(grid, hat), lambda: _inverse(box, hat))
 
 
 def plane_wave_field(grid: TorusGrid, xi0, v) -> TensorField:
@@ -640,9 +667,10 @@ def bump_field(
     last), times v: no n-D transform is taken.  Each profile loses its
     Nyquist term, S[M/2] (-1)^i / M at sample i, from its samples and its spectrum, so
     the field lies in the trial space (module docstring).  The field keeps
-    that spectrum, as random_bandlimited does, and its values are
+    that spectrum, as random_bandlimited does; its samples, the product of
+    the profiles times v, are made on the first read of values and are
     read-only.  With zero_mean=True (default) the zero mode is 0 and the
-    mean is subtracted from the values, so the field is usable in
+    mean is subtracted from the samples, so the field is usable in
     homogeneous norms; pass False to compare against whole-space quadrature
     oracles.
     """
@@ -651,7 +679,7 @@ def bump_field(
         raise ArgumentError("center", f"center must have shape ({grid.n},)")
     if not 0 < width < math.inf:
         raise ArgumentError("width", "width must be positive and finite")
-    v = np.asarray(v, dtype=float)
+    v = np.array(v, dtype=float)  # a copy: the samples are made later
     m = grid.points_per_axis
     axis = 2.0 * math.pi * np.arange(m) / m
     nyquist_mode = np.where(np.arange(m) % 2 == 0, 1.0 / m, -1.0 / m)
@@ -664,15 +692,16 @@ def bump_field(
         profiles.append(profile - spectrum[m // 2].real * nyquist_mode)
         spectrum[m // 2] = 0.0
         spectra.append(spectrum)
-    profile = reduce(np.multiply.outer, profiles)
     hat = reduce(np.multiply.outer, spectra) * grid.spectrum_scale
     if zero_mean:
-        profile -= math.prod(p.mean() for p in profiles)
         hat[(0,) * grid.n] = 0.0
-    vals = profile[..., None] * v
-    vals.setflags(write=False)
     hat = hat[..., None] * v
     hat.setflags(write=False)
-    field = TensorField(grid, vals)
-    field._spectrum = HalfSpectrum(grid, hat)
-    return field
+
+    def sample():
+        profile = reduce(np.multiply.outer, profiles)
+        if zero_mean:
+            profile -= math.prod(p.mean() for p in profiles)
+        return profile[..., None] * v
+
+    return TensorField._generated(HalfSpectrum(grid, hat), sample)

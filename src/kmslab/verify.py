@@ -294,10 +294,13 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
     random_bandlimited field on its band box, where everything below runs,
     and a bump_field on the full half grid.  Any other field is transformed
     once, on the full half grid, and where its samples enter a real-space
-    norm they are those of the projection, one inverse transform.  The
-    correction is applied from its orbit table (OrbitTable.apply), with no
-    matrix per bin.  L^2 norms are Parseval sums; every other L^p norm
-    takes one inverse transform from the box.
+    norm they are those of the projection, one inverse transform.  Only
+    the real-space branch (m = 0, q != 2) reads the samples of P; a
+    generated field makes them there, on first read: one inverse transform from the box for
+    a random field, the product of its profiles for a bump.  The correction
+    is applied from its orbit table (OrbitTable.apply), with no matrix per
+    bin.  L^2 norms are Parseval sums; every other L^p norm takes one
+    inverse transform from the box.
     """
     _validate_field(config, fld)
     k, p = config.k, config.p
@@ -321,7 +324,8 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
         return lhs, a_hat.negative_sobolev_norm(1.0) + b_norm
     m, q = k - 1, config.p_star
     if m == 0 and q != 2:
-        # P is at hand, or its projection is one inverse transform away; P - corr P
+        # a generated P makes its samples on this read, any other P's projection
+        # is one inverse transform away; P - corr P
         # is P minus the samples of corr P^, so a vanishing correction leaves
         # korn_const equal to korn_ellip bit for bit
         if fld._spectrum is None:
@@ -680,11 +684,14 @@ def estimate_constant(
     representative is flagged, infinite or at least ORBIT_RATIO_LIMIT are
     evaluated one by one.  Every random and bump field is one row, evaluated
     by kms_sides as soon as it is generated and dropped, with its spectrum,
-    once its ratio is known.  No field takes a forward transform: a random
-    field is evaluated on the band-box spectrum it was synthesized from, and
-    a bump on the full half-grid spectrum of its 1-D profiles, whose Nyquist
-    terms bump_field drops, so every trial field lies in the trial space
-    without Nyquist rows (torus module docstring).  A correction
+    once its ratio is known.  No field takes a forward transform after it
+    is generated: a random field is evaluated on the band-box spectrum it
+    was synthesized from, and a bump on the full half-grid spectrum of its
+    1-D profiles, whose Nyquist terms bump_field drops, so every trial
+    field lies in the trial space without Nyquist rows (torus module
+    docstring).  A field's samples are made only where a real-space norm
+    reads them (kms_sides), so when every norm is an L^2 Fourier weight
+    (korn_const2_p2) no trial takes an inverse transform.  A correction
     term builds the compact orbit table of its grid once, for the first
     field trial.  The witness plane wave is one row, evaluated in
     closed form by single_frequency_trial; when no witness exists it holds

@@ -19,7 +19,7 @@ from bandlimited_reference import full_grid_bandlimited
 from kmslab import torus
 from kmslab.operators import ArgumentError, catalog_operator, catalog_partmap
 from kmslab.torus import BandBox, HalfSpectrum, TensorField, TorusGrid, bump_field, random_bandlimited
-from kmslab.verify import INEQUALITY_IDS, InequalityConfig, kms_sides
+from kmslab.verify import INEQUALITY_IDS, FieldFamily, InequalityConfig, estimate_constant, kms_sides
 
 
 def box_index(m, n, cutoff):
@@ -90,11 +90,23 @@ def test_box_reads_grid_arrays_and_the_full_box_reads_them_as_they_are():
 @pytest.mark.parametrize("n,m,cutoff", [(1, 8, 3), (2, 12, 2), (2, 24, 6), (3, 8, 2), (3, 16, 4), (3, 48, 12)])
 def test_random_bandlimited_matches_the_full_grid_generator(n, m, cutoff):
     grid = TorusGrid(n, m)
+    box, index = BandBox(grid, cutoff), box_index(m, n, cutoff)
     for d, seed in ((1, 0), (3, 7), (9, np.random.SeedSequence((5, 101, 2)))):
         if n < 3 and d == 9:
             continue
         fld = random_bandlimited(grid, d, cutoff, seed=seed)
-        want = full_grid_bandlimited(grid, d, cutoff, seed)
+        hat, norm = full_grid_bandlimited(grid, d, cutoff, seed)
+        coef = fld._spectrum.coefficients
+        # the normaliser: a Parseval sum over the box and one over the whole
+        # half grid add the same terms in another order
+        box_norm = torus._parseval_norm(box, hat[index])
+        assert abs(box_norm - norm) <= 1e-15 * norm
+        # the spectrum: the masked full rfftn, bit for bit, over the box's sum
+        assert np.array_equal(coef, hat[index] * (1.0 / box_norm))
+        # the samples: the full irfftn of the kept spectrum, bit for bit
+        padded = np.zeros_like(hat)
+        padded[index] = coef
+        want = np.fft.irfftn(padded, s=grid.shape, axes=tuple(range(n))) / grid.spectrum_scale
         assert np.array_equal(fld.values, want)
 
 
@@ -168,10 +180,12 @@ def test_band_path_agrees_with_the_full_path(ident, m):
 @pytest.mark.parametrize(
     "ident,want",
     [
-        # generator forward and inverse, and the samples of the correction for L^6
+        # the generator's forward transform; the samples of the correction for
+        # L^6; the samples of P, made when P - corr P reads them
         ("korn_const", [("_rfftn", False), ("_irfftn", False), ("_irfftn", False)]),
-        # every norm a Parseval sum: the generator's two only
-        ("korn_const2_p2", [("_rfftn", False), ("_irfftn", False)]),
+        # the generator's forward transform only: every norm is a Parseval
+        # sum, so the samples are never read
+        ("korn_const2_p2", [("_rfftn", False)]),
     ],
 )
 def test_random_trial_transform_counts(monkeypatch, ident, want):
@@ -184,7 +198,8 @@ def test_random_trial_transform_counts(monkeypatch, ident, want):
 @pytest.mark.parametrize(
     "ident,want",
     [
-        # the samples of the correction for L^6 only
+        # the samples of the correction for L^6 only; those of P are the
+        # product of the bump's profiles
         ("korn_const", [("_irfftn", True)]),
         ("korn_const2_p2", []),
     ],
@@ -196,6 +211,46 @@ def test_bump_trial_takes_no_forward_transform(monkeypatch, ident, want):
     calls = _counted(monkeypatch)
     kms_sides(cfg, fld)
     assert calls == want
+
+
+def test_benchmark_field_family_on_korn_const2_p2_takes_no_inverse_transform(monkeypatch):
+    cfg = make_config("korn_const2_p2", 16)
+    family = FieldFamily(sweep=False, witness=False, random_trials=4, bump_widths=(0.4, 0.8))
+    calls = _counted(monkeypatch)
+    estimate = estimate_constant(cfg, family, seed=1)
+    assert estimate.n_trials == 6
+    # one forward transform per random trial, none for a bump
+    assert calls == [("_rfftn", False)] * 4
+
+
+# inverse transforms to generate a (random, bump) trial and run kms_sides on
+# it, when every generated field made its samples as it was built: a random
+# field took one inverse transform for them
+INVERSES_WITH_EAGER_SAMPLES = {
+    "korn_ell": (1, 0),
+    "kms_sym": (1, 0),
+    "asplit": (1, 0),
+    "korn_ellip": (2, 1),
+    "korn_const": (2, 1),
+    "korn_const2_p2": (1, 0),
+    "korn_const_p1": (3, 2),
+}
+
+
+@pytest.mark.parametrize("ident", INEQUALITY_IDS)
+def test_no_trial_takes_more_inverse_transforms_than_with_eager_samples(monkeypatch, ident):
+    cfg = make_config(ident, 16)
+    d = cfg.operator.d
+    calls = _counted(monkeypatch)
+    counts = []
+    for make in (
+        lambda: random_bandlimited(cfg.grid, d, 4, seed=1),
+        lambda: bump_field(cfg.grid, np.full(3, math.pi), 0.4, np.ones(d) / math.sqrt(d)),
+    ):
+        calls.clear()
+        kms_sides(cfg, make())
+        counts.append(sum(name == "_irfftn" for name, _ in calls))
+    assert all(c <= e for c, e in zip(counts, INVERSES_WITH_EAGER_SAMPLES[ident])), counts
 
 
 @pytest.mark.parametrize("zero_mean", [True, False])
