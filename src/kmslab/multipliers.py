@@ -174,8 +174,7 @@ class MultiplierDescriptor:
                 values=values,
                 rep=bin_rep.reshape(grid.half_shape),
                 code=bin_code.reshape(grid.half_shape),
-                rows=_actions(elems, n, r, values.shape[-2]),
-                cols=_actions(elems, n, r, values.shape[-1]),
+                action=None if r is None else _action(elems, n, r),
             )
             _check_real_to_real(self.provenance, grid, table.matrices((..., 0)))
             self._grid_cache = (key, table)
@@ -219,18 +218,14 @@ class MultiplierDescriptor:
         return values
 
 
-def _actions(elems, n, r, size):
-    """(src, sgn, inv, inv_sgn) of rho(g) on a fibre of this size, one row per element code.
+def _action(elems, n, r):
+    """(src, sgn, inv, inv_sgn) of rho(g) on the fibre, one row per element code.
 
     rho(g) x is x[src] * sgn and rho(g)^T x is x[inv] * inv_sgn, as in
-    operators.signed_permutation_action; with r None every code is the
-    identity.
+    operators.signed_permutation_action.
     """
-    if r is None:
-        src, sgn = np.tile(np.arange(size), (elems.size, 1)), np.ones((elems.size, size))
-    else:
-        pairs = [signed_permutation_action(*signed_permutation(e, n), r) for e in elems]
-        src, sgn = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+    pairs = [signed_permutation_action(*signed_permutation(e, n), r) for e in elems]
+    src, sgn = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
     inv = np.argsort(src, axis=1)
     return src, sgn, inv, np.take_along_axis(sgn, inv, axis=1)
 
@@ -242,17 +237,18 @@ class OrbitTable:
     values holds one matrix per key of operators.frequency_orbits and a
     last row of 0, the matrix of the zero frequency and of every
     Nyquist-plane bin.  rep and code have the half-grid shape: bin b holds
-    rho(g) values[rep[b]] rho(g)^T, g the element with action row code[b]
-    in rows (the matrix rows) and cols (the columns), each a tuple from
-    _actions.  shape is grid.half_shape + the matrix shape.
+    rho(g) values[rep[b]] rho(g)^T, g the element with row code[b] of
+    action, a tuple from _action; rho(g) acts on the rows and the columns
+    of the square matrices alike.  Without a certified symmetry action is
+    None and bin b holds values[rep[b]].  shape is grid.half_shape + the
+    matrix shape.
     """
 
     shape: tuple
     values: np.ndarray
     rep: np.ndarray
     code: np.ndarray
-    rows: tuple
-    cols: tuple
+    action: tuple | None
 
     def __post_init__(self):
         # a descriptor hands the same cached table to every caller
@@ -260,7 +256,7 @@ class OrbitTable:
             array.setflags(write=False)
 
     def _arrays(self):
-        return [self.values, self.rep, self.code] + list(self.rows) + list(self.cols)
+        return [self.values, self.rep, self.code] + list(self.action or ())
 
     @property
     def nbytes(self) -> int:
@@ -268,7 +264,16 @@ class OrbitTable:
 
     def matrices(self, bins=...) -> np.ndarray:
         """The matrices at half-grid bins: bins indexes an array of this shape (all, by default)."""
-        return self._moved(self.values[np.asarray(self.rep[bins])], np.asarray(self.code[bins]))
+        mats = np.take(self.values, self.rep[bins], axis=0)
+        if self.action is None:
+            return mats
+        src, sgn = (a[self.code[bins]] for a in self.action[:2])
+        # rho(g) mats rho(g)^T, exact
+        mats = np.take_along_axis(mats, src[..., :, None], axis=-2)
+        mats *= sgn[..., :, None]
+        mats = np.take_along_axis(mats, src[..., None, :], axis=-1)
+        mats *= sgn[..., None, :]
+        return mats
 
     def apply(self, box, coef: np.ndarray) -> np.ndarray:
         """The multiplier applied bin by bin to coefficients on a torus.BandBox.
@@ -284,25 +289,19 @@ class OrbitTable:
             out[run] = self._applied(rep[run], code[run], vec[run])
         return out.reshape(coef.shape[:-1] + (-1,))
 
-    def _moved(self, mats, code):
-        """rho(g) mats rho(g)^T for the element of each code; exact."""
-        mats = np.take_along_axis(mats, self.rows[0][code][..., :, None], axis=-2)
-        mats *= self.rows[1][code][..., :, None]
-        mats = np.take_along_axis(mats, self.cols[0][code][..., None, :], axis=-1)
-        mats *= self.cols[1][code][..., None, :]
-        return mats
-
     def _applied(self, rep, code, vec):
         """rho(g) m rho(g)^T vec per bin, m = values[rep]."""
-        pulled = _signed_take(vec, *(np.take(a, code, axis=0) for a in self.cols[2:]))
+        if self.action is not None:
+            src, sgn, inv, inv_sgn = (np.take(a, code, axis=0) for a in self.action)
+            vec = _signed_take(vec, inv, inv_sgn)
         mats = np.take(self.values, rep, axis=0)
         if np.iscomplexobj(mats):
-            out = (mats @ pulled[..., None])[..., 0]
+            out = (mats @ vec[..., None])[..., 0]
         else:
             # a real matrix times the (re, im) pairs of each complex entry
-            pairs = pulled.view(float).reshape(pulled.shape + (2,))
+            pairs = np.ascontiguousarray(vec).view(float).reshape(vec.shape + (2,))
             out = (mats @ pairs).view(complex)[..., 0]
-        return _signed_take(out, *(np.take(a, code, axis=0) for a in self.rows[:2]))
+        return out if self.action is None else _signed_take(out, src, sgn)
 
 
 def _signed_take(x, src, sgn):

@@ -98,12 +98,12 @@ INEQUALITY_IDS = (
 
 _CORRECTION_IDS = ("korn_const", "korn_const2_p2", "korn_const_p1")
 
-RHS_NEGLIGIBLE = 1e-14
-LHS_NEGLIGIBLE = 1e-10
+# a trial side at most this fraction of its field's reference (kms_sides: |P|_2;
+# a plane wave cos(x.xi) v: a |v|) reads exactly 0.0.  Roundoff in c |B[xi] v|
+# grows with c |B[xi]| / a, about |xi|: catalog sweeps reach 1.3e-12 at M = 32
+# and 2.8e-12 at M = 64.  A side kept here gives a ratio below 1e10.
+NEGLIGIBLE = 1e-10
 SWEEP_CHUNK = 1024
-# an orbit whose representative's sweep ratio reaches this is swept member by
-# member: catalog sweep ratios stay below 10 unless roundoff makes them > 1e10
-ORBIT_RATIO_LIMIT = 1e8
 # relative singular-value threshold for a null direction of the stacked right side
 NULL_TOL = 1e-12
 # relative threshold below which ker(A) cap ker(B[xi]) counts as nontrivial
@@ -118,19 +118,27 @@ class PreconditionError(ValueError):
 
 
 def trial_ratio(lhs: float, rhs: float) -> float:
-    """lhs/rhs with the degenerate-denominator convention of _trial_ratios."""
+    """lhs/rhs, exact: x/0 is inf for x > 0 and 0/0 is 0 (_trial_ratios)."""
     return float(_trial_ratios(np.float64(lhs), np.float64(rhs)))
 
 
 def _trial_ratios(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lhs/rhs elementwise, with the degenerate-denominator convention.
+    """lhs/rhs elementwise, exact: x/0 is inf for x > 0 and 0/0 is 0.
 
-    rhs below 1e-14 counts as zero: the ratio is inf when lhs is above
-    1e-10 (a genuine failure) and 0 when both sides are negligible.
+    A side negligible against its field is already exactly 0.0 (_negligible_as_zero).
     """
-    degenerate = rhs <= RHS_NEGLIGIBLE
-    ratio = lhs / np.where(degenerate, 1.0, rhs)
-    return np.where(degenerate, np.where(lhs > LHS_NEGLIGIBLE, math.inf, 0.0), ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lhs == 0.0, 0.0, lhs / rhs)
+
+
+def _negligible_as_zero(reference, *sides):
+    """The sides, each exactly 0.0 where at most NEGLIGIBLE * reference (elementwise).
+
+    Like each side, the reference is a norm of the field, 1-homogeneous in
+    it and translation-invariant, so the rule is scale- and
+    translation-invariant.
+    """
+    return [np.where(side <= NEGLIGIBLE * reference, 0.0, side) for side in sides]
 
 
 @dataclass(eq=False)
@@ -167,6 +175,8 @@ class InequalityConfig:
                 raise ArgumentError("part", "kms_sym fixes A = sym")
         if ident == "asplit" and self.operator.k != 1:
             raise ArgumentError("operator", "asplit expects a first-order differential part")
+        if ident in ("korn_ellip", "korn_const", "korn_const_p1") and self.operator.k == 0:
+            raise ArgumentError("operator", f"{ident} needs k >= 1: its left side is in W^(k-1,p*)")
         n = self.grid.n
         if ident == "korn_const_p1":
             if self.p != 1:
@@ -296,15 +306,23 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
     once, on the full half grid, and where its samples enter a real-space
     norm they are those of the projection, one inverse transform.  Only
     the real-space branch (m = 0, q != 2) reads the samples of P; a
-    generated field makes them there, on first read: one inverse transform from the box for
-    a random field, the product of its profiles for a bump.  The correction
-    is applied from its orbit table (OrbitTable.apply), with no matrix per
-    bin.  L^2 norms are Parseval sums; every other L^p norm takes one
-    inverse transform from the box.
+    generated field makes them there, on first read: one inverse transform
+    from the box for a random field, the product of its profiles for a
+    bump.  The correction is applied from its orbit table
+    (OrbitTable.apply), with no matrix per bin.  L^2 norms are Parseval
+    sums; every other L^p norm takes one inverse transform from the box.
+    A side at most NEGLIGIBLE times |P|_2, a Parseval sum of the spectrum
+    already held, is returned as exactly 0.0 (_negligible_as_zero).
     """
     _validate_field(config, fld)
-    k, p = config.k, config.p
     f_hat = HalfSpectrum.of(fld)
+    sides = _negligible_as_zero(f_hat.sobolev_norm(0, 2.0), *_sides(config, fld, f_hat))
+    return float(sides[0]), float(sides[1])
+
+
+def _sides(config, fld, f_hat):
+    """(lhs, rhs) of kms_sides for a validated field with half spectrum f_hat."""
+    k, p = config.k, config.p
     b_hat = f_hat.apply_operator(config.operator)
     if config.inequality_id == "korn_ell":
         return f_hat.sobolev_norm(k, p), b_hat.sobolev_norm(0, p)
@@ -391,7 +409,8 @@ def single_frequency_trial(config: InequalityConfig, xi, v) -> TrialResult:
     Agrees with the FFT path of kms_sides on plane_wave_field(xi, v) to
     roundoff.  It evaluates the witness row of estimate_constant and both
     trials of necessity_demo, and is the per-frequency reference for the
-    batched sweep.
+    batched sweep.  With lhs = a |w|, a side at most NEGLIGIBLE * a |v| is
+    returned as exactly 0.0 (_negligible_as_zero), as _sweep_vectors does.
     """
     xi = np.asarray(xi)
     v = np.asarray(v, dtype=float)
@@ -416,6 +435,7 @@ def single_frequency_trial(config: InequalityConfig, xi, v) -> TrialResult:
         av = float(np.linalg.norm(config.part.apply(v)))
         lhs = a * float(np.linalg.norm(w))
         rhs = b * av + c * bv
+    lhs, rhs = (float(x) for x in _negligible_as_zero(a * float(np.linalg.norm(v)), lhs, rhs))
     descriptor = _plane_wave_descriptor(xi, v, "plane_wave")
     return TrialResult(lhs, rhs, trial_ratio(lhs, rhs), descriptor, config.describe())
 
@@ -433,14 +453,15 @@ def _sweep_vectors(config, freqs):
 
     Per frequency, v maximizes |L v| / |S v| with L the (scaled) left side
     and S the stacked right-side matrix; where S has a null direction that
-    the left side does not annihilate, v is that direction and its flag is
-    set (an infinite ratio).  The correction enters through the real part of
-    its symbol at these frequencies, evaluated in one batch.  Returns
-    (vectors, flags, ratios); ratios[i] is the plane-wave trial ratio of
+    the left side does not annihilate, v is that direction, whose right
+    side vanishes (an infinite ratio).  The correction enters through the
+    real part of its symbol at these frequencies, evaluated in one batch.
+    Returns (vectors, ratios); ratios[i] is the plane-wave trial ratio of
     single_frequency_trial(config, freqs[i], vectors[i]), computed from the
-    same batched symbols instead of one evaluation per frequency.  Only S
-    and L S^+ are factorised with singular vectors; the null gain L N is
-    factorised only where its Frobenius norm could flag it.
+    same batched symbols instead of one evaluation per frequency: a side at
+    most NEGLIGIBLE * a |v| reads exactly 0.0 (_negligible_as_zero).  Only
+    S and L S^+ are factorised with singular vectors; the null gain L N is
+    factorised only where its Frobenius norm could reach the threshold.
     """
     d = config.operator.d
     count = freqs.shape[0]
@@ -460,14 +481,9 @@ def _sweep_vectors(config, freqs):
         return np.linalg.norm(np.einsum("fij,fj->fi", bfull, vs), axis=1)
 
     if config.inequality_id == "korn_ell":
-        _, s, vh = np.linalg.svd(bsym)
-        if config.operator.l >= d:
-            smin = s[..., -1]
-        else:
-            smin = np.zeros(count)
-        flags = smin <= NULL_TOL * np.maximum(s[..., 0], 1.0)
-        vs = vh[:, -1, :]
-        return vs, flags, _trial_ratios(a * np.linalg.norm(vs, axis=1), c * bv_norms(vs))
+        vs = np.linalg.svd(bsym)[2][:, -1, :]
+        lhs = a * np.linalg.norm(vs, axis=1)
+        return vs, _trial_ratios(*_negligible_as_zero(lhs, lhs, c * bv_norms(vs)))
 
     eye = np.eye(d)
     if config.correction_enabled:
@@ -489,30 +505,24 @@ def _sweep_vectors(config, freqs):
     _, t_vh = _svd_right(tmat)
     v_fin = np.einsum("fik,fk->fi", pinv, t_vh)
     norms = np.linalg.norm(v_fin, axis=1)
-    fallback = np.zeros(d)
-    fallback[0] = 1.0
-    vs = np.where(
-        norms[:, None] > 1e-13, v_fin / np.maximum(norms, 1e-300)[:, None], fallback
-    )
+    vs = np.where(norms[:, None] > 1e-13, v_fin / np.maximum(norms, 1e-300)[:, None], eye[0])
 
-    # a frequency is flagged where sigma_max(L N) exceeds the threshold; since
-    # sigma_max <= |L N|_F, rows whose Frobenius norm stays below it (with a
-    # relative margin for roundoff) cannot flag and skip the SVD
+    # v is the top null-gain direction where sigma_max(L N) exceeds the
+    # threshold; since sigma_max <= |L N|_F, rows whose Frobenius norm stays
+    # below it (with a relative margin for roundoff) skip the SVD
     null_gain = lmat @ null_proj
     threshold = 1e-8 * np.maximum(a, 1e-300)
     maybe = np.flatnonzero(
         np.linalg.norm(null_gain, axis=(1, 2)) > (1.0 - 1e-6) * threshold
     )
-    flags = np.zeros(count, dtype=bool)
     if maybe.size:
         gain_s, gain_vh = _svd_right(null_gain[maybe])
         hit = gain_s > threshold[maybe]
-        flags[maybe[hit]] = True
         vs[maybe[hit]] = gain_vh[hit]
     w = vs - np.einsum("fij,fj->fi", cmats, vs) if config.correction_enabled else vs
     lhs = a * np.linalg.norm(w, axis=1)
     rhs = b * np.linalg.norm(config.part.apply(vs), axis=1) + c * bv_norms(vs)
-    return vs, flags, _trial_ratios(lhs, rhs)
+    return vs, _trial_ratios(*_negligible_as_zero(a * np.linalg.norm(vs, axis=1), lhs, rhs))
 
 
 def _svd_right(mats):
@@ -630,39 +640,26 @@ def _sweep(config):
     operators.orbit_tensor_power checks.  When it certifies the operator
     and part map, the ratio is constant on the signed-permutation orbits
     (operators.frequency_orbits, by sorted |xi|); otherwise every canonical
-    frequency is an orbit of its own.  Each orbit is swept at its first
-    member, whose ratio counts for all of its members.  An orbit whose
-    representative is flagged, infinite or at least ORBIT_RATIO_LIMIT is
-    untrusted: its representative keeps its ratio with count 1 and its other
-    members are swept one by one.  Every frequency is evaluated in closed
-    form by _sweep_vectors; no correction table is built.
+    frequency is an orbit of its own.  Each orbit is swept once, at its
+    first member, whose ratio counts for all of its members: an infinite
+    or a zero ratio too, since _sweep_vectors decides a negligible side
+    relative to the wave (scale-free), not against an absolute cutoff.
+    Every frequency is evaluated in closed form by _sweep_vectors; no
+    correction table is built.
     """
     freqs = config.grid.canonical_frequencies
-
-    def sweep(idx):
-        # chunks bound the stacked SVD arrays held at once on fine grids
-        vs = np.empty((idx.size, config.operator.d))
-        flags = np.empty(idx.size, dtype=bool)
-        ratios = np.empty(idx.size)
-        for lo in range(0, idx.size, SWEEP_CHUNK):
-            part = slice(lo, lo + SWEEP_CHUNK)
-            vs[part], flags[part], ratios[part] = _sweep_vectors(
-                config, freqs[idx[part]].astype(float)
-            )
-        return vs, flags, ratios
-
     certified = orbit_tensor_power(config.operator, config.part) is not None
     _, orbit, _ = frequency_orbits(freqs, signed=certified, rays=False)
     _, reps, size = np.unique(orbit, return_index=True, return_counts=True)  # first members
-    rep_vs, rep_flags, rep_ratios = sweep(reps)
-    trusted = ~rep_flags & (rep_ratios < ORBIT_RATIO_LIMIT)
-    units = np.flatnonzero(~trusted[orbit] | (np.arange(orbit.size) == reps[orbit]))
-    owner = orbit[units]
-    vs, ratios = rep_vs[owner], rep_ratios[owner]
-    others = units != reps[owner]
-    vs[others], _, ratios[others] = sweep(units[others])
-    counts = np.where(trusted[owner], size[owner], 1)
-    return freqs[units].astype(float), vs, ratios, counts
+    order = np.argsort(reps)
+    swept = freqs[reps[order]].astype(float)
+    vs = np.empty((swept.shape[0], config.operator.d))
+    ratios = np.empty(swept.shape[0])
+    # chunks bound the stacked SVD arrays held at once on fine grids
+    for lo in range(0, swept.shape[0], SWEEP_CHUNK):
+        part = slice(lo, lo + SWEEP_CHUNK)
+        vs[part], ratios[part] = _sweep_vectors(config, swept[part])
+    return swept, vs, ratios, size[order]
 
 
 def estimate_constant(
@@ -680,20 +677,21 @@ def estimate_constant(
     _sweep: it evaluates the first canonical frequency of each orbit and
     counts it once per canonical member.  Orbits are the signed-permutation
     orbits where operators.orbit_tensor_power proves the ratio constant on
-    them, single frequencies otherwise; the other members of an orbit whose
-    representative is flagged, infinite or at least ORBIT_RATIO_LIMIT are
-    evaluated one by one.  Every random and bump field is one row, evaluated
-    by kms_sides as soon as it is generated and dropped, with its spectrum,
-    once its ratio is known.  No field takes a forward transform after it
-    is generated: a random field is evaluated on the band-box spectrum it
-    was synthesized from, and a bump on the full half-grid spectrum of its
-    1-D profiles, whose Nyquist terms bump_field drops, so every trial
-    field lies in the trial space without Nyquist rows (torus module
-    docstring).  A field's samples are made only where a real-space norm
-    reads them (kms_sides), so when every norm is an L^2 Fourier weight
-    (korn_const2_p2) no trial takes an inverse transform.  A correction
-    term builds the compact orbit table of its grid once, for the first
-    field trial.  The witness plane wave is one row, evaluated in
+    them, single frequencies otherwise.  Every trial reads a side that is
+    negligible against its own field (at most NEGLIGIBLE times |P|_2, or a
+    |v| for a plane wave) as exactly 0.0, and its ratio is then exact: inf
+    where only the right side vanishes, 0.0 where both do.  Every random and
+    bump field is one row, evaluated by kms_sides as soon as it is generated
+    and dropped, with its spectrum, once its ratio is known.  No field takes
+    a forward transform after it is generated: a random field is evaluated
+    on the band-box spectrum it was synthesized from, and a bump on the full
+    half-grid spectrum of its 1-D profiles, whose Nyquist terms bump_field
+    drops, so every trial field lies in the trial space without Nyquist rows
+    (torus module docstring).  A field's samples are made only where a
+    real-space norm reads them (kms_sides), so when every norm is an L^2
+    Fourier weight (korn_const2_p2) no trial takes an inverse transform.  A
+    correction term builds the compact orbit table of its grid once, for the
+    first field trial.  The witness plane wave is one row, evaluated in
     closed form by single_frequency_trial; when no witness exists it holds
     ratio 0.0.  Infinite ratios propagate to max_ratio and are counted
     separately.  A family that generates no trial for the config raises

@@ -138,6 +138,33 @@ def test_bad_inequality_setting_exit_2_names_its_key(tmp_path, capsys, key, chan
     assert f"'{key}'" in err and "'inequality'" not in err
 
 
+ORDER_ZERO_OP = "operator zeroth\nn 3\nd 3\nl 3\nk 0\ncoeff 0 0 0 : 1 0 0  0 1 0  0 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "ident,p,partmap,code",
+    [
+        # the left side |.|_{k-1,p*} needs k >= 1
+        ("korn_ellip", 1.5, "zero", 2),
+        ("korn_const", 1.5, "zero", 2),
+        ("korn_const_p1", 1.0, "zero", 2),
+        # |D^0 P|_p and the negative-order norms are defined at k = 0
+        ("korn_ell", 1.5, None, 0),
+        ("korn_const2_p2", 2.0, "zero", 0),
+    ],
+)
+def test_order_zero_operator_from_spec_file(tmp_path, capsys, ident, p, partmap, code):
+    (tmp_path / "zeroth.op").write_text(ORDER_ZERO_OP)
+    doc = dict(KMS_CFG, inequality=ident, p=p, operator={"file": "zeroth.op"},
+               partmap=partmap, trials=1)
+    cfg = tmp_path / "zeroth.cfg"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "'operator'" in err and "k >= 1" in err
+
+
 def test_config_trials_zero_runs_the_sweep(tmp_path, schema):
     cfg = tmp_path / "kms.cfg"
     cfg.write_text(json.dumps(dict(KMS_CFG, trials=0)))

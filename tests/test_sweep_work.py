@@ -128,11 +128,12 @@ def test_pruned_null_gain_matches_unpruned_reference(ident, part_name, p, correc
     cfg = make_config(ident, part_name, p, correction, m)
     freqs = cfg.grid.canonical_frequencies.astype(float)
     cmats = correction_on_frequencies(cfg, freqs)
-    vs, flags, _ = _sweep_vectors(cfg, freqs)
+    vs, ratios = _sweep_vectors(cfg, freqs)
     want_flags, want_vs = reference_flags_and_vectors(cfg, freqs, cmats)
-    assert np.array_equal(flags, want_flags)
     assert np.array_equal(vs, want_vs)
-    assert flags.any() == (correction is False)
+    # a null-gain direction has a vanishing right side and reads inf; no other does
+    assert np.array_equal(np.isinf(ratios), want_flags)
+    assert want_flags.any() == (correction is False)
 
 
 WITNESS_PARTS = ("sym", "dev", "tr", "skew", "zero")
@@ -226,18 +227,25 @@ def test_benchmark_configs_take_the_orbit_path(sweep_calls, ident, part_name, p)
 
 
 @pytest.mark.parametrize("ident", ["asplit", "korn_ellip"])
-def test_untrusted_representatives_are_swept_once(sweep_calls, ident):
-    # with A = tr every representative reads >= 1e8, so each of the 119 orbits
-    # is untrusted; its representative's ratio stands and only the other
-    # members are swept, 1,687 canonical frequencies in all
+def test_non_elliptic_orbits_are_swept_once(sweep_calls, ident):
+    # with A = tr the curl is not elliptic on ker A: every representative
+    # reads inf, and it counts for its whole orbit like any other
     cfg = make_config(ident, "tr", 2.0, None, 16)
     assert orbit_tensor_power(cfg.operator, cfg.part) is not None
     freqs, _, ratios, counts = _sweep(cfg)
-    assert sweep_calls[0] == 119
-    assert sum(sweep_calls) == 1687
-    assert np.array_equal(freqs, cfg.grid.canonical_frequencies)
-    assert np.all(counts == 1)
-    assert np.array_equal(ratios, full_sweep(cfg)[2])
+    assert sweep_calls == [119]
+    assert freqs.shape[0] == 119 and int(counts.sum()) == 1687
+    assert np.isinf(ratios).all()
+    assert np.isinf(full_sweep(cfg)[2]).all()
+    assert_matches_full_sweep(cfg)
+
+
+def test_non_elliptic_sweep_at_m32_takes_one_evaluation_per_orbit(sweep_calls):
+    # 14,895 canonical frequencies in 815 signed-permutation orbits, all inf
+    cfg = make_config("korn_ellip", "tr", 2.0, None, 32)
+    est = estimate_constant(cfg, SWEEP_ONLY, enforce=False)
+    assert sum(sweep_calls) == 815
+    assert est.n_trials == est.infinite_count == 14895
 
 
 @pytest.mark.parametrize("part_name", ["sym", "tr"])
@@ -306,7 +314,7 @@ def full_sweep(cfg):
     out = []
     for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
         chunk = freqs[lo : lo + SWEEP_CHUNK]
-        vs, _, ratios = _sweep_vectors(cfg, chunk.astype(float))
+        vs, ratios = _sweep_vectors(cfg, chunk.astype(float))
         out.append((chunk, vs, ratios))
     return tuple(np.concatenate(part) for part in zip(*out))
 
@@ -378,22 +386,21 @@ def pair_products():
 
 
 @pytest.mark.parametrize("m", [8, 40])
-def test_orbits_swept_member_by_member_keep_their_place(sweep_calls, m):
-    # the axis orbits give inf and are swept member by member, between
-    # representatives of the other orbits; at M = 40 the 1,539
-    # representatives span two chunks
+def test_infinite_orbits_count_for_every_member(sweep_calls, m):
+    # the axis orbits (0, 0, a) read inf and count for their 3 canonical
+    # members; at M = 40 the 1,539 representatives span two chunks
     cfg = InequalityConfig("korn_ell", pair_products(), None, 2.0, TorusGrid(3, m))
     freqs, _, ratios, counts = _sweep(cfg)
-    assert np.array_equal(np.isinf(ratios), counts == 1)
-    # each axis orbit (0, 0, a) has 3 canonical members, 2 of them swept again
-    axis_orbits = m // 2 - 1
-    assert sweep_calls == ([1024, 1539 - 1024] if m == 40 else [19]) + [2 * axis_orbits]
+    assert sweep_calls == ([1024, 1539 - 1024] if m == 40 else [19])
     assert freqs.shape[0] == sum(sweep_calls)
+    axis = np.count_nonzero(freqs, axis=1) == 1
+    assert np.array_equal(np.isinf(ratios), axis)
+    assert np.all(counts[axis] == 3) and axis.sum() == m // 2 - 1
     assert_matches_full_sweep(cfg)
 
 
-def test_orbits_at_the_ratio_limit_are_swept_member_by_member():
-    # a sym_gradient scaled by 1e-9 has sweep ratios near 1.4e9, none flagged
+def test_large_finite_ratios_count_for_their_orbit(sweep_calls):
+    # a sym_gradient scaled by 1e-9 has sweep ratios near 1.4e9, all finite
     eps = catalog_operator("sym_gradient", 3)
     scaled = OperatorSpec(
         "tiny_sym_gradient", n=3, d=3, l=9, k=1,
@@ -402,11 +409,13 @@ def test_orbits_at_the_ratio_limit_are_swept_member_by_member():
     cfg = InequalityConfig("korn_ell", scaled, None, 2.0, TorusGrid(3, 8))
     assert orbit_tensor_power(cfg.operator, cfg.part) is not None
     got_freqs, _, got_ratios, counts = _sweep(cfg)
-    freqs, vs, ratios = full_sweep(cfg)
-    assert ratios.min() >= 1e8 and np.isfinite(ratios).all()
-    assert np.array_equal(got_freqs, freqs)
-    assert np.array_equal(got_ratios, ratios)
-    assert np.all(counts == 1)
+    assert sweep_calls == [19] and int(counts.sum()) == 171
+    freqs, _, ratios = full_sweep(cfg)
+    assert np.isfinite(ratios).all()
+    assert 1.3e9 < ratios.min() and ratios.max() < 1.5e9
+    rows = [int(np.flatnonzero(np.all(freqs == xi, axis=1))[0]) for xi in got_freqs]
+    assert np.array_equal(got_ratios, ratios[rows])
+    assert_matches_full_sweep(cfg)
 
 
 def pair_sum_symbol():

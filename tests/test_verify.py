@@ -78,11 +78,20 @@ class TestTrialRatio:
     def test_plain(self):
         assert trial_ratio(2.0, 4.0) == 0.5
 
-    def test_inf_on_degenerate_rhs(self):
-        assert math.isinf(trial_ratio(0.5, 1e-15))
+    def test_exact_division_without_an_absolute_cutoff(self):
+        assert trial_ratio(0.5, 1e-15) == 0.5 / 1e-15
+        assert math.isinf(trial_ratio(0.5, 0.0))
+        assert math.isinf(trial_ratio(1e-300, 0.0))
 
-    def test_zero_when_both_negligible(self):
-        assert trial_ratio(1e-12, 1e-15) == 0.0
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_sides_negligible_against_the_wave_read_zero(self, grid8, curl, scale):
+        # the korn_const_p1 kernel witness: both sides are roundoff against a |v|
+        cfg = InequalityConfig("korn_const_p1", curl, catalog_partmap("tr", 3), 1.0, grid8)
+        xi, v = search_kernel_witness(cfg.part, cfg.operator, grid8)
+        trial = single_frequency_trial(cfg, xi, scale * v)
+        assert (trial.lhs, trial.rhs, trial.ratio) == (0.0, 0.0, 0.0)
+        lhs, rhs = kms_sides(cfg, plane_wave_field(grid8, xi, scale * v))
+        assert (lhs, rhs) == (0.0, 0.0)
 
     def test_zero_over_zero_never_infinite(self):
         assert trial_ratio(0.0, 0.0) == 0.0
@@ -359,24 +368,24 @@ class TestWitnessAndNecessity:
 
     @staticmethod
     def sweep_vector(cfg, xi):
-        vs, flags, _ = _sweep_vectors(cfg, np.asarray(xi, dtype=float)[None])
-        return vs[0], bool(flags[0])
+        vs, ratios = _sweep_vectors(cfg, np.asarray(xi, dtype=float)[None])
+        return vs[0], float(ratios[0])
 
     def test_worst_vector_flags_uncorrected_witness(self, grid8, curl):
         tr = catalog_partmap("tr", 3)
         cfg = InequalityConfig(
             "korn_const", curl, tr, 2.0, grid8, correction_enabled=False
         )
-        v, flag = self.sweep_vector(cfg, [0, 0, 1])
-        assert flag
+        v, ratio = self.sweep_vector(cfg, [0, 0, 1])
+        assert math.isinf(ratio)
         trial = single_frequency_trial(cfg, np.array([0, 0, 1]), v)
         assert math.isinf(trial.ratio)
 
     def test_worst_vector_finite_when_corrected(self, grid8, curl):
         tr = catalog_partmap("tr", 3)
         cfg = InequalityConfig("korn_const", curl, tr, 2.0, grid8)
-        v, flag = self.sweep_vector(cfg, [0, 0, 1])
-        assert not flag
+        v, ratio = self.sweep_vector(cfg, [0, 0, 1])
+        assert math.isfinite(ratio)
         trial = single_frequency_trial(cfg, np.array([0, 0, 1]), v)
         assert trial.ratio < 10.0
 
