@@ -164,17 +164,21 @@ class MultiplierDescriptor:
                     # the last row stays 0: the matrix of the zero frequency
                     values = np.zeros((keys.shape[0] + 1,) + chunk.shape[1:], chunk.dtype)
                 values[lo : lo + chunk.shape[0]] = chunk
-            elems, code = np.unique(elem, return_inverse=True)
             bin_rep = np.full(freqs.shape[0], keys.shape[0], np.int32)
             bin_rep[live] = rep
-            bin_code = np.zeros(freqs.shape[0], np.int32)
-            bin_code[live] = code
+            bin_code = action = None
+            if r is not None:
+                elems, code = np.unique(elem, return_inverse=True)
+                bin_code = np.zeros(freqs.shape[0], np.int32)
+                bin_code[live] = code
+                bin_code = bin_code.reshape(grid.half_shape)
+                action = _action(elems, n, r)
             table = OrbitTable(
                 shape=grid.half_shape + values.shape[1:],
                 values=values,
                 rep=bin_rep.reshape(grid.half_shape),
-                code=bin_code.reshape(grid.half_shape),
-                action=None if r is None else _action(elems, n, r),
+                code=bin_code,
+                action=action,
             )
             _check_real_to_real(self.provenance, grid, table.matrices((..., 0)))
             self._grid_cache = (key, table)
@@ -239,15 +243,15 @@ class OrbitTable:
     Nyquist-plane bin.  rep and code have the half-grid shape: bin b holds
     rho(g) values[rep[b]] rho(g)^T, g the element with row code[b] of
     action, a tuple from _action; rho(g) acts on the rows and the columns
-    of the square matrices alike.  Without a certified symmetry action is
-    None and bin b holds values[rep[b]].  shape is grid.half_shape + the
-    matrix shape.
+    of the square matrices alike.  Without a certified symmetry code and
+    action are None and bin b holds values[rep[b]].  shape is
+    grid.half_shape + the matrix shape.
     """
 
     shape: tuple
     values: np.ndarray
     rep: np.ndarray
-    code: np.ndarray
+    code: np.ndarray | None
     action: tuple | None
 
     def __post_init__(self):
@@ -256,7 +260,9 @@ class OrbitTable:
             array.setflags(write=False)
 
     def _arrays(self):
-        return [self.values, self.rep, self.code] + list(self.action or ())
+        if self.action is None:
+            return [self.values, self.rep]
+        return [self.values, self.rep, self.code, *self.action]
 
     @property
     def nbytes(self) -> int:
@@ -279,18 +285,20 @@ class OrbitTable:
         """The multiplier applied bin by bin to coefficients on a torus.BandBox.
 
         coef has shape box.shape + (columns,); the bins are taken
-        TABLE_CHUNK at a time, so no per-bin matrix is formed.
+        TABLE_CHUNK at a time, so no per-bin matrix is formed.  The result
+        is a fresh array, which the caller may overwrite.
         """
-        rep, code = (box.take(a).reshape(-1) for a in (self.rep, self.code))
+        rep = box.take(self.rep).reshape(-1)
+        code = None if self.code is None else box.take(self.code).reshape(-1)
         vec = coef.reshape(-1, coef.shape[-1]).astype(complex, copy=False)
         out = np.empty((vec.shape[0], self.shape[-2]), complex)
         for lo in range(0, vec.shape[0], TABLE_CHUNK):
             run = slice(lo, lo + TABLE_CHUNK)
-            out[run] = self._applied(rep[run], code[run], vec[run])
+            out[run] = self._applied(rep[run], None if code is None else code[run], vec[run])
         return out.reshape(coef.shape[:-1] + (-1,))
 
     def _applied(self, rep, code, vec):
-        """rho(g) m rho(g)^T vec per bin, m = values[rep]."""
+        """rho(g) m rho(g)^T vec per bin, m = values[rep]; code is None without an action."""
         if self.action is not None:
             src, sgn, inv, inv_sgn = (np.take(a, code, axis=0) for a in self.action)
             vec = _signed_take(vec, inv, inv_sgn)

@@ -432,9 +432,6 @@ class HalfSpectrum:
     def to_field(self) -> TensorField:
         return TensorField(self.grid, _inverse(self.box, self.coefficients))
 
-    def __sub__(self, other: "HalfSpectrum") -> "HalfSpectrum":
-        return HalfSpectrum(self.grid, self.coefficients - other.coefficients)
-
     def apply_operator(self, spec: OperatorSpec) -> "HalfSpectrum":
         """B u from u: coefficients map by (i xi)^alpha Re B_alpha.
 
@@ -488,6 +485,17 @@ class HalfSpectrum:
         if p == 2:
             return _parseval_norm(self.box, blocks)
         return _lp(self.grid, _inverse(self.box, blocks), p)
+
+    def sobolev_norms(self, m: int, p: float, part, samples=None) -> tuple[float, float]:
+        """(|D^m u|_p, |A D^m u|_p) from one set of samples of the m-th
+        derivative tensor: one inverse transform, unless samples (the field's
+        own, m = 0) are given.  The part map A acts on each derivative block."""
+        if samples is None:
+            samples = _inverse(self.box, self._derivative(m))
+        d = part.d
+        blocks = [part.apply(samples[..., j : j + d]) for j in range(0, samples.shape[-1], d)]
+        mapped = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+        return _lp(self.grid, samples, p), _lp(self.grid, mapped, p)
 
     def negative_sobolev_norm(self, s: float) -> float:
         """(sum_{xi != 0} |xi|^{-2s} ||f_hat(xi)||^2)^{1/2} over the full spectrum."""

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import SphereSampling, classify, classify_on_kernel
-from .multipliers import MultiplierDescriptor, composed_correction_symbol
+from .multipliers import MultiplierDescriptor, _padded_singular_values, composed_correction_symbol
 from .operators import (
     ArgumentError,
     OperatorSpec,
@@ -59,7 +59,6 @@ from .torus import (
     apply_operator,
     apply_partmap,
     bump_field,
-    lp_norm,
     random_bandlimited,
     sobolev_conjugate,
 )
@@ -303,15 +302,16 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
     synthesized from, so it takes no forward transform: a
     random_bandlimited field on its band box, where everything below runs,
     and a bump_field on the full half grid.  Any other field is transformed
-    once, on the full half grid, and where its samples enter a real-space
-    norm they are those of the projection, one inverse transform.  Only
-    the real-space branch (m = 0, q != 2) reads the samples of P; a
-    generated field makes them there, on first read: one inverse transform
-    from the box for a random field, the product of its profiles for a
-    bump.  The correction is applied from its orbit table
-    (OrbitTable.apply), with no matrix per bin.  L^2 norms are Parseval
-    sums; every other L^p norm takes one inverse transform from the box.
-    A side at most NEGLIGIBLE times |P|_2, a Parseval sum of the spectrum
+    once, on the full half grid.  The correction is applied from its orbit
+    table (OrbitTable.apply), with no matrix per bin, and R = P - corr P is
+    formed on the spectrum.  L^2 norms are Parseval sums; |B P|_p with
+    p != 2 takes one inverse transform.  The correction maps into ker A
+    (A Pi_B = 0), so where q = p* != 2 the left side |grad^m R|_q and the A
+    side |A grad^m R|_q = |A grad^m P|_q read the samples of one field,
+    grad^m R: one inverse transform, A applied to each derivative block.
+    Without a correction R is P, and at m = 0 a generated field makes its
+    own samples on that read (the product of its profiles for a bump).  A
+    side at most NEGLIGIBLE times |P|_2, a Parseval sum of the spectrum
     already held, is returned as exactly 0.0 (_negligible_as_zero).
     """
     _validate_field(config, fld)
@@ -332,29 +332,22 @@ def _sides(config, fld, f_hat):
     else:
         b_norm = b_hat.sobolev_norm(0, p)
     del b_hat
-    c_hat = None
+    # R = P - Pi_B P, in the buffer of the correction's fresh spectrum
+    r_hat = f_hat
     if config.correction_enabled:
-        c_hat = f_hat.apply_multiplier(config.correction_descriptor)
+        c = f_hat.apply_multiplier(config.correction_descriptor).coefficients
+        r_hat = HalfSpectrum(config.grid, np.subtract(f_hat.coefficients, c, out=c))
     if config.inequality_id == "korn_const2_p2":
-        reduced_hat = f_hat if c_hat is None else f_hat - c_hat
         a_hat = f_hat.apply_partmap(config.part)
-        lhs = reduced_hat.negative_sobolev_norm(1.0)
-        return lhs, a_hat.negative_sobolev_norm(1.0) + b_norm
+        return r_hat.negative_sobolev_norm(1.0), a_hat.negative_sobolev_norm(1.0) + b_norm
     m, q = k - 1, config.p_star
-    if m == 0 and q != 2:
-        # a generated P makes its samples on this read, any other P's projection
-        # is one inverse transform away; P - corr P
-        # is P minus the samples of corr P^, so a vanishing correction leaves
-        # korn_const equal to korn_ellip bit for bit
-        if fld._spectrum is None:
-            fld = f_hat.to_field()
-        reduced = fld if c_hat is None else fld - c_hat.to_field()
-        lhs = lp_norm(reduced, q)
-        a_norm = lp_norm(apply_partmap(config.part, fld), q)
-    else:
-        reduced_hat = f_hat if c_hat is None else f_hat - c_hat
-        lhs = reduced_hat.sobolev_norm(m, q)
+    if q == 2:
         a_norm = f_hat.apply_partmap(config.part).sobolev_norm(m, q)
+        return r_hat.sobolev_norm(m, q), a_norm + b_norm
+    # the correction maps into ker A, so A grad^m P = A grad^m R: both sides
+    # read the samples of grad^m R, or those a generated P makes of itself
+    samples = fld.values if r_hat is fld._spectrum and m == 0 else None
+    lhs, a_norm = r_hat.sobolev_norms(m, q, config.part, samples)
     return lhs, a_norm + b_norm
 
 
@@ -553,7 +546,8 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
         stacked = np.concatenate(
             [amat, symbol_on_frequencies(spec, block.astype(float)).real], axis=1
         )
-        s = np.linalg.svd(stacked, compute_uv=False)
+        # a stack with fewer rows than d has a kernel: its missing singular values are 0
+        s = _padded_singular_values(np.linalg.svd(stacked, compute_uv=False), spec.d)
         hits = np.flatnonzero(s[:, -1] <= WITNESS_TOL * np.maximum(s[:, 0], 1.0))
         if hits.size:
             # singular vectors only for the first hit; LAPACK factorises each
@@ -687,11 +681,14 @@ def estimate_constant(
     on the band-box spectrum it was synthesized from, and a bump on the full
     half-grid spectrum of its 1-D profiles, whose Nyquist terms bump_field
     drops, so every trial field lies in the trial space without Nyquist rows
-    (torus module docstring).  A field's samples are made only where a
-    real-space norm reads them (kms_sides), so when every norm is an L^2
-    Fourier weight (korn_const2_p2) no trial takes an inverse transform.  A
-    correction term builds the compact orbit table of its grid once, for the
-    first field trial.  The witness plane wave is one row, evaluated in
+    (torus module docstring).  Samples are made only where a real-space
+    norm reads them (kms_sides): those of B P, and those of
+    R = P - corr P, which the left side and the A side share; a generated
+    field makes its own only without a correction.  So when every norm is
+    an L^2 Fourier weight (korn_const2_p2) no trial takes an inverse
+    transform, and a korn_const trial at p = 1.5 takes two.  A correction
+    term builds the compact orbit table of its grid once, for the first
+    field trial.  The witness plane wave is one row, evaluated in
     closed form by single_frequency_trial; when no witness exists it holds
     ratio 0.0.  Infinite ratios propagate to max_ratio and are counted
     separately.  A family that generates no trial for the config raises

@@ -180,9 +180,10 @@ def test_band_path_agrees_with_the_full_path(ident, m):
 @pytest.mark.parametrize(
     "ident,want",
     [
-        # the generator's forward transform; the samples of the correction for
-        # L^6; the samples of P, made when P - corr P reads them
-        ("korn_const", [("_rfftn", False), ("_irfftn", False), ("_irfftn", False)]),
+        # the generator's forward transform; at p = 2, |B P|_2 is a Parseval
+        # sum, and the L^6 norms of R = P - corr P and of A R = A P read the
+        # samples of R, one inverse transform from the box: P's are never made
+        ("korn_const", [("_rfftn", False), ("_irfftn", False)]),
         # the generator's forward transform only: every norm is a Parseval
         # sum, so the samples are never read
         ("korn_const2_p2", [("_rfftn", False)]),
@@ -198,8 +199,9 @@ def test_random_trial_transform_counts(monkeypatch, ident, want):
 @pytest.mark.parametrize(
     "ident,want",
     [
-        # the samples of the correction for L^6 only; those of P are the
-        # product of the bump's profiles
+        # the samples of R = P - corr P for both L^6 norms, from the full
+        # half grid; those of P, the product of the bump's profiles, are
+        # never made
         ("korn_const", [("_irfftn", True)]),
         ("korn_const2_p2", []),
     ],

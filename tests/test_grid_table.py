@@ -21,10 +21,12 @@ from kmslab.multipliers import (
     RAYS,
     MultiplierDescriptor,
     composed_correction_symbol,
+    infer_constant_rank,
+    kernel_projection_symbol,
     mihlin_korn_multiplier,
 )
 from kmslab.operators import MultiIndex, catalog_operator, catalog_partmap
-from kmslab.torus import HalfSpectrum, TensorField, TorusGrid, random_bandlimited
+from kmslab.torus import HalfSpectrum, TensorField, TorusGrid, bump_field, random_bandlimited
 from kmslab.verify import FieldFamily, InequalityConfig, estimate_constant
 from table_reference import PerBinTable, per_bin_table
 from test_sweep_work import anisotropic_curl
@@ -135,6 +137,25 @@ def test_compact_apply_matches_the_per_bin_table_for_a_complex_multiplier(m):
     grid = TorusGrid(3, m)
     assert desc._symmetry is None and np.iscomplexobj(desc.grid_table(grid).values)
     assert_apply_matches_oracle(desc, grid)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_uncertified_table_applies_its_representatives_without_a_code(m):
+    # a kernel projector has no certified symmetry: no fibre action and no
+    # per-bin element code, and each bin reads its representative's matrix,
+    # one real product with the (re, im) pairs of the coefficients
+    curl = catalog_operator("curl_matrix_rowwise", 3)
+    grid = TorusGrid(3, m)
+    table = kernel_projection_symbol(curl, infer_constant_rank(curl)).grid_table(grid)
+    assert table.action is None and table.code is None
+    assert table.nbytes == table.values.nbytes + table.rep.nbytes
+    v = np.linspace(-1.0, 1.0, 9)
+    for fld in (random_bandlimited(grid, 9, m // 4, seed=1), bump_field(grid, np.full(3, 2.0), 0.4, v)):
+        box, coef = HalfSpectrum.of(fld).box, HalfSpectrum.of(fld).coefficients
+        mats = np.take(table.values, box.take(table.rep).reshape(-1), axis=0)
+        pairs = np.ascontiguousarray(coef).reshape(-1, 9).view(float).reshape(-1, 9, 2)
+        want = (mats @ pairs).view(complex)[..., 0].reshape(coef.shape)
+        assert np.array_equal(table.apply(box, coef), want)
 
 
 def counting(desc):

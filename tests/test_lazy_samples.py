@@ -75,12 +75,22 @@ def test_korn_ell_at_p2_makes_no_samples():
 
 
 def test_a_real_space_norm_makes_the_samples_once():
-    # korn_const at p = 2 takes the L^6 norm of P's samples
-    cfg = p2_config("korn_const")
+    # korn_const at p = 2 takes L^6 norms.  With its correction they read the
+    # samples of R = P - corr P, one inverse transform of R's spectrum, so
+    # P's own samples are never made; without it R is P, whose samples are
+    # made once, on that read
+    corrected = p2_config("korn_const")
+    uncorrected = InequalityConfig(
+        "korn_const", corrected.operator, corrected.part, 2.0, GRID, correction_enabled=False
+    )
     for fld, _ in generated()[:2]:
-        kms_sides(cfg, fld)
+        kms_sides(corrected, fld)
+        assert not made(fld)
+        kms_sides(uncorrected, fld)
         assert made(fld)
-        assert fld.values is fld.values
+        vals = fld.values
+        kms_sides(uncorrected, fld)
+        assert fld.values is vals
 
 
 def test_random_samples_are_the_inverse_of_the_kept_spectrum():

@@ -110,6 +110,8 @@ def reference_witness(part, spec, grid, tol=1e-10):
     amat = np.broadcast_to(part.matrix, (freqs.shape[0],) + part.matrix.shape)
     stacked = np.concatenate([amat, symbol_on_frequencies(spec, freqs.astype(float)).real], axis=1)
     _, s, vh = np.linalg.svd(stacked)
+    # a wide stack (fewer rows than d) has d - rows more singular values, all 0
+    s = np.concatenate([s, np.zeros((s.shape[0], spec.d - s.shape[1]))], axis=1)
     hits = np.flatnonzero(s[:, -1] <= tol * np.maximum(s[:, 0], 1.0))
     if not hits.size:
         return None

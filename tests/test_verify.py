@@ -357,6 +357,23 @@ class TestWitnessAndNecessity:
         assert demo.corrected.lhs <= 1e-10
         assert demo.corrected.ratio == 0.0
 
+    @pytest.mark.parametrize("n,m", [(3, 8), (3, 16), (2, 8)])
+    def test_wide_stack_finds_its_kernel_witness(self, n, m):
+        # [tr; Re B[xi]] for the row-wise divergence stacks 1 + n rows on
+        # d = n^2 columns, so ker tr cap ker B[xi] is nontrivial at every xi
+        div, tr = catalog_operator("div_matrix_rowwise", n), catalog_partmap("tr", n)
+        grid = TorusGrid(n, m)
+        found = search_kernel_witness(tr, div, grid)
+        assert found is not None
+        xi, v = found
+        assert np.sum(xi**2) == 1  # the scan's first frequency
+        bmat = verify.eval_symbol(div, xi.astype(float))
+        assert np.linalg.norm(tr.matrix @ v) <= 1e-12 * np.linalg.norm(v)
+        assert np.linalg.norm(bmat @ v) <= 1e-12 * np.linalg.norm(v)
+        demo = necessity_demo(tr, div, grid, p=1.5)
+        assert demo.found and "unnecessary" not in demo.message
+        assert math.isinf(demo.uncorrected.ratio) and demo.corrected.ratio == 0.0
+
     def test_necessity_demo_sym_curl_has_no_witness(self, grid16, curl):
         demo = necessity_demo(catalog_partmap("sym", 3), curl, grid16)
         assert not demo.found
