@@ -161,13 +161,15 @@ def cmd_demo_necessity(args):
         raise ConfigError("B", str(exc)) from None
     part = _resolve_partmap("A", args.A, spec)
     grid = _grid(args.n, args.grid)
-    demo = _user_value({"p": "p"}, necessity_demo, part, spec, grid, p=args.p)
+    # necessity_demo's default, echoed as used
+    p = (1 + args.n) / 2 if args.p is None else args.p
+    demo = _user_value({"p": "p"}, necessity_demo, part, spec, grid, p=p)
     config_echo = {
         "A": part.name,
         "B": spec.name,
         "n": args.n,
         "grid": args.grid,
-        "p": args.p,
+        "p": p,
     }
     _emit(_report(args, None, config_echo, demo.to_dict()), args.out)
     return 0
@@ -225,7 +227,7 @@ def build_parser():
     p_nec.add_argument("--B", required=True, help="catalog operator name (e.g. curl3)")
     p_nec.add_argument("--n", type=int, default=3)
     p_nec.add_argument("--grid", type=int, default=16)
-    p_nec.add_argument("--p", type=float, default=2.0)
+    p_nec.add_argument("--p", type=float, help="exponent (default (1 + n) / 2)")
     p_nec.add_argument("--out", help="report path (stdout when omitted)")
     p_nec.set_defaults(func=cmd_demo_necessity)
 

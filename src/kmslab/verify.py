@@ -15,17 +15,17 @@ The empirical constant of an inequality is estimated over three field
 families: an exhaustive single-frequency sweep (with the adversarial fiber
 vector picked per frequency by an SVD subproblem), random band-limited
 fields, and localized bumps.  Every plane wave (the sweep, the kernel
-witness, the necessity demo) is evaluated in closed form: for
-P = cos(x.xi) v every norm in play factorizes into an algebraic fiber part
-and a scalar profile norm that depends only on M / gcd(xi, M), and the
-correction is its symbol at xi, so a plane wave costs small dense linear
-algebra and no FFT.  Random and bump fields go through kms_sides, the only
-reader of the half-grid correction table; a random field brings its spectrum
-on its band box and takes no forward transform.
-The sweep evaluates one frequency per orbit and counts it for every
-canonical member.  An orbit is a signed-permutation orbit of Z^n where a
-symmetry check proves the sweep ratio constant on those orbits, and a single
-frequency otherwise (see operators.orbit_tensor_power, _sweep).
+witness, the necessity demo) is evaluated by one batched closed form,
+_PlaneWaves: for P = cos(x.xi) v every norm in play factorizes into an
+algebraic fiber part and a scalar profile norm that depends only on
+M / gcd(xi, M), and the correction is its symbol at xi, so a plane wave
+costs small dense linear algebra and no FFT.  Random and bump fields go
+through kms_sides, the only reader of the half-grid correction table; a
+random field brings its spectrum on its band box and takes no forward
+transform.  The sweep and the witness scan walk the same orbit
+representatives (_orbit_representatives): signed-permutation orbits of Z^n
+where a symmetry check proves the sweep ratio constant on them, single
+frequencies otherwise (see operators.orbit_tensor_power).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .operators import (
     catalog_partmap,
     check_count,
     check_seed,
-    eval_symbol,
     frequency_orbits,
     orbit_tensor_power,
     symbol_on_frequencies,
@@ -368,18 +367,19 @@ def _profile_norm(grid: TorusGrid, reduced_order: int, q: float, odd: bool) -> f
     return (2.0 * math.pi) ** (grid.n / q) * mean ** (1.0 / q)
 
 
-def _reduced_order(grid: TorusGrid, xi):
-    """M / gcd(xi, M) for one frequency or a (..., n) stack of frequencies."""
-    m = grid.points_per_axis
-    return m // np.gcd.reduce(np.abs(np.asarray(xi)).astype(np.int64), axis=-1, initial=m)
+def _frequency_scales(config, freqs):
+    """Scalars (a, b, c) with lhs = a |w|, rhs = b |A v| + c |B[xi] v|, one per row of freqs.
 
-
-def _frequency_scales(config, xi_abs, profiles):
-    """Scalars (a, b, c) with lhs = a |w|, rhs = b |A v| + c |B[xi] v|.
-
-    profiles is a callable (q, parity_odd) -> profile norm (scalar or array
-    aligned with xi_abs).
+    Each profile norm is computed once per distinct M / gcd(xi, M) (_profile_norm).
     """
+    grid, m = config.grid, config.grid.points_per_axis
+    xi_abs = np.linalg.norm(freqs, axis=1)
+    orders = m // np.gcd.reduce(np.abs(freqs).astype(np.int64), axis=1, initial=m)
+    uniq, inverse = np.unique(orders, return_inverse=True)
+
+    def profiles(q, odd):
+        return np.array([_profile_norm(grid, int(r), q, odd) for r in uniq])[inverse]
+
     k = config.k
     ident = config.inequality_id
     if ident == "korn_ell":
@@ -396,39 +396,45 @@ def _frequency_scales(config, xi_abs, profiles):
     return a, a, nb
 
 
+class _PlaneWaves:
+    """The closed form of the plane waves cos(x.xi) v on an (F, n) stack of frequencies.
+
+    lhs = a |v - Re corr[xi] v| and rhs = b |A v| + c |B[xi] v| (korn_ell:
+    lhs = a |v|, rhs = c |B[xi] v|).  The scales, the symbols and the
+    correction are evaluated once per stack, for sides and for the sweep's
+    vector choice.
+    """
+
+    def __init__(self, config: InequalityConfig, freqs):
+        freqs = np.asarray(freqs, dtype=float)
+        self.part = config.part
+        self.scales = _frequency_scales(config, freqs)
+        self.symbol = symbol_on_frequencies(config.operator, freqs)
+        corr = config.correction_descriptor
+        self.correction = None if corr is None else np.real(corr.on_frequencies(freqs))
+
+    def sides(self, vs):
+        """(lhs, rhs) for an (F, d) vector stack; a side <= NEGLIGIBLE * a |v| reads 0.0."""
+        a, b, c = self.scales
+        wave = a * np.linalg.norm(vs, axis=1)
+        bv = c * np.linalg.norm(np.einsum("fij,fj->fi", self.symbol, vs), axis=1)
+        w = vs if self.correction is None else vs - np.einsum("fij,fj->fi", self.correction, vs)
+        rhs = bv if b is None else b * np.linalg.norm(self.part.apply(vs), axis=1) + bv
+        return _negligible_as_zero(wave, a * np.linalg.norm(w, axis=1), rhs)
+
+
 def single_frequency_trial(config: InequalityConfig, xi, v) -> TrialResult:
     """Exact trial for the plane wave P = cos(x.xi) v, no FFT involved.
 
-    Agrees with the FFT path of kms_sides on plane_wave_field(xi, v) to
-    roundoff.  It evaluates the witness row of estimate_constant and both
-    trials of necessity_demo, and is the per-frequency reference for the
-    batched sweep.  With lhs = a |w|, a side at most NEGLIGIBLE * a |v| is
-    returned as exactly 0.0 (_negligible_as_zero), as _sweep_vectors does.
+    The closed form (_PlaneWaves) on one row: the sweep, the witness row of
+    estimate_constant and both trials of necessity_demo read the same
+    arithmetic.  Agrees with the FFT path of kms_sides on
+    plane_wave_field(xi, v) to roundoff.  A side at most NEGLIGIBLE * a |v|,
+    with lhs = a |w|, is returned as exactly 0.0 (_negligible_as_zero).
     """
     xi = np.asarray(xi)
     v = np.asarray(v, dtype=float)
-    grid = config.grid
-    m = int(_reduced_order(grid, xi))
-    xi_abs = float(np.linalg.norm(xi.astype(float)))
-
-    def profiles(q, odd):
-        return _profile_norm(grid, m, q, odd)
-
-    a, b, c = _frequency_scales(config, xi_abs, profiles)
-    bmat = eval_symbol(config.operator, xi.astype(float))
-    bv = float(np.linalg.norm(bmat @ v))
-    if config.inequality_id == "korn_ell":
-        lhs = a * float(np.linalg.norm(v))
-        rhs = c * bv
-    else:
-        w = v
-        if config.correction_enabled:
-            cmat = config.correction_descriptor.evaluate(xi.astype(float))
-            w = v - np.real(cmat) @ v
-        av = float(np.linalg.norm(config.part.apply(v)))
-        lhs = a * float(np.linalg.norm(w))
-        rhs = b * av + c * bv
-    lhs, rhs = (float(x) for x in _negligible_as_zero(a * float(np.linalg.norm(v)), lhs, rhs))
+    lhs, rhs = (float(side[0]) for side in _PlaneWaves(config, xi[None]).sides(v[None]))
     descriptor = _plane_wave_descriptor(xi, v, "plane_wave")
     return TrialResult(lhs, rhs, trial_ratio(lhs, rhs), descriptor, config.describe())
 
@@ -447,41 +453,27 @@ def _sweep_vectors(config, freqs):
     Per frequency, v maximizes |L v| / |S v| with L the (scaled) left side
     and S the stacked right-side matrix; where S has a null direction that
     the left side does not annihilate, v is that direction, whose right
-    side vanishes (an infinite ratio).  The correction enters through the
-    real part of its symbol at these frequencies, evaluated in one batch.
-    Returns (vectors, ratios); ratios[i] is the plane-wave trial ratio of
-    single_frequency_trial(config, freqs[i], vectors[i]), computed from the
-    same batched symbols instead of one evaluation per frequency: a side at
-    most NEGLIGIBLE * a |v| reads exactly 0.0 (_negligible_as_zero).  Only
-    S and L S^+ are factorised with singular vectors; the null gain L N is
-    factorised only where its Frobenius norm could reach the threshold.
+    side vanishes (an infinite ratio).  L and S are built from the closed
+    form of the plane waves at freqs (_PlaneWaves), whose symbols and
+    correction are evaluated once per stack.  Returns (vectors, ratios);
+    ratios[i] is the trial ratio of the plane wave (freqs[i], vectors[i]),
+    read from the same closed form, as single_frequency_trial reads it.
+    Only S and L S^+ are factorised with singular vectors; the null gain
+    L N is factorised only where its Frobenius norm could reach the
+    threshold.
     """
-    d = config.operator.d
-    count = freqs.shape[0]
-    xi_abs = np.linalg.norm(freqs, axis=1)
-    grid = config.grid
-    uniq, inverse = np.unique(_reduced_order(grid, freqs), return_inverse=True)
-
-    def profiles(q, odd):
-        return np.array([_profile_norm(grid, int(m), q, odd) for m in uniq])[inverse]
-
-    a, b, c = _frequency_scales(config, xi_abs, profiles)
-    bfull = symbol_on_frequencies(config.operator, freqs)
-    bsym = bfull.real
-
-    def bv_norms(vs):
-        # the full (possibly complex) symbol, as in single_frequency_trial
-        return np.linalg.norm(np.einsum("fij,fj->fi", bfull, vs), axis=1)
-
+    waves = _PlaneWaves(config, freqs)
+    a, b, c = waves.scales
+    bsym = waves.symbol.real
     if config.inequality_id == "korn_ell":
         vs = np.linalg.svd(bsym)[2][:, -1, :]
-        lhs = a * np.linalg.norm(vs, axis=1)
-        return vs, _trial_ratios(*_negligible_as_zero(lhs, lhs, c * bv_norms(vs)))
+        return vs, _trial_ratios(*waves.sides(vs))
 
+    d = config.operator.d
+    count = freqs.shape[0]
     eye = np.eye(d)
     if config.correction_enabled:
-        cmats = np.real(config.correction_descriptor.on_frequencies(freqs))
-        lmat = a[:, None, None] * (eye - cmats)
+        lmat = a[:, None, None] * (eye - waves.correction)
     else:
         lmat = a[:, None, None] * np.broadcast_to(eye, (count, d, d))
     amat = np.broadcast_to(config.part.matrix, (count,) + config.part.matrix.shape)
@@ -512,16 +504,27 @@ def _sweep_vectors(config, freqs):
         gain_s, gain_vh = _svd_right(null_gain[maybe])
         hit = gain_s > threshold[maybe]
         vs[maybe[hit]] = gain_vh[hit]
-    w = vs - np.einsum("fij,fj->fi", cmats, vs) if config.correction_enabled else vs
-    lhs = a * np.linalg.norm(w, axis=1)
-    rhs = b * np.linalg.norm(config.part.apply(vs), axis=1) + c * bv_norms(vs)
-    return vs, _trial_ratios(*_negligible_as_zero(a * np.linalg.norm(vs, axis=1), lhs, rhs))
+    return vs, _trial_ratios(*waves.sides(vs))
 
 
 def _svd_right(mats):
     """Top singular value and top right-singular vector of a matrix stack."""
     _, s, vh = np.linalg.svd(mats)
     return s[..., 0], vh[..., 0, :]
+
+
+def _orbit_representatives(spec: OperatorSpec, part: PartMap | None, freqs):
+    """(representatives, sizes): the first row of each orbit of an (F, n) stack, in row order.
+
+    An orbit is a signed-permutation orbit (operators.frequency_orbits) where
+    operators.orbit_tensor_power certifies spec and part, a single frequency
+    otherwise; sizes counts the rows of each orbit.
+    """
+    certified = orbit_tensor_power(spec, part) is not None
+    _, orbit, _ = frequency_orbits(freqs, signed=certified, rays=False)
+    _, first, sizes = np.unique(orbit, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return freqs[first[order]], sizes[order]
 
 
 def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
@@ -531,15 +534,12 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
     makes the result deterministic.  Where operators.orbit_tensor_power
     certifies spec and part, ker A cap ker Re B[g xi] =
     rho(g) (ker A cap ker Re B[xi]), so one factorisation, at its lowest
-    member, decides a whole orbit (operators.frequency_orbits, signed).
+    member, decides a whole orbit (_orbit_representatives, as in _sweep).
     """
     freqs = grid.canonical_frequencies
     norm2 = np.sum(freqs.astype(float) ** 2, axis=1)
     keys = [freqs[:, j] for j in reversed(range(freqs.shape[1]))] + [norm2]
-    freqs = freqs[np.lexsort(tuple(keys))]
-    certified = orbit_tensor_power(spec, part) is not None
-    _, orbit, _ = frequency_orbits(freqs, signed=certified, rays=False)
-    freqs = freqs[np.sort(np.unique(orbit, return_index=True)[1])]  # lowest members, in order
+    freqs, _ = _orbit_representatives(spec, part, freqs[np.lexsort(tuple(keys))])
     for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
         block = freqs[lo : lo + SWEEP_CHUNK]
         amat = np.broadcast_to(part.matrix, (block.shape[0],) + part.matrix.shape)
@@ -631,29 +631,23 @@ def _sweep(config):
 
     The sweep ratio at xi reads xi through |xi| and M / gcd(xi, M), which
     no signed permutation changes, and through the Grams that
-    operators.orbit_tensor_power checks.  When it certifies the operator
-    and part map, the ratio is constant on the signed-permutation orbits
-    (operators.frequency_orbits, by sorted |xi|); otherwise every canonical
-    frequency is an orbit of its own.  Each orbit is swept once, at its
-    first member, whose ratio counts for all of its members: an infinite
-    or a zero ratio too, since _sweep_vectors decides a negligible side
-    relative to the wave (scale-free), not against an absolute cutoff.
-    Every frequency is evaluated in closed form by _sweep_vectors; no
-    correction table is built.
+    operators.orbit_tensor_power checks.  So each orbit of
+    _orbit_representatives, the helper search_kernel_witness uses too, is
+    swept once, at its first canonical member, whose ratio counts for all
+    of its members: an infinite or a zero ratio too, since the closed form
+    decides a negligible side relative to the wave (scale-free), not
+    against an absolute cutoff.  Every representative is evaluated in
+    closed form by _sweep_vectors; no correction table is built.
     """
     freqs = config.grid.canonical_frequencies
-    certified = orbit_tensor_power(config.operator, config.part) is not None
-    _, orbit, _ = frequency_orbits(freqs, signed=certified, rays=False)
-    _, reps, size = np.unique(orbit, return_index=True, return_counts=True)  # first members
-    order = np.argsort(reps)
-    swept = freqs[reps[order]].astype(float)
+    swept, size = _orbit_representatives(config.operator, config.part, freqs)
     vs = np.empty((swept.shape[0], config.operator.d))
     ratios = np.empty(swept.shape[0])
     # chunks bound the stacked SVD arrays held at once on fine grids
     for lo in range(0, swept.shape[0], SWEEP_CHUNK):
         part = slice(lo, lo + SWEEP_CHUNK)
         vs[part], ratios[part] = _sweep_vectors(config, swept[part])
-    return swept, vs, ratios, size[order]
+    return swept, vs, ratios, size
 
 
 def estimate_constant(
@@ -840,7 +834,7 @@ def necessity_demo(
     part: PartMap,
     spec: OperatorSpec,
     grid: TorusGrid,
-    p: float = 2.0,
+    p: float | None = None,
 ) -> NecessityDemoResult:
     """Show that dropping the correction breaks the constant-rank inequality.
 
@@ -849,8 +843,10 @@ def necessity_demo(
     corrected left side vanishes with it.  Both trials are evaluated in
     closed form by single_frequency_trial.  When no witness exists the
     correction is unnecessary on this grid, the constant-rank inequality
-    degenerates to the elliptic one, and that is reported instead.
+    degenerates to the elliptic one, and that is reported instead.  p
+    defaults to (1 + n) / 2, inside 1 < p < n at every n >= 2 (2.0 at n = 3).
     """
+    p = (1 + grid.n) / 2 if p is None else p
     base = dict(inequality_id="korn_const", operator=spec, part=part, p=p, grid=grid)
     uncorrected_cfg = InequalityConfig(**base, correction_enabled=False)
     corrected_cfg = InequalityConfig(**base, correction_enabled=True)

@@ -406,6 +406,22 @@ class TestDemoCommand:
         assert res["uncorrected"]["ratio"] == "inf"
         assert res["corrected"]["ratio"] == 0.0
 
+    def test_necessity_default_p_fits_n2(self, tmp_path, schema):
+        # p defaults to (1 + n) / 2, so n = 2 needs no --p
+        out = tmp_path / "rep.json"
+        code = run_cli(
+            ["demo", "necessity", "--A", "tr", "--B", "div_matrix_rowwise", "--n", "2",
+             "--grid", "8", "--out", str(out)]
+        )
+        assert code == 0
+        report = load_report(out, schema)
+        res = report["results"]
+        assert res["found"] is True
+        assert res["uncorrected"]["ratio"] == "inf"
+        assert res["corrected"]["ratio"] == 0.0
+        assert report["manifest"]["config"]["p"] == 1.5
+        assert res["corrected"]["config"]["p"] == res["uncorrected"]["config"]["p"] == 1.5
+
     def test_necessity_sym_reports_elliptic(self, tmp_path, schema):
         out = tmp_path / "rep.json"
         code = run_cli(

@@ -33,13 +33,7 @@ from kmslab.verify import (
     estimate_constant,
     search_kernel_witness,
 )
-from kmslab.verify import (
-    _frequency_scales,
-    _profile_norm,
-    _reduced_order,
-    _sweep,
-    _sweep_vectors,
-)
+from kmslab.verify import _frequency_scales, _sweep, _sweep_vectors
 
 CURL = catalog_operator("curl_matrix_rowwise", 3)
 
@@ -73,13 +67,8 @@ def make_config(ident, part_name, p, correction, m):
 
 def reference_flags_and_vectors(cfg, freqs, cmats, null_tol=1e-12):
     """Worst vectors with the null gain L N factorised at every frequency."""
-    d, grid, count = cfg.operator.d, cfg.grid, freqs.shape[0]
-    orders = _reduced_order(grid, freqs)
-    a, b, c = _frequency_scales(
-        cfg,
-        np.linalg.norm(freqs, axis=1),
-        lambda q, odd: np.array([_profile_norm(grid, int(m), q, odd) for m in orders]),
-    )
+    d, count = cfg.operator.d, freqs.shape[0]
+    a, b, c = _frequency_scales(cfg, freqs)
     eye = np.eye(d)
     if cmats is None:
         lmat = a[:, None, None] * np.broadcast_to(eye, (count, d, d))

@@ -5,7 +5,7 @@ import pytest
 
 from kmslab import verify
 from kmslab.multipliers import pseudoinverse_symbol
-from kmslab.operators import ArgumentError, catalog_operator, catalog_partmap
+from kmslab.operators import ArgumentError, catalog_operator, catalog_partmap, eval_symbol
 from kmslab.torus import (
     TorusGrid,
     apply_partmap,
@@ -282,6 +282,43 @@ class TestBatchedSweep:
             else:
                 assert abs(ratio - ref) <= 1e-12 * max(abs(ref), abs(ratio)), xi
 
+    # every inequality id, korn_const without its correction, and asplit
+    # with A = tr, whose curl is not elliptic on ker A
+    @pytest.mark.parametrize(
+        "ident,part_name,p,correction",
+        [
+            ("korn_ell", None, 2.0, None),
+            ("kms_sym", "sym", 2.0, None),
+            ("asplit", "dev", 1.5, None),
+            ("asplit", "tr", 2.0, None),
+            ("korn_ellip", "sym", 1.5, None),
+            ("korn_const", "tr", 1.5, None),
+            ("korn_const", "tr", 2.0, False),
+            ("korn_const2_p2", "tr", 2.0, None),
+            ("korn_const_p1", "tr", 1.0, None),
+        ],
+    )
+    def test_ratios_match_the_fft_path(self, grid8, curl, ident, part_name, p, correction):
+        # the closed form against kms_sides on the sampled plane wave, which
+        # shares no arithmetic with it
+        if ident == "korn_ell":
+            cfg = InequalityConfig(ident, catalog_operator("sym_gradient", 3), None, p, grid8)
+        else:
+            cfg = InequalityConfig(
+                ident, curl, catalog_partmap(part_name, 3), p, grid8,
+                correction_enabled=correction,
+            )
+        freqs, vs, ratios, _ = _sweep(cfg)
+        assert freqs.shape[0] == 19
+        for xi, v, ratio in zip(freqs, vs, ratios):
+            ref = trial_ratio(*kms_sides(cfg, plane_wave_field(grid8, xi, v)))
+            if math.isinf(ref) or math.isinf(ratio):
+                assert ratio == ref, xi
+            else:
+                assert abs(ratio - ref) <= 1e-12 * max(abs(ref), abs(ratio)), xi
+        infinite = (ident, part_name) == ("asplit", "tr") or correction is False
+        assert np.isinf(ratios).all() if infinite else np.isfinite(ratios).all()
+
 
 class TestKmsSymAlgebra:
     def test_no_single_frequency_kernel_witness(self, grid16, curl):
@@ -367,7 +404,7 @@ class TestWitnessAndNecessity:
         assert found is not None
         xi, v = found
         assert np.sum(xi**2) == 1  # the scan's first frequency
-        bmat = verify.eval_symbol(div, xi.astype(float))
+        bmat = eval_symbol(div, xi.astype(float))
         assert np.linalg.norm(tr.matrix @ v) <= 1e-12 * np.linalg.norm(v)
         assert np.linalg.norm(bmat @ v) <= 1e-12 * np.linalg.norm(v)
         demo = necessity_demo(tr, div, grid, p=1.5)
