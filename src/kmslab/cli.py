@@ -85,8 +85,8 @@ def _load_operator(args):
     if args.spec:
         return parse_operator_file(args.spec)
     if args.catalog:
-        if args.n is None:
-            raise ConfigError("n", "--catalog needs --n")
+        if args.n is None or args.n < 1:
+            raise ConfigError("n", f"--catalog needs a dimension --n >= 1, got {args.n}")
         try:
             return catalog_operator(args.catalog, args.n)
         except (KeyError, ValueError) as exc:
@@ -155,12 +155,13 @@ def cmd_verify(args):
 
 
 def cmd_demo_necessity(args):
+    # the grid first, so a bad dimension is blamed on n and not on B
+    grid = _grid(args.n, args.grid)
     try:
         spec = catalog_operator(args.B, args.n)
     except (KeyError, ValueError) as exc:
         raise ConfigError("B", str(exc)) from None
     part = _resolve_partmap("A", args.A, spec)
-    grid = _grid(args.n, args.grid)
     # necessity_demo's default, echoed as used
     p = (1 + args.n) / 2 if args.p is None else args.p
     demo = _user_value({"p": "p"}, necessity_demo, part, spec, grid, p=p)

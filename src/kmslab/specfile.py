@@ -23,6 +23,7 @@ the recognized keys.  All parse errors carry the offending line or field.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +110,12 @@ def _parse_int(token, line, field):
 
 def _parse_float(token, line, field):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise SpecFileError(line, field, f"expected a number, got {token!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise SpecFileError(line, field, f"expected a finite number, got {token!r}")
+    return value
 
 
 def parse_operator_text(text: str, name_hint: str = "operator") -> OperatorSpec:
@@ -155,6 +159,8 @@ def parse_operator_text(text: str, name_hint: str = "operator") -> OperatorSpec:
             raise SpecFileError(None, "catalog", "catalog reference and coeff entries are exclusive")
         if "n" not in dims:
             raise SpecFileError(None, "n", "catalog reference needs the dimension n")
+        if dims["n"] < 1:
+            raise SpecFileError(None, "n", f"invalid value {dims['n']}")
         try:
             return catalog_operator(catalog_name, dims["n"])
         except (KeyError, ValueError) as exc:
@@ -249,6 +255,8 @@ def load_verify_config(path):
     n = need("n", int, "an integer")
     grid_size = need("grid_size", int, "an integer")
     p = float(need("p", (int, float), "a number"))
+    # the grid first, so a bad dimension is blamed on n and not on the operator built for it
+    grid = _user_value({"n": "n", "points_per_axis": "grid_size"}, TorusGrid, n, grid_size)
 
     op_entry = need("operator", (str, dict), "a catalog name or {'file': path}")
     if isinstance(op_entry, str):
@@ -257,8 +265,8 @@ def load_verify_config(path):
         except (KeyError, ValueError) as exc:
             raise ConfigError("operator", str(exc)) from None
     else:
-        if set(op_entry) != {"file"}:
-            raise ConfigError("operator", "object form must be exactly {'file': path}")
+        if set(op_entry) != {"file"} or not isinstance(op_entry["file"], str):
+            raise ConfigError("operator", "object form must be exactly {'file': <path string>}")
         op_path = Path(op_entry["file"])
         if not op_path.is_absolute():
             op_path = path.parent / op_path
@@ -276,7 +284,6 @@ def load_verify_config(path):
     if correction is not None and not isinstance(correction, bool):
         raise ConfigError("correction", "expected a boolean")
 
-    grid = _user_value({"n": "n", "points_per_axis": "grid_size"}, TorusGrid, n, grid_size)
     keys = {
         "inequality_id": "inequality",
         "operator": "operator",

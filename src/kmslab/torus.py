@@ -478,9 +478,20 @@ class HalfSpectrum:
             out[..., b, :] = weight[..., None] * coef
         return out.reshape(coef.shape[:-1] + (-1,))
 
-    def sobolev_norm(self, m: int, p: float) -> float:
+    def sobolev_norm(self, m: float, p: float) -> float:
         """L^p norm of the m-th derivative tensor: a Parseval sum at p = 2,
-        otherwise one inverse transform of all its components."""
+        otherwise one inverse transform of all its components.  An order
+        m < 0 is the Fourier weight |xi|^m, p = 2 only:
+        (sum_{xi != 0} |xi|^{2m} ||f_hat(xi)||^2)^{1/2}."""
+        if m < 0:
+            if p != 2:
+                raise ValueError("a negative order is a Fourier weight at p = 2")
+            box = self.box
+            norm2 = box.frequency_norm2
+            weight = np.zeros_like(norm2)
+            nz = ~box.zero_mask
+            weight[nz] = norm2[nz] ** float(m)
+            return _parseval_norm(box, self.coefficients, weight)
         blocks = self._derivative(m)
         if p == 2:
             return _parseval_norm(self.box, blocks)
@@ -496,15 +507,6 @@ class HalfSpectrum:
         blocks = [part.apply(samples[..., j : j + d]) for j in range(0, samples.shape[-1], d)]
         mapped = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
         return _lp(self.grid, samples, p), _lp(self.grid, mapped, p)
-
-    def negative_sobolev_norm(self, s: float) -> float:
-        """(sum_{xi != 0} |xi|^{-2s} ||f_hat(xi)||^2)^{1/2} over the full spectrum."""
-        box = self.box
-        norm2 = box.frequency_norm2
-        weight = np.zeros_like(norm2)
-        nz = ~box.zero_mask
-        weight[nz] = norm2[nz] ** (-s)
-        return _parseval_norm(box, self.coefficients, weight)
 
 
 def apply_operator(spec: OperatorSpec, field: TensorField) -> TensorField:
@@ -568,7 +570,7 @@ def negative_sobolev_norm_l2(field: TensorField, s: float) -> float:
     if s < 0:
         raise ValueError("order s must be >= 0")
     _require_zero_mean(field, "negative-order Sobolev norm")
-    return HalfSpectrum.of(field).negative_sobolev_norm(s)
+    return HalfSpectrum.of(field).sobolev_norm(-s, 2.0)
 
 
 def sobolev_conjugate(p: float, n: int) -> float:

@@ -8,8 +8,14 @@ through a pointwise part A[P] plus a differential part B P:
 * asplit          |P|_p*                 <~  |A P|_p*  + |Curl P|_p
 * korn_ellip      |P|_{k-1,p*}           <~  |A P|_{k-1,p*} + |B P|_p
 * korn_const      |P - corr P|_{k-1,p*}  <~  same right side  (constant rank)
-* korn_const2_p2  negative-order (p = 2 Fourier-weight) version of korn_const
+* korn_const2_p2  |P - corr P|_{-1,2}    <~  |A P|_{-1,2} + |B P|_{-k,2}
 * korn_const_p1   korn_const at p = 1, p* = n/(n-1)  (needs cancelling)
+
+A negative order is the Fourier weight |xi|^order, a Parseval sum.  Each
+config states its norms once, as (order, exponent) pairs
+(InequalityConfig.norms), and the hypothesis on B once per id
+(_HYPOTHESES), which also decides whether the correction is on by
+default; an inequality without a part map (korn_ell) has no A side.
 
 The empirical constant of an inequality is estimated over three field
 families: an exhaustive single-frequency sweep (with the adversarial fiber
@@ -84,17 +90,22 @@ __all__ = [
     "check_hypotheses",
 ]
 
-INEQUALITY_IDS = (
-    "korn_ell",
-    "kms_sym",
-    "asplit",
-    "korn_ellip",
-    "korn_const",
-    "korn_const2_p2",
-    "korn_const_p1",
-)
-
-_CORRECTION_IDS = ("korn_const", "korn_const2_p2", "korn_const_p1")
+# the hypothesis on B of each inequality, on ker A where it has a part map:
+# the classifier flags it needs and what a failed check reports.  The
+# constant-rank inequalities carry the correction Pi_B by default.
+_ELLIPTIC = (("is_elliptic",), "is not elliptic")
+_CONSTANT_RANK = (("is_constant_rank",), "does not have constant rank")
+_CANCELLING = (("is_constant_rank", "is_cancelling"), "is not constant-rank and cancelling")
+_HYPOTHESES = {
+    "korn_ell": _ELLIPTIC,
+    "kms_sym": _ELLIPTIC,
+    "asplit": _ELLIPTIC,
+    "korn_ellip": _ELLIPTIC,
+    "korn_const": _CONSTANT_RANK,
+    "korn_const2_p2": _CONSTANT_RANK,
+    "korn_const_p1": _CANCELLING,
+}
+INEQUALITY_IDS = tuple(_HYPOTHESES)
 
 # a trial side at most this fraction of its field's reference (kms_sides: |P|_2;
 # a plane wave cos(x.xi) v: a |v|) reads exactly 0.0.  Roundoff in c |B[xi] v|
@@ -187,9 +198,10 @@ class InequalityConfig:
         else:
             if not 1 < self.p < n:
                 raise ArgumentError("p", f"need 1 < p < n, got p={self.p}, n={n}")
+        corrected = _HYPOTHESES[ident] is not _ELLIPTIC
         if self.correction_enabled is None:
-            self.correction_enabled = ident in _CORRECTION_IDS
-        if self.correction_enabled and ident not in _CORRECTION_IDS:
+            self.correction_enabled = corrected
+        if self.correction_enabled and not corrected:
             raise ArgumentError("correction_enabled", f"{ident} carries no correction term")
         self._correction_cache = None
 
@@ -204,6 +216,19 @@ class InequalityConfig:
     @property
     def p_star(self) -> float:
         return sobolev_conjugate(self.p, self.n)
+
+    @property
+    def norms(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(order, exponent) of the norm of the left and A sides, and of the B side.
+
+        An order below 0 is the Fourier weight |xi|^order at exponent 2.
+        """
+        k, p = self.k, self.p
+        if self.part is None:
+            return (k, p), (0, p)
+        if self.inequality_id == "korn_const2_p2":
+            return (-1, 2.0), (-k, 2.0)
+        return (k - 1, self.p_star), (0, p)
 
     @property
     def correction_descriptor(self) -> MultiplierDescriptor | None:
@@ -255,28 +280,13 @@ def check_hypotheses(config: InequalityConfig):
     sampling = SphereSampling.standard(
         config.n, count=HYPOTHESIS_SAMPLE_COUNT, seed=HYPOTHESIS_SAMPLE_SEED
     )
-    ident = config.inequality_id
-    if ident == "korn_ell":
-        report = classify(config.operator, sampling)
-        ok = report.is_elliptic
-        note = "" if ok else "operator is not elliptic"
+    if config.part is None:
+        report, where = classify(config.operator, sampling), ""
     else:
-        report = classify_on_kernel(config.operator, config.part, sampling)
-        if ident in ("kms_sym", "asplit", "korn_ellip"):
-            ok = report.is_elliptic
-            note = "" if ok else "operator is not elliptic on ker(A)"
-        elif ident in ("korn_const", "korn_const2_p2"):
-            ok = report.is_constant_rank
-            note = "" if ok else "operator does not have constant rank on ker(A)"
-        else:
-            ok = report.is_constant_rank and report.is_cancelling
-            note = (
-                ""
-                if ok
-                else "operator is not constant-rank and cancelling on ker(A)"
-            )
-    if note:
-        note += " - outside theorem hypotheses"
+        report, where = classify_on_kernel(config.operator, config.part, sampling), " on ker(A)"
+    flags, failure = _HYPOTHESES[config.inequality_id]
+    ok = all(getattr(report, flag) for flag in flags)
+    note = "" if ok else f"operator {failure}{where} - outside theorem hypotheses"
     return ok, note, report.to_dict()
 
 
@@ -321,25 +331,16 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
 
 def _sides(config, fld, f_hat):
     """(lhs, rhs) of kms_sides for a validated field with half spectrum f_hat."""
-    k, p = config.k, config.p
-    b_hat = f_hat.apply_operator(config.operator)
-    if config.inequality_id == "korn_ell":
-        return f_hat.sobolev_norm(k, p), b_hat.sobolev_norm(0, p)
+    (m, q), (b_order, b_q) = config.norms
     # the norm of B P first, so its spectrum is freed before the correction's is built
-    if config.inequality_id == "korn_const2_p2":
-        b_norm = b_hat.negative_sobolev_norm(float(k))
-    else:
-        b_norm = b_hat.sobolev_norm(0, p)
-    del b_hat
+    b_norm = f_hat.apply_operator(config.operator).sobolev_norm(b_order, b_q)
+    if config.part is None:
+        return f_hat.sobolev_norm(m, q), b_norm
     # R = P - Pi_B P, in the buffer of the correction's fresh spectrum
     r_hat = f_hat
     if config.correction_enabled:
         c = f_hat.apply_multiplier(config.correction_descriptor).coefficients
         r_hat = HalfSpectrum(config.grid, np.subtract(f_hat.coefficients, c, out=c))
-    if config.inequality_id == "korn_const2_p2":
-        a_hat = f_hat.apply_partmap(config.part)
-        return r_hat.negative_sobolev_norm(1.0), a_hat.negative_sobolev_norm(1.0) + b_norm
-    m, q = k - 1, config.p_star
     if q == 2:
         a_norm = f_hat.apply_partmap(config.part).sobolev_norm(m, q)
         return r_hat.sobolev_norm(m, q), a_norm + b_norm
@@ -370,39 +371,35 @@ def _profile_norm(grid: TorusGrid, reduced_order: int, q: float, odd: bool) -> f
 def _frequency_scales(config, freqs):
     """Scalars (a, b, c) with lhs = a |w|, rhs = b |A v| + c |B[xi] v|, one per row of freqs.
 
-    Each profile norm is computed once per distinct M / gcd(xi, M) (_profile_norm).
+    A side whose norm is (order, q) (InequalityConfig.norms) scales by
+    |xi|^order times the L^q norm of the wave's profile: |cos(x.xi)|, or
+    |sin(x.xi)| where an odd number of derivatives falls on the wave (the
+    order when it is >= 0, plus k on the B side).  b = a, since the A side
+    has the left side's norm.  Each profile norm is computed once per
+    distinct M / gcd(xi, M) (_profile_norm).
     """
     grid, m = config.grid, config.grid.points_per_axis
     xi_abs = np.linalg.norm(freqs, axis=1)
-    orders = m // np.gcd.reduce(np.abs(freqs).astype(np.int64), axis=1, initial=m)
-    uniq, inverse = np.unique(orders, return_inverse=True)
+    reduced = m // np.gcd.reduce(np.abs(freqs).astype(np.int64), axis=1, initial=m)
+    uniq, inverse = np.unique(reduced, return_inverse=True)
 
-    def profiles(q, odd):
-        return np.array([_profile_norm(grid, int(r), q, odd) for r in uniq])[inverse]
+    def scale(order, q, derivatives):
+        odd = (max(order, 0) + derivatives) % 2 == 1
+        profile = np.array([_profile_norm(grid, int(r), q, odd) for r in uniq])[inverse]
+        return xi_abs ** float(order) * profile
 
-    k = config.k
-    ident = config.inequality_id
-    if ident == "korn_ell":
-        nk = profiles(config.p, k % 2 == 1)
-        return xi_abs**k * nk, None, nk
-    if ident == "korn_const2_p2":
-        n0 = profiles(2.0, False)
-        nk = profiles(2.0, k % 2 == 1)
-        a = xi_abs**-1.0 * n0
-        return a, a, xi_abs ** (-float(k)) * nk
-    nl = profiles(config.p_star, (k - 1) % 2 == 1)
-    nb = profiles(config.p, k % 2 == 1)
-    a = xi_abs ** float(k - 1) * nl
-    return a, a, nb
+    (order, q), (b_order, b_q) = config.norms
+    a = scale(order, q, 0)
+    return a, a, scale(b_order, b_q, config.k)
 
 
 class _PlaneWaves:
     """The closed form of the plane waves cos(x.xi) v on an (F, n) stack of frequencies.
 
-    lhs = a |v - Re corr[xi] v| and rhs = b |A v| + c |B[xi] v| (korn_ell:
-    lhs = a |v|, rhs = c |B[xi] v|).  The scales, the symbols and the
-    correction are evaluated once per stack, for sides and for the sweep's
-    vector choice.
+    lhs = a |v - Re corr[xi] v| and rhs = b |A v| + c |B[xi] v| (without a
+    part map, as korn_ell: lhs = a |v|, rhs = c |B[xi] v|).  The scales, the
+    symbols and the correction are evaluated once per stack, for sides and
+    for the sweep's vector choice.
     """
 
     def __init__(self, config: InequalityConfig, freqs):
@@ -419,7 +416,7 @@ class _PlaneWaves:
         wave = a * np.linalg.norm(vs, axis=1)
         bv = c * np.linalg.norm(np.einsum("fij,fj->fi", self.symbol, vs), axis=1)
         w = vs if self.correction is None else vs - np.einsum("fij,fj->fi", self.correction, vs)
-        rhs = bv if b is None else b * np.linalg.norm(self.part.apply(vs), axis=1) + bv
+        rhs = bv if self.part is None else b * np.linalg.norm(self.part.apply(vs), axis=1) + bv
         return _negligible_as_zero(wave, a * np.linalg.norm(w, axis=1), rhs)
 
 
@@ -465,7 +462,7 @@ def _sweep_vectors(config, freqs):
     waves = _PlaneWaves(config, freqs)
     a, b, c = waves.scales
     bsym = waves.symbol.real
-    if config.inequality_id == "korn_ell":
+    if config.part is None:
         vs = np.linalg.svd(bsym)[2][:, -1, :]
         return vs, _trial_ratios(*waves.sides(vs))
 
@@ -691,7 +688,7 @@ def estimate_constant(
     check_seed(seed)
     if family is None:
         family = FieldFamily()
-    witness = family.witness and config.inequality_id != "korn_ell"
+    witness = family.witness and config.part is not None
     if not (family.sweep or family.random_trials or family.bump_widths or witness):
         raise ArgumentError("family", "the field family generates no trial for this inequality")
     hyp_ok, note, class_echo = check_hypotheses(config)

@@ -72,6 +72,9 @@ CURLVEC = ["--catalog", "curl_vector", "--n", "3"]
         ("seed", ["verify", "--seed", "-1"]),
         ("seed", ["verify", "--refine", "8", "--seed", "-1"]),
         ("trials", ["verify", "--trials", "-1"]),
+        ("n", ["classify", "--catalog", "gradient", "--n", "0"]),
+        ("n", ["demo", "necessity", "--A", "tr", "--B", "curl3", "--n", "0"]),
+        ("n", ["demo", "necessity", "--A", "tr", "--B", "div_matrix_rowwise", "--n", "-1"]),
     ],
 )
 def test_bad_flag_value_exit_2_names_it(tmp_path, capsys, flag, args):
@@ -103,6 +106,10 @@ def test_bad_config_seed_exit_2_names_it(tmp_path, capsys, seed):
         ("n", True),
         ("p", True),
         ("grid_size", True),
+        ("n", 0),
+        ("operator", {"file": 5}),
+        ("operator", {"file": None}),
+        ("operator", {"file": ["a"]}),
     ],
 )
 def test_bad_config_value_exit_2_names_it(tmp_path, capsys, key, value):
@@ -282,6 +289,19 @@ class TestClassifyCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 5" in err
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_non_finite_coefficient_exit_2(self, tmp_path, capsys, token):
+        # a spec file read by classify and by a verify config alike
+        op = tmp_path / "nonfinite.op"
+        op.write_text(f"n 2\nd 1\nl 1\nk 1\ncoeff 1 0 : 1\ncoeff 0 1 : {token}\n")
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(json.dumps(dict(KMS_CFG, inequality="korn_ell", n=2, p=1.5,
+                                       operator={"file": op.name}, partmap=None)))
+        for args in (["classify", "--spec", str(op)], ["verify", "--config", str(cfg)]):
+            assert run_cli(args) == 2
+            err = capsys.readouterr().err
+            assert "line 6: coeff" in err and "Traceback" not in err
 
     def test_missing_input_exit_2(self):
         assert run_cli(["classify"]) == 2

@@ -89,6 +89,18 @@ class TestOperatorParsing:
             parse_operator_text("n x\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_coefficient_reports_line(self, token):
+        with pytest.raises(SpecFileError) as err:
+            parse_operator_text(f"n 2\nd 1\nl 1\nk 1\ncoeff 1 0 : 1\ncoeff 0 1 : {token}\n")
+        assert (err.value.line, err.value.field) == (6, "coeff")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_catalog_dimension_below_one_names_n(self, n):
+        with pytest.raises(SpecFileError) as err:
+            parse_operator_text(f"catalog gradient\nn {n}\n")
+        assert err.value.field == "n"
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "curl.op"
         path.write_text(CURL_VECTOR_TEXT)
@@ -128,6 +140,21 @@ class TestVerifyConfig:
         doc = dict(BASE_DOC, operator={"file": "curl.op"})
         config, _ = load_verify_config(write_config(tmp_path, doc))
         assert config.operator.name == "curl_matrix_rowwise"
+
+    @pytest.mark.parametrize("entry", [5, None, ["a"]])
+    def test_operator_file_not_a_string(self, tmp_path, entry):
+        doc = dict(BASE_DOC, operator={"file": entry})
+        with pytest.raises(ConfigError) as err:
+            load_verify_config(write_config(tmp_path, doc))
+        assert err.value.field == "operator"
+
+    @pytest.mark.parametrize("operator", ["curl_matrix_rowwise", {"file": "grad.op"}])
+    def test_dimension_below_one_names_n(self, tmp_path, operator):
+        (tmp_path / "grad.op").write_text("catalog gradient\nn 2\n")
+        doc = dict(BASE_DOC, n=0, operator=operator)
+        with pytest.raises(ConfigError) as err:
+            load_verify_config(write_config(tmp_path, doc))
+        assert err.value.field == "n"
 
     def test_unknown_key(self, tmp_path):
         doc = dict(BASE_DOC, banana=1)

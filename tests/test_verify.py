@@ -5,7 +5,14 @@ import pytest
 
 from kmslab import verify
 from kmslab.multipliers import pseudoinverse_symbol
-from kmslab.operators import ArgumentError, catalog_operator, catalog_partmap, eval_symbol
+from kmslab.operators import (
+    ArgumentError,
+    OperatorSpec,
+    catalog_operator,
+    catalog_partmap,
+    eval_symbol,
+    multiindex_enumerate,
+)
 from kmslab.torus import (
     TorusGrid,
     apply_partmap,
@@ -32,6 +39,7 @@ from kmslab.verify import (
     trial_ratio,
 )
 from kmslab.verify import _sweep, _sweep_vectors
+from test_reduced_field import curl_curl_rowwise
 
 
 def small_family(trials=5):
@@ -51,6 +59,17 @@ def grid8():
 @pytest.fixture(scope="module")
 def curl():
     return catalog_operator("curl_matrix_rowwise", 3)
+
+
+def hessian():
+    """The Hessian of a scalar field on R^3, d = 1, l = 9, k = 2: entry (i, j) is d_i d_j u."""
+    coeffs = {}
+    for alpha in multiindex_enumerate(3, 2):
+        i, j = [a for a in range(3) for _ in range(alpha.exponents[a])]
+        mat = np.zeros((9, 1))
+        mat[3 * i + j, 0] = mat[3 * j + i, 0] = 1.0
+        coeffs[alpha] = mat
+    return OperatorSpec("hessian", n=3, d=1, l=9, k=2, coeffs=coeffs)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "x"])
@@ -283,31 +302,38 @@ class TestBatchedSweep:
                 assert abs(ratio - ref) <= 1e-12 * max(abs(ref), abs(ratio)), xi
 
     # every inequality id, korn_const without its correction, and asplit
-    # with A = tr, whose curl is not elliptic on ker A
+    # with A = tr, whose curl is not elliptic on ker A; at k = 2 the Hessian
+    # and the row-wise curl curl, which is not elliptic on ker tr either
     @pytest.mark.parametrize(
-        "ident,part_name,p,correction",
+        "ident,spec,part_name,p,correction",
         [
-            ("korn_ell", None, 2.0, None),
-            ("kms_sym", "sym", 2.0, None),
-            ("asplit", "dev", 1.5, None),
-            ("asplit", "tr", 2.0, None),
-            ("korn_ellip", "sym", 1.5, None),
-            ("korn_const", "tr", 1.5, None),
-            ("korn_const", "tr", 2.0, False),
-            ("korn_const2_p2", "tr", 2.0, None),
-            ("korn_const_p1", "tr", 1.0, None),
+            ("korn_ell", "sym_gradient", None, 2.0, None),
+            ("kms_sym", "curl", "sym", 2.0, None),
+            ("asplit", "curl", "dev", 1.5, None),
+            ("asplit", "curl", "tr", 2.0, None),
+            ("korn_ellip", "curl", "sym", 1.5, None),
+            ("korn_const", "curl", "tr", 1.5, None),
+            ("korn_const", "curl", "tr", 2.0, False),
+            ("korn_const2_p2", "curl", "tr", 2.0, None),
+            ("korn_const_p1", "curl", "tr", 1.0, None),
+            ("korn_ell", "hessian", None, 1.5, None),
+            ("korn_ellip", "curl_curl", "tr", 1.5, None),
+            ("korn_const", "curl_curl", "tr", 1.5, None),
+            ("korn_const2_p2", "curl_curl", "tr", 2.0, None),
+            ("korn_const_p1", "curl_curl", "tr", 1.0, None),
         ],
     )
-    def test_ratios_match_the_fft_path(self, grid8, curl, ident, part_name, p, correction):
+    def test_ratios_match_the_fft_path(self, grid8, curl, ident, spec, part_name, p, correction):
         # the closed form against kms_sides on the sampled plane wave, which
         # shares no arithmetic with it
-        if ident == "korn_ell":
-            cfg = InequalityConfig(ident, catalog_operator("sym_gradient", 3), None, p, grid8)
-        else:
-            cfg = InequalityConfig(
-                ident, curl, catalog_partmap(part_name, 3), p, grid8,
-                correction_enabled=correction,
-            )
+        specs = {
+            "sym_gradient": lambda: catalog_operator("sym_gradient", 3),
+            "curl": lambda: curl,
+            "hessian": hessian,
+            "curl_curl": curl_curl_rowwise,
+        }
+        part = None if part_name is None else catalog_partmap(part_name, 3)
+        cfg = InequalityConfig(ident, specs[spec](), part, p, grid8, correction_enabled=correction)
         freqs, vs, ratios, _ = _sweep(cfg)
         assert freqs.shape[0] == 19
         for xi, v, ratio in zip(freqs, vs, ratios):
@@ -316,7 +342,7 @@ class TestBatchedSweep:
                 assert ratio == ref, xi
             else:
                 assert abs(ratio - ref) <= 1e-12 * max(abs(ref), abs(ratio)), xi
-        infinite = (ident, part_name) == ("asplit", "tr") or correction is False
+        infinite = part_name == "tr" and not cfg.correction_enabled
         assert np.isinf(ratios).all() if infinite else np.isfinite(ratios).all()
 
 
