@@ -14,26 +14,26 @@ The calculus works on the real-FFT half spectrum of a field
 (`HalfSpectrum`): one rfftn, its last axis halved to the bins
 0 ... M/2 - 1, -M/2 (`TorusGrid.half_frequency_grid`).  A spectrum holds
 its coefficients on a `BandBox`, the bins with |xi_j| <= c on every axis
-(0 ... c on the last); the full half grid is the box c = M/2.  Transforms
-run only over the 1-D lines that carry the box, and every grid array a
-spectrum reads (frequencies, Parseval weights, |xi|^2, the zero mask,
-multiplier tables) is read through it.  `random_bandlimited`
-synthesizes its field from a box spectrum and `bump_field` from the 1-D
-transforms of its profiles; each hands that spectrum on, and its samples
-are made on first read of `values`.  Every other field starts on the full
-box.  A field's L^2 norm is the Parseval sum with
-`TorusGrid.parseval_weights` (1 on the last-axis bins 0 and M/2, whose
-partners -xi lie in the half grid too, 2 elsewhere).
+(0 ... c on the last); the full half grid is the box c = M/2.  The
+inverse transform runs only over the 1-D lines that carry the box, and
+every grid array a spectrum reads (frequencies, Parseval weights, |xi|^2,
+the zero mask, multiplier tables) is read through it.  The generators
+write a spectrum on a box, `random_bandlimited` by drawing it there and
+`bump_field` from the periodised Gaussian's closed form, and hand it on
+with the field, whose samples are made on first read of `values`.  Every
+other field is transformed once, on the full box.  A field's L^2 norm is
+the Parseval sum with `TorusGrid.parseval_weights` (1 on the last-axis
+bins 0 and M/2, whose partners -xi lie in the half grid too, 2
+elsewhere).
 
 The trial space is the band without Nyquist rows: every half spectrum
 holds 0 wherever a coordinate of xi is -M/2.  A real field's Nyquist mode
 has vanishing odd derivatives on the grid, so it would give every
 odd-order operator a spurious null direction there.  `HalfSpectrum.of`
-sets those rows to 0 after its transform, `bump_field` drops the Nyquist
-term of each 1-D profile and `random_bandlimited` stays below M/2.  On
-that space an operator acts by (i xi)^alpha Re B_alpha and a multiplier by
-m(xi): what multiplying the full spectrum and keeping the real part of the
-inverse computes.
+sets those rows to 0 after its transform, and both generators write their
+spectra on a box below M/2.  On that space an operator acts by
+(i xi)^alpha Re B_alpha and a multiplier by m(xi): what multiplying the
+full spectrum and keeping the real part of the inverse computes.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ __all__ = [
     "random_bandlimited",
     "plane_wave_field",
     "bump_field",
+    "bump_cutoff",
 ]
 
 # a field has zero mean when |mean| <= ZERO_MEAN_TOL max|values|
@@ -331,30 +332,13 @@ class TensorField:
 # half-spectrum calculus
 # --------------------------------------------------------------------------
 
-def _rfftn(box, values):
-    """numpy's rfftn of (grid.shape + (d,)) samples over the grid axes, on the box only.
-
-    rfftn is a loop of 1-D transforms: rfft on the last grid axis, then fft
-    from the second-to-last axis down to the first.  This is that loop over
-    only the lines that carry box bins, so the result is rfftn's restricted
-    to the box, bit for bit.
-    """
-    n = box.grid.n
-    out = np.fft.rfftn(values, axes=(n - 1,))
-    out = out[(slice(None),) * (n - 1) + (slice(0, box.cutoff + 1),)]
-    for axis in range(n - 2, -1, -1):
-        out = np.fft.fftn(out, axes=(axis,))
-        if not box.is_full:
-            out = out.take(box.axis_bins, axis=axis)
-    return out
-
-
 def _irfftn(box, coef):
     """numpy's irfftn, over the grid axes, of box coefficients zero-padded to the half grid.
 
     irfftn is ifft from the first grid axis up, then irfft on the last.  A
     line with no box bin is zero and stays zero until the last transform, so
-    each step pads only the axis it transforms; irfft pads the last axis
+    each step pads only the axis it transforms, into a fresh buffer that it
+    then transforms in place; irfft zero-fills the last axis line by line
     itself.  Bit for bit the samples irfftn gives; trailing axes are kept.
     """
     n, m = box.grid.n, box.grid.points_per_axis
@@ -364,18 +348,25 @@ def _irfftn(box, coef):
             padded = np.zeros(out.shape[:axis] + (m,) + out.shape[axis + 1 :], complex)
             padded[(slice(None),) * axis + (box.axis_bins,)] = out
             out = padded
-        out = np.fft.ifftn(out, axes=(axis,))
+        # in place on every buffer of its own; coef itself is left as it is
+        out = np.fft.ifftn(out, axes=(axis,), out=None if out is coef else out)
     return np.fft.irfftn(out, s=(m,), axes=(n - 1,))
 
 
-def _forward(box, values):
-    """Parseval-normalized real-FFT half spectrum of (grid.shape + (d,)) samples, on the box."""
-    return _rfftn(box, values) * box.grid.spectrum_scale
+def _forward(grid, values):
+    """Parseval-normalized real-FFT half spectrum of (grid.shape + (d,)) samples, on the full box.
+
+    Only a field the caller built is transformed, so no forward transform is
+    pruned to a smaller box.
+    """
+    return np.fft.rfftn(values, axes=tuple(range(grid.n))) * grid.spectrum_scale
 
 
 def _inverse(box, coef):
     """Real samples of a half spectrum on the box; trailing component axes are kept."""
-    return _irfftn(box, coef) / box.grid.spectrum_scale
+    samples = _irfftn(box, coef)
+    samples /= box.grid.spectrum_scale
+    return samples
 
 
 def _parseval_norm(box, coef, weight=None):
@@ -420,7 +411,7 @@ class HalfSpectrum:
         if field._spectrum is not None:
             return field._spectrum
         grid, half = field.grid, field.grid.points_per_axis // 2
-        coef = _forward(BandBox(grid, half), field.values)
+        coef = _forward(grid, field.values)
         for axis in range(grid.n):
             coef[(slice(None),) * axis + (half,)] = 0.0
         return cls(grid, coef)
@@ -610,15 +601,18 @@ def random_bandlimited(
 ) -> TensorField:
     """Zero-mean random field supported on frequencies with |xi_j| <= cutoff.
 
-    The real-FFT spectrum of white noise (d standard normals per grid
-    point) is cut to the band box of cutoff and its zero mode dropped;
-    only the lines that carry the box are transformed, so the spectrum is
-    that of the full rfftn and mask bit for bit.  It is scaled to unit L^2
-    norm by its Parseval sum.  Deterministic given the seed (a non-negative
-    integer or a SeedSequence).  The field keeps that box spectrum, so
-    HalfSpectrum.of (and kms_sides) take no transform of it; its samples
-    are the inverse transform of the spectrum from the box, made on the
-    first read of values and read-only, so the spectrum cannot go stale.
+    The half spectrum is drawn on the band box of cutoff only: complex
+    normals (independent standard normal real and imaginary parts) on every
+    box bin.  On the last-axis bin-0 plane, where xi and -xi are both kept,
+    z(xi) becomes (z(xi) + conj z(-xi)) / sqrt(2), so the field is real; the
+    zero mode is 0.  This is the distribution of white noise's spectrum on
+    the box, with no white noise and no forward transform.  It is scaled to
+    unit L^2 norm by its Parseval sum.  Deterministic given the seed (a
+    non-negative integer or a SeedSequence).  The field keeps that box
+    spectrum, so HalfSpectrum.of (and kms_sides) take no transform of it;
+    its samples are the inverse transform of the spectrum from the box,
+    made on the first read of values and read-only, so the spectrum cannot
+    go stale.
     """
     check_count("d", d)
     check_count("cutoff", cutoff)
@@ -630,7 +624,11 @@ def random_bandlimited(
         check_seed(seed)
     rng = np.random.default_rng(seed)
     box = BandBox(grid, cutoff)
-    hat = _forward(box, rng.standard_normal(grid.shape + (d,)))
+    hat = rng.standard_normal(box.shape + (d, 2)).view(complex)[..., 0]
+    # the box axes are cyclic in the bins 0 ... c, -c ... -1: -xi sits at -i mod (2c + 1)
+    mirror = -np.arange(2 * cutoff + 1) % (2 * cutoff + 1)
+    plane = hat[..., 0, :]
+    plane[...] = (plane + plane[np.ix_(*[mirror] * (grid.n - 1))].conj()) / math.sqrt(2.0)
     hat[box.zero_mask] = 0.0
     nrm = _parseval_norm(box, hat)
     if nrm > 0:
@@ -642,7 +640,8 @@ def random_bandlimited(
 def plane_wave_field(grid: TorusGrid, xi0, v) -> TensorField:
     """The real plane wave Re(v e^{i x . xi0}); spectrum supported on {+-xi0}.
 
-    xi0 must be a nonzero grid frequency without Nyquist components.
+    xi0 must be a nonzero grid frequency without Nyquist components and v a
+    finite 1-D fibre vector, real or complex.
     """
     xi0 = np.asarray(xi0)
     if xi0.shape != (grid.n,):
@@ -657,10 +656,27 @@ def plane_wave_field(grid: TorusGrid, xi0, v) -> TensorField:
         raise ArgumentError(
             "xi0", "plane-wave frequency must avoid the Nyquist rows (|xi_j| < M/2)"
         )
-    v = np.asarray(v)
+    v = _fibre_vector(v, None)
     phase = grid.points @ xi_int.astype(float)
     wave = np.exp(1j * phase)[..., None] * v
     return TensorField(grid, wave.real)
+
+
+def _fibre_vector(v, dtype):
+    """v as a new 1-D array of dtype; ArgumentError("v") unless it is 1-D and finite."""
+    v = np.array(v, dtype=dtype)
+    if v.ndim != 1 or not np.all(np.isfinite(v)):
+        raise ArgumentError("v", "v must be a 1-D fibre vector of finite values")
+    return v
+
+
+def bump_cutoff(grid: TorusGrid, width: float) -> int:
+    """The band box cutoff of bump_field: ceil(sqrt(106 ln 2) / width), at most M/2 - 1.
+
+    The smallest c with exp(-width^2 c^2 / 2) <= 2^-53, so below the cap
+    every coefficient the box drops is under the peak's roundoff.
+    """
+    return min(math.ceil(math.sqrt(106.0 * math.log(2.0)) / width), grid.points_per_axis // 2 - 1)
 
 
 def bump_field(
@@ -670,48 +686,37 @@ def bump_field(
     v,
     zero_mean: bool = True,
 ) -> TensorField:
-    """Gaussian bump exp(-|x - c|^2 / (2 w^2)) v with periodic distance, Nyquist terms dropped.
+    """The periodised Gaussian bump sum_j exp(-|x - c + 2 pi j|^2 / (2 w^2)) v, band-limited.
 
-    The Gaussian is the product of n 1-D profiles, so its half spectrum is
-    the outer product of their fft (the first n - 1 axes) and rfft (the
-    last), times v: no n-D transform is taken.  Each profile loses its
-    Nyquist term, S[M/2] (-1)^i / M at sample i, from its samples and its spectrum, so
-    the field lies in the trial space (module docstring).  The field keeps
-    that spectrum, as random_bandlimited does; its samples, the product of
-    the profiles times v, are made on the first read of values and are
-    read-only.  With zero_mean=True (default) the zero mode is 0 and the
-    mean is subtracted from the samples, so the field is usable in
-    homogeneous norms; pass False to compare against whole-space quadrature
-    oracles.
+    By Poisson summation its Parseval-normalized coefficient at xi is
+    w^n exp(-w^2 |xi|^2 / 2) e^{-i xi . c} v: the numpy fft of each axis's
+    samples, M (w / sqrt(2 pi)) exp(-w^2 k^2 / 2) e^{-i k c_j} up to
+    aliasing, times grid.spectrum_scale.  The spectrum is that closed form
+    on the band box of bump_cutoff(grid, width), so the field lies in the
+    trial space (module docstring), and it drops the Gaussian's tail beyond
+    the box, exp(-w^2 (cutoff + 1)^2 / 2) of the peak and below.  The field
+    keeps that spectrum, as random_bandlimited does; its samples, the
+    inverse transform from the box, are made on the first read of values and
+    are read-only.  With zero_mean=True (default) the zero mode is 0, so the
+    field is usable in homogeneous norms; pass False to compare against
+    whole-space quadrature oracles.  center must be a finite n-vector and v
+    a finite 1-D fibre vector; the field keeps its own copy of v.
     """
     center = np.asarray(center, dtype=float)
-    if center.shape != (grid.n,):
-        raise ArgumentError("center", f"center must have shape ({grid.n},)")
+    if center.shape != (grid.n,) or not np.all(np.isfinite(center)):
+        raise ArgumentError("center", f"center must be a finite vector of shape ({grid.n},)")
     if not 0 < width < math.inf:
         raise ArgumentError("width", "width must be positive and finite")
-    v = np.array(v, dtype=float)  # a copy: the samples are made later
-    m = grid.points_per_axis
-    axis = 2.0 * math.pi * np.arange(m) / m
-    nyquist_mode = np.where(np.arange(m) % 2 == 0, 1.0 / m, -1.0 / m)
-    profiles, spectra = [], []
-    for j, c in enumerate(center):
-        distance = (axis - c + math.pi) % (2.0 * math.pi) - math.pi
-        profile = np.exp(-(distance**2) / (2.0 * width**2))
-        transform = np.fft.rfftn if j == grid.n - 1 else np.fft.fftn
-        spectrum = transform(profile, axes=(0,))
-        profiles.append(profile - spectrum[m // 2].real * nyquist_mode)
-        spectrum[m // 2] = 0.0
-        spectra.append(spectrum)
-    hat = reduce(np.multiply.outer, spectra) * grid.spectrum_scale
+    v = _fibre_vector(v, float)
+    box = BandBox(grid, bump_cutoff(grid, width))
+    k = grid.axis_frequencies[box.axis_bins]
+    axes = [k] * (grid.n - 1) + [k[: box.cutoff + 1]]
+    hat = reduce(
+        np.multiply.outer,
+        [width * np.exp(-0.5 * (width * q) ** 2 - 1j * q * x) for q, x in zip(axes, center)],
+    )
     if zero_mean:
         hat[(0,) * grid.n] = 0.0
     hat = hat[..., None] * v
     hat.setflags(write=False)
-
-    def sample():
-        profile = reduce(np.multiply.outer, profiles)
-        if zero_mean:
-            profile -= math.prod(p.mean() for p in profiles)
-        return profile[..., None] * v
-
-    return TensorField._generated(HalfSpectrum(grid, hat), sample)
+    return TensorField._generated(HalfSpectrum(grid, hat), lambda: _inverse(box, hat))

@@ -26,9 +26,9 @@ _PlaneWaves: for P = cos(x.xi) v every norm in play factorizes into an
 algebraic fiber part and a scalar profile norm that depends only on
 M / gcd(xi, M), and the correction is its symbol at xi, so a plane wave
 costs small dense linear algebra and no FFT.  Random and bump fields go
-through kms_sides, the only reader of the half-grid correction table; a
-random field brings its spectrum on its band box and takes no forward
-transform.  The sweep and the witness scan walk the same orbit
+through kms_sides, the only reader of the half-grid correction table;
+each brings the spectrum its generator wrote on a band box and takes no
+forward transform.  The sweep and the witness scan walk the same orbit
 representatives (_orbit_representatives): signed-permutation orbits of Z^n
 where a symmetry check proves the sweep ratio constant on them, single
 frequencies otherwise (see operators.orbit_tensor_power).
@@ -63,6 +63,7 @@ from .torus import (
     apply_multiplier,
     apply_operator,
     apply_partmap,
+    bump_cutoff,
     bump_field,
     random_bandlimited,
     sobolev_conjugate,
@@ -307,19 +308,19 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
     The correction, the part map, B[i xi] and the derivative blocks act on
     the field's real-FFT half spectrum (HalfSpectrum.of), which holds no
     Nyquist rows: the field is read as its projection on the trial space
-    (torus module docstring).  A generated field brings the spectrum it was
-    synthesized from, so it takes no forward transform: a
-    random_bandlimited field on its band box, where everything below runs,
-    and a bump_field on the full half grid.  Any other field is transformed
-    once, on the full half grid.  The correction is applied from its orbit
-    table (OrbitTable.apply), with no matrix per bin, and R = P - corr P is
-    formed on the spectrum.  L^2 norms are Parseval sums; |B P|_p with
-    p != 2 takes one inverse transform.  The correction maps into ker A
+    (torus module docstring).  A generated field (random_bandlimited,
+    bump_field) brings the spectrum it was synthesized from, on its band
+    box, so it takes no forward transform and everything below runs on that
+    box.  Any other field is transformed once, on the full half grid.  The
+    correction is applied from its orbit table (OrbitTable.apply), with no
+    matrix per bin, and R = P - corr P is formed on the spectrum.  L^2
+    norms are Parseval sums; |B P|_p with p != 2 takes one inverse
+    transform.  The correction maps into ker A
     (A Pi_B = 0), so where q = p* != 2 the left side |grad^m R|_q and the A
     side |A grad^m R|_q = |A grad^m P|_q read the samples of one field,
     grad^m R: one inverse transform, A applied to each derivative block.
     Without a correction R is P, and at m = 0 a generated field makes its
-    own samples on that read (the product of its profiles for a bump).  A
+    own samples on that read, one inverse transform from its box.  A
     side at most NEGLIGIBLE times |P|_2, a Parseval sum of the spectrum
     already held, is returned as exactly 0.0 (_negligible_as_zero).
     """
@@ -668,18 +669,19 @@ def estimate_constant(
     where only the right side vanishes, 0.0 where both do.  Every random and
     bump field is one row, evaluated by kms_sides as soon as it is generated
     and dropped, with its spectrum, once its ratio is known.  No field takes
-    a forward transform after it is generated: a random field is evaluated
-    on the band-box spectrum it was synthesized from, and a bump on the full
-    half-grid spectrum of its 1-D profiles, whose Nyquist terms bump_field
-    drops, so every trial field lies in the trial space without Nyquist rows
-    (torus module docstring).  Samples are made only where a real-space
+    a forward transform: each is evaluated on the band-box spectrum its
+    generator wrote, below M/2, so every trial field lies in the trial
+    space without Nyquist rows (torus module docstring).  A random field's
+    box is max(1, M // 4); a bump's is torus.bump_cutoff, and its
+    descriptor records that cutoff and the Gaussian tail the box drops,
+    exp(-w^2 (cutoff + 1)^2 / 2).  Samples are made only where a real-space
     norm reads them (kms_sides): those of B P, and those of
     R = P - corr P, which the left side and the A side share; a generated
     field makes its own only without a correction.  So when every norm is
-    an L^2 Fourier weight (korn_const2_p2) no trial takes an inverse
-    transform, and a korn_const trial at p = 1.5 takes two.  A correction
-    term builds the compact orbit table of its grid once, for the first
-    field trial.  The witness plane wave is one row, evaluated in
+    an L^2 Fourier weight (korn_const2_p2) no trial takes a transform at
+    all, and a korn_const trial at p = 1.5 takes two inverse transforms.  A
+    correction term builds the compact orbit table of its grid once, for the
+    first field trial.  The witness plane wave is one row, evaluated in
     closed form by single_frequency_trial; when no witness exists it holds
     ratio 0.0.  Infinite ratios propagate to max_ratio and are counted
     separately.  A family that generates no trial for the config raises
@@ -721,10 +723,9 @@ def estimate_constant(
         rng = np.random.default_rng(np.random.SeedSequence((seed, 202, i)))
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
+        # the field first, so that a bad width is refused by bump_field
         add_field(
-            "bump",
-            bump_field(grid, center, width, v),
-            {"generator": "bump", "width": width, "seed_root": seed, "index": i},
+            "bump", bump_field(grid, center, width, v), _bump_descriptor(grid, width, seed, i)
         )
 
     if witness:
@@ -746,6 +747,15 @@ def estimate_constant(
         hypotheses_note=note,
         classification=class_echo,
     )
+
+
+def _bump_descriptor(grid, width, seed, index) -> dict:
+    """A bump row's descriptor: its band box cutoff and the Gaussian tail the box drops."""
+    cutoff = bump_cutoff(grid, width)
+    return {
+        "generator": "bump", "width": width, "seed_root": seed, "index": index,
+        "cutoff": cutoff, "dropped_tail": math.exp(-0.5 * (width * (cutoff + 1)) ** 2),
+    }
 
 
 def _check_sizes(sizes) -> list:

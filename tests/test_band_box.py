@@ -1,24 +1,37 @@
-"""Band boxes: pruned transforms, random fields that keep their spectrum, and kms_sides on the box.
+"""Band boxes: pruned transforms, generated fields drawn on their box, and kms_sides on the box.
 
-The transforms over the lines of a box must equal numpy's full rfftn and
-irfftn bit for bit, restricted to the box or zero-padded from it.  A
-random_bandlimited field keeps the box spectrum it was synthesized from,
-so kms_sides takes no forward transform of it; every field built from it
-takes the full path again.
+The inverse over the lines of a box must equal numpy's full irfftn of the
+coefficients zero-padded from it, bit for bit, and hold no more memory
+than on the full box; the forward transform is numpy's rfftn.
+random_bandlimited draws its spectrum on its box and bump_field writes its
+closed form there; each field keeps that spectrum, so neither it nor
+kms_sides takes a forward transform; every field built from one takes the
+full path again.
 """
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandlimited_reference import full_grid_bandlimited
+from generator_reference import copying_irfftn, periodised_gaussian
 from kmslab import torus
 from kmslab.operators import ArgumentError, catalog_operator, catalog_partmap
-from kmslab.torus import BandBox, HalfSpectrum, TensorField, TorusGrid, bump_field, random_bandlimited
+from kmslab.torus import (
+    BandBox,
+    HalfSpectrum,
+    TensorField,
+    TorusGrid,
+    bump_cutoff,
+    bump_field,
+    lp_norm,
+    plane_wave_field,
+    random_bandlimited,
+)
 from kmslab.verify import INEQUALITY_IDS, FieldFamily, InequalityConfig, estimate_constant, kms_sides
 
 
@@ -36,12 +49,10 @@ def check_transforms(n, m, cutoff, d=2, seed=0):
     index = box_index(m, n, cutoff)
     full = np.fft.rfftn(values, axes=axes)
 
-    got = torus._rfftn(box, values)
-    assert got.shape == box.shape + (d,)
-    assert np.array_equal(got, full[index])
-    assert np.array_equal(torus._forward(box, values), (full * grid.spectrum_scale)[index])
+    assert np.array_equal(torus._forward(grid, values), full * grid.spectrum_scale)
 
     coef = full[index]
+    assert coef.shape == box.shape + (d,)
     padded = np.zeros_like(full)
     padded[index] = coef
     want = np.fft.irfftn(padded, s=grid.shape, axes=axes)
@@ -71,6 +82,34 @@ def test_box_transforms_at_the_benchmark_grids(n, m):
         check_transforms(n, m, cutoff, d=1 if n == 3 else 3)
 
 
+@pytest.mark.parametrize("n,m", [(1, 12), (2, 12), (3, 12), (3, 48)])
+def test_inverse_is_the_copying_inverse_bit_for_bit(n, m):
+    # every box from the narrowest to the full one; the coefficients are read-only
+    rng = np.random.default_rng(n * m)
+    for cutoff in range(1, m // 2 + 1):
+        box = BandBox(TorusGrid(n, m), cutoff)
+        coef = rng.standard_normal(box.shape + (2, 2)).view(complex)[..., 0]
+        coef.setflags(write=False)
+        assert np.array_equal(torus._irfftn(box, coef), copying_irfftn(box, coef))
+
+
+def inverse_peak(box, d):
+    """Bytes that torus._inverse allocates at its peak, its input aside."""
+    coef = np.random.default_rng(0).standard_normal(box.shape + (d, 2)).view(complex)[..., 0]
+    tracemalloc.start()
+    try:
+        torus._inverse(box, coef)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pruned_inverse_holds_no_more_than_the_full_inverse():
+    # the width-0.4 bump's box at M = 48 is nearly the full box
+    grid = TorusGrid(3, 48)
+    assert inverse_peak(BandBox(grid, 22), 9) <= inverse_peak(BandBox(grid, 24), 9)
+
+
 def test_box_reads_grid_arrays_and_the_full_box_reads_them_as_they_are():
     grid = TorusGrid(3, 16)
     full, box = BandBox(grid, 8), BandBox(grid, 3)
@@ -87,27 +126,67 @@ def test_box_reads_grid_arrays_and_the_full_box_reads_them_as_they_are():
             BandBox(grid, cutoff)
 
 
-@pytest.mark.parametrize("n,m,cutoff", [(1, 8, 3), (2, 12, 2), (2, 24, 6), (3, 8, 2), (3, 16, 4), (3, 48, 12)])
-def test_random_bandlimited_matches_the_full_grid_generator(n, m, cutoff):
+RANDOM_BOXES = [(1, 8, 3), (2, 12, 2), (2, 24, 6), (3, 8, 2), (3, 16, 4), (3, 48, 12)]
+RANDOM_DRAWS = [(1, 0), (3, 7), (9, np.random.SeedSequence((5, 101, 2)))]
+
+
+def random_fields(n, m, cutoff):
     grid = TorusGrid(n, m)
-    box, index = BandBox(grid, cutoff), box_index(m, n, cutoff)
-    for d, seed in ((1, 0), (3, 7), (9, np.random.SeedSequence((5, 101, 2)))):
+    for d, seed in RANDOM_DRAWS:
         if n < 3 and d == 9:
             continue
-        fld = random_bandlimited(grid, d, cutoff, seed=seed)
-        hat, norm = full_grid_bandlimited(grid, d, cutoff, seed)
+        yield random_bandlimited(grid, d, cutoff, seed=seed)
+
+
+def mirror(array, n):
+    """array[-xi] on the box's n - 1 full axes, each cyclic in the bins 0 ... c, -c ... -1."""
+    for axis in range(n - 1):
+        array = np.roll(np.flip(array, axis=axis), 1, axis=axis)
+    return array
+
+
+@pytest.mark.parametrize("n,m,cutoff", RANDOM_BOXES)
+def test_random_spectrum_is_hermitian_on_the_bin_0_plane_and_0_at_the_origin(n, m, cutoff):
+    for fld in random_fields(n, m, cutoff):
         coef = fld._spectrum.coefficients
-        # the normaliser: a Parseval sum over the box and one over the whole
-        # half grid add the same terms in another order
-        box_norm = torus._parseval_norm(box, hat[index])
-        assert abs(box_norm - norm) <= 1e-15 * norm
-        # the spectrum: the masked full rfftn, bit for bit, over the box's sum
-        assert np.array_equal(coef, hat[index] * (1.0 / box_norm))
-        # the samples: the full irfftn of the kept spectrum, bit for bit
-        padded = np.zeros_like(hat)
-        padded[index] = coef
-        want = np.fft.irfftn(padded, s=grid.shape, axes=tuple(range(n))) / grid.spectrum_scale
-        assert np.array_equal(fld.values, want)
+        assert coef.shape == BandBox(fld.grid, cutoff).shape + (fld.fiber_dim,)
+        plane = coef[..., 0, :]
+        assert np.array_equal(plane, mirror(plane, n).conj())
+        assert not np.any(coef[(0,) * n])
+        # every other bin holds a draw
+        assert np.count_nonzero(np.all(coef != 0, axis=-1)) == coef[..., 0].size - 1
+
+
+@pytest.mark.parametrize("n,m,cutoff", RANDOM_BOXES)
+def test_random_spectrum_is_the_transform_of_its_samples(n, m, cutoff):
+    for fld in random_fields(n, m, cutoff):
+        coef = fld._spectrum.coefficients
+        full = HalfSpectrum.of(TensorField(fld.grid, fld.values.copy())).coefficients
+        box = fld._spectrum.box
+        scale = np.max(np.abs(coef))
+        assert np.max(np.abs(box.take(full) - coef)) <= 1e-14 * scale
+        off_box = full.copy()
+        off_box[box_index(m, n, cutoff)] = 0.0
+        assert np.max(np.abs(off_box)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n,m,cutoff", RANDOM_BOXES)
+def test_random_field_has_unit_norm(n, m, cutoff):
+    for fld in random_fields(n, m, cutoff):
+        spectrum = fld._spectrum
+        assert abs(torus._parseval_norm(spectrum.box, spectrum.coefficients) - 1.0) <= 1e-15
+        assert abs(lp_norm(fld, 2.0) - 1.0) <= 1e-14
+
+
+def test_random_field_is_deterministic_given_the_seed():
+    grid = TorusGrid(3, 16)
+    for seed in (4, np.random.SeedSequence((3, 101, 1))):
+        a, b = (random_bandlimited(grid, 9, 4, seed=seed) for _ in range(2))
+        assert np.array_equal(a._spectrum.coefficients, b._spectrum.coefficients)
+        assert np.array_equal(a.values, b.values)
+    other = random_bandlimited(grid, 9, 4, seed=5)
+    # they share only the zero mode, 0 in both
+    assert np.sum(other._spectrum.coefficients == a._spectrum.coefficients) == 9
 
 
 def test_random_field_keeps_a_read_only_box_spectrum():
@@ -142,16 +221,20 @@ def test_fields_built_from_a_random_field_take_the_full_path():
 
 
 def _counted(monkeypatch):
-    """Record (kind, box is full) for every box transform."""
+    """Record (kind, box is full) for every transform; a forward transform is on the full box."""
     calls = []
-    for name in ("_rfftn", "_irfftn"):
-        original = getattr(torus, name)
+    forward, inverse = torus._forward, torus._irfftn
 
-        def counting(box, array, name=name, original=original):
-            calls.append((name, box.is_full))
-            return original(box, array)
+    def counting_forward(grid, values):
+        calls.append(("_forward", True))
+        return forward(grid, values)
 
-        monkeypatch.setattr(torus, name, counting)
+    def counting_inverse(box, coef):
+        calls.append(("_irfftn", box.is_full))
+        return inverse(box, coef)
+
+    monkeypatch.setattr(torus, "_forward", counting_forward)
+    monkeypatch.setattr(torus, "_irfftn", counting_inverse)
     return calls
 
 
@@ -180,29 +263,28 @@ def test_band_path_agrees_with_the_full_path(ident, m):
 @pytest.mark.parametrize(
     "ident,want",
     [
-        # the generator's forward transform; at p = 2, |B P|_2 is a Parseval
-        # sum, and the L^6 norms of R = P - corr P and of A R = A P read the
-        # samples of R, one inverse transform from the box: P's are never made
-        ("korn_const", [("_rfftn", False), ("_irfftn", False)]),
-        # the generator's forward transform only: every norm is a Parseval
-        # sum, so the samples are never read
-        ("korn_const2_p2", [("_rfftn", False)]),
+        # at p = 2, |B P|_2 is a Parseval sum, and the L^6 norms of
+        # R = P - corr P and of A R = A P read the samples of R, one inverse
+        # transform from the box: P's are never made
+        ("korn_const", [("_irfftn", False)]),
+        # every norm is a Parseval sum, so the samples are never read
+        ("korn_const2_p2", []),
     ],
 )
 def test_random_trial_transform_counts(monkeypatch, ident, want):
     cfg = make_config(ident, 16)
     calls = _counted(monkeypatch)
-    kms_sides(cfg, random_bandlimited(cfg.grid, cfg.operator.d, 4, seed=1))
+    fld = random_bandlimited(cfg.grid, cfg.operator.d, 4, seed=1)
+    kms_sides(cfg, fld)
     assert calls == want
 
 
 @pytest.mark.parametrize(
     "ident,want",
     [
-        # the samples of R = P - corr P for both L^6 norms, from the full
-        # half grid; those of P, the product of the bump's profiles, are
-        # never made
-        ("korn_const", [("_irfftn", True)]),
+        # the samples of R = P - corr P for both L^6 norms, from the bump's
+        # box (cutoff M/2 - 1 = 7 at width 0.4); those of P are never made
+        ("korn_const", [("_irfftn", False)]),
         ("korn_const2_p2", []),
     ],
 )
@@ -221,21 +303,21 @@ def test_benchmark_field_family_on_korn_const2_p2_takes_no_inverse_transform(mon
     calls = _counted(monkeypatch)
     estimate = estimate_constant(cfg, family, seed=1)
     assert estimate.n_trials == 6
-    # one forward transform per random trial, none for a bump
-    assert calls == [("_rfftn", False)] * 4
+    # no trial takes a transform of either kind
+    assert calls == []
 
 
 # inverse transforms to generate a (random, bump) trial and run kms_sides on
-# it, when every generated field made its samples as it was built: a random
-# field took one inverse transform for them
+# it, when every generated field made its samples as it was built: each
+# field took one inverse transform of its box spectrum for them
 INVERSES_WITH_EAGER_SAMPLES = {
-    "korn_ell": (1, 0),
-    "kms_sym": (1, 0),
-    "asplit": (1, 0),
-    "korn_ellip": (2, 1),
-    "korn_const": (2, 1),
-    "korn_const2_p2": (1, 0),
-    "korn_const_p1": (3, 2),
+    "korn_ell": (1, 1),
+    "kms_sym": (1, 1),
+    "asplit": (1, 1),
+    "korn_ellip": (2, 2),
+    "korn_const": (2, 2),
+    "korn_const2_p2": (1, 1),
+    "korn_const_p1": (3, 3),
 }
 
 
@@ -255,23 +337,71 @@ def test_no_trial_takes_more_inverse_transforms_than_with_eager_samples(monkeypa
     assert all(c <= e for c, e in zip(counts, INVERSES_WITH_EAGER_SAMPLES[ident])), counts
 
 
+def test_bump_cutoff_keeps_every_coefficient_above_roundoff_of_the_peak():
+    fine, coarse = TorusGrid(3, 48), TorusGrid(3, 16)
+    assert bump_cutoff(fine, 0.4) == 22 and bump_cutoff(fine, 0.8) == 11
+    # capped at M/2 - 1, so the box never holds a Nyquist bin
+    assert bump_cutoff(coarse, 0.4) == 7 and bump_cutoff(coarse, 0.8) == 7
+    assert bump_cutoff(fine, 0.05) == 23 and bump_cutoff(fine, 100.0) == 1
+    # the smallest cutoff whose own coefficient is at most 2^-53 of the peak
+    for width in (0.4, 0.8):
+        c = bump_cutoff(fine, width)
+        peak_share = [math.exp(-0.5 * (width * k) ** 2) for k in (c - 1, c)]
+        assert peak_share[0] > 2.0**-53 >= peak_share[1]
+
+
 @pytest.mark.parametrize("zero_mean", [True, False])
 @pytest.mark.parametrize("m", [8, 32, 48])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_bump_spectrum_is_the_transform_of_its_values(n, m, zero_mean):
+def test_bump_spectrum_is_the_closed_form(n, m, zero_mean):
     grid = TorusGrid(n, m)
-    full = BandBox(grid, m // 2)
+    v = np.array([0.6, -0.8])
     # on a grid point and off the grid
     for center in (np.full(n, math.pi), 0.37 + 1.9 * np.arange(n)):
         for width in (0.05, 0.4, 0.8):
-            fld = bump_field(grid, center, width, np.array([0.6, -0.8]), zero_mean=zero_mean)
+            fld = bump_field(grid, center, width, v, zero_mean=zero_mean)
             kept = HalfSpectrum.of(fld)
-            assert kept is fld._spectrum and kept.box.is_full
-            want = torus._forward(full, fld.values)
-            assert np.max(np.abs(kept.coefficients - want)) <= 1e-12 * np.max(np.abs(want))
+            assert kept is fld._spectrum and kept.box.cutoff == bump_cutoff(grid, width)
+            xi = kept.box.frequencies.astype(float)
+            gauss = width**n * np.exp(-0.5 * width**2 * np.sum(xi**2, axis=-1))
+            want = (gauss * np.exp(-1j * (xi @ center)))[..., None] * v
+            if zero_mean:
+                want[(0,) * n] = 0.0
+            # the phase e^{-i xi . c} to roundoff in xi . c, up to 23 * 3 * 6
+            assert np.all(np.abs(kept.coefficients - want) <= 1e-13 * np.abs(want))
             # the zero-mean check reads the zero mode
             assert fld.is_zero_mean == zero_mean
             assert not fld.values.flags.writeable and not kept.coefficients.flags.writeable
+
+
+@pytest.mark.parametrize("m,widths", [(32, (0.8,)), (48, (0.4, 0.8))])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bump_samples_are_the_periodised_gaussian(n, m, widths):
+    # below the cap, the box drops only coefficients under 2^-53 of the peak
+    grid = TorusGrid(n, m)
+    v = np.array([0.6, -0.8])
+    for center in (np.full(n, math.pi), 0.37 + 1.9 * np.arange(n)):
+        for width in widths:
+            assert bump_cutoff(grid, width) < m // 2 - 1 or (m, width) == (48, 0.4)
+            want = periodised_gaussian(grid, center, width)[..., None] * v
+            kept = bump_field(grid, center, width, v, zero_mean=False).values
+            assert np.max(np.abs(kept - want)) <= 1e-13
+            # the zero-mean bump is the same Gaussian less its mean, (w / sqrt(2 pi))^n v
+            mean = (width / math.sqrt(2.0 * math.pi)) ** n * v
+            assert np.max(np.abs(kept.mean(axis=tuple(range(n))) - mean)) <= 1e-13
+            centred = bump_field(grid, center, width, v).values
+            assert np.max(np.abs(centred - (want - mean))) <= 1e-13
+
+
+@pytest.mark.parametrize("m,width,cutoff", [(16, 0.4, 7), (32, 0.8, 11)])
+def test_bump_row_records_its_box_and_the_tail_it_drops(m, width, cutoff):
+    cfg = make_config("korn_const", m)
+    family = FieldFamily(sweep=False, witness=False, random_trials=0, bump_widths=(width,))
+    estimate = estimate_constant(cfg, family, seed=1)
+    assert estimate.argmax == {
+        "generator": "bump", "width": width, "seed_root": 1, "index": 0,
+        "cutoff": cutoff, "dropped_tail": math.exp(-0.5 * (width * (cutoff + 1)) ** 2),
+    }
 
 
 def test_every_transform_goes_through_the_names_the_tracer_wraps(monkeypatch):
@@ -297,6 +427,30 @@ def test_every_transform_goes_through_the_names_the_tracer_wraps(monkeypatch):
         kms_sides(cfg, random_bandlimited(grid, d, 2, seed=0))
         kms_sides(cfg, bump_field(grid, np.full(3, math.pi), 0.5, np.ones(d) / math.sqrt(d)))
     assert axes and all(len(a) == 1 for a in axes)
+
+
+GRID8 = TorusGrid(3, 8)
+XI = np.array([1, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "argument,make",
+    [
+        ("center", lambda: bump_field(GRID8, [math.nan, 0.0, 0.0], 0.4, np.ones(9))),
+        ("center", lambda: bump_field(GRID8, [math.inf, 0.0, 0.0], 0.4, np.ones(9))),
+        ("v", lambda: bump_field(GRID8, np.zeros(3), 0.4, np.array([1.0, math.inf]))),
+        ("v", lambda: bump_field(GRID8, np.zeros(3), 0.4, np.array([math.nan]))),
+        ("v", lambda: bump_field(GRID8, np.zeros(3), 0.4, np.ones((3, 3)))),
+        ("v", lambda: bump_field(GRID8, np.zeros(3), 0.4, 1.0)),
+        ("v", lambda: plane_wave_field(GRID8, XI, np.ones((3, 3)))),
+        ("v", lambda: plane_wave_field(GRID8, XI, np.array([1.0, math.nan]))),
+    ],
+    ids=["center-nan", "center-inf", "v-inf", "v-nan", "v-2d", "v-0d", "wave-v-2d", "wave-v-nan"],
+)
+def test_generators_refuse_a_non_finite_or_misshapen_argument(argument, make):
+    with pytest.raises(ArgumentError) as err:
+        make()
+    assert err.value.argument == argument
 
 
 @pytest.mark.parametrize("values", [(1 + 2j) * np.ones((4, 4, 1)), np.ones((4, 4, 1), dtype=complex)])

@@ -199,7 +199,8 @@ def test_bump_values_are_its_kept_spectrum(n, zero_mean):
     for width in (0.4, 0.8):
         fld = bump_field(grid, np.full(n, 1.3), width, np.array([1.0, -2.0]), zero_mean=zero_mean)
         f_hat = HalfSpectrum.of(fld)
-        assert not np.any(f_hat.coefficients[nyquist_planes(grid)])
+        # a box below M/2 holds no Nyquist bin
+        assert not np.any(f_hat.box.frequencies == -4)
         scale = np.max(np.abs(fld.values))
         assert np.max(np.abs(f_hat.to_field().values - fld.values)) <= 1e-13 * scale
 

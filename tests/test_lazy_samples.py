@@ -4,8 +4,7 @@ random_bandlimited and bump_field hand on the spectrum they were
 synthesized from.  Everything that reads only that spectrum (the fibre
 dimension, the zero-mean check, HalfSpectrum.of, the p = 2 norms and a
 p = 2 kms_sides) leaves the samples unmade; the first read makes them once,
-read-only: the inverse transform of the box spectrum for a random field,
-the product of the 1-D profiles for a bump.
+read-only: the inverse transform of the box spectrum.
 """
 
 import math
@@ -13,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from kernel_reference import bump_samples
 from kmslab import torus
 from kmslab.operators import catalog_operator, catalog_partmap
 from kmslab.torus import (
@@ -93,34 +91,32 @@ def test_a_real_space_norm_makes_the_samples_once():
         assert fld.values is vals
 
 
-def test_random_samples_are_the_inverse_of_the_kept_spectrum():
-    fld = random_bandlimited(GRID, 9, 4, seed=2)
-    spectrum = fld._spectrum
-    vals = fld.values
-    assert not vals.flags.writeable
-    assert np.array_equal(vals, torus._inverse(spectrum.box, spectrum.coefficients))
-    # normalized by the Parseval sum of the spectrum
-    assert abs(lp_norm(fld, 2.0) - 1.0) <= 1e-15
-
-
 @pytest.mark.parametrize("zero_mean", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_bump_samples_are_the_product_of_its_profiles(n, zero_mean):
+def test_samples_are_the_inverse_of_the_kept_spectrum(n, zero_mean):
     grid = TorusGrid(n, 8 * n)
+    fields = [random_bandlimited(grid, 2, 2 * n, seed=2)] if zero_mean else []
     for center in (np.full(n, math.pi), 0.37 + 1.9 * np.arange(n)):
         for width in (0.05, 0.4, 0.8):
-            fld = bump_field(grid, center, width, np.array([0.6, -0.8]), zero_mean=zero_mean)
-            assert not made(fld)
-            vals = fld.values
-            assert not vals.flags.writeable
-            assert np.array_equal(vals, bump_samples(grid, center, width, [0.6, -0.8], zero_mean))
+            fields.append(bump_field(grid, center, width, np.array([0.6, -0.8]), zero_mean))
+    for fld in fields:
+        spectrum = fld._spectrum
+        assert not made(fld)
+        vals = fld.values
+        assert not vals.flags.writeable
+        assert np.array_equal(vals, torus._inverse(spectrum.box, spectrum.coefficients))
+
+
+def test_random_samples_have_unit_norm():
+    # normalized by the Parseval sum of the spectrum
+    assert abs(lp_norm(random_bandlimited(GRID, 9, 4, seed=2), 2.0) - 1.0) <= 1e-15
 
 
 def test_the_bump_keeps_its_own_copy_of_v():
     v = V.copy()
     fld = bump_field(GRID, CENTER, 0.4, v)
     v[:] = 0.0
-    assert np.array_equal(fld.values, bump_samples(GRID, CENTER, 0.4, V))
+    assert np.array_equal(fld.values, bump_field(GRID, CENTER, 0.4, V).values)
 
 
 @pytest.mark.parametrize("read_first", [True, False])
