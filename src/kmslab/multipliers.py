@@ -34,7 +34,8 @@ permutations g of Z^n, m(g xi) = rho(g) m(xi) rho(g)^T with
 rho(g) = g (x) ... (x) g, and the key is sorted |xi| / gcd(xi): 625 keys
 for the 15,375 nonzero bins off the Nyquist planes at n = 3, M = 32.
 Other multipliers evaluate every bin.  The table keeps the key matrices
-and, per bin, the key and g; no matrix per bin is stored.
+and, per bin, the key and g, as its row of operators.signed_permutations,
+which also gives each key's stabilizer; no matrix per bin is stored.
 OrbitTable.apply works TABLE_CHUNK bins at a time: rho(g)^T on the
 vector, one batched product with the key matrices, rho(g) on the result.
 OrbitTable.matrices gives any bins' matrices, with entries moved and
@@ -44,7 +45,6 @@ negated by rho(g), which is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
 from typing import Callable
 
 import numpy as np
@@ -56,8 +56,7 @@ from .operators import (
     frequency_orbits,
     orbit_tensor_power,
     restrict_symbol,
-    signed_permutation,
-    signed_permutation_action,
+    signed_permutations,
     symbol_on_frequencies,
 )
 
@@ -166,18 +165,15 @@ class MultiplierDescriptor:
                 values[lo : lo + chunk.shape[0]] = chunk
             bin_rep = np.full(freqs.shape[0], keys.shape[0], np.int32)
             bin_rep[live] = rep
-            bin_code = action = None
+            code = action = None
             if r is not None:
-                elems, code = np.unique(elem, return_inverse=True)
-                bin_code = np.zeros(freqs.shape[0], np.int32)
-                bin_code[live] = code
-                bin_code = bin_code.reshape(grid.half_shape)
-                action = _action(elems, n, r)
+                code, action = np.zeros(grid.half_shape, np.int32), signed_permutations(n, r)[2:]
+                code.reshape(-1)[live] = elem
             table = OrbitTable(
                 shape=grid.half_shape + values.shape[1:],
                 values=values,
                 rep=bin_rep.reshape(grid.half_shape),
-                code=bin_code,
+                code=code,
                 action=action,
             )
             _check_real_to_real(self.provenance, grid, table.matrices((..., 0)))
@@ -198,7 +194,8 @@ class MultiplierDescriptor:
         values = self.on_frequencies(keys.astype(float))
         if self._symmetry in (None, RAYS):
             return values
-        n, d = keys.shape[1], values.shape[-1]
+        d = values.shape[-1]
+        group = signed_permutations(keys.shape[1], self._symmetry)
         # the stabilizer of a sorted non-negative key depends only on which
         # entries vanish and which neighbours are equal
         pattern = np.concatenate([keys == 0, keys[:, 1:] == keys[:, :-1]], axis=1)
@@ -207,31 +204,15 @@ class MultiplierDescriptor:
         for code in np.unique(pattern):
             rows = np.flatnonzero(pattern == code)
             key = keys[rows[0]]
-            pos, sign = [], []
-            for perm in permutations(range(n)):
-                for signs in product((1.0, -1.0), repeat=n):
-                    if np.array_equal(key[list(perm)], np.multiply(signs, key)):
-                        src, sgn = signed_permutation_action(perm, signs, self._symmetry)
-                        pos.append((src[:, None] * d + src[None, :]).reshape(-1))
-                        sign.append(np.outer(sgn, sgn).reshape(-1))
-            pos, sign = np.array(pos), np.array(sign)
+            stabilizer = np.all(key[group.perm] == group.signs * key, axis=1)
+            src, sgn = group.src[stabilizer], group.sgn[stabilizer]
+            pos = (src[:, :, None] * d + src[:, None, :]).reshape(src.shape[0], -1)
+            sign = (sgn[:, :, None] * sgn[:, None, :]).reshape(sgn.shape[0], -1)
             first = pos.min(axis=0)
             carried = sign[pos.argmin(axis=0), np.arange(d * d)]
             odd = np.any((pos == first) & (sign != carried), axis=0)
             flat[rows] = flat[rows][:, first] * np.where(odd, 0.0, carried)
         return values
-
-
-def _action(elems, n, r):
-    """(src, sgn, inv, inv_sgn) of rho(g) on the fibre, one row per element code.
-
-    rho(g) x is x[src] * sgn and rho(g)^T x is x[inv] * inv_sgn, as in
-    operators.signed_permutation_action.
-    """
-    pairs = [signed_permutation_action(*signed_permutation(e, n), r) for e in elems]
-    src, sgn = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
-    inv = np.argsort(src, axis=1)
-    return src, sgn, inv, np.take_along_axis(sgn, inv, axis=1)
 
 
 @dataclass(eq=False)
@@ -241,11 +222,11 @@ class OrbitTable:
     values holds one matrix per key of operators.frequency_orbits and a
     last row of 0, the matrix of the zero frequency and of every
     Nyquist-plane bin.  rep and code have the half-grid shape: bin b holds
-    rho(g) values[rep[b]] rho(g)^T, g the element with row code[b] of
-    action, a tuple from _action; rho(g) acts on the rows and the columns
-    of the square matrices alike.  Without a certified symmetry code and
-    action are None and bin b holds values[rep[b]].  shape is
-    grid.half_shape + the matrix shape.
+    rho(g) values[rep[b]] rho(g)^T, g the row code[b] of
+    operators.signed_permutations, whose (src, sgn, inv, inv_sgn) is
+    action; rho(g) acts on the rows and the columns of the square matrices
+    alike.  Without a certified symmetry code and action are None and bin
+    b holds values[rep[b]].  shape is grid.half_shape + the matrix shape.
     """
 
     shape: tuple

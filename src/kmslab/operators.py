@@ -19,7 +19,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -38,8 +40,7 @@ __all__ = [
     "catalog_operator",
     "catalog_partmap",
     "restrict_symbol",
-    "signed_permutation_action",
-    "signed_permutation",
+    "signed_permutations",
     "frequency_orbits",
     "orbit_tensor_power",
     "CATALOG_OPERATORS",
@@ -529,38 +530,59 @@ def restrict_symbol(spec: OperatorSpec, part: PartMap) -> OperatorSpec:
 # signed-permutation symmetry
 # --------------------------------------------------------------------------
 
-def signed_permutation_action(perm, signs, r: int):
-    """The fibre action rho = g (x) ... (x) g (r factors) of a signed permutation g, as indices.
+SignedPermutations = namedtuple("SignedPermutations", "perm signs src sgn inv inv_sgn")
 
-    g maps e_j to signs[j] e_{perm[j]}.  Returns (src, sgn), of length n^r,
-    with (rho M rho^T)[K, L] = sgn[K] sgn[L] M[src[K], src[L]] for a matrix
-    M on the flattened (row-major) fibre, and rho[K, src[K]] = sgn[K] the
-    only nonzero entry of row K.
+
+@functools.lru_cache(maxsize=None)
+def signed_permutations(n: int, r: int) -> SignedPermutations:
+    """The 2^n n! signed permutations of Z^n, one row per element, with their fibre actions.
+
+    Row e is the g that maps e_j to signs[e, j] e_{perm[e, j]}.  Its action
+    rho(g) = g (x) ... (x) g (r factors) on the flattened (row-major) fibre
+    of length n^r is rho(g) x = x[src[e]] * sgn[e] and rho(g)^T x =
+    x[inv[e]] * inv_sgn[e], so (rho M rho^T)[K, L] = sgn[e, K] sgn[e, L]
+    M[src[e, K], src[e, L]].  e = rank * 2^n + mask, with rank the
+    lexicographic rank of perm[e] among the permutations of range(n) and
+    bit j of mask set where signs[e, j] = -1; row 0 is the identity.  The
+    arrays are read-only and cached per (n, r).
     """
-    perm, signs = np.asarray(perm), np.asarray(signs, dtype=float)
-    inv = np.argsort(perm)
-    src, sgn = np.zeros(1, dtype=np.int64), np.ones(1)
+    table = _signed_permutation_rows(n, r, np.arange(2**n * math.factorial(n)))
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def _signed_permutation_rows(n: int, r: int, elem) -> SignedPermutations:
+    """The rows elem of signed_permutations(n, r), decoded without the others."""
+    elem = np.asarray(elem, dtype=np.int64)
+    signs = np.where(elem[:, None] >> np.arange(n) & 1, -1.0, 1.0)
+    perm = np.empty((elem.size, n), np.int64)
+    free = np.broadcast_to(np.arange(n), perm.shape)
+    for i in range(n):
+        # Lehmer digit i of the rank picks perm[i] among the entries left
+        digit = (elem >> n) // math.factorial(n - 1 - i) % (n - i)
+        perm[:, i] = free[np.arange(elem.size), digit]
+        free = free[np.arange(n - i) != digit[:, None]].reshape(elem.size, -1)
+    inv = np.argsort(perm, axis=1)
+    moved = np.take_along_axis(signs, inv, axis=1)
+    src, sgn = np.zeros((elem.size, 1), np.int64), np.ones((elem.size, 1))
     for _ in range(r):
-        src = (src[:, None] * perm.size + inv[None, :]).reshape(-1)
-        sgn = (sgn[:, None] * signs[inv][None, :]).reshape(-1)
-    return src, sgn
-
-
-def signed_permutation(code, n: int):
-    """(perm, signs) of an element code of frequency_orbits, for signed_permutation_action."""
-    weights = np.arange(n)
-    return code // 2**n // n**weights % n, np.where(code % 2**n >> weights & 1, -1.0, 1.0)
+        src = (src[:, :, None] * n + inv[:, None, :]).reshape(elem.size, -1)
+        sgn = (sgn[:, :, None] * moved[:, None, :]).reshape(elem.size, -1)
+    back = np.argsort(src, axis=1)
+    return SignedPermutations(perm, signs, src, sgn, back, np.take_along_axis(sgn, back, axis=1))
 
 
 def frequency_orbits(freqs: np.ndarray, signed: bool, rays: bool):
     """(keys, rep, elem): the orbits of a (F, n) stack of integer frequencies.
 
-    freqs[i] is a positive multiple of g keys[rep[i]], g the signed
-    permutation signed_permutation(elem[i], n).  rays keys xi by
-    xi / gcd(xi) (xi != 0); signed then sorts |xi|, and g puts the order
-    and signs back.  With neither, each distinct frequency is an orbit of
-    its own and g is the identity.  Orbits are numbered by key, in
-    lexicographic order from the last entry.
+    freqs[i] is a positive multiple of g keys[rep[i]], g the row elem[i]
+    of signed_permutations.  rays keys xi by xi / gcd(xi) (xi != 0);
+    signed then sorts |xi|, and g puts the order and signs back.  With
+    neither, each distinct frequency is an orbit of its own.  g is the
+    identity, elem 0, unless signed.  Orbits are numbered by key, in
+    lexicographic order from the last entry.  elem is ranked from the
+    sorting permutation; no table of the group is built.
     """
     n = freqs.shape[1]
     weights = np.arange(n)
@@ -575,23 +597,11 @@ def frequency_orbits(freqs: np.ndarray, signed: bool, rays: bool):
     half = int(np.max(np.abs(keys), initial=0))
     code = np.sum((keys + half) * (2 * half + 1) ** weights, axis=1)
     _, first, rep = np.unique(code, return_index=True, return_inverse=True)
-    elem = np.sum(perm * n**weights, axis=1) * 2**n + np.sum(negative * 2**weights, axis=1)
+    elem = np.sum(negative * 2**weights, axis=1)
+    for i in range(n):
+        # Lehmer digit i of perm's rank counts the later entries below perm[i]
+        elem += (perm[:, i + 1 :] < perm[:, i, None]).sum(axis=1) * math.factorial(n - 1 - i) << n
     return keys[first], rep.reshape(-1), elem
-
-
-def _signed_permutation_generators(n):
-    """The n - 1 adjacent swaps and one sign flip, which generate the signed permutations of Z^n.
-
-    Each is a (perm, signs) pair as in signed_permutation_action.
-    """
-    gens = []
-    for j in range(n - 1):
-        perm = np.arange(n)
-        perm[[j, j + 1]] = perm[[j + 1, j]]
-        gens.append((perm, np.ones(n)))
-    flip = np.ones(n)
-    flip[0] = -1.0
-    return gens + [(np.arange(n), flip)]
 
 
 def orbit_tensor_power(spec: OperatorSpec, part: PartMap | None) -> int | None:
@@ -603,10 +613,10 @@ def orbit_tensor_power(spec: OperatorSpec, part: PartMap | None) -> int | None:
     ker A cap ker B[xi].  With the fibre action rho(g) = g (x) ... (x) g
     (r factors, d = n^r), those quantities follow g, m(g xi) =
     rho(g) m(xi) rho(g)^T, once rho^T G(g xi) rho = G(xi) holds for each
-    Gram G.  That is checked for the n generators of the group at the
-    integer points {-2k ... 2k}^n, which determine a polynomial of degree
-    2k; r is returned when every check passes.  An operator whose d is no
-    power of n fails.  part may be None (no pointwise part).
+    Gram G.  That is checked for the group's n generators (their rows of
+    signed_permutations) at the integer points {-2k ... 2k}^n, which fix a
+    polynomial of degree 2k; r is returned when every check passes.  An
+    operator whose d is no power of n fails; part may be None (no part map).
     """
     n, d, k = spec.n, spec.d, spec.k
     r = 0
@@ -627,10 +637,11 @@ def orbit_tensor_power(spec: OperatorSpec, part: PartMap | None) -> int | None:
         return out
 
     base = grams(points)
-    for perm, signs in _signed_permutation_generators(n):
+    # the n - 1 adjacent swaps, of rank (n - 1 - j)!, and the sign flip of entry 0 (row 1)
+    swaps = [math.factorial(n - 1 - j) * 2**n for j in range(n - 1)]
+    for perm, signs, src, sgn in zip(*_signed_permutation_rows(n, r, swaps + [1])[:4]):
         g = np.zeros((n, n))
         g[perm, np.arange(n)] = signs
-        src, sgn = signed_permutation_action(perm, signs, r)
         rho = np.zeros((d, d))
         rho[np.arange(d), src] = sgn
         for want, got in zip(base, grams(points @ g.T)):

@@ -77,6 +77,8 @@ class TorusGrid:
     points_per_axis: int
 
     def __post_init__(self):
+        check_count("n", self.n)
+        check_count("points_per_axis", self.points_per_axis)
         if self.n < 1:
             raise ArgumentError("n", "dimension must be >= 1")
         m = self.points_per_axis

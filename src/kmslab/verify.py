@@ -37,6 +37,7 @@ frequencies otherwise (see operators.orbit_tensor_power).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -571,6 +572,11 @@ class FieldFamily(Report):
 
     def __post_init__(self):
         check_count("random_trials", self.random_trials)
+        widths = self.bump_widths
+        if not isinstance(widths, (tuple, list)) or not all(
+            isinstance(w, numbers.Real) and w is not True and 0 < w < math.inf for w in widths
+        ):
+            raise ArgumentError("bump_widths", f"need finite positive widths, got {widths!r}")
 
 
 @dataclass(eq=False)
@@ -723,7 +729,6 @@ def estimate_constant(
         rng = np.random.default_rng(np.random.SeedSequence((seed, 202, i)))
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        # the field first, so that a bad width is refused by bump_field
         add_field(
             "bump", bump_field(grid, center, width, v), _bump_descriptor(grid, width, seed, i)
         )

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -14,8 +15,10 @@ from kmslab.operators import (
     catalog_operator,
     catalog_partmap,
     eval_symbol,
+    frequency_orbits,
     multiindex_enumerate,
     restrict_symbol,
+    signed_permutations,
     symbol_on_frequencies,
 )
 
@@ -280,6 +283,57 @@ class TestRestrictSymbol:
         grad = catalog_operator("gradient", 3)
         with pytest.raises(ValueError):
             restrict_symbol(grad, catalog_partmap("sym", 3))
+
+
+def group_element(table, e):
+    """The n x n matrix of row e of a signed_permutations table."""
+    n = table.perm.shape[1]
+    g = np.zeros((n, n), dtype=int)
+    g[table.perm[e], np.arange(n)] = table.signs[e]
+    return g
+
+
+class TestSignedPermutations:
+    """One element index, read the same way by frequency_orbits and the table."""
+
+    @pytest.mark.parametrize("rays", [False, True])
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_frequency_is_a_positive_multiple_of_its_moved_key(self, n, signed, rays):
+        freqs = np.random.default_rng(n).integers(-6, 7, size=(300, n))
+        freqs = freqs[np.any(freqs != 0, axis=1)]
+        keys, rep, elem = frequency_orbits(freqs, signed=signed, rays=rays)
+        if not signed:
+            assert not np.any(elem)
+        table = signed_permutations(n, 0)
+        for xi, key, e in zip(freqs, keys[rep], elem):
+            moved = group_element(table, e) @ key
+            # xi = c moved with c > 0, in integers
+            assert xi @ moved > 0
+            assert np.array_equal(xi * (moved @ moved), (xi @ moved) * moved)
+            if not rays:
+                assert np.array_equal(xi, moved)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_act_on_the_fibre_as_the_tensor_power(self, n, r):
+        table = signed_permutations(n, r)
+        d = n**r
+        for e in range(table.perm.shape[0]):
+            g = group_element(table, e)
+            rho = functools.reduce(np.kron, [g] * r, np.eye(1, dtype=int))
+            got, back = np.zeros((d, d)), np.zeros((d, d))
+            got[np.arange(d), table.src[e]] = table.sgn[e]
+            back[np.arange(d), table.inv[e]] = table.inv_sgn[e]
+            assert np.array_equal(got, rho)
+            assert np.array_equal(back, rho.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_element_once_and_the_identity_first(self, n):
+        table = signed_permutations(n, 1)
+        rows = np.concatenate([table.perm, table.signs], axis=1)
+        assert np.unique(rows, axis=0).shape[0] == rows.shape[0] == 2**n * math.factorial(n)
+        assert np.array_equal(group_element(table, 0), np.eye(n))
 
 
 @dataclass

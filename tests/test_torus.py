@@ -32,10 +32,21 @@ from kmslab.torus import (
 
 class TestTorusGrid:
     def test_validation(self):
-        for n, m, argument in ((3, 5, "points_per_axis"), (3, 2, "points_per_axis"), (0, 8, "n")):
+        cases = (
+            (3, 5, "points_per_axis"),
+            (3, 2, "points_per_axis"),
+            (0, 8, "n"),
+            (3, 8.0, "points_per_axis"),
+            (True, 8, "n"),
+            (3.0, 8, "n"),
+        )
+        for n, m, argument in cases:
             with pytest.raises(ArgumentError) as err:
                 TorusGrid(n, m)
             assert err.value.argument == argument
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        assert TorusGrid(np.int64(3), np.int32(8)).shape == (8, 8, 8)
 
     def test_frequency_set_closed_under_negation_except_nyquist(self):
         grid = TorusGrid(2, 8)

@@ -93,6 +93,23 @@ def test_bad_trials_names_it(trials):
     assert err.value.argument == "random_trials"
 
 
+@pytest.mark.parametrize("widths", [(0.0,), (math.nan,), (-1.0,), 0.4])
+def test_bad_bump_widths_are_refused_before_any_classification(grid8, curl, monkeypatch, widths):
+    def refuse(config):
+        raise AssertionError("classified before the widths were checked")
+
+    monkeypatch.setattr(verify, "check_hypotheses", refuse)
+    cfg = InequalityConfig("kms_sym", curl, catalog_partmap("sym", 3), 2.0, grid8)
+    with pytest.raises(ArgumentError) as err:
+        estimate_constant(cfg, FieldFamily(bump_widths=widths))
+    assert err.value.argument == "bump_widths"
+
+
+def test_no_widths_and_the_default_widths_are_accepted():
+    assert FieldFamily(bump_widths=()).bump_widths == ()
+    assert FieldFamily().bump_widths == (0.4, 0.8)
+
+
 class TestTrialRatio:
     def test_plain(self):
         assert trial_ratio(2.0, 4.0) == 0.5
