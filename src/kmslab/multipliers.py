@@ -23,23 +23,28 @@ of real symbols).  The last-axis bin-0 plane holds both xi and -xi; a
 table whose entries there break m(-xi) = conj m(xi), relative to the
 largest entry, is refused with ValueError (e.g. the reconstruction
 multiplier of an odd-order operator without operator_input).  A descriptor
-caches the table of the grid it was last asked for.
+caches the table of the grid it was last asked for, and drops it before
+it builds another grid's.
 
-A table evaluates batch once per key of operators.frequency_orbits, the
-one orbit decomposition of grid frequencies.  Kernel projectors and
-corrections have degree 0, so the bins on one ray from 0 share a matrix
-and the key of xi is xi / gcd(xi).  Where operators.orbit_tensor_power
-certifies the operator and part map, a correction also follows the signed
-permutations g of Z^n, m(g xi) = rho(g) m(xi) rho(g)^T with
-rho(g) = g (x) ... (x) g, and the key is sorted |xi| / gcd(xi): 625 keys
-for the 15,375 nonzero bins off the Nyquist planes at n = 3, M = 32.
-Other multipliers evaluate every bin.  The table keeps the key matrices
-and, per bin, the key and g, as its row of operators.signed_permutations,
-which also gives each key's stabilizer; no matrix per bin is stored.
-OrbitTable.apply works TABLE_CHUNK bins at a time: rho(g)^T on the
-vector, one batched product with the key matrices, rho(g) on the result.
-OrbitTable.matrices gives any bins' matrices, with entries moved and
-negated by rho(g), which is exact.
+A table evaluates batch once per key.  Kernel projectors and corrections
+have degree 0, so the bins on one ray from 0 share a matrix and the key
+of xi is xi / gcd(xi), as operators.frequency_orbits computes it.  Where
+operators.orbit_tensor_power certifies the operator and part map, a
+correction also follows the signed permutations g of Z^n,
+m(g xi) = rho(g) m(xi) rho(g)^T with rho(g) = g (x) ... (x) g, and the
+key is sorted |xi| / gcd(xi): 625 keys for the 15,375 nonzero bins off
+the Nyquist planes at n = 3, M = 32.  Such a table is unfolded from its
+fundamental domain, the sorted non-negative bins below M/2 (2,599 at
+M = 48): each point's images g x are its bins, g taken from the point's
+zero/tie pattern (operators.pattern_elements), which also gives each
+key's stabilizer; the group's 2^n n! rows are never built.  Other
+multipliers evaluate every bin.  The table keeps the key matrices and,
+per bin, the key and, if certified, g, as an index into the fibre actions
+of the elements its bins use (half the group: 24 rows at n = 3); no
+matrix per bin is stored.  OrbitTable.apply works TABLE_CHUNK bins at a
+time: rho(g)^T on the vector, one batched product with the key matrices,
+rho(g) on the result.  OrbitTable.matrices gives any bins' matrices, with
+entries moved and negated by rho(g), which is exact.
 """
 
 from __future__ import annotations
@@ -53,10 +58,11 @@ from .operators import (
     MultiIndex,
     OperatorSpec,
     PartMap,
+    _signed_permutation_rows,
     frequency_orbits,
-    orbit_tensor_power,
+    orbit_certificate,
+    pattern_elements,
     restrict_symbol,
-    signed_permutations,
     symbol_on_frequencies,
 )
 
@@ -100,7 +106,8 @@ class MultiplierDescriptor:
 
     batch maps a (..., n) stack of nonzero frequencies to the matching
     (...,) + shape stack of matrices.  The table of the most recent grid is
-    cached, keyed by (n, points_per_axis).  _symmetry records what
+    cached, keyed by (n, points_per_axis), so configs on several grids can
+    share one descriptor.  _symmetry records what
     grid_table may assume of batch: None, nothing; RAYS, degree 0
     (m(c xi) = m(xi) for c > 0); an int r, degree 0 and
     m(g xi) = rho(g) m(xi) rho(g)^T for every signed permutation g of Z^n,
@@ -132,53 +139,126 @@ class MultiplierDescriptor:
     def grid_table(self, grid) -> "OrbitTable":
         """The matrices on the half grid of a TorusGrid, by orbit, cached.
 
-        batch is evaluated once per key of operators.frequency_orbits over
-        the nonzero bins off the Nyquist planes: with _symmetry an int
-        (signed, rays), one per sorted |xi| / gcd(xi); with RAYS (rays), one
-        per xi / gcd(xi); otherwise once per bin.  The table keeps those
-        matrices and, for every bin, the key and the signed permutation g
-        that move the key's matrix there by rho(g), which is exact; bin 0
-        and the Nyquist-plane bins read 0.  It holds no matrix per bin.
-        Raises ValueError when m(-xi) differs from conj m(xi) on the
-        last-axis bin-0 plane, which holds both: such a multiplier does not
-        map real fields to real fields.
+        batch is evaluated once per key over the nonzero bins off the
+        Nyquist planes: with _symmetry an int, once per sorted |xi| / gcd(xi)
+        (_unfolded_table); with RAYS, once per xi / gcd(xi); otherwise once
+        per bin (both keyed by operators.frequency_orbits).  The table keeps
+        those matrices and, for every bin, the key and, with _symmetry an
+        int, the signed permutation g that moves the key's matrix there by
+        rho(g), which is exact; bin 0 and the Nyquist-plane bins read 0.  It
+        holds no matrix per bin.  The cache holds the table of one grid; the
+        stale table is dropped before the next grid's is built.  Raises
+        ValueError when m(-xi) differs from conj m(xi) on the last-axis
+        bin-0 plane, which holds both: such a multiplier does not map real
+        fields to real fields.
         """
         key = (grid.n, grid.points_per_axis)
-        cached_key, table = self._grid_cache
-        if cached_key != key:
-            n = grid.n
-            freqs = grid.half_frequency_grid.reshape(-1, n)
-            # bin 0 and the Nyquist-plane bins keep the zero row: every
-            # multiplier annihilates the zero frequency, and every spectrum
-            # holds 0 on the Nyquist rows
-            nyquist = np.any(freqs == -(grid.points_per_axis // 2), axis=1)
-            live = np.flatnonzero(np.any(freqs != 0, axis=1) & ~nyquist)
-            r = None if self._symmetry in (None, RAYS) else self._symmetry
-            keys, rep, elem = frequency_orbits(
-                freqs[live], signed=r is not None, rays=self._symmetry is not None
-            )
-            for lo in range(0, keys.shape[0], TABLE_CHUNK):
-                chunk = self._on_representatives(keys[lo : lo + TABLE_CHUNK])
-                if lo == 0:
-                    # the last row stays 0: the matrix of the zero frequency
-                    values = np.zeros((keys.shape[0] + 1,) + chunk.shape[1:], chunk.dtype)
-                values[lo : lo + chunk.shape[0]] = chunk
-            bin_rep = np.full(freqs.shape[0], keys.shape[0], np.int32)
-            bin_rep[live] = rep
-            code = action = None
-            if r is not None:
-                code, action = np.zeros(grid.half_shape, np.int32), signed_permutations(n, r)[2:]
-                code.reshape(-1)[live] = elem
-            table = OrbitTable(
-                shape=grid.half_shape + values.shape[1:],
-                values=values,
-                rep=bin_rep.reshape(grid.half_shape),
-                code=code,
-                action=action,
-            )
-            _check_real_to_real(self.provenance, grid, table.matrices((..., 0)))
+        if self._grid_cache[0] != key:
+            self._grid_cache = (None, None)
+            if isinstance(self._symmetry, int):
+                table = self._unfolded_table(grid)
+            else:
+                table = self._ray_table(grid)
             self._grid_cache = (key, table)
+        return self._grid_cache[1]
+
+    def _ray_table(self, grid) -> "OrbitTable":
+        """The table keyed by operators.frequency_orbits over the live bins, without a fibre action."""
+        n = grid.n
+        freqs = grid.half_frequency_grid.reshape(-1, n)
+        # bin 0 and the Nyquist-plane bins keep the zero row: every
+        # multiplier annihilates the zero frequency, and every spectrum
+        # holds 0 on the Nyquist rows
+        nyquist = np.any(freqs == -(grid.points_per_axis // 2), axis=1)
+        live = np.flatnonzero(np.any(freqs != 0, axis=1) & ~nyquist)
+        keys, rep, _ = frequency_orbits(freqs[live], signed=False, rays=self._symmetry is not None)
+        values = self._key_values(keys)
+        bin_rep = np.full(freqs.shape[0], keys.shape[0], np.int32)
+        bin_rep[live] = rep
+        table = OrbitTable(
+            shape=grid.half_shape + values.shape[1:],
+            values=values,
+            rep=bin_rep.reshape(grid.half_shape),
+            code=None,
+            action=None,
+        )
+        plane = table.matrices((..., 0))
+        flip = (-np.arange(grid.points_per_axis)) % grid.points_per_axis
+        _check_real_to_real(self.provenance, plane, plane[np.ix_(*[flip] * (n - 1))])
         return table
+
+    def _unfolded_table(self, grid) -> "OrbitTable":
+        """The certified table, unfolded from its fundamental domain.
+
+        The domain is the sorted non-negative bins 0 <= x_0 <= ... <= x_{n-1}
+        <= M/2 - 1 but 0, in the key order of operators.frequency_orbits
+        (lexicographic from the last entry), so the keys are its primitive
+        points and each point's key index is a search of x / gcd(x).  Each
+        live bin is one image g x of one point, g among the canonical
+        elements of x's zero/tie pattern (operators.pattern_elements) whose
+        image has a last entry >= 0; its rep and code are written once, from
+        that image.  code numbers the elements the bins use, in ascending
+        order, and action holds their rows alone.
+        """
+        n, m, r = grid.n, grid.points_per_axis, self._symmetry
+        half = m // 2
+        points = np.indices((half,) * n).reshape(n, -1)[::-1].T
+        points = points[np.all(points[:, 1:] >= points[:, :-1], axis=1)][1:]
+        gcd = np.gcd.reduce(points, axis=1)
+        keys = points[gcd == 1]
+        weights = half ** np.arange(n)
+        key_index = np.searchsorted(keys @ weights, (points // gcd[:, None]) @ weights)
+        values = self._key_values(keys)
+        # the bin-0 plane holds the keys with a zero entry; m(-xi) = m(xi)
+        # there exactly, as rho(-I) = +-Id and each key's matrix is exact
+        # under its stabilizer
+        plane = values[:-1][keys[:, 0] == 0]
+        _check_real_to_real(self.provenance, plane, plane)
+
+        pattern = _zero_tie_pattern(points)
+        groups = []
+        for p in np.unique(pattern):
+            rows = np.flatnonzero(pattern == p)
+            elements = pattern_elements(points[rows[0]])[0]
+            perm, signs = _signed_permutation_rows(n, 0, elements)[:2]
+            inv = np.argsort(perm, axis=1)
+            moved = np.take_along_axis(signs, inv, axis=1).astype(np.int64)
+            # (g x)_j = moved[e, j] x[inv[e, j]], and a canonical g flips no
+            # zero entry: the image lies in the half grid where moved[e, -1] > 0
+            kept = moved[:, -1] > 0
+            groups.append((rows, elements[kept], inv[kept], moved[kept]))
+        used = np.unique(np.concatenate([elements for _, elements, _, _ in groups]))
+
+        rep = np.full(grid.half_shape, keys.shape[0], np.int32)
+        code = np.zeros(grid.half_shape, np.int32)
+        flat_rep, flat_code = rep.reshape(-1), code.reshape(-1)
+        strides = (half + 1) * m ** np.arange(n - 2, -1, -1)
+        for rows, elements, inv, moved in groups:
+            index = np.searchsorted(used, elements)
+            # the images of a run of points, at most TABLE_CHUNK * 64 at a time
+            step = max(1, TABLE_CHUNK * 64 // elements.size)
+            for lo in range(0, rows.size, step):
+                chunk = rows[lo : lo + step]
+                images = points[chunk][:, inv] * moved
+                bins = (images[..., :-1] % m) @ strides + images[..., -1]
+                flat_rep[bins] = key_index[chunk, None]
+                flat_code[bins] = index
+        return OrbitTable(
+            shape=grid.half_shape + values.shape[1:],
+            values=values,
+            rep=rep,
+            code=code,
+            action=tuple(_signed_permutation_rows(n, r, used)[2:]),
+        )
+
+    def _key_values(self, keys):
+        """The matrices at the keys, TABLE_CHUNK at a time, and a last row of 0 (the zero frequency)."""
+        for lo in range(0, keys.shape[0], TABLE_CHUNK):
+            chunk = self._on_representatives(keys[lo : lo + TABLE_CHUNK])
+            if lo == 0:
+                values = np.zeros((keys.shape[0] + 1,) + chunk.shape[1:], chunk.dtype)
+            values[lo : lo + chunk.shape[0]] = chunk
+        return values
 
     def _on_representatives(self, keys):
         """The matrices at a stack of keys of operators.frequency_orbits.
@@ -195,17 +275,13 @@ class MultiplierDescriptor:
         if self._symmetry in (None, RAYS):
             return values
         d = values.shape[-1]
-        group = signed_permutations(keys.shape[1], self._symmetry)
-        # the stabilizer of a sorted non-negative key depends only on which
-        # entries vanish and which neighbours are equal
-        pattern = np.concatenate([keys == 0, keys[:, 1:] == keys[:, :-1]], axis=1)
-        pattern = np.sum(pattern * 2 ** np.arange(pattern.shape[1]), axis=1)
+        # the stabilizer of a sorted non-negative key depends only on its zero/tie pattern
+        pattern = _zero_tie_pattern(keys)
         flat = values.reshape(-1, d * d)
         for code in np.unique(pattern):
             rows = np.flatnonzero(pattern == code)
-            key = keys[rows[0]]
-            stabilizer = np.all(key[group.perm] == group.signs * key, axis=1)
-            src, sgn = group.src[stabilizer], group.sgn[stabilizer]
+            stabilizer = pattern_elements(keys[rows[0]])[1]
+            src, sgn = _signed_permutation_rows(keys.shape[1], self._symmetry, stabilizer)[2:4]
             pos = (src[:, :, None] * d + src[:, None, :]).reshape(src.shape[0], -1)
             sign = (sgn[:, :, None] * sgn[:, None, :]).reshape(sgn.shape[0], -1)
             first = pos.min(axis=0)
@@ -215,18 +291,27 @@ class MultiplierDescriptor:
         return values
 
 
+def _zero_tie_pattern(points):
+    """A code per sorted non-negative row: which entries vanish and which neighbours are equal."""
+    pattern = np.concatenate([points == 0, points[:, 1:] == points[:, :-1]], axis=1)
+    return np.sum(pattern * 2 ** np.arange(pattern.shape[1]), axis=1)
+
+
 @dataclass(eq=False)
 class OrbitTable:
     """A multiplier's matrices on the half grid of a TorusGrid, by orbit.
 
-    values holds one matrix per key of operators.frequency_orbits and a
-    last row of 0, the matrix of the zero frequency and of every
-    Nyquist-plane bin.  rep and code have the half-grid shape: bin b holds
-    rho(g) values[rep[b]] rho(g)^T, g the row code[b] of
-    operators.signed_permutations, whose (src, sgn, inv, inv_sgn) is
-    action; rho(g) acts on the rows and the columns of the square matrices
-    alike.  Without a certified symmetry code and action are None and bin
-    b holds values[rep[b]].  shape is grid.half_shape + the matrix shape.
+    values holds one matrix per key, in the key order of
+    operators.frequency_orbits, and a last row of 0, the matrix of the zero
+    frequency and of every Nyquist-plane bin.  rep and code have the
+    half-grid shape: bin b holds rho(g) values[rep[b]] rho(g)^T, with g the
+    code[b]-th of the elements the bins use, in ascending order of their
+    rows of operators.signed_permutations.  action holds those elements'
+    (src, sgn, inv, inv_sgn) alone, decoded by
+    operators._signed_permutation_rows; rho(g) acts on the rows and the
+    columns of the square matrices alike.  Without a certified symmetry
+    code and action are None and bin b holds values[rep[b]].  shape is
+    grid.half_shape + the matrix shape.
     """
 
     shape: tuple
@@ -300,12 +385,13 @@ def _signed_take(x, src, sgn):
     return out
 
 
-def _check_real_to_real(provenance, grid, plane):
-    """Raise ValueError unless plane(xi') = conj plane(xi) on the bin-0 plane, relative to max|plane|."""
-    flip = (-np.arange(grid.points_per_axis)) % grid.points_per_axis
-    mirrored = plane[np.ix_(*[flip] * (grid.n - 1))]
-    scale = float(np.max(np.abs(plane)))
-    deviation = float(np.max(np.abs(plane - mirrored.conj())))
+def _check_real_to_real(provenance, plane, mirrored):
+    """Raise ValueError unless plane = conj mirrored, relative to max|plane|.
+
+    plane holds matrices m(xi) of the bin-0 plane and mirrored m(-xi) at the same places.
+    """
+    scale = float(np.max(np.abs(plane), initial=0.0))
+    deviation = float(np.max(np.abs(plane - mirrored.conj()), initial=0.0))
     if deviation > HERMITIAN_TOL * scale:
         raise ValueError(
             f"{provenance}: m(-xi) != conj m(xi) (deviation {deviation:.3g}); "
@@ -508,7 +594,7 @@ def composed_correction_symbol(
             provenance = f"correction_restricted({spec.name}, ker({part.name}))"
 
     # a projector onto ker A cap ker B[xi] has degree 0 and follows the Grams
-    power = orbit_tensor_power(spec, part)
+    power = orbit_certificate(spec, part)
     return MultiplierDescriptor(
         shape=(d, d),
         provenance=provenance,

@@ -20,9 +20,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -41,8 +42,10 @@ __all__ = [
     "catalog_partmap",
     "restrict_symbol",
     "signed_permutations",
+    "pattern_elements",
     "frequency_orbits",
     "orbit_tensor_power",
+    "orbit_certificate",
     "CATALOG_OPERATORS",
     "CATALOG_PARTMAPS",
     "OPERATOR_ALIASES",
@@ -194,6 +197,8 @@ class OperatorSpec:
     l: int
     k: int
     coeffs: Mapping[MultiIndex, np.ndarray]
+    # orbit_certificate's results, by part map
+    _certificates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.l < 1 or self.k < 0 or self.d < 0:
@@ -573,6 +578,48 @@ def _signed_permutation_rows(n: int, r: int, elem) -> SignedPermutations:
     return SignedPermutations(perm, signs, src, sgn, back, np.take_along_axis(sgn, back, axis=1))
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    """The n! permutations of range(n), one row each, in lexicographic order: row i has rank i."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    perms.setflags(write=False)
+    return perms
+
+
+def pattern_elements(key) -> tuple[np.ndarray, np.ndarray]:
+    """(canonical, stabilizer): rows of signed_permutations for a sorted non-negative key.
+
+    Both depend only on the key's zero/tie pattern: which entries vanish
+    and which neighbours are equal.  canonical holds the element that
+    frequency_orbits assigns to each member g key of the key's orbit: perm
+    increasing on each run of equal entries (its stable sort), signs
+    flipped on nonzero entries only.  stabilizer holds the g with g key =
+    key: perm maps each run onto itself, signs flipped on zero entries
+    only.  Both are ascending and read-only, cached per pattern; neither
+    builds the 2^n n! rows of the group.
+    """
+    key = np.asarray(key)
+    return _pattern_elements(tuple(key == 0), tuple(key[1:] == key[:-1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_elements(zero: tuple, tie: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """pattern_elements of the keys whose entries vanish where zero and equal their next where tie."""
+    n = len(zero)
+    perms = _permutations(n)
+    run = np.concatenate([[0], np.cumsum(np.logical_not(tie))])
+    zero_bits = int(np.sum(np.array(zero) * 2 ** np.arange(n)))
+    masks = np.arange(2**n)
+    ranks = np.arange(perms.shape[0])[:, None] << n
+    increasing = np.array(tie, bool) <= (perms[:, 1:] > perms[:, :-1])
+    canonical = ranks[np.all(increasing, axis=1)] + masks[masks & zero_bits == 0]
+    stabilizer = ranks[np.all(run[perms] == run, axis=1)] + masks[masks & ~zero_bits == 0]
+    out = canonical.reshape(-1), stabilizer.reshape(-1)
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
 def frequency_orbits(freqs: np.ndarray, signed: bool, rays: bool):
     """(keys, rep, elem): the orbits of a (F, n) stack of integer frequencies.
 
@@ -649,3 +696,16 @@ def orbit_tensor_power(spec: OperatorSpec, part: PartMap | None) -> int | None:
             if np.max(np.abs(moved - want)) > 1e-12 * np.max(np.abs(want)):
                 return None
     return r
+
+
+def orbit_certificate(spec: OperatorSpec, part: PartMap | None) -> int | None:
+    """orbit_tensor_power(spec, part), computed once per operator and part map and kept on spec.
+
+    Both are immutable, so the certificate is a fact of the pair: every
+    config, grid and correction descriptor of one operator and part map
+    reads the same r.
+    """
+    known = spec._certificates
+    if part not in known:
+        known[part] = orbit_tensor_power(spec, part)
+    return known[part]

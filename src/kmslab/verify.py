@@ -36,6 +36,7 @@ frequencies otherwise (see operators.orbit_tensor_power).
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -53,8 +54,7 @@ from .operators import (
     catalog_partmap,
     check_count,
     check_seed,
-    frequency_orbits,
-    orbit_tensor_power,
+    orbit_certificate,
     symbol_on_frequencies,
 )
 from .torus import (
@@ -205,7 +205,8 @@ class InequalityConfig:
             self.correction_enabled = corrected
         if self.correction_enabled and not corrected:
             raise ArgumentError("correction_enabled", f"{ident} carries no correction term")
-        self._correction_cache = None
+        # the grid-free facts, computed on first use and shared by with_grid copies
+        self._shared = {}
 
     @property
     def k(self) -> int:
@@ -236,16 +237,30 @@ class InequalityConfig:
     def correction_descriptor(self) -> MultiplierDescriptor | None:
         if not self.correction_enabled:
             return None
-        if self._correction_cache is None:
-            self._correction_cache = composed_correction_symbol(
+        if "correction" not in self._shared:
+            self._shared["correction"] = composed_correction_symbol(
                 self.operator, self.part, projector="restricted"
             )
-        return self._correction_cache
+        return self._shared["correction"]
+
+    @property
+    def hypotheses(self):
+        """check_hypotheses(self), run once for this config and its with_grid copies."""
+        if "hypotheses" not in self._shared:
+            self._shared["hypotheses"] = check_hypotheses(self)
+        return self._shared["hypotheses"]
 
     def with_grid(self, grid: TorusGrid) -> "InequalityConfig":
-        # the copy builds its own correction descriptor: a shared one would
-        # keep this grid's correction table alive while the copy builds its own
-        return replace(self, grid=grid)
+        """This config on another grid, sharing every fact that does not depend on the grid.
+
+        The copy shares the correction descriptor, whose grid_table cache
+        holds one grid's table at a time, and the hypothesis check.  It
+        shares the operator and part map too, and with them their orbit
+        certificate (operators.orbit_certificate).
+        """
+        other = replace(self, grid=grid)
+        other._shared = self._shared
+        return other
 
     def describe(self) -> dict:
         return {
@@ -512,33 +527,39 @@ def _svd_right(mats):
     return s[..., 0], vh[..., 0, :]
 
 
-def _orbit_representatives(spec: OperatorSpec, part: PartMap | None, freqs):
-    """(representatives, sizes): the first row of each orbit of an (F, n) stack, in row order.
+def _orbit_representatives(spec: OperatorSpec, part: PartMap | None, grid: TorusGrid, order=None):
+    """(representatives, sizes): the first row of each orbit of the canonical frequencies.
 
-    An orbit is a signed-permutation orbit (operators.frequency_orbits) where
-    operators.orbit_tensor_power certifies spec and part, a single frequency
+    The rows are grid.canonical_frequencies, reordered by order when it is
+    given, and the representatives come in row order.  An orbit is a
+    signed-permutation orbit (TorusGrid.canonical_orbits) where
+    operators.orbit_certificate certifies spec and part, a single frequency
     otherwise; sizes counts the rows of each orbit.
     """
-    certified = orbit_tensor_power(spec, part) is not None
-    _, orbit, _ = frequency_orbits(freqs, signed=certified, rays=False)
+    freqs = grid.canonical_frequencies
+    freqs = freqs if order is None else freqs[order]
+    if orbit_certificate(spec, part) is None:
+        return freqs, np.ones(freqs.shape[0], np.intp)
+    orbit = grid.canonical_orbits if order is None else grid.canonical_orbits[order]
     _, first, sizes = np.unique(orbit, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return freqs[first[order]], sizes[order]
+    rows = np.argsort(first)
+    return freqs[first[rows]], sizes[rows]
 
 
 def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
     """Lowest grid frequency carrying a unit vector in ker(A) cap ker(B[xi]).
 
     Returns (xi, v) or None; the scan order (by |xi|, then lexicographic)
-    makes the result deterministic.  Where operators.orbit_tensor_power
+    makes the result deterministic.  Where operators.orbit_certificate
     certifies spec and part, ker A cap ker Re B[g xi] =
     rho(g) (ker A cap ker Re B[xi]), so one factorisation, at its lowest
-    member, decides a whole orbit (_orbit_representatives, as in _sweep).
+    member, decides a whole orbit (_orbit_representatives, on the grid's
+    one orbit decomposition, as in _sweep).
     """
     freqs = grid.canonical_frequencies
     norm2 = np.sum(freqs.astype(float) ** 2, axis=1)
     keys = [freqs[:, j] for j in reversed(range(freqs.shape[1]))] + [norm2]
-    freqs, _ = _orbit_representatives(spec, part, freqs[np.lexsort(tuple(keys))])
+    freqs, _ = _orbit_representatives(spec, part, grid, np.lexsort(tuple(keys)))
     for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
         block = freqs[lo : lo + SWEEP_CHUNK]
         amat = np.broadcast_to(part.matrix, (block.shape[0],) + part.matrix.shape)
@@ -636,15 +657,15 @@ def _sweep(config):
     The sweep ratio at xi reads xi through |xi| and M / gcd(xi, M), which
     no signed permutation changes, and through the Grams that
     operators.orbit_tensor_power checks.  So each orbit of
-    _orbit_representatives, the helper search_kernel_witness uses too, is
-    swept once, at its first canonical member, whose ratio counts for all
-    of its members: an infinite or a zero ratio too, since the closed form
-    decides a negligible side relative to the wave (scale-free), not
-    against an absolute cutoff.  Every representative is evaluated in
-    closed form by _sweep_vectors; no correction table is built.
+    _orbit_representatives, the helper search_kernel_witness uses too, on
+    the same decomposition of the grid, is swept once, at its first
+    canonical member, whose ratio counts for all of its members: an
+    infinite or a zero ratio too, since the closed form decides a
+    negligible side relative to the wave (scale-free), not against an
+    absolute cutoff.  Every representative is evaluated in closed form by
+    _sweep_vectors; no correction table is built.
     """
-    freqs = config.grid.canonical_frequencies
-    swept, size = _orbit_representatives(config.operator, config.part, freqs)
+    swept, size = _orbit_representatives(config.operator, config.part, config.grid)
     vs = np.empty((swept.shape[0], config.operator.d))
     ratios = np.empty(swept.shape[0])
     # chunks bound the stacked SVD arrays held at once on fine grids
@@ -690,7 +711,9 @@ def estimate_constant(
     first field trial.  The witness plane wave is one row, evaluated in
     closed form by single_frequency_trial; when no witness exists it holds
     ratio 0.0.  Infinite ratios propagate to max_ratio and are counted
-    separately.  A family that generates no trial for the config raises
+    separately.  The hypothesis check and the correction descriptor are
+    grid-free: a config and its with_grid copies compute each once.  A
+    family that generates no trial for the config raises
     ArgumentError("family") before any classification.
     """
     check_seed(seed)
@@ -699,7 +722,7 @@ def estimate_constant(
     witness = family.witness and config.part is not None
     if not (family.sweep or family.random_trials or family.bump_widths or witness):
         raise ArgumentError("family", "the field family generates no trial for this inequality")
-    hyp_ok, note, class_echo = check_hypotheses(config)
+    hyp_ok, note, class_echo = config.hypotheses
     if enforce and not hyp_ok:
         raise PreconditionError(note)
 
@@ -750,7 +773,7 @@ def estimate_constant(
         **_reduce(rows),
         hypotheses_met=hyp_ok,
         hypotheses_note=note,
-        classification=class_echo,
+        classification=copy.deepcopy(class_echo),
     )
 
 

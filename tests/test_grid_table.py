@@ -3,14 +3,17 @@
 grid_table evaluates a correction once per representative, sorted |xi| /
 gcd(xi) where operators.orbit_tensor_power certifies the operator and part
 map and xi / gcd(xi) otherwise, and keeps for every bin the representative
-and the signed index permutation that moves its matrix there.  These tests
-hold the table's matrices and its chunked apply against
-tests/table_reference.py, check that the moves are exact, count the
-evaluations, and compare field-trial ratios with those read off the oracle.
+and the signed index permutation that moves its matrix there.  A certified
+table is unfolded from its fundamental domain.  These tests hold the
+table's matrices and its chunked apply against tests/table_reference.py
+(the per-bin oracle, and the certified build from the orbits of every
+bin), check that the moves are exact, count the evaluations, and compare
+field-trial ratios with those read off the oracle.
 """
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -25,10 +28,18 @@ from kmslab.multipliers import (
     kernel_projection_symbol,
     mihlin_korn_multiplier,
 )
-from kmslab.operators import MultiIndex, catalog_operator, catalog_partmap
+from kmslab import operators
+from kmslab.operators import (
+    CATALOG_OPERATORS,
+    CATALOG_PARTMAPS,
+    MultiIndex,
+    catalog_operator,
+    catalog_partmap,
+    signed_permutations,
+)
 from kmslab.torus import HalfSpectrum, TensorField, TorusGrid, bump_field, random_bandlimited
 from kmslab.verify import FieldFamily, InequalityConfig, estimate_constant
-from table_reference import PerBinTable, per_bin_table
+from table_reference import PerBinTable, mirror_check, orbit_reference_table, per_bin_table
 from test_sweep_work import anisotropic_curl
 
 OPERATORS = ("curl_matrix_rowwise", "div_matrix_rowwise", "sym_curl_matrix")
@@ -221,3 +232,120 @@ def test_field_ratios_match_the_per_bin_table(monkeypatch, ident, p, m):
     assert got.family_maxima.keys() == want.family_maxima.keys()
     for name, value in want.family_maxima.items():
         assert close(got.family_maxima[name], value), name
+
+
+def certified_catalog_corrections(n):
+    """Every catalog correction at n that operators.orbit_tensor_power certifies, by name."""
+    out = {}
+    for op in CATALOG_OPERATORS:
+        try:
+            spec = catalog_operator(op, n)
+        except ValueError:
+            continue
+        for part in CATALOG_PARTMAPS:
+            if part in ("sym", "dev", "tr", "skew") and spec.d != n * n:
+                continue
+            pm = catalog_partmap(part, n, dim=None if part in ("sym", "dev", "tr", "skew") else spec.d)
+            for projector in PROJECTORS:
+                desc = composed_correction_symbol(spec, pm, projector)
+                if isinstance(desc._symmetry, int):
+                    out[f"{op}/{part}/{projector}"] = desc
+    return out
+
+
+def renumbered(reference):
+    """The reference table's code, numbered among the elements its live bins use, and those elements."""
+    live = reference.rep < reference.values.shape[0] - 1
+    used = np.unique(reference.code[live])
+    return np.searchsorted(used, reference.code), used
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 16, 32])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unfolded_table_matches_the_orbit_reference(n, m):
+    # rep, code and values are those of the build from frequency_orbits
+    # over every live bin, bit for bit; code after renumbering
+    grid = TorusGrid(n, m)
+    corrections = certified_catalog_corrections(n)
+    assert len(corrections) == {2: 24, 3: 52, 4: 24}[n]
+    for name, desc in corrections.items():
+        got, want = desc.grid_table(grid), orbit_reference_table(desc, grid)
+        code, used = renumbered(want)
+        assert np.array_equal(got.rep, want.rep), name
+        assert np.array_equal(got.code, code), name
+        assert got.values.dtype == want.values.dtype and np.array_equal(got.values, want.values), name
+        assert all(np.array_equal(a, b[used]) for a, b in zip(got.action, want.action)), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unfolded_table_keeps_only_the_action_rows_its_bins_use(n):
+    # a live bin's last entry is >= 0, so the elements that flip the sign of
+    # the entry they move last, half of the 2^n n!, take no key there:
+    # 24 rows at n = 3, not 48
+    desc = composed_correction_symbol(
+        catalog_operator("div_matrix_rowwise", n), catalog_partmap("tr", n)
+    )
+    table = desc.grid_table(TorusGrid(n, 16))
+    rows = 2**n * math.factorial(n) // 2
+    assert all(a.shape[0] == rows for a in table.action)
+    assert np.array_equal(np.unique(table.code), np.arange(rows))
+
+
+def test_certified_table_builds_without_the_whole_group(monkeypatch):
+    # the unfolding and the stabilizers take their elements from each key's
+    # zero/tie pattern: signed_permutations, 3,840 rows at n = 5, is never built
+    def refuse(n, r):
+        raise AssertionError("signed_permutations built")
+
+    monkeypatch.setattr(operators, "signed_permutations", refuse)
+    signed_permutations.cache_clear()
+    desc = composed_correction_symbol(catalog_operator("div_matrix_rowwise", 5), catalog_partmap("tr", 5))
+    assert desc._symmetry == 2
+    grid = TorusGrid(5, 4)
+    assert signed_permutations.cache_info().currsize == 0
+    assert_apply_matches_oracle(desc, grid)
+    assert signed_permutations.cache_info().currsize == 0
+
+
+def imaginary_on(where):
+    """A certified d = 9 multiplier, (1 + i) Id at the frequencies where(|xi|) flags, Id elsewhere."""
+
+    def batch(freqs):
+        out = np.zeros(freqs.shape[:-1] + (9, 9), complex)
+        out[...] = np.eye(9)
+        out[where(np.abs(freqs))] *= 1 + 1j
+        return out
+
+    return MultiplierDescriptor(shape=(9, 9), provenance="imaginary", batch=batch, _symmetry=2)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_unfolded_table_is_refused_where_the_reference_is(m):
+    # an imaginary part on the bin-0 plane (a zero entry) breaks m(-xi) = conj m(xi)
+    # there; off the plane the check, which reads only the plane, does not see it
+    grid = TorusGrid(3, m)
+    on_plane = imaginary_on(lambda a: np.any(a == 0, axis=-1))
+    with pytest.raises(ValueError, match="m\\(-xi\\) != conj m\\(xi\\)"):
+        mirror_check(on_plane, grid, orbit_reference_table(on_plane, grid))
+    with pytest.raises(ValueError, match="m\\(-xi\\) != conj m\\(xi\\)") as refused:
+        on_plane.grid_table(grid)
+    assert "deviation 2" in str(refused.value)
+    off_plane = imaginary_on(lambda a: np.all(a != 0, axis=-1))
+    mirror_check(off_plane, grid, orbit_reference_table(off_plane, grid))
+    assert np.iscomplexobj(off_plane.grid_table(grid).values)
+
+
+def test_a_new_grid_drops_the_stale_table_before_its_build(monkeypatch):
+    desc = correction("curl_matrix_rowwise", "tr")
+    stale = weakref.ref(desc.grid_table(TorusGrid(3, 8)))
+    build = MultiplierDescriptor._unfolded_table
+    alive = []
+
+    def observed(self, grid):
+        alive.append(stale() is not None)
+        return build(self, grid)
+
+    monkeypatch.setattr(MultiplierDescriptor, "_unfolded_table", observed)
+    table = desc.grid_table(TorusGrid(3, 16))
+    assert alive == [False]
+    assert desc.grid_table(TorusGrid(3, 16)) is table

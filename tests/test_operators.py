@@ -17,6 +17,7 @@ from kmslab.operators import (
     eval_symbol,
     frequency_orbits,
     multiindex_enumerate,
+    pattern_elements,
     restrict_symbol,
     signed_permutations,
     symbol_on_frequencies,
@@ -327,6 +328,24 @@ class TestSignedPermutations:
             back[np.arange(d), table.inv[e]] = table.inv_sgn[e]
             assert np.array_equal(got, rho)
             assert np.array_equal(back, rho.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pattern_elements_are_the_orbit_walk_and_the_stabilizer(self, n):
+        # for every zero/tie pattern, canonical holds the element
+        # frequency_orbits gives each member g key of the key's orbit, once,
+        # and stabilizer the g with g key = key, read off the whole table
+        table = signed_permutations(n, 0)
+        keys = np.array(sorted({tuple(sorted(k)) for k in itertools.product(range(n + 1), repeat=n)}))
+        for key in keys[1:]:
+            canonical, stabilizer = pattern_elements(key)
+            # members[e] = g key: entry perm[e, j] is signs[e, j] key[j]
+            members = np.zeros(table.perm.shape, int)
+            np.put_along_axis(members, table.perm, (table.signs * key).astype(int), axis=1)
+            orbit = np.unique(members, axis=0)
+            got_keys, rep, elem = frequency_orbits(orbit, signed=True, rays=False)
+            assert np.array_equal(got_keys, key[None]) and not np.any(rep)
+            assert np.array_equal(canonical, np.sort(elem))
+            assert np.array_equal(stabilizer, np.flatnonzero(np.all(members == key, axis=1)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_element_once_and_the_identity_first(self, n):

@@ -10,11 +10,13 @@ the correction is evaluated, so a redundant sweep, factorisation or
 evaluation fails here.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from kmslab import multipliers, operators, torus, verify
 from kmslab.multipliers import MultiplierDescriptor
 from kmslab.operators import (
     MultiIndex,
@@ -31,6 +33,7 @@ from kmslab.verify import (
     FieldFamily,
     InequalityConfig,
     estimate_constant,
+    refinement_study,
     search_kernel_witness,
 )
 from kmslab.verify import _frequency_scales, _sweep, _sweep_vectors
@@ -437,3 +440,48 @@ def test_broken_symmetry_fails_the_check_and_sweeps_every_frequency(
     assert np.array_equal(got[1], vs)
     assert np.array_equal(got[2], ratios)
     assert np.all(got[3] == 1)
+
+
+def korn_const_tr(m):
+    """korn_const with A = tr on a fresh operator and part map, whose orbit certificate is not yet known."""
+    return InequalityConfig(
+        "korn_const", catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3), 2.0,
+        TorusGrid(3, m),
+    )
+
+
+def count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_a_refinement_study_computes_each_configuration_fact_once(monkeypatch):
+    # the hypothesis check, the correction descriptor and the orbit
+    # certificate do not depend on the grid: one each for three grids, and
+    # the same report as three estimates on freshly built configs
+    family = FieldFamily(random_trials=2)
+    want = [estimate_constant(korn_const_tr(m), family, seed=3).to_dict() for m in (8, 16, 32)]
+    counts = {}
+    count_calls(monkeypatch, verify, "check_hypotheses", counts)
+    count_calls(monkeypatch, verify, "composed_correction_symbol", counts)
+    count_calls(monkeypatch, operators, "orbit_tensor_power", counts)
+    study = refinement_study(korn_const_tr(8), [8, 16, 32], family, seed=3)
+    assert counts == {"check_hypotheses": 1, "composed_correction_symbol": 1, "orbit_tensor_power": 1}
+    got = [e.to_dict() for e in study.estimates]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_the_sweep_and_the_witness_scan_share_one_orbit_decomposition(monkeypatch):
+    # one frequency_orbits over the canonical frequencies per grid; the
+    # certified correction table is unfolded without one
+    counts = {}
+    count_calls(monkeypatch, torus, "frequency_orbits", counts)
+    count_calls(monkeypatch, multipliers, "frequency_orbits", counts)
+    estimate = estimate_constant(korn_const_tr(16), FieldFamily(random_trials=1), seed=0)
+    assert counts == {"frequency_orbits": 1}
+    assert estimate.family_maxima.keys() == {"sweep", "random", "bump", "witness"}
