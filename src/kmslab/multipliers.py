@@ -27,24 +27,17 @@ caches the table of the grid it was last asked for, and drops it before
 it builds another grid's.
 
 A table evaluates batch once per key.  Kernel projectors and corrections
-have degree 0, so the bins on one ray from 0 share a matrix and the key
-of xi is xi / gcd(xi), as operators.frequency_orbits computes it.  Where
-operators.orbit_tensor_power certifies the operator and part map, a
+have degree 0, so the key of xi is xi / gcd(xi) (operators.frequency_orbits).
+Where operators.orbit_tensor_power certifies the operator and part map, a
 correction also follows the signed permutations g of Z^n,
 m(g xi) = rho(g) m(xi) rho(g)^T with rho(g) = g (x) ... (x) g, and the
-key is sorted |xi| / gcd(xi): 625 keys for the 15,375 nonzero bins off
-the Nyquist planes at n = 3, M = 32.  Such a table is unfolded from its
-fundamental domain, the sorted non-negative bins below M/2 (2,599 at
-M = 48): each point's images g x are its bins, g taken from the point's
-zero/tie pattern (operators.pattern_elements), which also gives each
-key's stabilizer; the group's 2^n n! rows are never built.  Other
-multipliers evaluate every bin.  The table keeps the key matrices and,
-per bin, the key and, if certified, g, as an index into the fibre actions
-of the elements its bins use (half the group: 24 rows at n = 3); no
-matrix per bin is stored.  OrbitTable.apply works TABLE_CHUNK bins at a
-time: rho(g)^T on the vector, one batched product with the key matrices,
-rho(g) on the result.  OrbitTable.matrices gives any bins' matrices, with
-entries moved and negated by rho(g), which is exact.
+key is sorted |xi| / gcd(xi) (625 keys for 15,375 bins at n = 3, M = 32):
+the table is unfolded from operators.fundamental_domain, which the sweep
+and the witness scan walk too, each point's images and stabilizer read off
+its zero/tie pattern (operators.pattern_elements); the group's 2^n n! rows
+are never built.  Other multipliers evaluate every bin.  A table stores
+the key matrices and, per bin, the key and, if certified, g (OrbitTable),
+but no matrix per bin.
 """
 
 from __future__ import annotations
@@ -59,7 +52,9 @@ from .operators import (
     OperatorSpec,
     PartMap,
     _signed_permutation_rows,
+    _zero_tie_pattern,
     frequency_orbits,
+    fundamental_domain,
     orbit_certificate,
     pattern_elements,
     restrict_symbol,
@@ -190,10 +185,9 @@ class MultiplierDescriptor:
     def _unfolded_table(self, grid) -> "OrbitTable":
         """The certified table, unfolded from its fundamental domain.
 
-        The domain is the sorted non-negative bins 0 <= x_0 <= ... <= x_{n-1}
-        <= M/2 - 1 but 0, in the key order of operators.frequency_orbits
-        (lexicographic from the last entry), so the keys are its primitive
-        points and each point's key index is a search of x / gcd(x).  Each
+        operators.fundamental_domain, in the key order of frequency_orbits
+        (lexicographic from the last entry: one lexsort), has the keys as its
+        primitive points; a point's key index is a search of x / gcd(x).  Each
         live bin is one image g x of one point, g among the canonical
         elements of x's zero/tie pattern (operators.pattern_elements) whose
         image has a last entry >= 0; its rep and code are written once, from
@@ -201,12 +195,12 @@ class MultiplierDescriptor:
         order, and action holds their rows alone.
         """
         n, m, r = grid.n, grid.points_per_axis, self._symmetry
-        half = m // 2
-        points = np.indices((half,) * n).reshape(n, -1)[::-1].T
-        points = points[np.all(points[:, 1:] >= points[:, :-1], axis=1)][1:]
+        points, pattern = fundamental_domain(n, m)
+        order = np.lexsort(points.T)
+        points, pattern = points[order], pattern[order]
         gcd = np.gcd.reduce(points, axis=1)
         keys = points[gcd == 1]
-        weights = half ** np.arange(n)
+        weights = m ** np.arange(n)
         key_index = np.searchsorted(keys @ weights, (points // gcd[:, None]) @ weights)
         values = self._key_values(keys)
         # the bin-0 plane holds the keys with a zero entry; m(-xi) = m(xi)
@@ -215,7 +209,6 @@ class MultiplierDescriptor:
         plane = values[:-1][keys[:, 0] == 0]
         _check_real_to_real(self.provenance, plane, plane)
 
-        pattern = _zero_tie_pattern(points)
         groups = []
         for p in np.unique(pattern):
             rows = np.flatnonzero(pattern == p)
@@ -232,7 +225,7 @@ class MultiplierDescriptor:
         rep = np.full(grid.half_shape, keys.shape[0], np.int32)
         code = np.zeros(grid.half_shape, np.int32)
         flat_rep, flat_code = rep.reshape(-1), code.reshape(-1)
-        strides = (half + 1) * m ** np.arange(n - 2, -1, -1)
+        strides = (m // 2 + 1) * m ** np.arange(n - 2, -1, -1)
         for rows, elements, inv, moved in groups:
             index = np.searchsorted(used, elements)
             # the images of a run of points, at most TABLE_CHUNK * 64 at a time
@@ -270,31 +263,34 @@ class MultiplierDescriptor:
         the value of its first entry, with the sign rho(h) carries there, or
         0 where the orbit maps an entry onto minus itself.  So a bin reached
         from its key through two group elements gets one matrix, bit for bit.
+        The stabilizer is decoded and read TABLE_CHUNK * 256 entry moves at a
+        time.
         """
         values = self.on_frequencies(keys.astype(float))
         if self._symmetry in (None, RAYS):
             return values
-        d = values.shape[-1]
+        n, d = keys.shape[1], values.shape[-1]
+        cols, step = np.arange(d * d), max(1, TABLE_CHUNK * 256 // (d * d))
         # the stabilizer of a sorted non-negative key depends only on its zero/tie pattern
         pattern = _zero_tie_pattern(keys)
         flat = values.reshape(-1, d * d)
         for code in np.unique(pattern):
             rows = np.flatnonzero(pattern == code)
             stabilizer = pattern_elements(keys[rows[0]])[1]
-            src, sgn = _signed_permutation_rows(keys.shape[1], self._symmetry, stabilizer)[2:4]
-            pos = (src[:, :, None] * d + src[:, None, :]).reshape(src.shape[0], -1)
-            sign = (sgn[:, :, None] * sgn[:, None, :]).reshape(sgn.shape[0], -1)
-            first = pos.min(axis=0)
-            carried = sign[pos.argmin(axis=0), np.arange(d * d)]
-            odd = np.any((pos == first) & (sign != carried), axis=0)
+            # the identity, row 0, reads each entry from itself
+            first, carried, odd = cols, np.ones(d * d), np.zeros(d * d, bool)
+            for lo in range(0, stabilizer.size, step):
+                run = _signed_permutation_rows(n, self._symmetry, stabilizer[lo : lo + step])
+                pos = (run.src[:, :, None] * d + run.src[:, None, :]).reshape(-1, d * d)
+                sign = (run.sgn[:, :, None] * run.sgn[:, None, :]).reshape(-1, d * d)
+                low = pos.argmin(axis=0)
+                lower = pos[low, cols] < first
+                first = np.where(lower, pos[low, cols], first)
+                carried = np.where(lower, sign[low, cols], carried)
+                # a lower first entry was read by no earlier run
+                odd = odd & ~lower | np.any((pos == first) & (sign != carried), axis=0)
             flat[rows] = flat[rows][:, first] * np.where(odd, 0.0, carried)
         return values
-
-
-def _zero_tie_pattern(points):
-    """A code per sorted non-negative row: which entries vanish and which neighbours are equal."""
-    pattern = np.concatenate([points == 0, points[:, 1:] == points[:, :-1]], axis=1)
-    return np.sum(pattern * 2 ** np.arange(pattern.shape[1]), axis=1)
 
 
 @dataclass(eq=False)

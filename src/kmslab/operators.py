@@ -43,6 +43,7 @@ __all__ = [
     "restrict_symbol",
     "signed_permutations",
     "pattern_elements",
+    "fundamental_domain",
     "frequency_orbits",
     "orbit_tensor_power",
     "orbit_certificate",
@@ -618,6 +619,24 @@ def _pattern_elements(zero: tuple, tie: tuple) -> tuple[np.ndarray, np.ndarray]:
     for array in out:
         array.setflags(write=False)
     return out
+
+
+def fundamental_domain(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, pattern): one point per signed-permutation orbit of the grid frequencies below m/2.
+
+    points are the C(m/2 + n - 1, n) - 1 sorted tuples 0 <= x_0 <= ... <=
+    x_{n-1} <= m/2 - 1 but 0, in lexicographic order from the first entry,
+    and pattern codes each one's zero/tie pattern (see pattern_elements).
+    """
+    tuples = itertools.combinations_with_replacement(range(m // 2), n)
+    points = np.fromiter(itertools.chain.from_iterable(tuples), np.int64).reshape(-1, n)[1:]
+    return points, _zero_tie_pattern(points)
+
+
+def _zero_tie_pattern(points):
+    """A code per sorted non-negative row: which entries vanish and which neighbours are equal."""
+    pattern = np.concatenate([points == 0, points[:, 1:] == points[:, :-1]], axis=1)
+    return np.sum(pattern * 2 ** np.arange(pattern.shape[1]), axis=1)
 
 
 def frequency_orbits(freqs: np.ndarray, signed: bool, rays: bool):

@@ -49,7 +49,6 @@ from .operators import (
     OperatorSpec,
     check_count,
     check_seed,
-    frequency_orbits,
     multiindex_enumerate,
 )
 
@@ -189,18 +188,6 @@ class TorusGrid:
         flat = flat[lead > 0]
         flat.setflags(write=False)
         return flat
-
-    @cached_property
-    def canonical_orbits(self) -> np.ndarray:
-        """The signed-permutation orbit of each row of canonical_frequencies.
-
-        operators.frequency_orbits without rays: orbits are numbered by
-        sorted |xi|.  One decomposition per grid, which the sweep and the
-        kernel-witness scan share.
-        """
-        _, orbit, _ = frequency_orbits(self.canonical_frequencies, signed=True, rays=False)
-        orbit.setflags(write=False)
-        return orbit
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,10 +28,9 @@ M / gcd(xi, M), and the correction is its symbol at xi, so a plane wave
 costs small dense linear algebra and no FFT.  Random and bump fields go
 through kms_sides, the only reader of the half-grid correction table;
 each brings the spectrum its generator wrote on a band box and takes no
-forward transform.  The sweep and the witness scan walk the same orbit
-representatives (_orbit_representatives): signed-permutation orbits of Z^n
-where a symmetry check proves the sweep ratio constant on them, single
-frequencies otherwise (see operators.orbit_tensor_power).
+forward transform.  The sweep and the witness scan take one frequency per
+orbit of operators.fundamental_domain where operators.orbit_tensor_power
+proves the sweep ratio constant on it, every canonical frequency otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +53,9 @@ from .operators import (
     catalog_partmap,
     check_count,
     check_seed,
+    fundamental_domain,
     orbit_certificate,
+    pattern_elements,
     symbol_on_frequencies,
 )
 from .torus import (
@@ -527,23 +528,18 @@ def _svd_right(mats):
     return s[..., 0], vh[..., 0, :]
 
 
-def _orbit_representatives(spec: OperatorSpec, part: PartMap | None, grid: TorusGrid, order=None):
-    """(representatives, sizes): the first row of each orbit of the canonical frequencies.
+def _orbit_representatives(spec: OperatorSpec, part: PartMap | None, grid: TorusGrid):
+    """(representatives, sizes): the first row of each orbit of grid.canonical_frequencies, in row order.
 
-    The rows are grid.canonical_frequencies, reordered by order when it is
-    given, and the representatives come in row order.  An orbit is a
-    signed-permutation orbit (TorusGrid.canonical_orbits) where
-    operators.orbit_certificate certifies spec and part, a single frequency
-    otherwise; sizes counts the rows of each orbit.
+    Where operators.orbit_certificate certifies spec and part, an orbit is
+    a signed-permutation orbit, whose first row is its point x of
+    operators.fundamental_domain and whose size is pattern_elements(x)[0].size // 2.
     """
-    freqs = grid.canonical_frequencies
-    freqs = freqs if order is None else freqs[order]
     if orbit_certificate(spec, part) is None:
-        return freqs, np.ones(freqs.shape[0], np.intp)
-    orbit = grid.canonical_orbits if order is None else grid.canonical_orbits[order]
-    _, first, sizes = np.unique(orbit, return_index=True, return_counts=True)
-    rows = np.argsort(first)
-    return freqs[first[rows]], sizes[rows]
+        return grid.canonical_frequencies, np.ones(len(grid.canonical_frequencies), np.intp)
+    points, pattern = fundamental_domain(grid.n, grid.points_per_axis)
+    _, first, inverse = np.unique(pattern, return_index=True, return_inverse=True)
+    return points, np.array([pattern_elements(points[i])[0].size // 2 for i in first])[inverse]
 
 
 def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
@@ -552,14 +548,19 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
     Returns (xi, v) or None; the scan order (by |xi|, then lexicographic)
     makes the result deterministic.  Where operators.orbit_certificate
     certifies spec and part, ker A cap ker Re B[g xi] =
-    rho(g) (ker A cap ker Re B[xi]), so one factorisation, at its lowest
-    member, decides a whole orbit (_orbit_representatives, on the grid's
-    one orbit decomposition, as in _sweep).
+    rho(g) (ker A cap ker Re B[xi]), so one factorisation decides an orbit,
+    at its lowest canonical member (0 ... 0, x_z, -x_{n-1}, ..., -x_{z+1}),
+    x its point of operators.fundamental_domain with z zero entries.
     """
-    freqs = grid.canonical_frequencies
-    norm2 = np.sum(freqs.astype(float) ** 2, axis=1)
-    keys = [freqs[:, j] for j in reversed(range(freqs.shape[1]))] + [norm2]
-    freqs, _ = _orbit_representatives(spec, part, grid, np.lexsort(tuple(keys)))
+    if orbit_certificate(spec, part) is None:
+        freqs = grid.canonical_frequencies
+    else:
+        points = fundamental_domain(grid.n, grid.points_per_axis)[0]
+        zeros, j = np.count_nonzero(points == 0, axis=1)[:, None], np.arange(grid.n)
+        lead = j <= zeros
+        # entry j > z is -x[z - j]: -x_{n-1} first, counting back from the end
+        freqs = np.where(lead, 1, -1) * np.take_along_axis(points, np.where(lead, j, zeros - j), 1)
+    freqs = freqs[np.lexsort((*freqs.T[::-1], np.sum(freqs**2, axis=1)))]
     for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
         block = freqs[lo : lo + SWEEP_CHUNK]
         amat = np.broadcast_to(part.matrix, (block.shape[0],) + part.matrix.shape)
@@ -625,15 +626,12 @@ def _reduce(rows) -> dict:
     A row (family, ratios, counts, describe) counts ratios[i] as counts[i]
     trials, and describe(i) builds its field descriptor.  The argmax is the
     first infinite ratio, else the first largest ratio, in row order.  The
-    finite ratios, repeated by their counts, give the maximum and median
-    finite ratio; both read 0.0 when there are none.
+    finite ratios, each counted counts[i] times, give the maximum and median
+    finite ratio (_weighted_median); both read 0.0 when there are none.
     """
     ratios = np.concatenate([r for _, r, _, _ in rows])
     counts = np.concatenate([c for _, _, c, _ in rows])
     infinite = np.isinf(ratios)
-    finite = np.repeat(ratios[~infinite], counts[~infinite])
-    if finite.size == 0:
-        finite = np.zeros(1)
     best = int(np.argmax(infinite if infinite.any() else ratios))
     starts = np.cumsum([0] + [len(r) for _, r, _, _ in rows[:-1]])
     row = int(np.searchsorted(starts, best, side="right")) - 1
@@ -643,12 +641,23 @@ def _reduce(rows) -> dict:
     return {
         "n_trials": int(counts.sum()),
         "max_ratio": float(ratios[best]),
-        "max_finite_ratio": float(np.max(finite)),
-        "median_ratio": float(np.median(finite)),
+        "max_finite_ratio": float(np.max(ratios[~infinite], initial=0.0)),
+        "median_ratio": _weighted_median(ratios[~infinite], counts[~infinite]),
         "argmax": rows[row][3](best - int(starts[row])),
         "infinite_count": int(counts[infinite].sum()),
         "family_maxima": family_maxima,
     }
+
+
+def _weighted_median(values, counts) -> float:
+    """np.median(np.repeat(values, counts)) bit for bit, with no repeat; 0.0 when that is empty."""
+    order = np.argsort(values, kind="stable")
+    ends = np.cumsum(counts[order])
+    if not ends.size or not ends[-1]:
+        return 0.0
+    # np.mean of the middle value, or of the two middle values of an even count
+    middle = np.unique([(ends[-1] - 1) // 2, ends[-1] // 2])
+    return float(np.mean(values[order][np.searchsorted(ends, middle, side="right")]))
 
 
 def _sweep(config):
@@ -657,13 +666,12 @@ def _sweep(config):
     The sweep ratio at xi reads xi through |xi| and M / gcd(xi, M), which
     no signed permutation changes, and through the Grams that
     operators.orbit_tensor_power checks.  So each orbit of
-    _orbit_representatives, the helper search_kernel_witness uses too, on
-    the same decomposition of the grid, is swept once, at its first
-    canonical member, whose ratio counts for all of its members: an
-    infinite or a zero ratio too, since the closed form decides a
-    negligible side relative to the wave (scale-free), not against an
-    absolute cutoff.  Every representative is evaluated in closed form by
-    _sweep_vectors; no correction table is built.
+    _orbit_representatives is swept once, at its first canonical member,
+    whose ratio counts for all of its members: an infinite or a zero ratio
+    too, since the closed form decides a negligible side relative to the
+    wave (scale-free), not against an absolute cutoff.  Every
+    representative is evaluated in closed form by _sweep_vectors; no
+    correction table is built.
     """
     swept, size = _orbit_representatives(config.operator, config.part, config.grid)
     vs = np.empty((swept.shape[0], config.operator.d))
@@ -685,36 +693,26 @@ def estimate_constant(
 
     Deterministic given the seed.  Each family contributes rows of trial
     ratios, in the order sweep, random, bump, witness, and one reduction
-    (_reduce) turns them into the estimate.  The single-frequency sweep is
-    one row over every canonical frequency (one of each +-xi pair), built by
-    _sweep: it evaluates the first canonical frequency of each orbit and
-    counts it once per canonical member.  Orbits are the signed-permutation
-    orbits where operators.orbit_tensor_power proves the ratio constant on
-    them, single frequencies otherwise.  Every trial reads a side that is
-    negligible against its own field (at most NEGLIGIBLE times |P|_2, or a
-    |v| for a plane wave) as exactly 0.0, and its ratio is then exact: inf
-    where only the right side vanishes, 0.0 where both do.  Every random and
-    bump field is one row, evaluated by kms_sides as soon as it is generated
-    and dropped, with its spectrum, once its ratio is known.  No field takes
-    a forward transform: each is evaluated on the band-box spectrum its
-    generator wrote, below M/2, so every trial field lies in the trial
-    space without Nyquist rows (torus module docstring).  A random field's
-    box is max(1, M // 4); a bump's is torus.bump_cutoff, and its
-    descriptor records that cutoff and the Gaussian tail the box drops,
-    exp(-w^2 (cutoff + 1)^2 / 2).  Samples are made only where a real-space
-    norm reads them (kms_sides): those of B P, and those of
-    R = P - corr P, which the left side and the A side share; a generated
-    field makes its own only without a correction.  So when every norm is
-    an L^2 Fourier weight (korn_const2_p2) no trial takes a transform at
-    all, and a korn_const trial at p = 1.5 takes two inverse transforms.  A
-    correction term builds the compact orbit table of its grid once, for the
-    first field trial.  The witness plane wave is one row, evaluated in
-    closed form by single_frequency_trial; when no witness exists it holds
-    ratio 0.0.  Infinite ratios propagate to max_ratio and are counted
-    separately.  The hypothesis check and the correction descriptor are
-    grid-free: a config and its with_grid copies compute each once.  A
-    family that generates no trial for the config raises
-    ArgumentError("family") before any classification.
+    (_reduce) turns them into the estimate.  The sweep (_sweep) is one row
+    over every canonical frequency, one of each +-xi pair, evaluated once
+    per orbit; the witness scan (search_kernel_witness) walks the same
+    orbits.  Every trial reads a side that is negligible against its own
+    field (at most NEGLIGIBLE times |P|_2, or a |v| for a plane wave) as
+    exactly 0.0, and its ratio is then exact: inf where only the right side
+    vanishes, 0.0 where both do.  Every random and bump field is one row,
+    evaluated by kms_sides with no forward transform, on the band-box
+    spectrum its generator wrote below M/2 (so in the trial space without
+    Nyquist rows), and dropped once its ratio is known.  A random field's box
+    is max(1, M // 4); a bump's is torus.bump_cutoff, and its descriptor
+    records that cutoff and the Gaussian tail the box drops,
+    exp(-w^2 (cutoff + 1)^2 / 2).  A correction term builds the orbit table
+    of its grid once, for the first field trial.  The witness plane wave is
+    one row, evaluated in closed form by single_frequency_trial; when no
+    witness exists it holds ratio 0.0.  Infinite ratios propagate to
+    max_ratio and are counted separately.  The hypothesis check and the
+    correction descriptor are grid-free: a config and its with_grid copies
+    compute each once.  A family that generates no trial for the config
+    raises ArgumentError("family") before any classification.
     """
     check_seed(seed)
     if family is None:

@@ -131,8 +131,8 @@ def test_pruned_null_gain_matches_unpruned_reference(ident, part_name, p, correc
 
 
 WITNESS_PARTS = ("sym", "dev", "tr", "skew", "zero")
-# every n = 3 catalog operator, the n = 2 matrix divergence and the
-# anisotropic curl, which fails the orbit check, with every part map
+# every n = 3 catalog operator, the n = 2 and n = 4 matrix divergences and
+# the anisotropic curl, which fails the orbit check, with every part map
 WITNESS_CASES = [
     (spec, part)
     for spec in (
@@ -140,6 +140,7 @@ WITNESS_CASES = [
         catalog_operator("div_matrix_rowwise", 3),
         catalog_operator("sym_curl_matrix", 3),
         catalog_operator("div_matrix_rowwise", 2),
+        catalog_operator("div_matrix_rowwise", 4),
         anisotropic_curl(),
     )
     for part in WITNESS_PARTS
@@ -162,6 +163,38 @@ def test_witness_scan_matches_full_svd_scan(spec, part_name, m):
     if got is not None:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+def quartic(name, fourth, mixed):
+    """The scalar symbol fourth sum_j xi_j^4 + mixed sum_{i<j} xi_i^2 xi_j^2 (n = 3, d = l = 1, k = 4)."""
+    coeffs = {}
+    for alpha in operators.multiindex_enumerate(3, 4):
+        e = alpha.exponents
+        if 4 in e or sorted(e) == [0, 2, 2]:
+            coeffs[alpha] = np.full((1, 1), fourth if 4 in e else mixed)
+    return OperatorSpec(name, n=3, d=1, l=1, k=4, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize(
+    "spec,lowest",
+    [
+        # vanishes on the orbit of (1, 1, 1) and nowhere closer to 0
+        (quartic("diagonal_quartic", 1.0, -1.0), [1, -1, -1]),
+        # 17 |xi|^4 - 25 sum_j xi_j^4 vanishes on the orbit of (0, 1, 2) first
+        (quartic("off_axis_quartic", -8.0, 34.0), [0, 1, -2]),
+    ],
+    ids=["orbit-111", "orbit-012"],
+)
+def test_witness_scan_takes_an_off_axis_orbit_at_its_lowest_member(spec, lowest, m):
+    # the lowest canonical member of the orbit of x is (0 ... 0, x_z, -x_{n-1}, ..., -x_{z+1}),
+    # not x itself
+    part, grid = catalog_partmap("zero", 3, dim=1), TorusGrid(3, m)
+    assert orbit_tensor_power(spec, part) == 0
+    got = search_kernel_witness(part, spec, grid)
+    want = reference_witness(part, spec, grid)
+    assert got[0].tolist() == want[0].tolist() == lowest
+    assert np.array_equal(got[1], want[1])
 
 
 def svd_counter(monkeypatch, vectors_only):
@@ -476,12 +509,22 @@ def test_a_refinement_study_computes_each_configuration_fact_once(monkeypatch):
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-def test_the_sweep_and_the_witness_scan_share_one_orbit_decomposition(monkeypatch):
-    # one frequency_orbits over the canonical frequencies per grid; the
-    # certified correction table is unfolded without one
+def test_a_certified_estimate_walks_the_fundamental_domain_alone(monkeypatch):
+    # the sweep, the witness scan and the certified correction table take
+    # their orbits from operators.fundamental_domain: no frequency_orbits,
+    # and the grid's canonical frequencies are never built
     counts = {}
-    count_calls(monkeypatch, torus, "frequency_orbits", counts)
-    count_calls(monkeypatch, multipliers, "frequency_orbits", counts)
-    estimate = estimate_constant(korn_const_tr(16), FieldFamily(random_trials=1), seed=0)
-    assert counts == {"frequency_orbits": 1}
+    for module in (operators, torus, multipliers, verify):
+        if hasattr(module, "frequency_orbits"):
+            count_calls(monkeypatch, module, "frequency_orbits", counts)
+    cfg = korn_const_tr(16)
+    estimate = estimate_constant(cfg, FieldFamily(random_trials=1), seed=0)
+    assert counts == {}
+    assert "canonical_frequencies" not in cfg.grid.__dict__
     assert estimate.family_maxima.keys() == {"sweep", "random", "bump", "witness"}
+    # the anisotropic curl fails the orbit check: it sweeps and scans every canonical frequency
+    anisotropic = InequalityConfig(
+        "korn_const", anisotropic_curl(), catalog_partmap("tr", 3), 2.0, TorusGrid(3, 16)
+    )
+    estimate_constant(anisotropic, FieldFamily(random_trials=1), seed=0)
+    assert "canonical_frequencies" in anisotropic.grid.__dict__

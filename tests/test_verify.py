@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kmslab import verify
 from kmslab.multipliers import pseudoinverse_symbol
@@ -276,47 +278,80 @@ class TestSingleFrequencyExactness:
         assert alg.rhs == pytest.approx(rhs, rel=1e-10)
 
 
-class TestBatchedSweep:
-    # every inequality id at M = 8; at M = 40 the 1,539 orbits span two chunks
-    @pytest.mark.parametrize(
-        "ident,part_name,p,m,orbits",
-        [
-            ("korn_ell", None, 2.0, 8, 19),
-            ("kms_sym", "sym", 2.0, 8, 19),
-            ("asplit", "dev", 2.0, 8, 19),
-            ("korn_ellip", "sym", 2.0, 8, 19),
-            ("korn_const", "tr", 2.0, 8, 19),
-            ("korn_const2_p2", "tr", 2.0, 8, 19),
-            ("korn_const_p1", "tr", 1.0, 8, 19),
-            ("kms_sym", "sym", 2.0, 40, 1539),
-        ],
+def canonical_orbit_reference(grid):
+    """(first, sizes): the first canonical frequency of each sorted |xi|, in row order, and its count."""
+    canonical = grid.canonical_frequencies
+    keys = np.sort(np.abs(canonical), axis=1)
+    _, first, size = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return canonical[first[order]], size[order]
+
+
+def sweep_case(n, ident, op, part_name, p, m, orbits):
+    """One case of the batched-sweep reference; n = 3 keeps the ids it had without n and op."""
+    name = f"{ident}-{part_name}-{p}-{m}-{orbits}"
+    name = name if n == 3 else f"n{n}-{op}-{name}"
+    return pytest.param(n, ident, op, part_name, p, m, orbits, id=name)
+
+
+CURL3 = "curl_matrix_rowwise"
+# every inequality id at M = 8; at M = 40 the 1,539 orbits span two chunks; at
+# n = 2 and n = 4 the row-wise divergence with A = tr and the symmetric
+# gradient at M = 4, 6, 8, 16, with C(M/2 + n - 1, n) - 1 orbits
+SWEEP_CASES = [
+    sweep_case(3, "korn_ell", "sym_gradient", None, 2.0, 8, 19),
+    sweep_case(3, "kms_sym", CURL3, "sym", 2.0, 8, 19),
+    sweep_case(3, "asplit", CURL3, "dev", 2.0, 8, 19),
+    sweep_case(3, "korn_ellip", CURL3, "sym", 2.0, 8, 19),
+    sweep_case(3, "korn_const", CURL3, "tr", 2.0, 8, 19),
+    sweep_case(3, "korn_const2_p2", CURL3, "tr", 2.0, 8, 19),
+    sweep_case(3, "korn_const_p1", CURL3, "tr", 1.0, 8, 19),
+    sweep_case(3, "kms_sym", CURL3, "sym", 2.0, 40, 1539),
+] + [
+    sweep_case(n, ident, op, part_name, p, m, math.comb(m // 2 + n - 1, n) - 1)
+    for n, p in ((2, 1.5), (4, 2.0))
+    for ident, op, part_name in (
+        ("korn_const", "div_matrix_rowwise", "tr"), ("korn_ell", "sym_gradient", None)
     )
+    for m in (4, 6, 8, 16)
+]
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("n,ident,op,part_name,p,m,orbits", SWEEP_CASES)
     def test_ratios_match_single_frequency_reference(
-        self, sweep_calls, curl, ident, part_name, p, m, orbits
+        self, sweep_calls, n, ident, op, part_name, p, m, orbits
     ):
-        grid = TorusGrid(3, m)
-        if ident == "korn_ell":
-            cfg = InequalityConfig(ident, catalog_operator("sym_gradient", 3), None, p, grid)
-        else:
-            cfg = InequalityConfig(ident, curl, catalog_partmap(part_name, 3), p, grid)
+        grid = TorusGrid(n, m)
+        part = None if part_name is None else catalog_partmap(part_name, n)
+        cfg = InequalityConfig(ident, catalog_operator(op, n), part, p, grid)
         freqs, vs, ratios, counts = _sweep(cfg)
         # every orbit is trusted, so the representatives are all that is swept
         assert sum(sweep_calls) == orbits
         assert (len(sweep_calls) > 1) == (m == 40)
         # one representative per orbit, the first canonical frequency of its sorted |xi|
-        canonical = grid.canonical_frequencies
-        keys = np.sort(np.abs(canonical), axis=1)
-        _, first, size = np.unique(keys, axis=0, return_index=True, return_counts=True)
-        order = np.argsort(first)
+        first, sizes = canonical_orbit_reference(grid)
         assert freqs.shape[0] == orbits
-        assert np.array_equal(freqs, canonical[first[order]])
-        assert np.array_equal(counts, size[order])
+        assert np.array_equal(freqs, first)
+        assert np.array_equal(counts, sizes)
         for xi, v, ratio in zip(freqs, vs, ratios):
             ref = single_frequency_trial(cfg, xi, v).ratio
             if math.isinf(ref) or math.isinf(ratio):
                 assert ratio == ref, xi
             else:
                 assert abs(ratio - ref) <= 1e-12 * max(abs(ref), abs(ratio)), xi
+
+    @pytest.mark.parametrize("m", [4, 6, 8, 16])
+    def test_one_dimensional_orbits_are_the_positive_frequencies(self, m):
+        # no inequality takes n = 1 (each needs p < n), so the representatives alone:
+        # every +-xi pair is one orbit, swept at xi > 0
+        grid, gradient = TorusGrid(1, m), catalog_operator("gradient", 1)
+        assert verify.orbit_certificate(gradient, None) == 0
+        freqs, counts = verify._orbit_representatives(gradient, None, grid)
+        first, sizes = canonical_orbit_reference(grid)
+        assert np.array_equal(freqs, first)
+        assert np.array_equal(counts, sizes)
+        assert np.array_equal(freqs[:, 0], np.arange(1, m // 2)) and np.all(counts == 1)
 
     # every inequality id, korn_const without its correction, and asplit
     # with A = tr, whose curl is not elliptic on ker A; at k = 2 the Hessian
@@ -612,6 +647,38 @@ class TestEstimates:
             "xi": [int(x) for x in freqs[first]],
             "v": [float(x) for x in vs[first]],
         }
+
+
+# a few shared values, so that ties are common, any non-negative float, or inf
+RATIOS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf]),
+    st.floats(0.0, 1e300, allow_nan=False).map(abs),
+)
+# rows of (ratio, count) pairs, as the families hand them to the reduction
+ROWS = st.lists(
+    st.lists(st.tuples(RATIOS, st.integers(1, 4)), min_size=1, max_size=5), min_size=1, max_size=4
+)
+
+
+class TestReduce:
+    @given(ROWS)
+    @example([[(1.5, 1)]])
+    @example([[(1.0, 2), (3.0, 1)], [(math.inf, 5)], [(0.5, 1)]])
+    @example([[(2.0, 2), (2.0, 1), (1.0, 3)], [(2.0, 2)]])
+    @example([[(math.inf, 3)], [(math.inf, 1)]])
+    def test_median_and_maximum_are_those_of_the_repeated_ratios(self, rows):
+        arrays = [(np.array([r for r, _ in row]), np.array([c for _, c in row])) for row in rows]
+        reduced = verify._reduce([("family", r, c, lambda i: {}) for r, c in arrays])
+        ratios, counts = (np.concatenate(a) for a in zip(*arrays))
+        finite = np.isfinite(ratios)
+        repeated = np.repeat(ratios[finite], counts[finite])
+        want_median = np.median(repeated) if repeated.size else 0.0
+        want_max = np.max(repeated) if repeated.size else 0.0
+        # bit for bit, and 0.0 on both sides when no ratio is finite
+        assert np.float64(reduced["median_ratio"]).tobytes() == np.float64(want_median).tobytes()
+        assert np.float64(reduced["max_finite_ratio"]).tobytes() == np.float64(want_max).tobytes()
+        assert reduced["n_trials"] == int(counts.sum())
+        assert reduced["infinite_count"] == int(counts[~finite].sum())
 
 
 class TestRefinement:
