@@ -42,6 +42,7 @@ but no matrix per bin.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,12 +52,12 @@ from .operators import (
     MultiIndex,
     OperatorSpec,
     PartMap,
+    _pattern_elements,
     _signed_permutation_rows,
     _zero_tie_pattern,
     frequency_orbits,
     fundamental_domain,
     orbit_certificate,
-    pattern_elements,
     restrict_symbol,
     symbol_on_frequencies,
 )
@@ -190,9 +191,10 @@ class MultiplierDescriptor:
         primitive points; a point's key index is a search of x / gcd(x).  Each
         live bin is one image g x of one point, g among the canonical
         elements of x's zero/tie pattern (operators.pattern_elements) whose
-        image has a last entry >= 0; its rep and code are written once, from
-        that image.  code numbers the elements the bins use, in ascending
-        order, and action holds their rows alone.
+        image has a last entry >= 0 (_image_moves, decoded once per pattern);
+        its rep and code are written once, from that image.  code numbers the
+        elements the bins use, in ascending order, and action holds their
+        rows alone.
         """
         n, m, r = grid.n, grid.points_per_axis, self._symmetry
         points, pattern = fundamental_domain(n, m)
@@ -209,17 +211,9 @@ class MultiplierDescriptor:
         plane = values[:-1][keys[:, 0] == 0]
         _check_real_to_real(self.provenance, plane, plane)
 
-        groups = []
-        for p in np.unique(pattern):
-            rows = np.flatnonzero(pattern == p)
-            elements = pattern_elements(points[rows[0]])[0]
-            perm, signs = _signed_permutation_rows(n, 0, elements)[:2]
-            inv = np.argsort(perm, axis=1)
-            moved = np.take_along_axis(signs, inv, axis=1).astype(np.int64)
-            # (g x)_j = moved[e, j] x[inv[e, j]], and a canonical g flips no
-            # zero entry: the image lies in the half grid where moved[e, -1] > 0
-            kept = moved[:, -1] > 0
-            groups.append((rows, elements[kept], inv[kept], moved[kept]))
+        groups = [
+            (np.flatnonzero(pattern == p), *_image_moves(n, int(p))) for p in np.unique(pattern)
+        ]
         used = np.unique(np.concatenate([elements for _, elements, _, _ in groups]))
 
         rep = np.full(grid.half_shape, keys.shape[0], np.int32)
@@ -263,34 +257,80 @@ class MultiplierDescriptor:
         the value of its first entry, with the sign rho(h) carries there, or
         0 where the orbit maps an entry onto minus itself.  So a bin reached
         from its key through two group elements gets one matrix, bit for bit.
-        The stabilizer is decoded and read TABLE_CHUNK * 256 entry moves at a
-        time.
+        Which entry each entry reads, and with which factor, depends only on
+        the key's zero/tie pattern (_symmetrisation, computed once per
+        pattern).
         """
         values = self.on_frequencies(keys.astype(float))
         if self._symmetry in (None, RAYS):
             return values
-        n, d = keys.shape[1], values.shape[-1]
-        cols, step = np.arange(d * d), max(1, TABLE_CHUNK * 256 // (d * d))
+        d = values.shape[-1]
         # the stabilizer of a sorted non-negative key depends only on its zero/tie pattern
         pattern = _zero_tie_pattern(keys)
         flat = values.reshape(-1, d * d)
         for code in np.unique(pattern):
             rows = np.flatnonzero(pattern == code)
-            stabilizer = pattern_elements(keys[rows[0]])[1]
-            # the identity, row 0, reads each entry from itself
-            first, carried, odd = cols, np.ones(d * d), np.zeros(d * d, bool)
-            for lo in range(0, stabilizer.size, step):
-                run = _signed_permutation_rows(n, self._symmetry, stabilizer[lo : lo + step])
-                pos = (run.src[:, :, None] * d + run.src[:, None, :]).reshape(-1, d * d)
-                sign = (run.sgn[:, :, None] * run.sgn[:, None, :]).reshape(-1, d * d)
-                low = pos.argmin(axis=0)
-                lower = pos[low, cols] < first
-                first = np.where(lower, pos[low, cols], first)
-                carried = np.where(lower, sign[low, cols], carried)
-                # a lower first entry was read by no earlier run
-                odd = odd & ~lower | np.any((pos == first) & (sign != carried), axis=0)
-            flat[rows] = flat[rows][:, first] * np.where(odd, 0.0, carried)
+            first, factor = _symmetrisation(keys.shape[1], self._symmetry, int(code))
+            flat[rows] = flat[rows][:, first] * factor
         return values
+
+
+def _pattern_flags(n, pattern):
+    """(zero, tie) of a code of operators._zero_tie_pattern: its first n bits, then its n - 1 more."""
+    bits = tuple(bool(pattern >> j & 1) for j in range(2 * n - 1))
+    return bits[:n], bits[n:]
+
+
+@functools.lru_cache(maxsize=None)
+def _image_moves(n, pattern):
+    """(elements, inv, moved): a zero/tie pattern's canonical elements g with g x in the half grid.
+
+    (g x)_j = moved[e, j] x[inv[e, j]] for each point x of the pattern; a
+    canonical g flips no zero entry, so the image lies in the half grid
+    where moved[e, -1] > 0, and only those elements are kept.  Read-only,
+    cached per (n, pattern).
+    """
+    elements = _pattern_elements(*_pattern_flags(n, pattern))[0]
+    perm, signs = _signed_permutation_rows(n, 0, elements)[:2]
+    inv = np.argsort(perm, axis=1)
+    moved = np.take_along_axis(signs, inv, axis=1).astype(np.int64)
+    kept = moved[:, -1] > 0
+    out = elements[kept], inv[kept], moved[kept]
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetrisation(n, r, pattern):
+    """(first, factor): m.flat[first] * factor is a key's matrix m made invariant under its stabilizer.
+
+    Each orbit of the d^2 entry positions (d = n^r) under the stabilizer of
+    the keys of a zero/tie pattern takes the value of its first entry, with
+    the sign rho(h) carries there, or 0 where the orbit maps an entry onto
+    minus itself.  The stabilizer is decoded and read TABLE_CHUNK * 256
+    entry moves at a time; only the outcome, d^2 entries each, is cached per
+    (n, r, pattern), read-only.
+    """
+    stabilizer = _pattern_elements(*_pattern_flags(n, pattern))[1]
+    d = n**r
+    cols, step = np.arange(d * d), max(1, TABLE_CHUNK * 256 // (d * d))
+    # the identity, row 0, reads each entry from itself
+    first, carried, odd = cols, np.ones(d * d), np.zeros(d * d, bool)
+    for lo in range(0, stabilizer.size, step):
+        run = _signed_permutation_rows(n, r, stabilizer[lo : lo + step])
+        pos = (run.src[:, :, None] * d + run.src[:, None, :]).reshape(-1, d * d)
+        sign = (run.sgn[:, :, None] * run.sgn[:, None, :]).reshape(-1, d * d)
+        low = pos.argmin(axis=0)
+        lower = pos[low, cols] < first
+        first = np.where(lower, pos[low, cols], first)
+        carried = np.where(lower, sign[low, cols], carried)
+        # a lower first entry was read by no earlier run
+        odd = odd & ~lower | np.any((pos == first) & (sign != carried), axis=0)
+    out = first, np.where(odd, 0.0, carried)
+    for array in out:
+        array.setflags(write=False)
+    return out
 
 
 @dataclass(eq=False)
@@ -346,18 +386,33 @@ class OrbitTable:
     def apply(self, box, coef: np.ndarray) -> np.ndarray:
         """The multiplier applied bin by bin to coefficients on a torus.BandBox.
 
-        coef has shape box.shape + (columns,); the bins are taken
-        TABLE_CHUNK at a time, so no per-bin matrix is formed.  The result
-        is a fresh array, which the caller may overwrite.
+        coef has shape box.shape + (columns,); the result is a fresh array,
+        which the caller may overwrite (apply_rows).
         """
-        rep = box.take(self.rep).reshape(-1)
-        code = None if self.code is None else box.take(self.code).reshape(-1)
         vec = coef.reshape(-1, coef.shape[-1]).astype(complex, copy=False)
-        out = np.empty((vec.shape[0], self.shape[-2]), complex)
+        out = self.apply_rows(self.bin_keys(box), slice(None), vec)
+        return out.reshape(coef.shape[:-1] + (-1,))
+
+    def bin_keys(self, box) -> tuple:
+        """(rep, code) of a torus.BandBox's bins, flat, in the box's order (code None without action)."""
+        rep = box.take(self.rep).reshape(-1)
+        return rep, None if self.code is None else box.take(self.code).reshape(-1)
+
+    def apply_rows(self, keys, bins: slice, vec, out=None) -> np.ndarray:
+        """The multiplier on rows of complex coefficients at a run of a box's bins.
+
+        keys is bin_keys(box) and vec holds the coefficients of its bins
+        `bins`, in order.  The rows are taken TABLE_CHUNK at a time, so no
+        per-bin matrix is formed.  The result is written to out, or to a
+        fresh array.
+        """
+        rep, code = (None if k is None else k[bins] for k in keys)
+        if out is None:
+            out = np.empty((vec.shape[0], self.shape[-2]), complex)
         for lo in range(0, vec.shape[0], TABLE_CHUNK):
             run = slice(lo, lo + TABLE_CHUNK)
             out[run] = self._applied(rep[run], None if code is None else code[run], vec[run])
-        return out.reshape(coef.shape[:-1] + (-1,))
+        return out
 
     def _applied(self, rep, code, vec):
         """rho(g) m rho(g)^T vec per bin, m = values[rep]; code is None without an action."""

@@ -26,6 +26,15 @@ the Parseval sum with `TorusGrid.parseval_weights` (1 on the last-axis
 bins 0 and M/2, whose partners -xi lie in the half grid too, 2
 elsewhere).
 
+Norms stream the spectrum.  Every inverse transform is `_slabs`: the
+first grid axis is inverted once, then the other axes x_0 slab by x_0
+slab.  `_irfftn` takes it in one slab, for a field's samples; the slab
+reducer `_lq_norms`, every L^q norm with q != 2, takes SLAB_BYTES of
+samples at a time and keeps only |f|^q per point, a grid.shape array, so
+it holds no sample array of the whole grid.  `HalfSpectrum.apply_operator`
+and `verify.kms_sides` walk a spectrum's bins in runs of whole last-axis
+lines (`_bin_runs`).  Both keep the numbers of the whole box, bit for bit.
+
 The trial space is the band without Nyquist rows: every half spectrum
 holds 0 wherever a coordinate of xi is -M/2.  A real field's Nyquist mode
 has vanishing odd derivatives on the grid, so it would give every
@@ -73,6 +82,15 @@ __all__ = [
 
 # a field has zero mean when |mean| <= ZERO_MEAN_TOL max|values|
 ZERO_MEAN_TOL = 1e-12
+# multiply-adds of B[i xi] that each run of the block pass holds at least,
+# where a box is cut into runs (_bin_runs).  numpy hands BLAS one matrix
+# product per run, and BLAS takes a small product through a kernel that
+# rounds differently (OpenBLAS: m n k <= 1e6), so runs this large keep the
+# bits that the box taken whole gets
+BLOCK_PRODUCT = 1 << 21
+# bytes of samples that the slab reducer (_lq_norms) makes at a time, at
+# least one x_0 plane
+SLAB_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,25 +358,77 @@ class TensorField:
 # half-spectrum calculus
 # --------------------------------------------------------------------------
 
-def _irfftn(box, coef):
-    """numpy's irfftn, over the grid axes, of box coefficients zero-padded to the half grid.
+def _pad_and_invert(box, coef, axis, own):
+    """ifft of box coefficients along a full grid axis, zero-padded there to M bins first.
 
-    irfftn is ifft from the first grid axis up, then irfft on the last.  A
-    line with no box bin is zero and stays zero until the last transform, so
-    each step pads only the axis it transforms, into a fresh buffer that it
-    then transforms in place; irfft zero-fills the last axis line by line
-    itself.  Bit for bit the samples irfftn gives; trailing axes are kept.
+    coef already holds M bins on that axis where the box is full, or where
+    it was written padded (_line_buffer).  The transform runs in place on a
+    buffer of its own: the padded copy, or coef itself when own; otherwise
+    coef is left as it is.
+    """
+    m = box.grid.points_per_axis
+    if coef.shape[axis] != m:
+        padded = np.zeros(coef.shape[:axis] + (m,) + coef.shape[axis + 1 :], complex)
+        padded[(slice(None),) * axis + (box.axis_bins,)] = coef
+        coef, own = padded, True
+    return np.fft.ifftn(coef, axes=(axis,), out=coef if own else None)
+
+
+def _slabs(box, coef, planes, own=False):
+    """numpy's irfftn over the grid axes of box coefficients zero-padded to the half grid, by x_0 slab.
+
+    Yields (slice of x_0, samples of those planes), planes x_0 planes at a
+    time; trailing axes are kept.  irfftn is ifft from the first grid axis
+    up, then irfft on the last.  The first axis is inverted once, for every
+    plane, in place when own (coef may then be a _line_buffer); each slab of
+    it then takes the other axes on its own, which transforms the same 1-D
+    lines.  A line with no box bin is zero and stays zero until the last
+    transform, so each step pads only the axis it transforms
+    (_pad_and_invert); irfft zero-fills the last axis line by line itself.
+    Bit for bit the samples irfftn gives, whatever planes is.
     """
     n, m = box.grid.n, box.grid.points_per_axis
-    out = coef
-    for axis in range(n - 1):
-        if not box.is_full:
-            padded = np.zeros(out.shape[:axis] + (m,) + out.shape[axis + 1 :], complex)
-            padded[(slice(None),) * axis + (box.axis_bins,)] = out
-            out = padded
-        # in place on every buffer of its own; coef itself is left as it is
-        out = np.fft.ifftn(out, axes=(axis,), out=None if out is coef else out)
-    return np.fft.irfftn(out, s=(m,), axes=(n - 1,))
+    if n == 1:
+        yield slice(None), np.fft.irfftn(coef, s=(m,), axes=(0,))
+        return
+    lines = _pad_and_invert(box, coef, 0, own)
+    for lo in range(0, m, planes):
+        out = lines[lo : lo + planes]
+        if lo + planes >= m:
+            # the last slab's view holds what is left of the first axis's buffer
+            del lines
+        for axis in range(1, n - 1):
+            out = _pad_and_invert(box, out, axis, own=True)
+        yield slice(lo, lo + planes), np.fft.irfftn(out, s=(m,), axes=(n - 1,))
+
+
+def _line_buffer(box, comps):
+    """Zeros for box coefficients of comps components, padded to M bins on the first grid axis.
+
+    That axis is the first one _slabs inverts, so a buffer written through
+    _write_run is inverted in place, with no padded copy; at n = 1 it is
+    the box's own shape.
+    """
+    shape = box.shape
+    if box.grid.n > 1:
+        shape = (box.grid.points_per_axis,) + shape[1:]
+    return np.zeros(shape + (comps,), complex)
+
+
+def _write_run(box, lines, run, values):
+    """Write the coefficients of a run (a slice) of the box's flat bins into a _line_buffer."""
+    flat = lines.reshape(-1, values.shape[-1])
+    if lines.shape[0] == box.shape[0]:
+        flat[run] = values
+        return
+    plane = math.prod(box.shape[1:])
+    bins = np.arange(run.start, run.stop)
+    flat[box.axis_bins[bins // plane] * plane + bins % plane] = values
+
+
+def _irfftn(box, coef):
+    """_slabs in one slab: the samples of every x_0 plane at once."""
+    return next(_slabs(box, coef, box.grid.points_per_axis))[1]
 
 
 def _forward(grid, values):
@@ -377,25 +447,130 @@ def _inverse(box, coef):
     return samples
 
 
-def _parseval_norm(box, coef, weight=None):
-    """L^2 norm of the real field with half spectrum coef on the box; weight multiplies each bin."""
+def _power(coef):
+    """||coef||^2 per bin: the dot product of each bin's (re, im) pairs."""
     pairs = np.ascontiguousarray(coef).view(float)
-    power = np.einsum("...j,...j->...", pairs, pairs)
+    return np.einsum("...j,...j->...", pairs, pairs)
+
+
+def _parseval_sum(box, power, weight=None):
+    """L^2 norm from the per-bin power of a half spectrum on the box; weight multiplies each bin."""
     weights = box.parseval_weights if weight is None else box.parseval_weights * weight
     return math.sqrt(float(np.vdot(weights, power)))
 
 
-def _lp(grid, values, p):
-    """Discrete L^p norm of (grid.shape + (d,)) samples, Euclidean fiber norm."""
+def _parseval_norm(box, coef, weight=None):
+    """L^2 norm of the real field with half spectrum coef on the box; weight multiplies each bin."""
+    return _parseval_sum(box, _power(coef), weight)
+
+
+def _fourier_weight(box, order):
+    """|xi|^(2 order) on the box's bins and 0 at xi = 0: the Parseval weight of a negative order."""
+    norm2 = box.frequency_norm2
+    weight = np.zeros_like(norm2)
+    nz = ~box.zero_mask
+    weight[nz] = norm2[nz] ** float(order)
+    return weight
+
+
+def _check_exponent(p):
     if not 1 <= p < math.inf:
         raise ValueError("need 1 <= p < infinity")
+
+
+def _point_powers(values, p):
+    """|v|^p at each point of (..., d) samples, Euclidean fiber norm."""
     # |v|^p as (sum_j v_j^2)^(p/2): one power per point, no square root
-    power = np.einsum("...j,...j->...", values, values)
-    return float((np.sum(power ** (p / 2.0)) * grid.cell_volume) ** (1.0 / p))
+    return np.einsum("...j,...j->...", values, values) ** (p / 2.0)
+
+
+def _lp_of_powers(grid, powers, p):
+    """The discrete L^p norm from the grid.shape array of |v|^p per point: one np.sum."""
+    return float((np.sum(powers) * grid.cell_volume) ** (1.0 / p))
+
+
+def _lp(grid, values, p):
+    """Discrete L^p norm of (grid.shape + (d,)) samples, Euclidean fiber norm."""
+    _check_exponent(p)
+    return _lp_of_powers(grid, _point_powers(values, p), p)
+
+
+def _lq_norms(box, coef, q, part=None, own=False):
+    """[|f|_q] of the real field f with half spectrum coef on the box, and |A f|_q with a part map.
+
+    The slab reducer: the samples are made SLAB_BYTES at a time, whole x_0
+    planes (_slabs, which inverts coef in place when own), and each slab
+    writes |f|^q, and |A f|^q with A on each block of part.d components,
+    per point into a grid.shape array.  One np.sum of each array then gives
+    the norm, the sum _lp takes of the samples made at once, so the norms
+    are _lp's bit for bit; no sample array of the whole grid is held.
+    """
+    _check_exponent(q)
+    grid = box.grid
+    plane = 8 * coef.shape[-1] * grid.points_per_axis ** (grid.n - 1)
+    powers = [np.empty(grid.shape) for _ in range(1 if part is None else 2)]
+    for where, samples in _slabs(box, coef, max(1, SLAB_BYTES // plane), own):
+        samples /= grid.spectrum_scale
+        powers[0][where] = _point_powers(samples, q)
+        if part is not None:
+            d = part.d
+            blocks = [part.apply(samples[..., j : j + d]) for j in range(0, samples.shape[-1], d)]
+            mapped = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+            powers[1][where] = _point_powers(mapped, q)
+    return [_lp_of_powers(grid, array, q) for array in powers]
+
+
+def _derivative(freqs, coef, m):
+    """Coefficients of the m-th derivative tensor at integer frequencies freqs, stacked on the last axis.
+
+    freqs has shape coef.shape[:-1] + (n,).  Block beta is weighted by
+    sqrt(m!/beta!), so the stacked field's Frobenius norm is the full
+    derivative tensor's.
+    """
+    if m == 0:
+        return coef
+    indices = multiindex_enumerate(freqs.shape[-1], m)
+    out = np.empty(coef.shape[:-1] + (len(indices), coef.shape[-1]), dtype=complex)
+    i_xi = 1j * freqs.astype(float)
+    for b, beta in enumerate(indices):
+        weight = math.sqrt(beta.multiplicity()) * beta.power(i_xi)
+        out[..., b, :] = weight[..., None] * coef
+    return out.reshape(coef.shape[:-1] + (-1,))
+
+
+def _bin_runs(box, spec):
+    """The block pass's runs of a box's bins, in flat order: whole last-axis lines.
+
+    The lines are split evenly, into as many runs as keeps each one at
+    BLOCK_PRODUCT multiply-adds of the real products of B[i xi]
+    (_operator_rows) or more; a box below that is one run.
+    """
+    line = box.shape[-1]
+    lines = math.prod(box.shape) // line
+    per_run = -(-BLOCK_PRODUCT // (4 * max(1, spec.d * spec.l) * line))
+    count = max(1, lines // per_run)
+    edges = [i * lines // count * line for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 # multiplication by i on a row (re, im): (re, im) @ R = (-im, re)
 _QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _operator_rows(spec, pairs, xi, out, term):
+    """B u on rows of (re, im) pairs at float frequencies xi, into out; term is scratch of out's shape.
+
+    Each alpha is one real product: i^|alpha| = i^k is the rotation R^k,
+    R = [[0, 1], [-1, 0]] acting on a row (re, im), and xi^alpha weighs the
+    rows.
+    """
+    rotation = np.linalg.matrix_power(_QUARTER_TURN, spec.k % 4)
+    out[...] = 0.0
+    for alpha, mat in spec.coeffs.items():
+        np.matmul(pairs, np.kron(mat.real.T, rotation), out=term)
+        term *= alpha.power(xi)[:, None]
+        out += term
+    return out
 
 
 @dataclass(eq=False)
@@ -435,21 +610,20 @@ class HalfSpectrum:
         """B u from u: coefficients map by (i xi)^alpha Re B_alpha.
 
         The imaginary part of a complex B_alpha maps a real field to an
-        imaginary one, which the real part of the inverse drops.  Each alpha
-        is one real product on the (re, im) pairs of the coefficients:
-        i^|alpha| = i^k is the rotation R^k, R = [[0, 1], [-1, 0]] acting on
-        a row (re, im), and xi^alpha weighs the rows.
+        imaginary one, which the real part of the inverse drops.  The bins
+        are taken in the block pass's runs (_bin_runs), each by one real
+        product per alpha on its (re, im) pairs (_operator_rows), with one
+        scratch buffer for all of them.
         """
         box, coef = self.box, self.coefficients
         pairs = np.ascontiguousarray(coef).view(float).reshape(-1, 2 * coef.shape[-1])
-        rotation = np.linalg.matrix_power(_QUARTER_TURN, spec.k % 4)
-        xi = box.frequencies.reshape(-1, self.grid.n).astype(float)
-        out = np.zeros((pairs.shape[0], 2 * spec.l))
-        term = np.empty_like(out)
-        for alpha, mat in spec.coeffs.items():
-            np.matmul(pairs, np.kron(mat.real.T, rotation), out=term)
-            term *= alpha.power(xi)[:, None]
-            out += term
+        freqs = box.frequencies.reshape(-1, self.grid.n)
+        out = np.empty((pairs.shape[0], 2 * spec.l))
+        runs = _bin_runs(box, spec)
+        term = np.empty((max(run.stop - run.start for run in runs), 2 * spec.l))
+        for run in runs:
+            rows = run.stop - run.start
+            _operator_rows(spec, pairs[run], freqs[run].astype(float), out[run], term[:rows])
         return HalfSpectrum(self.grid, out.view(complex).reshape(coef.shape[:-1] + (spec.l,)))
 
     def apply_multiplier(self, desc) -> "HalfSpectrum":
@@ -460,52 +634,27 @@ class HalfSpectrum:
     def apply_partmap(self, part) -> "HalfSpectrum":
         return HalfSpectrum(self.grid, part.apply(self.coefficients))
 
-    def _derivative(self, m):
-        """Coefficients of the m-th derivative tensor, stacked on the last axis.
-
-        Block beta is weighted by sqrt(m!/beta!), so the stacked field's
-        Frobenius norm is the full derivative tensor's.
-        """
-        coef = self.coefficients
-        if m == 0:
-            return coef
-        indices = multiindex_enumerate(self.grid.n, m)
-        out = np.empty(coef.shape[:-1] + (len(indices), coef.shape[-1]), dtype=complex)
-        i_xi = 1j * self.box.frequencies.astype(float)
-        for b, beta in enumerate(indices):
-            weight = math.sqrt(beta.multiplicity()) * beta.power(i_xi)
-            out[..., b, :] = weight[..., None] * coef
-        return out.reshape(coef.shape[:-1] + (-1,))
-
     def sobolev_norm(self, m: float, p: float) -> float:
         """L^p norm of the m-th derivative tensor: a Parseval sum at p = 2,
-        otherwise one inverse transform of all its components.  An order
-        m < 0 is the Fourier weight |xi|^m, p = 2 only:
+        otherwise the slab reducer (_lq_norms) on all its components.  An
+        order m < 0 is the Fourier weight |xi|^m, p = 2 only:
         (sum_{xi != 0} |xi|^{2m} ||f_hat(xi)||^2)^{1/2}."""
         if m < 0:
             if p != 2:
                 raise ValueError("a negative order is a Fourier weight at p = 2")
-            box = self.box
-            norm2 = box.frequency_norm2
-            weight = np.zeros_like(norm2)
-            nz = ~box.zero_mask
-            weight[nz] = norm2[nz] ** float(m)
-            return _parseval_norm(box, self.coefficients, weight)
-        blocks = self._derivative(m)
+            return _parseval_norm(self.box, self.coefficients, _fourier_weight(self.box, m))
+        blocks = _derivative(self.box.frequencies, self.coefficients, m)
         if p == 2:
             return _parseval_norm(self.box, blocks)
-        return _lp(self.grid, _inverse(self.box, blocks), p)
+        # a derivative's blocks are a fresh array, inverted in place
+        return _lq_norms(self.box, blocks, p, own=m > 0)[0]
 
-    def sobolev_norms(self, m: int, p: float, part, samples=None) -> tuple[float, float]:
-        """(|D^m u|_p, |A D^m u|_p) from one set of samples of the m-th
-        derivative tensor: one inverse transform, unless samples (the field's
-        own, m = 0) are given.  The part map A acts on each derivative block."""
-        if samples is None:
-            samples = _inverse(self.box, self._derivative(m))
-        d = part.d
-        blocks = [part.apply(samples[..., j : j + d]) for j in range(0, samples.shape[-1], d)]
-        mapped = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
-        return _lp(self.grid, samples, p), _lp(self.grid, mapped, p)
+    def sobolev_norms(self, m: int, p: float, part) -> tuple[float, float]:
+        """(|D^m u|_p, |A D^m u|_p) from one slab reduction of the m-th
+        derivative tensor (_lq_norms): one inverse transform, slab by slab,
+        with the part map A on each derivative block."""
+        blocks = _derivative(self.box.frequencies, self.coefficients, m)
+        return tuple(_lq_norms(self.box, blocks, p, part, own=m > 0))
 
 
 def apply_operator(spec: OperatorSpec, field: TensorField) -> TensorField:

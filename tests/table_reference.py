@@ -43,6 +43,18 @@ class PerBinTable:
     def apply(self, box, coef):
         return np.einsum("...rc,...c->...r", box.take(self.dense), coef)
 
+    def bin_keys(self, box):
+        """The matrices of the box's bins, flat: the keys apply_rows reads."""
+        dense = box.take(self.dense)
+        return dense.reshape((-1,) + dense.shape[-2:]), None
+
+    def apply_rows(self, keys, bins, vec, out=None):
+        got = np.einsum("...rc,...c->...r", keys[0][bins], vec)
+        if out is None:
+            return got
+        out[...] = got
+        return out
+
 
 @functools.lru_cache(maxsize=4)
 def _live_orbits(n, points_per_axis):

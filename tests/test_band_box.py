@@ -221,20 +221,24 @@ def test_fields_built_from_a_random_field_take_the_full_path():
 
 
 def _counted(monkeypatch):
-    """Record (kind, box is full) for every transform; a forward transform is on the full box."""
+    """Record (kind, box is full) for every transform; a forward transform is on the full box.
+
+    Every inverse transform goes through torus._slabs: the samples of a field
+    made at once (_irfftn) and each slab reduction of an L^q norm.
+    """
     calls = []
-    forward, inverse = torus._forward, torus._irfftn
+    forward, inverse = torus._forward, torus._slabs
 
     def counting_forward(grid, values):
         calls.append(("_forward", True))
         return forward(grid, values)
 
-    def counting_inverse(box, coef):
-        calls.append(("_irfftn", box.is_full))
-        return inverse(box, coef)
+    def counting_inverse(box, coef, *args, **kwargs):
+        calls.append(("_slabs", box.is_full))
+        return inverse(box, coef, *args, **kwargs)
 
     monkeypatch.setattr(torus, "_forward", counting_forward)
-    monkeypatch.setattr(torus, "_irfftn", counting_inverse)
+    monkeypatch.setattr(torus, "_slabs", counting_inverse)
     return calls
 
 
@@ -264,9 +268,9 @@ def test_band_path_agrees_with_the_full_path(ident, m):
     "ident,want",
     [
         # at p = 2, |B P|_2 is a Parseval sum, and the L^6 norms of
-        # R = P - corr P and of A R = A P read the samples of R, one inverse
-        # transform from the box: P's are never made
-        ("korn_const", [("_irfftn", False)]),
+        # R = P - corr P and of A R = A P read one slab reduction of R, one
+        # inverse transform from the box: P's samples are never made
+        ("korn_const", [("_slabs", False)]),
         # every norm is a Parseval sum, so the samples are never read
         ("korn_const2_p2", []),
     ],
@@ -282,9 +286,9 @@ def test_random_trial_transform_counts(monkeypatch, ident, want):
 @pytest.mark.parametrize(
     "ident,want",
     [
-        # the samples of R = P - corr P for both L^6 norms, from the bump's
-        # box (cutoff M/2 - 1 = 7 at width 0.4); those of P are never made
-        ("korn_const", [("_irfftn", False)]),
+        # one slab reduction of R = P - corr P for both L^6 norms, from the
+        # bump's box (cutoff M/2 - 1 = 7 at width 0.4); P's samples are never made
+        ("korn_const", [("_slabs", False)]),
         ("korn_const2_p2", []),
     ],
 )
@@ -333,7 +337,7 @@ def test_no_trial_takes_more_inverse_transforms_than_with_eager_samples(monkeypa
     ):
         calls.clear()
         kms_sides(cfg, make())
-        counts.append(sum(name == "_irfftn" for name, _ in calls))
+        counts.append(sum(name == "_slabs" for name, _ in calls))
     assert all(c <= e for c, e in zip(counts, INVERSES_WITH_EAGER_SAMPLES[ident])), counts
 
 
