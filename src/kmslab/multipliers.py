@@ -275,12 +275,6 @@ class MultiplierDescriptor:
         return values
 
 
-def _pattern_flags(n, pattern):
-    """(zero, tie) of a code of operators._zero_tie_pattern: its first n bits, then its n - 1 more."""
-    bits = tuple(bool(pattern >> j & 1) for j in range(2 * n - 1))
-    return bits[:n], bits[n:]
-
-
 @functools.lru_cache(maxsize=None)
 def _image_moves(n, pattern):
     """(elements, inv, moved): a zero/tie pattern's canonical elements g with g x in the half grid.
@@ -290,7 +284,7 @@ def _image_moves(n, pattern):
     where moved[e, -1] > 0, and only those elements are kept.  Read-only,
     cached per (n, pattern).
     """
-    elements = _pattern_elements(*_pattern_flags(n, pattern))[0]
+    elements = _pattern_elements(n, pattern)[0]
     perm, signs = _signed_permutation_rows(n, 0, elements)[:2]
     inv = np.argsort(perm, axis=1)
     moved = np.take_along_axis(signs, inv, axis=1).astype(np.int64)
@@ -312,7 +306,7 @@ def _symmetrisation(n, r, pattern):
     entry moves at a time; only the outcome, d^2 entries each, is cached per
     (n, r, pattern), read-only.
     """
-    stabilizer = _pattern_elements(*_pattern_flags(n, pattern))[1]
+    stabilizer = _pattern_elements(n, pattern)[1]
     d = n**r
     cols, step = np.arange(d * d), max(1, TABLE_CHUNK * 256 // (d * d))
     # the identity, row 0, reads each entry from itself

@@ -600,19 +600,23 @@ def pattern_elements(key) -> tuple[np.ndarray, np.ndarray]:
     builds the 2^n n! rows of the group.
     """
     key = np.asarray(key)
-    return _pattern_elements(tuple(key == 0), tuple(key[1:] == key[:-1]))
+    return _pattern_elements(key.size, int(_zero_tie_pattern(key[None])[0]))
 
 
 @functools.lru_cache(maxsize=None)
-def _pattern_elements(zero: tuple, tie: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """pattern_elements of the keys whose entries vanish where zero and equal their next where tie."""
-    n = len(zero)
+def _pattern_elements(n: int, code: int) -> tuple[np.ndarray, np.ndarray]:
+    """pattern_elements of the keys of n entries with the zero/tie pattern code (_zero_tie_pattern).
+
+    The code's first n bits flag the entries that vanish, its n - 1 more
+    the entries equal to their next.
+    """
     perms = _permutations(n)
-    run = np.concatenate([[0], np.cumsum(np.logical_not(tie))])
-    zero_bits = int(np.sum(np.array(zero) * 2 ** np.arange(n)))
+    tie = np.asarray(code >> np.arange(n, 2 * n - 1) & 1, bool)
+    run = np.concatenate([[0], np.cumsum(~tie)])
+    zero_bits = code & (2**n - 1)
     masks = np.arange(2**n)
     ranks = np.arange(perms.shape[0])[:, None] << n
-    increasing = np.array(tie, bool) <= (perms[:, 1:] > perms[:, :-1])
+    increasing = tie <= (perms[:, 1:] > perms[:, :-1])
     canonical = ranks[np.all(increasing, axis=1)] + masks[masks & zero_bits == 0]
     stabilizer = ranks[np.all(run[perms] == run, axis=1)] + masks[masks & ~zero_bits == 0]
     out = canonical.reshape(-1), stabilizer.reshape(-1)

@@ -26,14 +26,14 @@ the Parseval sum with `TorusGrid.parseval_weights` (1 on the last-axis
 bins 0 and M/2, whose partners -xi lie in the half grid too, 2
 elsewhere).
 
-Norms stream the spectrum.  Every inverse transform is `_slabs`: the
-first grid axis is inverted once, then the other axes x_0 slab by x_0
-slab.  `_irfftn` takes it in one slab, for a field's samples; the slab
-reducer `_lq_norms`, every L^q norm with q != 2, takes SLAB_BYTES of
-samples at a time and keeps only |f|^q per point, a grid.shape array, so
-it holds no sample array of the whole grid.  `HalfSpectrum.apply_operator`
-and `verify.kms_sides` walk a spectrum's bins in runs of whole last-axis
-lines (`_bin_runs`).  Both keep the numbers of the whole box, bit for bit.
+Norms stream the spectrum.  Every inverse transform is `_slabs` of a
+`_line_buffer` (box coefficients padded to M bins on the first axis): that
+axis in place, then the others x_0 slab by x_0 slab.  `_irfftn` takes it
+in one slab; the slab reducer `_lq_norms`, every L^q norm with q != 2,
+takes SLAB_BYTES of samples at a time and keeps only |f|^q per point.
+`HalfSpectrum.apply_operator` and a KMS trial's block pass
+(`HalfSpectrum.trial_norms`) walk the bins in runs of whole last-axis
+lines (`_bin_runs`).  Both keep the whole box's numbers, bit for bit.
 
 The trial space is the band without Nyquist rows: every half spectrum
 holds 0 wherever a coordinate of xi is -M/2.  A real field's Nyquist mode
@@ -358,61 +358,66 @@ class TensorField:
 # half-spectrum calculus
 # --------------------------------------------------------------------------
 
-def _pad_and_invert(box, coef, axis, own):
-    """ifft of box coefficients along a full grid axis, zero-padded there to M bins first.
+def _pad_and_invert(box, coef, axis):
+    """ifft in place along a full grid axis of box coefficients, zero-padded there to M bins first.
 
-    coef already holds M bins on that axis where the box is full, or where
-    it was written padded (_line_buffer).  The transform runs in place on a
-    buffer of its own: the padded copy, or coef itself when own; otherwise
-    coef is left as it is.
+    coef already holds M bins on that axis where the box is full, and on
+    the first axis of a _line_buffer; it is then transformed in place,
+    otherwise its padded copy is.
     """
     m = box.grid.points_per_axis
     if coef.shape[axis] != m:
         padded = np.zeros(coef.shape[:axis] + (m,) + coef.shape[axis + 1 :], complex)
         padded[(slice(None),) * axis + (box.axis_bins,)] = coef
-        coef, own = padded, True
-    return np.fft.ifftn(coef, axes=(axis,), out=coef if own else None)
+        coef = padded
+    return np.fft.ifftn(coef, axes=(axis,), out=coef)
 
 
-def _slabs(box, coef, planes, own=False):
-    """numpy's irfftn over the grid axes of box coefficients zero-padded to the half grid, by x_0 slab.
+def _slabs(box, lines, planes):
+    """numpy's irfftn over the grid axes of the box coefficients in a _line_buffer, by x_0 slab.
 
     Yields (slice of x_0, samples of those planes), planes x_0 planes at a
     time; trailing axes are kept.  irfftn is ifft from the first grid axis
-    up, then irfft on the last.  The first axis is inverted once, for every
-    plane, in place when own (coef may then be a _line_buffer); each slab of
-    it then takes the other axes on its own, which transforms the same 1-D
-    lines.  A line with no box bin is zero and stays zero until the last
-    transform, so each step pads only the axis it transforms
-    (_pad_and_invert); irfft zero-fills the last axis line by line itself.
-    Bit for bit the samples irfftn gives, whatever planes is.
+    up, then irfft on the last.  The first axis is inverted once, in place
+    in lines, which is spent; each slab of it then takes the other axes on
+    its own, which transforms the same 1-D lines.  A line with no box bin
+    is zero and stays zero until the last transform, so each later step
+    pads only the axis it transforms (_pad_and_invert); irfft zero-fills
+    the last axis line by line itself.  Bit for bit the samples irfftn
+    gives, whatever planes is.
     """
     n, m = box.grid.n, box.grid.points_per_axis
     if n == 1:
-        yield slice(None), np.fft.irfftn(coef, s=(m,), axes=(0,))
+        yield slice(None), np.fft.irfftn(lines, s=(m,), axes=(0,))
         return
-    lines = _pad_and_invert(box, coef, 0, own)
+    _pad_and_invert(box, lines, 0)
     for lo in range(0, m, planes):
         out = lines[lo : lo + planes]
         if lo + planes >= m:
-            # the last slab's view holds what is left of the first axis's buffer
+            # the last slab's view holds what is left of the buffer
             del lines
         for axis in range(1, n - 1):
-            out = _pad_and_invert(box, out, axis, own=True)
+            out = _pad_and_invert(box, out, axis)
         yield slice(lo, lo + planes), np.fft.irfftn(out, s=(m,), axes=(n - 1,))
 
 
 def _line_buffer(box, comps):
     """Zeros for box coefficients of comps components, padded to M bins on the first grid axis.
 
-    That axis is the first one _slabs inverts, so a buffer written through
-    _write_run is inverted in place, with no padded copy; at n = 1 it is
-    the box's own shape.
+    That axis is the first one _slabs inverts, so the buffer is inverted in
+    place, with no padded copy; at n = 1 it is the box's own shape.
     """
     shape = box.shape
     if box.grid.n > 1:
         shape = (box.grid.points_per_axis,) + shape[1:]
     return np.zeros(shape + (comps,), complex)
+
+
+def _lines(box, coef):
+    """Box coefficients copied into a _line_buffer of their own, by one assignment on the first axis."""
+    lines = _line_buffer(box, coef.shape[-1])
+    lines[slice(None) if lines.shape[0] == box.shape[0] else box.axis_bins] = coef
+    return lines
 
 
 def _write_run(box, lines, run, values):
@@ -427,8 +432,8 @@ def _write_run(box, lines, run, values):
 
 
 def _irfftn(box, coef):
-    """_slabs in one slab: the samples of every x_0 plane at once."""
-    return next(_slabs(box, coef, box.grid.points_per_axis))[1]
+    """_slabs of a copy of coef in one slab: the samples of every x_0 plane at once."""
+    return next(_slabs(box, _lines(box, coef), box.grid.points_per_axis))[1]
 
 
 def _forward(grid, values):
@@ -495,21 +500,21 @@ def _lp(grid, values, p):
     return _lp_of_powers(grid, _point_powers(values, p), p)
 
 
-def _lq_norms(box, coef, q, part=None, own=False):
-    """[|f|_q] of the real field f with half spectrum coef on the box, and |A f|_q with a part map.
+def _lq_norms(box, lines, q, part=None):
+    """[|f|_q] of the real field f whose box coefficients a _line_buffer holds, and |A f|_q with a part map.
 
-    The slab reducer: the samples are made SLAB_BYTES at a time, whole x_0
-    planes (_slabs, which inverts coef in place when own), and each slab
-    writes |f|^q, and |A f|^q with A on each block of part.d components,
-    per point into a grid.shape array.  One np.sum of each array then gives
-    the norm, the sum _lp takes of the samples made at once, so the norms
-    are _lp's bit for bit; no sample array of the whole grid is held.
+    The slab reducer: lines is inverted in place, SLAB_BYTES of samples at
+    a time, whole x_0 planes (_slabs), and each slab writes |f|^q, and
+    |A f|^q with A on each block of part.d components, per point into a
+    grid.shape array.  One np.sum of each array then gives the norm, the
+    sum _lp takes of the samples made at once, so the norms are _lp's bit
+    for bit; no sample array of the whole grid is held.
     """
     _check_exponent(q)
     grid = box.grid
-    plane = 8 * coef.shape[-1] * grid.points_per_axis ** (grid.n - 1)
+    plane = 8 * lines.shape[-1] * grid.points_per_axis ** (grid.n - 1)
     powers = [np.empty(grid.shape) for _ in range(1 if part is None else 2)]
-    for where, samples in _slabs(box, coef, max(1, SLAB_BYTES // plane), own):
+    for where, samples in _slabs(box, lines, max(1, SLAB_BYTES // plane)):
         samples /= grid.spectrum_scale
         powers[0][where] = _point_powers(samples, q)
         if part is not None:
@@ -573,6 +578,69 @@ def _operator_rows(spec, pairs, xi, out, term):
     return out
 
 
+def _operator_runs(spec, box, vec, runs, scratch):
+    """(run, frequencies, B u) for each run of the box's flat bins, u's rows vec: the B walk.
+
+    B u of a run is _operator_rows into one buffer that every run reuses,
+    with the product's term in scratch (2 l floats per bin of the widest run).
+    """
+    freqs = box.frequencies.reshape(-1, box.grid.n)
+    out = np.empty((max(run.stop - run.start for run in runs), spec.l), complex)
+    for run in runs:
+        rows = run.stop - run.start
+        b_run, xi = out[:rows], freqs[run]
+        term = scratch[: 2 * rows * spec.l].reshape(rows, -1)
+        _operator_rows(spec, vec[run].view(float), xi.astype(float), b_run.view(float), term)
+        yield run, xi, b_run
+
+
+def _side_norms(box, order, q, comps, walk, part=None):
+    """[|grad^order f|_q], and |A grad^order f|_q with a part map, from the runs of f's half spectrum.
+
+    walk yields (run, frequencies, f) for each run (a slice of the box's
+    flat bins), f of comps components; a fourth entry g is what the A side
+    reads at q = 2, in place of f.  At q = 2 a side is the Parseval sum of
+    its per-bin power, |xi|^(2 order)-weighted below order 0.  Otherwise
+    grad^order f is written run by run into a _line_buffer and reduced
+    there in place (_lq_norms), A on each derivative block: the one route
+    of every L^q side.
+    """
+    if q == 2:
+        derivative = max(order, 0)
+        power = [np.empty(math.prod(box.shape)) for _ in range(1 if part is None else 2)]
+        for run, xi, f, *g in walk:
+            power[0][run] = _power(_derivative(xi, f, derivative))
+            if part is not None:
+                # A on whole last-axis lines, as on the box-shaped spectrum
+                a = part.apply(g[0].reshape(-1, box.shape[-1], comps)).reshape(len(f), -1)
+                power[1][run] = _power(_derivative(xi, a, derivative))
+        weight = _fourier_weight(box, order) if order < 0 else None
+        return [_parseval_sum(box, each, weight) for each in power]
+    lines = _line_buffer(box, math.comb(box.grid.n + order - 1, order) * comps)
+    for run, xi, f, *g in walk:
+        _write_run(box, lines, run, _derivative(xi, f, order))
+    del xi, f, g  # views of the walk's buffers: they go before the reduction
+    return _lq_norms(box, lines, q, part)
+
+
+def _residual_runs(box, vec, runs, scratch, table, power):
+    """(run, frequencies, R, P) for each run of the box's flat bins, P's rows vec: R's walk.
+
+    R = P - corr P, table.apply_rows writing corr P into scratch, or P where
+    table is None; P's per-bin power goes into power on the way.
+    """
+    freqs = box.frequencies.reshape(-1, box.grid.n)
+    keys = None if table is None else table.bin_keys(box)
+    for run in runs:
+        p_run = r_run = vec[run]
+        power[run] = _power(p_run)
+        if table is not None:
+            corr = scratch[: 2 * p_run.size].view(complex).reshape(p_run.shape)
+            table.apply_rows(keys, run, p_run, corr)
+            r_run = np.subtract(p_run, corr, out=corr)
+        yield run, freqs[run], r_run, p_run
+
+
 @dataclass(eq=False)
 class HalfSpectrum:
     """Real-FFT half spectrum of a real field, Parseval-normalized, on a BandBox.
@@ -611,50 +679,62 @@ class HalfSpectrum:
 
         The imaginary part of a complex B_alpha maps a real field to an
         imaginary one, which the real part of the inverse drops.  The bins
-        are taken in the block pass's runs (_bin_runs), each by one real
-        product per alpha on its (re, im) pairs (_operator_rows), with one
-        scratch buffer for all of them.
+        are taken in the block pass's runs (_bin_runs) by the B walk
+        (_operator_runs), one real product per alpha on each run.
         """
-        box, coef = self.box, self.coefficients
-        pairs = np.ascontiguousarray(coef).view(float).reshape(-1, 2 * coef.shape[-1])
-        freqs = box.frequencies.reshape(-1, self.grid.n)
-        out = np.empty((pairs.shape[0], 2 * spec.l))
-        runs = _bin_runs(box, spec)
-        term = np.empty((max(run.stop - run.start for run in runs), 2 * spec.l))
-        for run in runs:
-            rows = run.stop - run.start
-            _operator_rows(spec, pairs[run], freqs[run].astype(float), out[run], term[:rows])
-        return HalfSpectrum(self.grid, out.view(complex).reshape(coef.shape[:-1] + (spec.l,)))
+        box, runs = self.box, _bin_runs(self.box, spec)
+        vec = np.ascontiguousarray(self.coefficients).reshape(-1, spec.d)
+        out = np.empty((vec.shape[0], spec.l), complex)
+        scratch = np.empty(2 * max(run.stop - run.start for run in runs) * spec.l)
+        for run, _, b_run in _operator_runs(spec, box, vec, runs, scratch):
+            out[run] = b_run
+        return HalfSpectrum(self.grid, out.reshape(box.shape + (spec.l,)))
 
     def apply_multiplier(self, desc) -> "HalfSpectrum":
         """m(D) u from u, through desc.grid_table applied on the box."""
         table = desc.grid_table(self.grid)
         return HalfSpectrum(self.grid, table.apply(self.box, self.coefficients))
 
-    def apply_partmap(self, part) -> "HalfSpectrum":
-        return HalfSpectrum(self.grid, part.apply(self.coefficients))
-
     def sobolev_norm(self, m: float, p: float) -> float:
         """L^p norm of the m-th derivative tensor: a Parseval sum at p = 2,
-        otherwise the slab reducer (_lq_norms) on all its components.  An
-        order m < 0 is the Fourier weight |xi|^m, p = 2 only:
-        (sum_{xi != 0} |xi|^{2m} ||f_hat(xi)||^2)^{1/2}."""
+        otherwise the slab reducer (_lq_norms) on all its components, in a
+        line buffer.  An order m < 0 is the Fourier weight |xi|^m, p = 2
+        only: (sum_{xi != 0} |xi|^{2m} ||f_hat(xi)||^2)^{1/2}."""
+        box = self.box
         if m < 0:
             if p != 2:
                 raise ValueError("a negative order is a Fourier weight at p = 2")
-            return _parseval_norm(self.box, self.coefficients, _fourier_weight(self.box, m))
-        blocks = _derivative(self.box.frequencies, self.coefficients, m)
+            return _parseval_norm(box, self.coefficients, _fourier_weight(box, m))
+        blocks = _derivative(box.frequencies, self.coefficients, m)
         if p == 2:
-            return _parseval_norm(self.box, blocks)
-        # a derivative's blocks are a fresh array, inverted in place
-        return _lq_norms(self.box, blocks, p, own=m > 0)[0]
+            return _parseval_norm(box, blocks)
+        # on the full box the derivative's blocks (m >= 1) are a fresh line buffer already
+        return _lq_norms(box, blocks if m > 0 and box.is_full else _lines(box, blocks), p)[0]
 
-    def sobolev_norms(self, m: int, p: float, part) -> tuple[float, float]:
-        """(|D^m u|_p, |A D^m u|_p) from one slab reduction of the m-th
-        derivative tensor (_lq_norms): one inverse transform, slab by slab,
-        with the part map A on each derivative block."""
-        blocks = _derivative(self.box.frequencies, self.coefficients, m)
-        return tuple(_lq_norms(self.box, blocks, p, part, own=m > 0))
+    def trial_norms(self, spec, part, table, norms) -> tuple:
+        """(|P|_2, [|grad^m R|_q, |A grad^m R|_q], |B P|) of a KMS trial on this spectrum P.
+
+        The block pass.  norms is ((m, q), (order, q_B)), those of the left
+        and A sides and of the B side; R = P - corr P with table the
+        correction's OrbitTable, else P; no A side without a part map (at
+        q = 2 it reads A P, as the whole-box composition does).  The B walk
+        (_operator_runs) and then R's walk (_residual_runs, its correction
+        in the product's scratch buffer) each feed _side_norms, B's side
+        reduced and freed before R's is written: one line buffer at a time.
+        """
+        box = self.box
+        (m, q), (b_order, b_q) = norms
+        vec = np.ascontiguousarray(self.coefficients).reshape(-1, spec.d)
+        runs = _bin_runs(box, spec)
+        # the product's term, then the correction, share one buffer
+        scratch = np.empty(2 * max(run.stop - run.start for run in runs) * max(spec.l, spec.d))
+        (b_norm,) = _side_norms(box, b_order, b_q, spec.l, _operator_runs(spec, box, vec, runs, scratch))
+        power = np.empty(vec.shape[0])
+        walk = _residual_runs(box, vec, runs, scratch, table, power)
+        # the walk holds the last references, so they go before R's reduction
+        del vec, runs, scratch
+        left = _side_norms(box, m, q, spec.d, walk, part)
+        return _parseval_sum(box, power), left, b_norm
 
 
 def apply_operator(spec: OperatorSpec, field: TensorField) -> TensorField:
@@ -696,10 +776,13 @@ def homog_sobolev_norm(field: TensorField, m: int, p: float) -> float:
 
     Components are weighted by the multinomial multiplicities m!/alpha!, so
     at p = 2 the squared norm equals the |xi|^{2m}-weighted spectrum sum.
-    m = 0 reduces to the plain L^p norm.
+    m = 0 reduces to the plain L^p norm.  An order m that is not an
+    integer, or is a bool, is refused with ArgumentError("m").
     """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ArgumentError("m", f"derivative order must be an integer, got {m!r}")
     if m < 0:
-        raise ValueError("derivative order must be >= 0")
+        raise ArgumentError("m", "derivative order must be >= 0")
     if m == 0:
         return lp_norm(field, p)
     if not 1 <= p < math.inf:

@@ -49,28 +49,19 @@ from .operators import (
     OperatorSpec,
     PartMap,
     Report,
+    _pattern_elements,
     catalog_operator,
     catalog_partmap,
     check_count,
     check_seed,
     fundamental_domain,
     orbit_certificate,
-    pattern_elements,
     symbol_on_frequencies,
 )
 from .torus import (
     HalfSpectrum,
     TensorField,
     TorusGrid,
-    _bin_runs,
-    _derivative,
-    _fourier_weight,
-    _line_buffer,
-    _lq_norms,
-    _operator_rows,
-    _parseval_sum,
-    _power,
-    _write_run,
     apply_multiplier,
     apply_operator,
     apply_partmap,
@@ -338,13 +329,15 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
     bump_field) brings the spectrum it was synthesized from, on its band
     box, so it takes no forward transform and everything below runs on that
     box; its samples are never made.  Any other field is transformed once,
-    on the full half grid.  The spectrum is streamed (_sides): one block
-    pass over its bins forms B P, R = P - corr P and A P run by run and
-    sums each L^2 side, and each L^q side is one slab reduction, so no
-    sample array of the whole grid is held.  The correction maps into ker A
-    (A Pi_B = 0), so where q = p* != 2 the left side |grad^m R|_q and the A
-    side |A grad^m R|_q = |A grad^m P|_q read one reduction of grad^m R,
-    with A on each derivative block; without a correction R is P.  A side
+    on the full half grid.  The spectrum is streamed by torus's block pass
+    (_sides, HalfSpectrum.trial_norms): B P and then R = P - corr P are
+    formed run by run, each L^2 side is summed from per-bin powers, and
+    each L^q side, with or without the correction, is written into a line
+    buffer and reduced in place, one at a time, so no sample array of the
+    whole grid is held.  The correction maps into ker A (A Pi_B = 0), so
+    where q = p* != 2 the left side |grad^m R|_q and the A side
+    |A grad^m R|_q = |A grad^m P|_q read one reduction of grad^m R, with A
+    on each derivative block; without a correction R is P.  A side
     at most NEGLIGIBLE times |P|_2, a Parseval sum of the same pass, is
     returned as exactly 0.0 (_negligible_as_zero).
     """
@@ -357,91 +350,15 @@ def kms_sides(config: InequalityConfig, fld: TensorField) -> tuple[float, float]
 def _sides(config, f_hat):
     """(|P|_2, lhs, rhs) of kms_sides for a validated field with half spectrum f_hat.
 
-    One block pass (_block_pass) gives the per-bin power of every L^2 side,
-    each then one weighted vdot (torus._parseval_sum), and writes the
-    spectrum of each L^q side out; each L^q side is then one slab reduction
-    of it, in place (torus._lq_norms).  Every number is the one the
-    whole-box composition gives, bit for bit.
+    The inequality gives the norms (config.norms) and the correction's
+    half-grid table, where the correction is on; torus's block pass
+    (HalfSpectrum.trial_norms) takes every side of them, and the right side
+    is the A side plus the B side.  Every number is the one the whole-box
+    composition gives, bit for bit.
     """
-    box, part = f_hat.box, config.part
-    (m, q), (b_order, b_q) = config.norms
-    power, b_lines, r_lines = _block_pass(config, f_hat)
-    reference = _parseval_sum(box, power["P"])
-    if b_lines is None:
-        weight = _fourier_weight(box, b_order) if b_order < 0 else None
-        b_norm = _parseval_sum(box, power["B"], weight)
-    else:
-        (b_norm,) = _lq_norms(box, b_lines, b_q, own=True)
-        del b_lines  # freed before R's reduction
-    if r_lines is not None:
-        norms = _lq_norms(box, r_lines, q, part, own=True)
-    elif q != 2:
-        # without a correction R is P, reduced from the spectrum it came with
-        norms = f_hat.sobolev_norms(m, q, part) if part else [f_hat.sobolev_norm(m, q)]
-    else:
-        weight = _fourier_weight(box, m) if m < 0 else None
-        norms = [_parseval_sum(box, power[side], weight) for side in ("R", "A") if side in power]
-    if part is None:
-        return reference, norms[0], b_norm
-    return reference, norms[0], norms[1] + b_norm
-
-
-def _block_pass(config, f_hat):
-    """(power, B P, grad^m R): the block pass of kms_sides over the bins of f_hat.
-
-    It walks the bins in the runs of torus._bin_runs.  Per run it applies
-    B[i xi] into one reused buffer (torus._operator_rows), the correction
-    (OrbitTable.apply_rows) into the product's scratch buffer and A, forms
-    R = P - corr P (P without a correction), and writes the per-bin power
-    of P and of each L^2 side (B, R and A, derivative blocks included) into
-    power, one (bins,) array each.  Where an L^q side reads the samples of
-    B P or of grad^m R, the run is written into that side's
-    torus._line_buffer instead, which is returned (None otherwise).
-    """
-    grid, box, spec, part = config.grid, f_hat.box, config.operator, config.part
-    (m, q), (_, b_q) = config.norms
-    vec = np.ascontiguousarray(f_hat.coefficients).reshape(-1, spec.d)
-    freqs = box.frequencies.reshape(-1, grid.n)
-    runs = _bin_runs(box, spec)
-    widest = max(run.stop - run.start for run in runs)
-    table = config.correction_descriptor.grid_table(grid) if config.correction_enabled else None
-    keys = None if table is None else table.bin_keys(box)
-    b_lines = _line_buffer(box, spec.l) if b_q != 2 else None
-    r_lines = None
-    if table is not None and q != 2:
-        # grad^m R: C(n + m - 1, m) derivative blocks of d components
-        r_lines = _line_buffer(box, math.comb(grid.n + m - 1, m) * spec.d)
-    wanted = {"P": True, "B": b_q == 2, "R": q == 2, "A": q == 2 and part is not None}
-    power = {side: np.empty(vec.shape[0]) for side, want in wanted.items() if want}
-    b_out = np.empty((widest, spec.l), complex)
-    # the product's term, then the correction, share one buffer
-    scratch = np.empty(2 * widest * max(spec.l, spec.d))
-    for run in runs:
-        rows = run.stop - run.start
-        p_run, xi = vec[run], freqs[run]
-        power["P"][run] = _power(p_run)
-        b_run = b_out[:rows]
-        term = scratch[: 2 * rows * spec.l].reshape(rows, -1)
-        _operator_rows(spec, p_run.view(float), xi.astype(float), b_run.view(float), term)
-        if b_lines is None:
-            power["B"][run] = _power(b_run)
-        else:
-            _write_run(box, b_lines, run, b_run)
-        r_run = p_run
-        if table is not None:
-            corr = scratch[: 2 * rows * spec.d].view(complex).reshape(rows, -1)
-            table.apply_rows(keys, run, p_run, corr)
-            r_run = np.subtract(p_run, corr, out=corr)
-        if r_lines is not None:
-            _write_run(box, r_lines, run, _derivative(xi, r_run, m))
-        if "R" not in power:
-            continue
-        power["R"][run] = _power(_derivative(xi, r_run, max(m, 0)))
-        if part is not None:
-            # A on whole last-axis lines, as on the box-shaped spectrum
-            a_run = part.apply(p_run.reshape(-1, box.shape[-1], spec.d)).reshape(rows, -1)
-            power["A"][run] = _power(_derivative(xi, a_run, max(m, 0)))
-    return power, b_lines, r_lines
+    table = config.correction_descriptor.grid_table(config.grid) if config.correction_enabled else None
+    reference, left, b_norm = f_hat.trial_norms(config.operator, config.part, table, config.norms)
+    return reference, left[0], b_norm if config.part is None else left[1] + b_norm
 
 
 # --------------------------------------------------------------------------
@@ -613,8 +530,8 @@ def _orbit_representatives(spec: OperatorSpec, part: PartMap | None, grid: Torus
     if orbit_certificate(spec, part) is None:
         return grid.canonical_frequencies, np.ones(len(grid.canonical_frequencies), np.intp)
     points, pattern = fundamental_domain(grid.n, grid.points_per_axis)
-    _, first, inverse = np.unique(pattern, return_index=True, return_inverse=True)
-    return points, np.array([pattern_elements(points[i])[0].size // 2 for i in first])[inverse]
+    codes, inverse = np.unique(pattern, return_inverse=True)
+    return points, np.array([_pattern_elements(grid.n, int(c))[0].size // 2 for c in codes])[inverse]
 
 
 def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):

@@ -13,6 +13,7 @@ of the whole grid.
 import functools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ def test_slabs_are_the_inverse_plane_by_plane(case, seed):
     coef = np.random.default_rng(seed).standard_normal(box.shape + (3, 2)).view(complex)[..., 0]
     want = torus._irfftn(box, coef)
     got = np.empty_like(want)
-    for where, values in torus._slabs(box, coef, planes):
+    for where, values in torus._slabs(box, torus._lines(box, coef), planes):
         got[where] = values
     assert np.array_equal(got, want)
     # a line buffer written run by run is inverted in place to the same samples
@@ -236,7 +237,8 @@ def test_slabs_are_the_inverse_plane_by_plane(case, seed):
     for lo in range(0, flat.shape[0], 7):
         run = slice(lo, min(lo + 7, flat.shape[0]))
         torus._write_run(box, lines, run, flat[run])
-    for where, values in torus._slabs(box, lines, planes, own=True):
+    assert np.array_equal(lines, torus._lines(box, coef))
+    for where, values in torus._slabs(box, lines, planes):
         assert np.array_equal(values, want[where])
 
 
@@ -248,17 +250,27 @@ def test_the_slab_reducer_is_the_lq_norm_of_the_samples():
         values = torus._inverse(f_hat.box, f_hat.coefficients)
         for q in (1.0, 1.5, 3.0, 6.0):
             want = [torus._lp(grid, values, q), torus._lp(grid, part.apply(values), q)]
-            assert torus._lq_norms(f_hat.box, f_hat.coefficients, q, part) == want
+            lines = torus._lines(f_hat.box, f_hat.coefficients)
+            assert torus._lq_norms(f_hat.box, lines, q, part) == want
 
 
-@pytest.mark.parametrize(
-    "ident,p", [("kms_sym", 1.5), ("korn_const", 2.0), ("korn_const_p1", 1.0), ("korn_const2_p2", 2.0)]
-)
+MEMORY_CASES = [
+    ("kms_sym", 1.5), ("korn_const", 2.0), ("korn_const", 1.5), ("korn_const_p1", 1.0),
+    ("korn_const2_p2", 2.0), ("asplit", 1.5), ("korn_ellip", 1.5),
+]
+
+
+def memory_config(ident, p):
+    return make_config(ident, 3, 64, "curl_matrix_rowwise", "tr", p, ident.startswith("korn_const"))
+
+
+@pytest.mark.parametrize("ident,p", MEMORY_CASES)
 def test_a_trial_holds_less_than_one_sample_array(ident, p):
     # one grid.shape + (d,) float64 array at M = 64 is 18.9 MB; the whole-box
-    # composition peaked at 42.0, 31.6, 31.6 and 6.2 MB on these four
+    # composition peaked at 42.0, 31.6, 31.6 and 6.2 MB on kms_sym, korn_const
+    # (p = 2), korn_const_p1 and korn_const2_p2
     grid = TorusGrid(3, 64)
-    cfg = make_config(ident, 3, 64, "curl_matrix_rowwise", "tr", p, ident != "kms_sym")
+    cfg = memory_config(ident, p)
     # the grid's cached arrays and the correction table are made on a first call
     kms_sides(cfg, random_bandlimited(grid, 9, 16, seed=0))
     fld = random_bandlimited(grid, 9, 16, seed=1)
@@ -269,3 +281,20 @@ def test_a_trial_holds_less_than_one_sample_array(ident, p):
     finally:
         tracemalloc.stop()
     assert peak < math.prod(grid.shape) * 9 * 8
+
+
+@pytest.mark.parametrize("ident,p", [("korn_const_p1", 1.0), ("korn_const", 1.5)])
+def test_a_trial_holds_one_line_buffer_at_a_time(ident, p, monkeypatch):
+    # both sides are L^q norms here: B's buffer must be gone before R's is made
+    cfg = memory_config(ident, p)
+    make, made = torus._line_buffer, []
+
+    def line_buffer(box, comps):
+        assert all(ref() is None for ref in made), "an earlier line buffer is still alive"
+        lines = make(box, comps)
+        made.append(weakref.ref(lines))
+        return lines
+
+    monkeypatch.setattr(torus, "_line_buffer", line_buffer)
+    kms_sides(cfg, random_bandlimited(cfg.grid, 9, 16, seed=1))
+    assert len(made) == 2

@@ -12,6 +12,7 @@ from fullgrid_reference import (
     transform,
     zero_mask,
 )
+from kmslab import torus
 from kmslab.multipliers import kernel_projection_symbol, mihlin_korn_multiplier
 from kmslab.operators import ArgumentError, MultiIndex, catalog_operator, eval_symbol
 from kmslab.torus import (
@@ -277,6 +278,23 @@ class TestNorms:
         f = constant_field(grid, np.array([1.0]))
         with pytest.raises(ValueError):
             homog_sobolev_norm(f, 1, 2.0)
+
+    @pytest.mark.parametrize("m", [1.5, 1.0, True, "1", None])
+    def test_refuses_an_order_that_is_not_an_integer(self, m, monkeypatch):
+        f = random_bandlimited(TorusGrid(2, 8), 2, 3, seed=12)
+        # before any transform
+        monkeypatch.setattr(torus, "_slabs", None)
+        monkeypatch.setattr(torus, "_forward", None)
+        with pytest.raises(ArgumentError) as caught:
+            homog_sobolev_norm(f, m, 2.5)
+        assert caught.value.argument == "m"
+
+    def test_refuses_a_negative_order(self):
+        f = random_bandlimited(TorusGrid(2, 8), 2, 3, seed=12)
+        with pytest.raises(ArgumentError, match="derivative order must be >= 0") as caught:
+            homog_sobolev_norm(f, -1, 2.0)
+        assert caught.value.argument == "m"
+        assert homog_sobolev_norm(f, np.int64(1), 2.5) == homog_sobolev_norm(f, 1, 2.5)
 
 
 class TestNegativeSobolev:
