@@ -23,8 +23,11 @@ of real symbols).  The last-axis bin-0 plane holds both xi and -xi; a
 table whose entries there break m(-xi) = conj m(xi), relative to the
 largest entry, is refused with ValueError (e.g. the reconstruction
 multiplier of an odd-order operator without operator_input).  A descriptor
-caches the table of the grid it was last asked for, and drops it before
-it builds another grid's.
+caches the table of the grid it was last asked for.  Before it builds
+another grid's, it drops the stale table's per-bin arrays and keeps its
+keys and their matrices until the build ends: a key's matrix depends on
+the key alone, not on the grid, so the build takes the matrices of the
+keys the two grids share and evaluates only the new ones.
 
 A table evaluates batch once per key.  Kernel projectors and corrections
 have degree 0, so the key of xi is xi / gcd(xi) (operators.frequency_orbits).
@@ -36,8 +39,8 @@ the table is unfolded from operators.fundamental_domain, which the sweep
 and the witness scan walk too, each point's images and stabilizer read off
 its zero/tie pattern (operators.pattern_elements); the group's 2^n n! rows
 are never built.  Other multipliers evaluate every bin.  A table stores
-the key matrices and, per bin, the key and, if certified, g (OrbitTable),
-but no matrix per bin.
+the keys, their matrices and, per bin, the key and, if certified, g
+(OrbitTable), but no matrix per bin.
 """
 
 from __future__ import annotations
@@ -103,7 +106,8 @@ class MultiplierDescriptor:
     batch maps a (..., n) stack of nonzero frequencies to the matching
     (...,) + shape stack of matrices.  The table of the most recent grid is
     cached, keyed by (n, points_per_axis), so configs on several grids can
-    share one descriptor.  _symmetry records what
+    share one descriptor; the next grid's build takes from it the matrices
+    of the keys the two grids share (grid_table).  _symmetry records what
     grid_table may assume of batch: None, nothing; RAYS, degree 0
     (m(c xi) = m(xi) for c > 0); an int r, degree 0 and
     m(g xi) = rho(g) m(xi) rho(g)^T for every signed permutation g of Z^n,
@@ -143,23 +147,32 @@ class MultiplierDescriptor:
         int, the signed permutation g that moves the key's matrix there by
         rho(g), which is exact; bin 0 and the Nyquist-plane bins read 0.  It
         holds no matrix per bin.  The cache holds the table of one grid; the
-        stale table is dropped before the next grid's is built.  Raises
-        ValueError when m(-xi) differs from conj m(xi) on the last-axis
-        bin-0 plane, which holds both: such a multiplier does not map real
-        fields to real fields.
+        stale table is dropped before the next grid's is built, all but its
+        keys and their matrices, which the build reads until it ends: every
+        key the two grids share takes its matrix from there, and only the
+        new keys are evaluated (_known_values).  A key is an integer vector
+        and its matrix a function of it alone, so the table is the one a
+        fresh descriptor builds, bit for bit.  Raises ValueError when
+        m(-xi) differs from conj m(xi) on the last-axis bin-0 plane, which
+        holds both: such a multiplier does not map real fields to real
+        fields.
         """
         key = (grid.n, grid.points_per_axis)
         if self._grid_cache[0] != key:
+            stale = self._grid_cache[1]
+            known = None if stale is None else (stale.keys, stale.values)
+            # the stale table's per-bin arrays go before the build
             self._grid_cache = (None, None)
-            if isinstance(self._symmetry, int):
-                table = self._unfolded_table(grid)
-            else:
-                table = self._ray_table(grid)
-            self._grid_cache = (key, table)
+            del stale
+            build = self._unfolded_table if isinstance(self._symmetry, int) else self._ray_table
+            self._grid_cache = (key, build(grid, known))
         return self._grid_cache[1]
 
-    def _ray_table(self, grid) -> "OrbitTable":
-        """The table keyed by operators.frequency_orbits over the live bins, without a fibre action."""
+    def _ray_table(self, grid, known) -> "OrbitTable":
+        """The table keyed by operators.frequency_orbits over the live bins, without a fibre action.
+
+        known is the stale table's (keys, values), or None (_known_values).
+        """
         n = grid.n
         freqs = grid.half_frequency_grid.reshape(-1, n)
         # bin 0 and the Nyquist-plane bins keep the zero row: every
@@ -168,11 +181,12 @@ class MultiplierDescriptor:
         nyquist = np.any(freqs == -(grid.points_per_axis // 2), axis=1)
         live = np.flatnonzero(np.any(freqs != 0, axis=1) & ~nyquist)
         keys, rep, _ = frequency_orbits(freqs[live], signed=False, rays=self._symmetry is not None)
-        values = self._key_values(keys)
+        values = self._known_values(keys, known)
         bin_rep = np.full(freqs.shape[0], keys.shape[0], np.int32)
         bin_rep[live] = rep
         table = OrbitTable(
             shape=grid.half_shape + values.shape[1:],
+            keys=keys,
             values=values,
             rep=bin_rep.reshape(grid.half_shape),
             code=None,
@@ -183,7 +197,7 @@ class MultiplierDescriptor:
         _check_real_to_real(self.provenance, plane, plane[np.ix_(*[flip] * (n - 1))])
         return table
 
-    def _unfolded_table(self, grid) -> "OrbitTable":
+    def _unfolded_table(self, grid, known) -> "OrbitTable":
         """The certified table, unfolded from its fundamental domain.
 
         operators.fundamental_domain, in the key order of frequency_orbits
@@ -194,7 +208,8 @@ class MultiplierDescriptor:
         image has a last entry >= 0 (_image_moves, decoded once per pattern);
         its rep and code are written once, from that image.  code numbers the
         elements the bins use, in ascending order, and action holds their
-        rows alone.
+        rows alone.  known is the stale table's (keys, values), or None
+        (_known_values).
         """
         n, m, r = grid.n, grid.points_per_axis, self._symmetry
         points, pattern = fundamental_domain(n, m)
@@ -204,7 +219,7 @@ class MultiplierDescriptor:
         keys = points[gcd == 1]
         weights = m ** np.arange(n)
         key_index = np.searchsorted(keys @ weights, (points // gcd[:, None]) @ weights)
-        values = self._key_values(keys)
+        values = self._known_values(keys, known)
         # the bin-0 plane holds the keys with a zero entry; m(-xi) = m(xi)
         # there exactly, as rho(-I) = +-Id and each key's matrix is exact
         # under its stabilizer
@@ -232,11 +247,33 @@ class MultiplierDescriptor:
                 flat_code[bins] = index
         return OrbitTable(
             shape=grid.half_shape + values.shape[1:],
+            keys=keys,
             values=values,
             rep=rep,
             code=code,
             action=tuple(_signed_permutation_rows(n, r, used)[2:]),
         )
+
+    def _known_values(self, keys, known):
+        """_key_values(keys), the matrices of the keys known holds taken from there.
+
+        known is the (keys, values) of another grid's table of this
+        descriptor, or None.  Keys are integer vectors, so each is coded
+        exactly; only the keys known lacks go through _key_values.
+        """
+        if known is None or known[0].shape[1] != keys.shape[1]:
+            return self._key_values(keys)
+        old_keys, old_values = known
+        half = int(max(np.max(np.abs(keys), initial=0), np.max(np.abs(old_keys), initial=0)))
+        weights = (2 * half + 1) ** np.arange(keys.shape[1])
+        codes, old_codes = (keys + half) @ weights, (old_keys + half) @ weights
+        _, shared, source = np.intersect1d(codes, old_codes, assume_unique=True, return_indices=True)
+        new = np.setdiff1d(np.arange(keys.shape[0]), shared, assume_unique=True)
+        values = np.zeros((keys.shape[0] + 1,) + old_values.shape[1:], old_values.dtype)
+        values[shared] = old_values[source]
+        if new.size:
+            values[new] = self._key_values(keys[new])[:-1]
+        return values
 
     def _key_values(self, keys):
         """The matrices at the keys, TABLE_CHUNK at a time, and a last row of 0 (the zero frequency)."""
@@ -331,9 +368,10 @@ def _symmetrisation(n, r, pattern):
 class OrbitTable:
     """A multiplier's matrices on the half grid of a TorusGrid, by orbit.
 
-    values holds one matrix per key, in the key order of
-    operators.frequency_orbits, and a last row of 0, the matrix of the zero
-    frequency and of every Nyquist-plane bin.  rep and code have the
+    keys holds the integer keys, in the order of
+    operators.frequency_orbits, and values one matrix per key, in that
+    order, and a last row of 0, the matrix of the zero frequency and of
+    every Nyquist-plane bin.  rep and code have the
     half-grid shape: bin b holds rho(g) values[rep[b]] rho(g)^T, with g the
     code[b]-th of the elements the bins use, in ascending order of their
     rows of operators.signed_permutations.  action holds those elements'
@@ -345,6 +383,7 @@ class OrbitTable:
     """
 
     shape: tuple
+    keys: np.ndarray
     values: np.ndarray
     rep: np.ndarray
     code: np.ndarray | None
@@ -357,8 +396,8 @@ class OrbitTable:
 
     def _arrays(self):
         if self.action is None:
-            return [self.values, self.rep]
-        return [self.values, self.rep, self.code, *self.action]
+            return [self.keys, self.values, self.rep]
+        return [self.keys, self.values, self.rep, self.code, *self.action]
 
     @property
     def nbytes(self) -> int:
@@ -526,7 +565,9 @@ def kernel_projection_symbol(spec: OperatorSpec, rank: int) -> MultiplierDescrip
 
     The declared rank is trusted and enforced: a frequency whose singular
     values disagree with it raises ConstantRankViolation instead of silently
-    changing the projector dimension.
+    changing the projector dimension.  Only a wide symbol (l < d) needs
+    the full factorisation for all d rows of vh; a tall or square one has
+    them in the thin one, without the square u.
     """
     if not 0 <= rank <= spec.d:
         raise ValueError(f"rank must lie in [0, {spec.d}]")
@@ -534,7 +575,7 @@ def kernel_projection_symbol(spec: OperatorSpec, rank: int) -> MultiplierDescrip
     def batch(freqs):
         freqs = np.asarray(freqs, dtype=float)
         sym = symbol_on_frequencies(spec, freqs)
-        _, s, vh = np.linalg.svd(sym, full_matrices=True)
+        _, s, vh = np.linalg.svd(sym, full_matrices=spec.l < spec.d)
         _check_rank(_padded_singular_values(s, spec.d), rank, freqs)
         vker = np.swapaxes(vh[..., rank:, :], -1, -2).conj()
         return vker @ np.swapaxes(vker, -1, -2).conj()

@@ -242,6 +242,23 @@ class OperatorSpec:
             return np.zeros((self.l, self.d))
         return mat
 
+    @functools.cached_property
+    def real_products(self) -> tuple:
+        """((alpha, kron(Re B_alpha^T, R^k)), ...), per coefficient, read-only; built once.
+
+        R = [[0, 1], [-1, 0]] multiplies a row (re, im) by i, (re, im) R =
+        (-im, re), so a row of the d (re, im) pairs of u times alpha's
+        (2 d, 2 l) matrix is i^k Re B_alpha u as l pairs: the spectral
+        action of the term, up to the weight xi^alpha (torus._operator_rows).
+        """
+        rotation = np.linalg.matrix_power(np.array([[0.0, 1.0], [-1.0, 0.0]]), self.k % 4)
+        products = []
+        for alpha, mat in self.coeffs.items():
+            product = np.kron(mat.real.T, rotation)
+            product.setflags(write=False)
+            products.append((alpha, product))
+        return tuple(products)
+
 
 def eval_symbol(spec: OperatorSpec, xi) -> np.ndarray:
     """The (l, d) matrix B[xi] = sum_alpha B_alpha xi^alpha at a single frequency.

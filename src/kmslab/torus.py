@@ -48,6 +48,7 @@ full spectrum and keeping the real part of the inverse computes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -558,21 +559,15 @@ def _bin_runs(box, spec):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-# multiplication by i on a row (re, im): (re, im) @ R = (-im, re)
-_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 def _operator_rows(spec, pairs, xi, out, term):
     """B u on rows of (re, im) pairs at float frequencies xi, into out; term is scratch of out's shape.
 
-    Each alpha is one real product: i^|alpha| = i^k is the rotation R^k,
-    R = [[0, 1], [-1, 0]] acting on a row (re, im), and xi^alpha weighs the
-    rows.
+    Each alpha is one real product with its matrix of spec.real_products,
+    i^k Re B_alpha on the pairs, and xi^alpha weighs the rows.
     """
-    rotation = np.linalg.matrix_power(_QUARTER_TURN, spec.k % 4)
     out[...] = 0.0
-    for alpha, mat in spec.coeffs.items():
-        np.matmul(pairs, np.kron(mat.real.T, rotation), out=term)
+    for alpha, product in spec.real_products:
+        np.matmul(pairs, product, out=term)
         term *= alpha.power(xi)[:, None]
         out += term
     return out
@@ -721,6 +716,8 @@ class HalfSpectrum:
         (_operator_runs) and then R's walk (_residual_runs, its correction
         in the product's scratch buffer) each feed _side_norms, B's side
         reduced and freed before R's is written: one line buffer at a time.
+        Without a correction the scratch buffer goes with the B walk, before
+        B's reduction.
         """
         box = self.box
         (m, q), (b_order, b_q) = norms
@@ -728,7 +725,12 @@ class HalfSpectrum:
         runs = _bin_runs(box, spec)
         # the product's term, then the correction, share one buffer
         scratch = np.empty(2 * max(run.stop - run.start for run in runs) * max(spec.l, spec.d))
-        (b_norm,) = _side_norms(box, b_order, b_q, spec.l, _operator_runs(spec, box, vec, runs, scratch))
+        b_walk = _operator_runs(spec, box, vec, runs, scratch)
+        if table is None:
+            # R's walk reads no scratch: the B walk holds its last reference
+            # and frees it when it ends, before B's reduction
+            scratch = None
+        (b_norm,) = _side_norms(box, b_order, b_q, spec.l, b_walk)
         power = np.empty(vec.shape[0])
         walk = _residual_runs(box, vec, runs, scratch, table, power)
         # the walk holds the last references, so they go before R's reduction
@@ -796,10 +798,13 @@ def negative_sobolev_norm_l2(field: TensorField, s: float) -> float:
 
     Returns (sum_{xi != 0} |xi|^{-2s} ||f_hat(xi)||^2)^{1/2}.  There is no
     exponent argument: the package has no grid-honest realization of
-    W^{-s,p} norms for p != 2.
+    W^{-s,p} norms for p != 2.  An order s that is not a finite real
+    number, or is a bool, is refused with ArgumentError("s").
     """
+    if isinstance(s, bool) or not isinstance(s, numbers.Real) or not math.isfinite(s):
+        raise ArgumentError("s", f"order s must be a finite real number, got {s!r}")
     if s < 0:
-        raise ValueError("order s must be >= 0")
+        raise ArgumentError("s", "order s must be >= 0")
     _require_zero_mean(field, "negative-order Sobolev norm")
     return HalfSpectrum.of(field).sobolev_norm(-s, 2.0)
 

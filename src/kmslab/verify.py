@@ -255,9 +255,11 @@ class InequalityConfig:
         """This config on another grid, sharing every fact that does not depend on the grid.
 
         The copy shares the correction descriptor, whose grid_table cache
-        holds one grid's table at a time, and the hypothesis check.  It
-        shares the operator and part map too, and with them their orbit
-        certificate (operators.orbit_certificate).
+        holds one grid's table at a time: the next grid's build takes from it
+        the matrices of the keys the two grids share and factorises only the
+        new keys.  It shares the hypothesis check, the operator and the part
+        map too, and with them their orbit certificate
+        (operators.orbit_certificate).
         """
         other = replace(self, grid=grid)
         other._shared = self._shared

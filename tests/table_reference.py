@@ -107,6 +107,7 @@ def orbit_reference_table(desc, grid):
     code.reshape(-1)[live] = elem
     return OrbitTable(
         shape=grid.half_shape + values.shape[1:],
+        keys=keys,
         values=values,
         rep=bin_rep.reshape(grid.half_shape),
         code=code,

@@ -39,6 +39,7 @@ from kmslab.operators import (
 )
 from kmslab.torus import HalfSpectrum, TensorField, TorusGrid, bump_field, random_bandlimited
 from kmslab.verify import FieldFamily, InequalityConfig, estimate_constant
+from fullgrid_reference import identity_multiplier
 from table_reference import PerBinTable, mirror_check, orbit_reference_table, per_bin_table
 from test_sweep_work import anisotropic_curl
 
@@ -159,7 +160,7 @@ def test_uncertified_table_applies_its_representatives_without_a_code(m):
     grid = TorusGrid(3, m)
     table = kernel_projection_symbol(curl, infer_constant_rank(curl)).grid_table(grid)
     assert table.action is None and table.code is None
-    assert table.nbytes == table.values.nbytes + table.rep.nbytes
+    assert table.nbytes == table.keys.nbytes + table.values.nbytes + table.rep.nbytes
     v = np.linspace(-1.0, 1.0, 9)
     for fld in (random_bandlimited(grid, 9, m // 4, seed=1), bump_field(grid, np.full(3, 2.0), 0.4, v)):
         box, coef = HalfSpectrum.of(fld).box, HalfSpectrum.of(fld).coefficients
@@ -271,6 +272,7 @@ def test_unfolded_table_matches_the_orbit_reference(n, m):
     for name, desc in corrections.items():
         got, want = desc.grid_table(grid), orbit_reference_table(desc, grid)
         code, used = renumbered(want)
+        assert np.array_equal(got.keys, want.keys), name
         assert np.array_equal(got.rep, want.rep), name
         assert np.array_equal(got.code, code), name
         assert got.values.dtype == want.values.dtype and np.array_equal(got.values, want.values), name
@@ -341,11 +343,88 @@ def test_a_new_grid_drops_the_stale_table_before_its_build(monkeypatch):
     build = MultiplierDescriptor._unfolded_table
     alive = []
 
-    def observed(self, grid):
+    def observed(self, grid, known):
         alive.append(stale() is not None)
-        return build(self, grid)
+        return build(self, grid, known)
 
     monkeypatch.setattr(MultiplierDescriptor, "_unfolded_table", observed)
     table = desc.grid_table(TorusGrid(3, 16))
     assert alive == [False]
     assert desc.grid_table(TorusGrid(3, 16)) is table
+
+
+def assert_same_table(got, want):
+    for name in ("keys", "values", "rep", "code"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        assert a is None or (a.dtype == b.dtype and np.array_equal(a, b)), name
+    assert (got.action is None) == (want.action is None)
+    assert got.action is None or all(np.array_equal(a, b) for a, b in zip(got.action, want.action))
+
+
+def chain_descriptor(kind):
+    if kind == "per-bin":
+        spec = catalog_operator("sym_gradient", 3)
+        return mihlin_korn_multiplier(spec, MultiIndex((1, 0, 0)), operator_input=True)
+    return correction(anisotropic_curl() if kind == "rays" else "curl_matrix_rowwise", "tr")
+
+
+@pytest.mark.parametrize(
+    "kind,sizes",
+    [("certified", (8, 16, 32)), ("certified", (48, 32, 48)), ("rays", (8, 16)), ("per-bin", (8, 16, 8))],
+)
+def test_a_chain_of_grids_builds_the_tables_of_fresh_descriptors(kind, sizes):
+    # each build takes the matrices of the keys it shares with the table
+    # before it: keys, values, rep, code and action are a fresh build's, bit for bit
+    desc = chain_descriptor(kind)
+    for m in sizes:
+        grid = TorusGrid(3, m)
+        assert_same_table(desc.grid_table(grid), chain_descriptor(kind).grid_table(grid))
+
+
+def test_a_table_on_another_dimension_takes_no_key():
+    desc = identity_multiplier(2)
+    desc.grid_table(TorusGrid(2, 8))
+    grid = TorusGrid(3, 4)
+    assert_same_table(desc.grid_table(grid), identity_multiplier(2).grid_table(grid))
+
+
+def counting_keys(monkeypatch):
+    """The key count of every _key_values call, in call order."""
+    counted = []
+    key_values = MultiplierDescriptor._key_values
+
+    def count(self, keys):
+        counted.append(keys.shape[0])
+        return key_values(self, keys)
+
+    monkeypatch.setattr(MultiplierDescriptor, "_key_values", count)
+    return counted
+
+
+@pytest.mark.parametrize(
+    "sizes,new",
+    [((8, 16, 32), [13, 75, 537]), ((48, 32, 48), [2083, 0, 1458]), ((32, 48, 32), [625, 1458, 0])],
+)
+def test_a_build_evaluates_only_the_keys_the_stale_table_lacks(sizes, new, monkeypatch):
+    # korn_const (A = tr): the grid M holds the primitive 0 <= a <= b <= c <= M/2 - 1,
+    # 13, 88, 625 and 2,083 keys at M = 8, 16, 32 and 48
+    desc = correction("curl_matrix_rowwise", "tr")
+    counted = counting_keys(monkeypatch)
+    evaluated = counting(desc)
+    for m, count in zip(sizes, new):
+        before = len(counted)
+        desc.grid_table(TorusGrid(3, m))
+        assert sum(counted[before:]) == count, m
+    assert sum(evaluated) == sum(new)
+
+
+def test_a_ray_keyed_build_evaluates_only_the_new_rays():
+    # the rays of the grid M = 8 are rays of the grid M = 16, whose 1,513 the
+    # chain evaluates once each, as one fresh build does
+    desc = correction(anisotropic_curl(), "tr")
+    evaluated = counting(desc)
+    desc.grid_table(TorusGrid(3, 8))
+    first = sum(evaluated)
+    desc.grid_table(TorusGrid(3, 16))
+    assert 0 < first < sum(evaluated) == 1513

@@ -13,11 +13,14 @@ from kmslab.multipliers import (
     pseudoinverse_symbol,
 )
 from kmslab.operators import (
+    CATALOG_OPERATORS,
+    CATALOG_PARTMAPS,
     MultiIndex,
     catalog_operator,
     catalog_partmap,
     eval_symbol,
     restrict_symbol,
+    symbol_on_frequencies,
 )
 from table_reference import nyquist_planes
 
@@ -95,6 +98,25 @@ class TestMihlinKorn:
             mihlin_korn_multiplier(grad, MultiIndex((1, 1, 0)))
 
 
+def tall_restricted_symbols():
+    """Every catalog operator restricted to ker A of a catalog part map, with l >= d > 0, by name."""
+    out = {}
+    for n in (2, 3, 4):
+        for op in CATALOG_OPERATORS:
+            try:
+                spec = catalog_operator(op, n)
+            except ValueError:
+                continue
+            for part in CATALOG_PARTMAPS:
+                matrix = part in ("sym", "dev", "tr", "skew")
+                if matrix and spec.d != n * n:
+                    continue
+                restricted = restrict_symbol(spec, catalog_partmap(part, n, dim=None if matrix else spec.d))
+                if 0 < restricted.d <= restricted.l:
+                    out[f"{op}/{part}/n{n}"] = restricted
+    return out
+
+
 class TestKernelProjection:
     def test_curl_vector_projector_closed_form(self):
         curl = catalog_operator("curl_vector", 3)
@@ -136,6 +158,24 @@ class TestKernelProjection:
         with pytest.raises(ConstantRankViolation) as err:
             pi.evaluate(np.array([0.0, 1.0, 0.0]))
         assert "frequency" in str(err.value)
+
+    def test_thin_factorisation_of_a_tall_or_square_symbol_is_the_full_one(self):
+        # a symbol with l >= d is factorised thinly: its s and vh are those of
+        # the full factorisation, bit for bit, and so is the projector
+        symbols = tall_restricted_symbols()
+        assert len(symbols) == 22
+        for name, spec in symbols.items():
+            lattice = np.argwhere(np.ones((7,) * spec.n)) - 3.0
+            lattice = lattice[np.any(lattice != 0, axis=1)]
+            freqs = np.concatenate([unit_frequencies(spec.n, 256, seed=3), lattice])
+            sym = symbol_on_frequencies(spec, freqs)
+            _, s, vh = np.linalg.svd(sym, full_matrices=True)
+            _, thin_s, thin_vh = np.linalg.svd(sym, full_matrices=False)
+            assert np.array_equal(s, thin_s) and np.array_equal(vh, thin_vh), name
+            rank = infer_constant_rank(spec)
+            vker = np.swapaxes(vh[..., rank:, :], -1, -2).conj()
+            want = vker @ np.swapaxes(vker, -1, -2).conj()
+            assert np.array_equal(kernel_projection_symbol(spec, rank).batch(freqs), want), name
 
     def test_zero_spec_projector_is_identity(self):
         restricted = restrict_symbol(

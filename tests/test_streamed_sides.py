@@ -298,3 +298,24 @@ def test_a_trial_holds_one_line_buffer_at_a_time(ident, p, monkeypatch):
     monkeypatch.setattr(torus, "_line_buffer", line_buffer)
     kms_sides(cfg, random_bandlimited(cfg.grid, 9, 16, seed=1))
     assert len(made) == 2
+
+
+@pytest.mark.parametrize("ident,p", [("kms_sym", 1.5), ("korn_const", 1.5)])
+def test_without_a_correction_the_scratch_goes_before_the_reductions(ident, p, monkeypatch):
+    # R's walk reads the product's scratch buffer only to write corr P in it;
+    # without a correction the buffer goes with the B walk, before B's side is reduced
+    cfg = make_config(ident, 3, 16, "curl_matrix_rowwise", "tr", p, False)
+    walk, reduce, scratch, alive = torus._operator_runs, torus._lq_norms, [], []
+
+    def operator_runs(spec, box, vec, runs, buffer):
+        scratch.append(weakref.ref(buffer))
+        return walk(spec, box, vec, runs, buffer)
+
+    def lq_norms(box, lines, q, part=None):
+        alive.append(scratch[-1]() is not None)
+        return reduce(box, lines, q, part)
+
+    monkeypatch.setattr(torus, "_operator_runs", operator_runs)
+    monkeypatch.setattr(torus, "_lq_norms", lq_norms)
+    kms_sides(cfg, random_bandlimited(cfg.grid, 9, 4, seed=1))
+    assert alive == [False, False]

@@ -310,6 +310,24 @@ class TestNegativeSobolev:
         f = random_bandlimited(grid, 2, 3, seed=12)
         assert negative_sobolev_norm_l2(f, 0.0) == pytest.approx(lp_norm(f, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, True, False, "1", None, 1j])
+    def test_refuses_an_order_that_is_not_a_finite_real(self, s, monkeypatch):
+        f = random_bandlimited(TorusGrid(2, 8), 2, 3, seed=1)
+        # before any transform
+        monkeypatch.setattr(torus, "_slabs", None)
+        monkeypatch.setattr(torus, "_forward", None)
+        with pytest.raises(ArgumentError) as caught:
+            negative_sobolev_norm_l2(f, s)
+        assert caught.value.argument == "s"
+
+    def test_refuses_a_negative_order(self):
+        f = random_bandlimited(TorusGrid(2, 8), 2, 3, seed=1)
+        with pytest.raises(ArgumentError, match="order s must be >= 0") as caught:
+            negative_sobolev_norm_l2(f, -0.5)
+        assert caught.value.argument == "s"
+        assert negative_sobolev_norm_l2(f, np.float64(1.5)) == negative_sobolev_norm_l2(f, 1.5)
+        assert negative_sobolev_norm_l2(f, np.int64(1)) == negative_sobolev_norm_l2(f, 1.0)
+
     def test_duality_cauchy_schwarz(self):
         grid = TorusGrid(2, 16)
         f = random_bandlimited(grid, 1, 5, seed=13)
