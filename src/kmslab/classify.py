@@ -212,6 +212,7 @@ class SphereSampling:
         """
         if n < 1:
             raise ValueError("need n >= 1")
+        check_count("count", count)
         if count < 1:
             raise ArgumentError("count", "need count >= 1")
         check_seed(seed)

@@ -29,18 +29,18 @@ keys and their matrices until the build ends: a key's matrix depends on
 the key alone, not on the grid, so the build takes the matrices of the
 keys the two grids share and evaluates only the new ones.
 
-A table evaluates batch once per key.  Kernel projectors and corrections
-have degree 0, so the key of xi is xi / gcd(xi) (operators.frequency_orbits).
-Where operators.orbit_tensor_power certifies the operator and part map, a
+A table evaluates batch once per key: xi itself, or xi / gcd(xi) for the
+degree-0 kernel projectors and corrections.  Where
+operators.orbit_tensor_power certifies the operator and part map, a
 correction also follows the signed permutations g of Z^n,
 m(g xi) = rho(g) m(xi) rho(g)^T with rho(g) = g (x) ... (x) g, and the
-key is sorted |xi| / gcd(xi) (625 keys for 15,375 bins at n = 3, M = 32):
-the table is unfolded from operators.fundamental_domain, which the sweep
-and the witness scan walk too, each point's images and stabilizer read off
-its zero/tie pattern (operators.pattern_elements); the group's 2^n n! rows
-are never built.  Other multipliers evaluate every bin.  A table stores
-the keys, their matrices and, per bin, the key and, if certified, g
-(OrbitTable), but no matrix per bin.
+key is sorted |xi| / gcd(xi) (625 keys for 15,375 bins at n = 3, M = 32).
+One build unfolds every table: a certified one from
+operators.fundamental_domain, each point's images and stabilizer read off
+its zero/tie pattern (operators.pattern_elements), never from the
+group's 2^n n! rows; any other from every live bin under the identity.
+A table stores the keys, their matrices and, per bin, the key and, unless
+every bin is its key, g (OrbitTable), but no matrix per bin.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .operators import (
     _pattern_elements,
     _signed_permutation_rows,
     _zero_tie_pattern,
-    frequency_orbits,
     fundamental_domain,
     orbit_certificate,
     restrict_symbol,
@@ -137,25 +136,23 @@ class MultiplierDescriptor:
         return out
 
     def grid_table(self, grid) -> "OrbitTable":
-        """The matrices on the half grid of a TorusGrid, by orbit, cached.
+        """The matrices on the half grid of a TorusGrid, by key, cached.
 
         batch is evaluated once per key over the nonzero bins off the
-        Nyquist planes: with _symmetry an int, once per sorted |xi| / gcd(xi)
-        (_unfolded_table); with RAYS, once per xi / gcd(xi); otherwise once
-        per bin (both keyed by operators.frequency_orbits).  The table keeps
-        those matrices and, for every bin, the key and, with _symmetry an
-        int, the signed permutation g that moves the key's matrix there by
-        rho(g), which is exact; bin 0 and the Nyquist-plane bins read 0.  It
-        holds no matrix per bin.  The cache holds the table of one grid; the
-        stale table is dropped before the next grid's is built, all but its
-        keys and their matrices, which the build reads until it ends: every
-        key the two grids share takes its matrix from there, and only the
-        new keys are evaluated (_known_values).  A key is an integer vector
-        and its matrix a function of it alone, so the table is the one a
-        fresh descriptor builds, bit for bit.  Raises ValueError when
-        m(-xi) differs from conj m(xi) on the last-axis bin-0 plane, which
-        holds both: such a multiplier does not map real fields to real
-        fields.
+        Nyquist planes: with _symmetry an int, once per sorted |xi| / gcd(xi);
+        with RAYS, once per xi / gcd(xi); otherwise once per bin.  One build
+        unfolds every table (_unfolded_table).  It keeps those matrices and,
+        for every bin, the key and, unless every bin is its key, the signed
+        permutation g that moves the key's matrix there by rho(g), which is
+        exact; bin 0 and the Nyquist-plane bins read 0.  The cache holds one
+        grid's table; the stale one is dropped before the next grid's is
+        built, all but its keys and their matrices, which the build reads
+        until it ends, so only the keys the two grids do not share are
+        evaluated (_known_values).  A key's matrix is a function of the
+        integer key alone, so the table is a fresh descriptor's, bit for bit.
+        Raises ValueError when m(-xi) differs from conj m(xi) on the
+        last-axis bin-0 plane, which holds both: such a multiplier does not
+        map real fields to real fields.
         """
         key = (grid.n, grid.points_per_axis)
         if self._grid_cache[0] != key:
@@ -164,73 +161,48 @@ class MultiplierDescriptor:
             # the stale table's per-bin arrays go before the build
             self._grid_cache = (None, None)
             del stale
-            build = self._unfolded_table if isinstance(self._symmetry, int) else self._ray_table
-            self._grid_cache = (key, build(grid, known))
+            self._grid_cache = (key, self._unfolded_table(grid, known))
         return self._grid_cache[1]
 
-    def _ray_table(self, grid, known) -> "OrbitTable":
-        """The table keyed by operators.frequency_orbits over the live bins, without a fibre action.
+    def _unfolded_table(self, grid, known) -> "OrbitTable":
+        """The table unfolded from its points, each live bin written once, from one point's image.
 
+        With _symmetry an int, the points are operators.fundamental_domain
+        and a point x's moves the canonical elements g of its zero/tie
+        pattern with g x in the half grid; otherwise every live bin is a
+        point and the identity its only move (_image_moves).  x's key is
+        x / gcd(x) for a degree-0 multiplier and x otherwise; the keys are
+        ordered and found by their code (_key_code).  code numbers the
+        elements the bins use, in ascending order, and action holds their
+        rows alone; a table whose bins all use the identity keeps neither.
         known is the stale table's (keys, values), or None (_known_values).
         """
-        n = grid.n
-        freqs = grid.half_frequency_grid.reshape(-1, n)
-        # bin 0 and the Nyquist-plane bins keep the zero row: every
-        # multiplier annihilates the zero frequency, and every spectrum
-        # holds 0 on the Nyquist rows
-        nyquist = np.any(freqs == -(grid.points_per_axis // 2), axis=1)
-        live = np.flatnonzero(np.any(freqs != 0, axis=1) & ~nyquist)
-        keys, rep, _ = frequency_orbits(freqs[live], signed=False, rays=self._symmetry is not None)
-        values = self._known_values(keys, known)
-        bin_rep = np.full(freqs.shape[0], keys.shape[0], np.int32)
-        bin_rep[live] = rep
-        table = OrbitTable(
-            shape=grid.half_shape + values.shape[1:],
-            keys=keys,
-            values=values,
-            rep=bin_rep.reshape(grid.half_shape),
-            code=None,
-            action=None,
-        )
-        plane = table.matrices((..., 0))
-        flip = (-np.arange(grid.points_per_axis)) % grid.points_per_axis
-        _check_real_to_real(self.provenance, plane, plane[np.ix_(*[flip] * (n - 1))])
-        return table
-
-    def _unfolded_table(self, grid, known) -> "OrbitTable":
-        """The certified table, unfolded from its fundamental domain.
-
-        operators.fundamental_domain, in the key order of frequency_orbits
-        (lexicographic from the last entry: one lexsort), has the keys as its
-        primitive points; a point's key index is a search of x / gcd(x).  Each
-        live bin is one image g x of one point, g among the canonical
-        elements of x's zero/tie pattern (operators.pattern_elements) whose
-        image has a last entry >= 0 (_image_moves, decoded once per pattern);
-        its rep and code are written once, from that image.  code numbers the
-        elements the bins use, in ascending order, and action holds their
-        rows alone.  known is the stale table's (keys, values), or None
-        (_known_values).
-        """
         n, m, r = grid.n, grid.points_per_axis, self._symmetry
-        points, pattern = fundamental_domain(n, m)
-        order = np.lexsort(points.T)
-        points, pattern = points[order], pattern[order]
-        gcd = np.gcd.reduce(points, axis=1)
-        keys = points[gcd == 1]
-        weights = m ** np.arange(n)
-        key_index = np.searchsorted(keys @ weights, (points // gcd[:, None]) @ weights)
+        if isinstance(r, int):
+            points, pattern = fundamental_domain(n, m)
+            groups = [
+                (np.flatnonzero(pattern == p), *_image_moves(n, int(p))) for p in np.unique(pattern)
+            ]
+        else:
+            freqs = grid.half_frequency_grid.reshape(-1, n)
+            points = freqs[np.any(freqs != 0, axis=1) & np.all(freqs != -(m // 2), axis=1)]
+            groups = [(np.arange(points.shape[0]), *_image_moves(n, None))]
+        reduced = points if r is None else points // np.gcd.reduce(points, axis=1)[:, None]
+        codes, first, key_index = np.unique(
+            _key_code(reduced, m // 2), return_index=True, return_inverse=True
+        )
+        keys = reduced[first]
         values = self._known_values(keys, known)
-        # the bin-0 plane holds the keys with a zero entry; m(-xi) = m(xi)
-        # there exactly, as rho(-I) = +-Id and each key's matrix is exact
-        # under its stabilizer
-        plane = values[:-1][keys[:, 0] == 0]
-        _check_real_to_real(self.provenance, plane, plane)
-
-        groups = [
-            (np.flatnonzero(pattern == p), *_image_moves(n, int(p))) for p in np.unique(pattern)
-        ]
+        # m(-xi) = conj m(xi) on the bin-0 plane, read off its keys: a certified key with
+        # a zero entry is its own mirror, as rho(-I) = +-Id and its matrix is exact under
+        # its stabilizer; any other key k there is checked against -k
+        if isinstance(r, int):
+            plane = mirror = np.flatnonzero(keys[:, 0] == 0)
+        else:
+            plane = np.flatnonzero(keys[:, -1] == 0)
+            mirror = np.searchsorted(codes, _key_code(-keys[plane], m // 2))
+        _check_real_to_real(self.provenance, values[plane], values[mirror])
         used = np.unique(np.concatenate([elements for _, elements, _, _ in groups]))
-
         rep = np.full(grid.half_shape, keys.shape[0], np.int32)
         code = np.zeros(grid.half_shape, np.int32)
         flat_rep, flat_code = rep.reshape(-1), code.reshape(-1)
@@ -245,13 +217,14 @@ class MultiplierDescriptor:
                 bins = (images[..., :-1] % m) @ strides + images[..., -1]
                 flat_rep[bins] = key_index[chunk, None]
                 flat_code[bins] = index
+        action = tuple(_signed_permutation_rows(n, r, used)[2:]) if used.any() else None
         return OrbitTable(
             shape=grid.half_shape + values.shape[1:],
             keys=keys,
             values=values,
             rep=rep,
-            code=code,
-            action=tuple(_signed_permutation_rows(n, r, used)[2:]),
+            code=None if action is None else code,
+            action=action,
         )
 
     def _known_values(self, keys, known):
@@ -265,8 +238,7 @@ class MultiplierDescriptor:
             return self._key_values(keys)
         old_keys, old_values = known
         half = int(max(np.max(np.abs(keys), initial=0), np.max(np.abs(old_keys), initial=0)))
-        weights = (2 * half + 1) ** np.arange(keys.shape[1])
-        codes, old_codes = (keys + half) @ weights, (old_keys + half) @ weights
+        codes, old_codes = _key_code(keys, half), _key_code(old_keys, half)
         _, shared, source = np.intersect1d(codes, old_codes, assume_unique=True, return_indices=True)
         new = np.setdiff1d(np.arange(keys.shape[0]), shared, assume_unique=True)
         values = np.zeros((keys.shape[0] + 1,) + old_values.shape[1:], old_values.dtype)
@@ -285,7 +257,7 @@ class MultiplierDescriptor:
         return values
 
     def _on_representatives(self, keys):
-        """The matrices at a stack of keys of operators.frequency_orbits.
+        """The matrices at a stack of keys.
 
         With _symmetry an int, each matrix is then made exactly invariant
         under the stabilizer of its key: m(key) = rho(h) m(key) rho(h)^T holds
@@ -312,16 +284,21 @@ class MultiplierDescriptor:
         return values
 
 
+def _key_code(keys, half):
+    """One integer per key with entries in [-half, half]: their order is lexicographic from the last entry."""
+    return (keys + half) @ (2 * half + 1) ** np.arange(keys.shape[1])
+
+
 @functools.lru_cache(maxsize=None)
 def _image_moves(n, pattern):
     """(elements, inv, moved): a zero/tie pattern's canonical elements g with g x in the half grid.
 
     (g x)_j = moved[e, j] x[inv[e, j]] for each point x of the pattern; a
     canonical g flips no zero entry, so the image lies in the half grid
-    where moved[e, -1] > 0, and only those elements are kept.  Read-only,
-    cached per (n, pattern).
+    where moved[e, -1] > 0, and only those elements are kept.  pattern
+    None moves by the identity alone.  Read-only, cached per (n, pattern).
     """
-    elements = _pattern_elements(n, pattern)[0]
+    elements = np.zeros(1, np.int64) if pattern is None else _pattern_elements(n, pattern)[0]
     perm, signs = _signed_permutation_rows(n, 0, elements)[:2]
     inv = np.argsort(perm, axis=1)
     moved = np.take_along_axis(signs, inv, axis=1).astype(np.int64)
@@ -368,18 +345,17 @@ def _symmetrisation(n, r, pattern):
 class OrbitTable:
     """A multiplier's matrices on the half grid of a TorusGrid, by orbit.
 
-    keys holds the integer keys, in the order of
-    operators.frequency_orbits, and values one matrix per key, in that
-    order, and a last row of 0, the matrix of the zero frequency and of
-    every Nyquist-plane bin.  rep and code have the
-    half-grid shape: bin b holds rho(g) values[rep[b]] rho(g)^T, with g the
-    code[b]-th of the elements the bins use, in ascending order of their
-    rows of operators.signed_permutations.  action holds those elements'
-    (src, sgn, inv, inv_sgn) alone, decoded by
-    operators._signed_permutation_rows; rho(g) acts on the rows and the
-    columns of the square matrices alike.  Without a certified symmetry
-    code and action are None and bin b holds values[rep[b]].  shape is
-    grid.half_shape + the matrix shape.
+    keys holds the integer keys, in lexicographic order from the last
+    entry, and values one matrix per key, in that order, and a last row of
+    0, the matrix of the zero frequency and of every Nyquist-plane bin.
+    rep and code have the half-grid shape: bin b holds
+    rho(g) values[rep[b]] rho(g)^T, with g the code[b]-th of the elements
+    the bins use, in ascending order of their rows of
+    operators.signed_permutations.  action holds those elements' (src,
+    sgn, inv, inv_sgn) alone, decoded by operators._signed_permutation_rows;
+    rho(g) acts on the rows and the columns of the square matrices alike.
+    Where every bin uses the identity, code and action are None and bin b
+    holds values[rep[b]].  shape is grid.half_shape + the matrix shape.
     """
 
     shape: tuple

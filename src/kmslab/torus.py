@@ -888,23 +888,26 @@ def plane_wave_field(grid: TorusGrid, xi0, v) -> TensorField:
     xi0 must be a nonzero grid frequency without Nyquist components and v a
     finite 1-D fibre vector, real or complex.
     """
-    xi0 = np.asarray(xi0)
-    if xi0.shape != (grid.n,):
-        raise ArgumentError("xi0", f"frequency must have shape ({grid.n},)")
-    xi_int = np.rint(xi0).astype(np.int64)
-    if not np.array_equal(xi_int, xi0):
-        raise ArgumentError("xi0", "plane-wave frequency must be an integer vector")
-    if not np.any(xi_int):
-        raise ArgumentError("xi0", "plane-wave frequency must be nonzero")
-    half = grid.points_per_axis // 2
-    if np.any(np.abs(xi_int) >= half):
-        raise ArgumentError(
-            "xi0", "plane-wave frequency must avoid the Nyquist rows (|xi_j| < M/2)"
-        )
+    xi_int = _wave_frequency(grid, xi0, "xi0")
     v = _fibre_vector(v, None)
     phase = grid.points @ xi_int.astype(float)
     wave = np.exp(1j * phase)[..., None] * v
     return TensorField(grid, wave.real)
+
+
+def _wave_frequency(grid: TorusGrid, xi, argument: str) -> np.ndarray:
+    """xi as an int64 vector; ArgumentError(argument) unless it is a nonzero integer n-vector with |xi_j| < M/2."""
+    xi = np.asarray(xi)
+    if xi.shape != (grid.n,):
+        raise ArgumentError(argument, f"frequency must have shape ({grid.n},)")
+    xi_int = np.rint(xi).astype(np.int64)
+    if not np.array_equal(xi_int, xi):
+        raise ArgumentError(argument, "plane-wave frequency must be an integer vector")
+    if not np.any(xi_int):
+        raise ArgumentError(argument, "plane-wave frequency must be nonzero")
+    if np.any(np.abs(xi_int) >= grid.points_per_axis // 2):
+        raise ArgumentError(argument, "plane-wave frequency must avoid the Nyquist rows (|xi_j| < M/2)")
+    return xi_int
 
 
 def _fibre_vector(v, dtype):

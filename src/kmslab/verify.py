@@ -62,6 +62,8 @@ from .torus import (
     HalfSpectrum,
     TensorField,
     TorusGrid,
+    _fibre_vector,
+    _wave_frequency,
     apply_multiplier,
     apply_operator,
     apply_partmap,
@@ -190,6 +192,8 @@ class InequalityConfig:
         if ident in ("korn_ellip", "korn_const", "korn_const_p1") and self.operator.k == 0:
             raise ArgumentError("operator", f"{ident} needs k >= 1: its left side is in W^(k-1,p*)")
         n = self.grid.n
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+            raise ArgumentError("p", f"p must be a real number, got {self.p!r}")
         if ident == "korn_const_p1":
             if self.p != 1:
                 raise ArgumentError("p", "korn_const_p1 forces p = 1")
@@ -440,9 +444,13 @@ def single_frequency_trial(config: InequalityConfig, xi, v) -> TrialResult:
     arithmetic.  Agrees with the FFT path of kms_sides on
     plane_wave_field(xi, v) to roundoff.  A side at most NEGLIGIBLE * a |v|,
     with lhs = a |w|, is returned as exactly 0.0 (_negligible_as_zero).
+    xi and v are refused by name as plane_wave_field refuses them, and v
+    also unless its length is d.
     """
-    xi = np.asarray(xi)
-    v = np.asarray(v, dtype=float)
+    xi = _wave_frequency(config.grid, xi, "xi")
+    v = _fibre_vector(v, float)
+    if v.size != config.operator.d:
+        raise ArgumentError("v", f"v must have length d = {config.operator.d}, got {v.size}")
     lhs, rhs = (float(side[0]) for side in _PlaneWaves(config, xi[None]).sides(v[None]))
     descriptor = _plane_wave_descriptor(xi, v, "plane_wave")
     return TrialResult(lhs, rhs, trial_ratio(lhs, rhs), descriptor, config.describe())
@@ -587,6 +595,10 @@ class FieldFamily(Report):
     witness: bool = True
 
     def __post_init__(self):
+        for name in ("sweep", "witness"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (int, np.integer, np.bool_)) or flag not in (0, 1):
+                raise ArgumentError(name, f"{name} must be True or False, got {flag!r}")
         check_count("random_trials", self.random_trials)
         widths = self.bump_widths
         if not isinstance(widths, (tuple, list)) or not all(
@@ -706,7 +718,9 @@ def estimate_constant(
     max_ratio and are counted separately.  The hypothesis check and the
     correction descriptor are grid-free: a config and its with_grid copies
     compute each once.  A family that generates no trial for the config
-    raises ArgumentError("family") before any classification.
+    raises ArgumentError("family") before any classification.  A failed
+    hypothesis raises PreconditionError if enforce is set, and so does a
+    correction without constant rank on ker(A), which Pi_B needs, always.
     """
     check_seed(seed)
     if family is None:
@@ -717,6 +731,9 @@ def estimate_constant(
     hyp_ok, note, class_echo = config.hypotheses
     if enforce and not hyp_ok:
         raise PreconditionError(note)
+    if config.correction_enabled and not class_echo["is_constant_rank"]:
+        # whatever enforce says: the kernel projector of Pi_B needs a constant rank
+        raise PreconditionError("operator does not have constant rank on ker(A): Pi_B cannot be built")
 
     grid = config.grid
     d = config.operator.d
@@ -956,6 +973,7 @@ def curl_riesz_crosscheck(
     """
     if mode not in ("symbol", "quadrature"):
         raise ValueError("mode must be 'symbol' or 'quadrature'")
+    check_count("eval_points", eval_points)
     if not 1 <= eval_points <= 10:
         raise ArgumentError("eval_points", "eval_points must lie in [1, 10]")
     if not width > 0:
@@ -1062,9 +1080,10 @@ def p1_probe(
     """Boundedness probe of the constant-rank inequality at p = 1.
 
     The exponent is p* = n/(n-1).  Boundedness across refinements is
-    reported as an observed property, never a proof; when the constant-rank
-    or cancelling hypothesis fails on ker(A) the probe still runs and flags
-    the verdict as outside the theorem hypotheses.  The result is the
+    reported as an observed property, never a proof; when the cancelling
+    hypothesis fails on ker(A) the probe still runs and flags the verdict as
+    outside the theorem hypotheses, but without constant rank there it
+    raises PreconditionError (estimate_constant).  The result is the
     korn_const_p1 refinement study; each estimate carries the hypothesis
     check, which does not depend on the grid.
     """

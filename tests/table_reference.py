@@ -40,6 +40,12 @@ class PerBinTable:
     def __init__(self, desc, grid):
         self.dense = per_bin_table(desc, grid)
 
+    def matrices(self, bins=...):
+        """The matrices at half-grid bins: bins indexes an array of the half-grid shape (all, by default)."""
+        grid_shape = self.dense.shape[:-2]
+        index = np.arange(np.prod(grid_shape)).reshape(grid_shape)[bins]
+        return self.dense.reshape((-1,) + self.dense.shape[-2:])[index]
+
     def apply(self, box, coef):
         return np.einsum("...rc,...c->...r", box.take(self.dense), coef)
 

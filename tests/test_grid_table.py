@@ -3,8 +3,9 @@
 grid_table evaluates a correction once per representative, sorted |xi| /
 gcd(xi) where operators.orbit_tensor_power certifies the operator and part
 map and xi / gcd(xi) otherwise, and keeps for every bin the representative
-and the signed index permutation that moves its matrix there.  A certified
-table is unfolded from its fundamental domain.  These tests hold the
+and the signed index permutation that moves its matrix there.  One build
+unfolds every table: a certified one from its fundamental domain, any
+other from every live bin under the identity.  These tests hold the
 table's matrices and its chunked apply against tests/table_reference.py
 (the per-bin oracle, and the certified build from the orbits of every
 bin), check that the moves are exact, count the evaluations, and compare
@@ -28,7 +29,7 @@ from kmslab.multipliers import (
     kernel_projection_symbol,
     mihlin_korn_multiplier,
 )
-from kmslab import operators
+from kmslab import multipliers, operators
 from kmslab.operators import (
     CATALOG_OPERATORS,
     CATALOG_PARTMAPS,
@@ -309,8 +310,12 @@ def test_certified_table_builds_without_the_whole_group(monkeypatch):
     assert signed_permutations.cache_info().currsize == 0
 
 
-def imaginary_on(where):
-    """A certified d = 9 multiplier, (1 + i) Id at the frequencies where(|xi|) flags, Id elsewhere."""
+def imaginary_on(where, symmetry=2):
+    """A d = 9 multiplier, (1 + i) Id at the frequencies where(|xi|) flags, Id elsewhere.
+
+    Certified by default; where reads only which entries vanish, so the
+    multiplier has degree 0 and may be keyed by rays (RAYS) or per bin (None).
+    """
 
     def batch(freqs):
         out = np.zeros(freqs.shape[:-1] + (9, 9), complex)
@@ -318,23 +323,82 @@ def imaginary_on(where):
         out[where(np.abs(freqs))] *= 1 + 1j
         return out
 
-    return MultiplierDescriptor(shape=(9, 9), provenance="imaginary", batch=batch, _symmetry=2)
+    return MultiplierDescriptor(shape=(9, 9), provenance="imaginary", batch=batch, _symmetry=symmetry)
+
+
+def reference_for(desc, grid):
+    """The table the realness check of the reference reads: the orbit build if certified, else per bin."""
+    return orbit_reference_table(desc, grid) if isinstance(desc._symmetry, int) else PerBinTable(desc, grid)
 
 
 @pytest.mark.parametrize("m", [4, 8])
 def test_unfolded_table_is_refused_where_the_reference_is(m):
     # an imaginary part on the bin-0 plane (a zero entry) breaks m(-xi) = conj m(xi)
-    # there; off the plane the check, which reads only the plane, does not see it
+    # there; off the plane the check, which reads only the plane, does not see it.
+    # The build reads the check off the keys in each key mode, the reference
+    # bin by bin: both refuse with one message
     grid = TorusGrid(3, m)
-    on_plane = imaginary_on(lambda a: np.any(a == 0, axis=-1))
-    with pytest.raises(ValueError, match="m\\(-xi\\) != conj m\\(xi\\)"):
-        mirror_check(on_plane, grid, orbit_reference_table(on_plane, grid))
-    with pytest.raises(ValueError, match="m\\(-xi\\) != conj m\\(xi\\)") as refused:
-        on_plane.grid_table(grid)
-    assert "deviation 2" in str(refused.value)
-    off_plane = imaginary_on(lambda a: np.all(a != 0, axis=-1))
-    mirror_check(off_plane, grid, orbit_reference_table(off_plane, grid))
-    assert np.iscomplexobj(off_plane.grid_table(grid).values)
+    for symmetry in (2, RAYS, None):
+        on_plane = imaginary_on(lambda a: np.any(a == 0, axis=-1), symmetry)
+        with pytest.raises(ValueError, match="m\\(-xi\\) != conj m\\(xi\\)") as want:
+            mirror_check(on_plane, grid, reference_for(on_plane, grid))
+        with pytest.raises(ValueError, match="m\\(-xi\\) != conj m\\(xi\\)") as refused:
+            on_plane.grid_table(grid)
+        assert "deviation 2" in str(refused.value)
+        assert str(refused.value) == str(want.value), symmetry
+        off_plane = imaginary_on(lambda a: np.all(a != 0, axis=-1), symmetry)
+        mirror_check(off_plane, grid, reference_for(off_plane, grid))
+        assert np.iscomplexobj(off_plane.grid_table(grid).values), symmetry
+
+
+@pytest.mark.parametrize("m", [4, 8])
+@pytest.mark.parametrize("symmetry", [RAYS, None])
+def test_an_uncertified_key_is_checked_against_its_negative(symmetry, m):
+    # (1 + i) Id where xi_0 > 0 and (1 - i) Id where xi_0 < 0 on the bin-0
+    # plane is real to real; flipping one side of it is not, and the build
+    # refuses it with the deviation of the per-bin reference
+    def desc(sign):
+        def batch(freqs):
+            out = np.zeros(freqs.shape[:-1] + (9, 9), complex)
+            out[...] = np.eye(9)
+            on = freqs[..., -1] == 0
+            out[on & (freqs[..., 0] > 0)] *= 1 + 1j
+            out[on & (freqs[..., 0] < 0)] *= 1 + sign * 1j
+            return out
+
+        return MultiplierDescriptor(shape=(9, 9), provenance="odd", batch=batch, _symmetry=symmetry)
+
+    grid = TorusGrid(3, m)
+    real = desc(-1)
+    mirror_check(real, grid, PerBinTable(real, grid))
+    assert np.iscomplexobj(real.grid_table(grid).values)
+    broken = desc(1)
+    with pytest.raises(ValueError) as want:
+        mirror_check(broken, grid, PerBinTable(broken, grid))
+    with pytest.raises(ValueError) as refused:
+        broken.grid_table(grid)
+    assert str(refused.value) == str(want.value) and "deviation 2" in str(want.value)
+
+
+def test_no_table_build_reads_frequency_orbits(monkeypatch):
+    # a certified, a ray-keyed and a per-bin table are unfolded by one build;
+    # operators.frequency_orbits stays the tests' reference
+    calls = []
+    orbits = operators.frequency_orbits
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orbits(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "frequency_orbits", counted)
+    monkeypatch.setattr(multipliers, "frequency_orbits", counted, raising=False)
+    descs = [chain_descriptor(kind) for kind in ("certified", "rays", "per-bin")]
+    assert [desc._symmetry for desc in descs] == [2, RAYS, None]
+    for desc in descs:
+        for m in (8, 16):
+            table = desc.grid_table(TorusGrid(3, m))
+            assert (table.code is None) == (desc._symmetry != 2)
+    assert calls == []
 
 
 def test_a_new_grid_drops_the_stale_table_before_its_build(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kmslab import verify
+from kmslab.classify import SphereSampling
 from kmslab.multipliers import pseudoinverse_symbol
 from kmslab.operators import (
     ArgumentError,
@@ -15,6 +16,7 @@ from kmslab.operators import (
     eval_symbol,
     multiindex_enumerate,
 )
+from kmslab.specfile import parse_operator_text
 from kmslab.torus import (
     TorusGrid,
     apply_partmap,
@@ -105,6 +107,34 @@ def test_bad_bump_widths_are_refused_before_any_classification(grid8, curl, monk
     with pytest.raises(ArgumentError) as err:
         estimate_constant(cfg, FieldFamily(bump_widths=widths))
     assert err.value.argument == "bump_widths"
+
+
+@pytest.mark.parametrize(
+    "argument,call",
+    [
+        ("p", lambda: InequalityConfig(
+            "korn_const_p1", catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3),
+            True, TorusGrid(3, 8))),
+        ("sweep", lambda: FieldFamily(sweep="no")),
+        ("witness", lambda: FieldFamily(witness="no")),
+        ("count", lambda: SphereSampling.standard(3, count=2.5)),
+        ("count", lambda: SphereSampling.standard(3, count=True)),
+        ("eval_points", lambda: curl_riesz_crosscheck("quadrature", eval_points=2.5)),
+    ],
+    ids=["p-bool", "sweep-str", "witness-str", "count-float", "count-bool", "eval_points-float"],
+)
+def test_a_public_argument_of_the_wrong_type_is_refused_by_name(argument, call):
+    with pytest.raises(ArgumentError) as err:
+        call()
+    assert err.value.argument == argument
+
+
+def test_integers_stay_accepted_where_they_were():
+    curl, tr = catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3)
+    assert InequalityConfig("korn_const_p1", curl, tr, 1, TorusGrid(3, 8)).p == 1
+    assert InequalityConfig("korn_const", curl, tr, 2, TorusGrid(3, 8)).p == 2
+    assert FieldFamily(sweep=0, witness=np.True_).to_dict()["sweep"] == 0
+    assert SphereSampling.standard(3, count=np.int64(4)).points.shape == (10, 3)
 
 
 def test_no_widths_and_the_default_widths_are_accepted():
@@ -454,6 +484,30 @@ class TestWitnessAndNecessity:
             "v": [float(x) for x in v],
         }
 
+    @pytest.fixture()
+    def korn_const8(self, grid8, curl):
+        return InequalityConfig("korn_const", curl, catalog_partmap("tr", 3), 2.0, grid8)
+
+    def test_single_frequency_trial_refuses_a_fractional_frequency(self, korn_const8):
+        # (1.5, 0, 0) was evaluated as a wave of its own but reported as (2, 0, 0)
+        with pytest.raises(ArgumentError) as err:
+            single_frequency_trial(korn_const8, (1.5, 0, 0), np.linspace(-1.0, 1.0, 9))
+        assert err.value.argument == "xi"
+        wave = single_frequency_trial(korn_const8, (2, 0, 0), np.linspace(-1.0, 1.0, 9))
+        assert wave.field["xi"] == [2, 0, 0]
+        assert (wave.lhs, wave.rhs) == pytest.approx((4.1404, 34.774), rel=1e-4)
+
+    def test_single_frequency_trial_refuses_a_nyquist_frequency(self, korn_const8):
+        # (4, 0, 0) lies on a Nyquist row at M = 8, outside the trial space
+        with pytest.raises(ArgumentError) as err:
+            single_frequency_trial(korn_const8, (4, 0, 0), np.linspace(-1.0, 1.0, 9))
+        assert err.value.argument == "xi"
+
+    def test_single_frequency_trial_refuses_a_vector_of_another_length(self, korn_const8):
+        with pytest.raises(ArgumentError) as err:
+            single_frequency_trial(korn_const8, (1, 0, 0), np.linspace(-1.0, 1.0, 3))
+        assert err.value.argument == "v"
+
     def test_necessity_demo_trace_curl(self, grid16, curl):
         tr = catalog_partmap("tr", 3)
         demo = necessity_demo(tr, curl, grid16)
@@ -788,6 +842,22 @@ class TestP1Probe:
         assert checked == [8]
         assert all(e.hypotheses_met for e in probe.estimates)
         assert probe.estimates[1].hypotheses_note == probe.estimates[0].hypotheses_note
+
+    def test_no_constant_rank_on_the_kernel_is_refused_whatever_enforce_says(self):
+        # A = 0 and B = diag(d_1, d_2) at n = 2: B[xi] has rank 1 on the axes and
+        # 2 elsewhere, so the correction Pi_B cannot be built
+        spec = parse_operator_text("n 2\nd 2\nl 2\nk 1\ncoeff 1 0 : 1 0 0 0\ncoeff 0 1 : 0 0 0 1\n")
+        zero = catalog_partmap("zero", 2, dim=2)
+        with pytest.raises(PreconditionError, match="constant rank on ker\\(A\\)"):
+            p1_probe(zero, spec, [8, 16], family=small_family(1))
+        cfg = InequalityConfig("korn_const", spec, zero, 1.5, TorusGrid(2, 8))
+        for enforce in (True, False):
+            with pytest.raises(PreconditionError, match="constant rank on ker\\(A\\)"):
+                estimate_constant(cfg, family=small_family(1), enforce=enforce)
+        # without the correction nothing needs the constant rank: the trial is flagged
+        uncorrected = InequalityConfig("korn_const", spec, zero, 1.5, TorusGrid(2, 8), False)
+        est = estimate_constant(uncorrected, family=small_family(1), enforce=False)
+        assert not est.hypotheses_met and "constant rank" in est.hypotheses_note
 
     def test_exponent_is_n_over_n_minus_one(self, grid8, curl):
         tr = catalog_partmap("tr", 3)
