@@ -63,6 +63,7 @@ from .operators import (
     restrict_symbol,
     symbol_on_frequencies,
 )
+from .torus import BandBox
 
 __all__ = [
     "MultiplierDescriptor",
@@ -184,7 +185,7 @@ class MultiplierDescriptor:
                 (np.flatnonzero(pattern == p), *_image_moves(n, int(p))) for p in np.unique(pattern)
             ]
         else:
-            freqs = grid.half_frequency_grid.reshape(-1, n)
+            freqs = BandBox(grid, m // 2).frequencies.reshape(-1, n)
             points = freqs[np.any(freqs != 0, axis=1) & np.all(freqs != -(m // 2), axis=1)]
             groups = [(np.arange(points.shape[0]), *_image_moves(n, None))]
         reduced = points if r is None else points // np.gcd.reduce(points, axis=1)[:, None]

@@ -12,19 +12,20 @@ fields; every report states this.
 
 The calculus works on the real-FFT half spectrum of a field
 (`HalfSpectrum`): one rfftn, its last axis halved to the bins
-0 ... M/2 - 1, -M/2 (`TorusGrid.half_frequency_grid`).  A spectrum holds
-its coefficients on a `BandBox`, the bins with |xi_j| <= c on every axis
-(0 ... c on the last); the full half grid is the box c = M/2.  The
-inverse transform runs only over the 1-D lines that carry the box, and
-every grid array a spectrum reads (frequencies, Parseval weights, |xi|^2,
-the zero mask, multiplier tables) is read through it.  The generators
-write a spectrum on a box, `random_bandlimited` by drawing it there and
-`bump_field` from the periodised Gaussian's closed form, and hand it on
-with the field, whose samples are made on first read of `values`.  Every
-other field is transformed once, on the full box.  A field's L^2 norm is
-the Parseval sum with `TorusGrid.parseval_weights` (1 on the last-axis
-bins 0 and M/2, whose partners -xi lie in the half grid too, 2
-elsewhere).
+0 ... M/2 - 1, -M/2.  A spectrum holds its coefficients on a `BandBox`,
+the bins with |xi_j| <= c on every axis (0 ... c on the last); the full
+half grid is the box c = M/2.  The inverse transform runs only over the
+1-D lines that carry the box.  A box builds its frequencies, |xi|^2, zero
+mask and Parseval weights from its own axis bins by broadcasting, on each
+read, and a KMS trial reads each once (`HalfSpectrum.trial_norms`); no
+grid holds an array of the half grid's size.  Multiplier tables are read
+through the box (`BandBox.take`).  The generators write a spectrum on a
+box, `random_bandlimited` by drawing it there and `bump_field` from the
+periodised Gaussian's closed form, and hand it on with the field, whose
+samples are made on first read of `values`.  Every other field is
+transformed once, on the full box.  A field's L^2 norm is the Parseval
+sum with `BandBox.parseval_weights` (1 on the last-axis bins 0 and M/2,
+whose partners -xi lie in the half grid too, 2 elsewhere).
 
 Norms stream the spectrum.  Every inverse transform is `_slabs` of a
 `_line_buffer` (box coefficients padded to M bins on the first axis): that
@@ -146,45 +147,6 @@ class TorusGrid:
         return (m,) * (self.n - 1) + (m // 2 + 1,)
 
     @cached_property
-    def half_frequency_grid(self) -> np.ndarray:
-        """Frequencies of the half spectrum, shape half_shape + (n,).
-
-        The last axis holds the bins 0 ... M/2 - 1 and then -M/2, the
-        Nyquist convention of frequency_grid.
-        """
-        m = self.points_per_axis
-        last = np.append(np.arange(m // 2), -(m // 2))
-        axes = [self.axis_frequencies] * (self.n - 1) + [last]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        grid.setflags(write=False)
-        return grid
-
-    @cached_property
-    def half_zero_mask(self) -> np.ndarray:
-        mask = ~np.any(self.half_frequency_grid != 0, axis=-1)
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def half_frequency_norm2(self) -> np.ndarray:
-        out = np.sum(self.half_frequency_grid.astype(float) ** 2, axis=-1)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def parseval_weights(self) -> np.ndarray:
-        """Multiplicity of each half-spectrum bin in the full spectrum sum.
-
-        1 on the last-axis bins 0 and M/2 (the partner -xi is in the half
-        grid too), 2 elsewhere (the partner is its conjugate, left out).
-        """
-        weights = np.full(self.half_shape, 2.0)
-        weights[..., 0] = 1.0
-        weights[..., -1] = 1.0
-        weights.setflags(write=False)
-        return weights
-
-    @cached_property
     def points(self) -> np.ndarray:
         axis = 2.0 * math.pi * np.arange(self.points_per_axis) / self.points_per_axis
         mesh = np.meshgrid(*([axis] * self.n), indexing="ij")
@@ -218,7 +180,9 @@ class BandBox:
     On a full axis the box keeps the bins 0 ... c, -c ... -1, in grid order.
     take() restricts an array of shape grid.half_shape + (...) to the box;
     the full box returns it as it is, so the full-grid calculus is the box
-    calculus at cutoff M/2.
+    calculus at cutoff M/2.  frequencies, frequency_norm2, zero_mask and
+    parseval_weights are fresh arrays of the box's shape, built on each
+    read from its axis bins by broadcasting; the grid keeps none of them.
     """
 
     grid: TorusGrid
@@ -240,9 +204,9 @@ class BandBox:
 
     @property
     def axis_bins(self) -> np.ndarray:
-        """The bins of a full axis that the box keeps: 0 ... c, then M - c ... M - 1."""
+        """The bins of a full axis that the box keeps: 0 ... c, then M - c ... M - 1; all M on the full box."""
         m, c = self.grid.points_per_axis, self.cutoff
-        return np.concatenate([np.arange(c + 1), np.arange(m - c, m)])
+        return np.concatenate([np.arange(c + 1), np.arange(max(m - c, c + 1), m)])
 
     def take(self, array: np.ndarray) -> np.ndarray:
         """array (shape grid.half_shape + trailing axes) on the box's bins."""
@@ -252,10 +216,39 @@ class BandBox:
         out = array[(slice(None),) * (n - 1) + (slice(0, self.cutoff + 1),)]
         return out[np.ix_(*[self.axis_bins] * (n - 1))] if n > 1 else out
 
-    frequencies = property(lambda self: self.take(self.grid.half_frequency_grid))
-    zero_mask = property(lambda self: self.take(self.grid.half_zero_mask))
-    frequency_norm2 = property(lambda self: self.take(self.grid.half_frequency_norm2))
-    parseval_weights = property(lambda self: self.take(self.grid.parseval_weights))
+    def _mesh(self) -> list:
+        """The box's axis frequencies (int64) as sparse meshgrid arrays that broadcast to its shape:
+        grid.axis_frequencies at axis_bins on a full axis, its first cutoff + 1 on the last."""
+        freqs, n = self.grid.axis_frequencies, self.grid.n
+        axes = [freqs[self.axis_bins]] * (n - 1) + [freqs[: self.cutoff + 1]]
+        return np.meshgrid(*axes, indexing="ij", sparse=True)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """The frequency of each bin, int64, shape box.shape + (n,)."""
+        return np.stack(np.broadcast_arrays(*self._mesh()), axis=-1)
+
+    @property
+    def frequency_norm2(self) -> np.ndarray:
+        """|xi|^2 of each bin: a sum of broadcast squares of integers, exact."""
+        return sum(np.square(axis, dtype=float) for axis in self._mesh())
+
+    @property
+    def zero_mask(self) -> np.ndarray:
+        """True at xi = 0, the box's first bin, alone."""
+        mask = np.zeros(self.shape, bool)
+        mask[(0,) * self.grid.n] = True
+        return mask
+
+    @property
+    def parseval_weights(self) -> np.ndarray:
+        """Multiplicity of each bin in the full spectrum sum: 1 on the last-axis bin 0, and on M/2
+        in the full box (the partner -xi is in the half grid too), 2 elsewhere (it is left out)."""
+        weights = np.full(self.shape, 2.0)
+        weights[..., 0] = 1.0
+        if self.is_full:
+            weights[..., -1] = 1.0
+        return weights
 
 
 @dataclass(eq=False)
@@ -459,24 +452,29 @@ def _power(coef):
     return np.einsum("...j,...j->...", pairs, pairs)
 
 
-def _parseval_sum(box, power, weight=None):
-    """L^2 norm from the per-bin power of a half spectrum on the box; weight multiplies each bin."""
-    weights = box.parseval_weights if weight is None else box.parseval_weights * weight
+def _parseval_sum(weights, power):
+    """L^2 norm from the per-bin power of a half spectrum and the weights of its bins (_side_weights)."""
     return math.sqrt(float(np.vdot(weights, power)))
 
 
-def _parseval_norm(box, coef, weight=None):
-    """L^2 norm of the real field with half spectrum coef on the box; weight multiplies each bin."""
-    return _parseval_sum(box, _power(coef), weight)
+def _parseval_norm(box, coef, order=0):
+    """L^2 norm of the real field with half spectrum coef on the box, |xi|^order-weighted below order 0."""
+    return _parseval_sum(_side_weights(box, box.parseval_weights, order), _power(coef))
 
 
 def _fourier_weight(box, order):
     """|xi|^(2 order) on the box's bins and 0 at xi = 0: the Parseval weight of a negative order."""
     norm2 = box.frequency_norm2
-    weight = np.zeros_like(norm2)
-    nz = ~box.zero_mask
-    weight[nz] = norm2[nz] ** float(order)
+    zero = (0,) * box.grid.n
+    norm2[zero] = 1.0
+    weight = norm2 ** float(order)
+    weight[zero] = 0.0
     return weight
+
+
+def _side_weights(box, parseval, order):
+    """The weights of a side's Parseval sum: the box's parseval weights, times the Fourier weight below order 0."""
+    return parseval if order >= 0 else parseval * _fourier_weight(box, order)
 
 
 def _check_exponent(p):
@@ -573,13 +571,12 @@ def _operator_rows(spec, pairs, xi, out, term):
     return out
 
 
-def _operator_runs(spec, box, vec, runs, scratch):
-    """(run, frequencies, B u) for each run of the box's flat bins, u's rows vec: the B walk.
+def _operator_runs(spec, freqs, vec, runs, scratch):
+    """(run, frequencies, B u) for each run of a box's flat bins, u's rows vec, freqs theirs: the B walk.
 
     B u of a run is _operator_rows into one buffer that every run reuses,
     with the product's term in scratch (2 l floats per bin of the widest run).
     """
-    freqs = box.frequencies.reshape(-1, box.grid.n)
     out = np.empty((max(run.stop - run.start for run in runs), spec.l), complex)
     for run in runs:
         rows = run.stop - run.start
@@ -589,13 +586,13 @@ def _operator_runs(spec, box, vec, runs, scratch):
         yield run, xi, b_run
 
 
-def _side_norms(box, order, q, comps, walk, part=None):
+def _side_norms(box, order, q, comps, walk, weights, part=None):
     """[|grad^order f|_q], and |A grad^order f|_q with a part map, from the runs of f's half spectrum.
 
     walk yields (run, frequencies, f) for each run (a slice of the box's
     flat bins), f of comps components; a fourth entry g is what the A side
     reads at q = 2, in place of f.  At q = 2 a side is the Parseval sum of
-    its per-bin power, |xi|^(2 order)-weighted below order 0.  Otherwise
+    its per-bin power with weights, the side's _side_weights.  Otherwise
     grad^order f is written run by run into a _line_buffer and reduced
     there in place (_lq_norms), A on each derivative block: the one route
     of every L^q side.
@@ -609,8 +606,7 @@ def _side_norms(box, order, q, comps, walk, part=None):
                 # A on whole last-axis lines, as on the box-shaped spectrum
                 a = part.apply(g[0].reshape(-1, box.shape[-1], comps)).reshape(len(f), -1)
                 power[1][run] = _power(_derivative(xi, a, derivative))
-        weight = _fourier_weight(box, order) if order < 0 else None
-        return [_parseval_sum(box, each, weight) for each in power]
+        return [_parseval_sum(weights, each) for each in power]
     lines = _line_buffer(box, math.comb(box.grid.n + order - 1, order) * comps)
     for run, xi, f, *g in walk:
         _write_run(box, lines, run, _derivative(xi, f, order))
@@ -618,13 +614,12 @@ def _side_norms(box, order, q, comps, walk, part=None):
     return _lq_norms(box, lines, q, part)
 
 
-def _residual_runs(box, vec, runs, scratch, table, power):
-    """(run, frequencies, R, P) for each run of the box's flat bins, P's rows vec: R's walk.
+def _residual_runs(box, freqs, vec, runs, scratch, table, power):
+    """(run, frequencies, R, P) for each run of the box's flat bins, P's rows vec, freqs theirs: R's walk.
 
     R = P - corr P, table.apply_rows writing corr P into scratch, or P where
     table is None; P's per-bin power goes into power on the way.
     """
-    freqs = box.frequencies.reshape(-1, box.grid.n)
     keys = None if table is None else table.bin_keys(box)
     for run in runs:
         p_run = r_run = vec[run]
@@ -681,7 +676,8 @@ class HalfSpectrum:
         vec = np.ascontiguousarray(self.coefficients).reshape(-1, spec.d)
         out = np.empty((vec.shape[0], spec.l), complex)
         scratch = np.empty(2 * max(run.stop - run.start for run in runs) * spec.l)
-        for run, _, b_run in _operator_runs(spec, box, vec, runs, scratch):
+        freqs = box.frequencies.reshape(-1, box.grid.n)
+        for run, _, b_run in _operator_runs(spec, freqs, vec, runs, scratch):
             out[run] = b_run
         return HalfSpectrum(self.grid, out.reshape(box.shape + (spec.l,)))
 
@@ -699,7 +695,7 @@ class HalfSpectrum:
         if m < 0:
             if p != 2:
                 raise ValueError("a negative order is a Fourier weight at p = 2")
-            return _parseval_norm(box, self.coefficients, _fourier_weight(box, m))
+            return _parseval_norm(box, self.coefficients, m)
         blocks = _derivative(box.frequencies, self.coefficients, m)
         if p == 2:
             return _parseval_norm(box, blocks)
@@ -717,26 +713,31 @@ class HalfSpectrum:
         in the product's scratch buffer) each feed _side_norms, B's side
         reduced and freed before R's is written: one line buffer at a time.
         Without a correction the scratch buffer goes with the B walk, before
-        B's reduction.
+        B's reduction.  The box's arrays are built once per trial: the
+        frequencies both walks read, gone before R's reduction, and the
+        Parseval weights of each side order (_side_weights).
         """
         box = self.box
         (m, q), (b_order, b_q) = norms
         vec = np.ascontiguousarray(self.coefficients).reshape(-1, spec.d)
         runs = _bin_runs(box, spec)
+        freqs = box.frequencies.reshape(-1, box.grid.n)
+        parseval = box.parseval_weights
+        weights = {order: _side_weights(box, parseval, order) for order in {m, b_order}}
         # the product's term, then the correction, share one buffer
         scratch = np.empty(2 * max(run.stop - run.start for run in runs) * max(spec.l, spec.d))
-        b_walk = _operator_runs(spec, box, vec, runs, scratch)
+        b_walk = _operator_runs(spec, freqs, vec, runs, scratch)
         if table is None:
             # R's walk reads no scratch: the B walk holds its last reference
             # and frees it when it ends, before B's reduction
             scratch = None
-        (b_norm,) = _side_norms(box, b_order, b_q, spec.l, b_walk)
+        (b_norm,) = _side_norms(box, b_order, b_q, spec.l, b_walk, weights[b_order])
         power = np.empty(vec.shape[0])
-        walk = _residual_runs(box, vec, runs, scratch, table, power)
+        walk = _residual_runs(box, freqs, vec, runs, scratch, table, power)
         # the walk holds the last references, so they go before R's reduction
-        del vec, runs, scratch
-        left = _side_norms(box, m, q, spec.d, walk, part)
-        return _parseval_sum(box, power), left, b_norm
+        del vec, runs, scratch, freqs
+        left = _side_norms(box, m, q, spec.d, walk, weights[m], part)
+        return _parseval_sum(parseval, power), left, b_norm
 
 
 def apply_operator(spec: OperatorSpec, field: TensorField) -> TensorField:
@@ -900,8 +901,9 @@ def _wave_frequency(grid: TorusGrid, xi, argument: str) -> np.ndarray:
     xi = np.asarray(xi)
     if xi.shape != (grid.n,):
         raise ArgumentError(argument, f"frequency must have shape ({grid.n},)")
-    xi_int = np.rint(xi).astype(np.int64)
-    if not np.array_equal(xi_int, xi):
+    # a non-finite entry is refused before the cast, which would warn on it
+    xi_int = np.rint(xi).astype(np.int64) if np.all(np.isfinite(xi)) else None
+    if xi_int is None or not np.array_equal(xi_int, xi):
         raise ArgumentError(argument, "plane-wave frequency must be an integer vector")
     if not np.any(xi_int):
         raise ArgumentError(argument, "plane-wave frequency must be nonzero")

@@ -63,6 +63,22 @@ def zero_mask(grid: TorusGrid) -> np.ndarray:
     return ~np.any(grid.frequency_grid != 0, axis=-1)
 
 
+def half_frequency_grid(grid: TorusGrid) -> np.ndarray:
+    """Frequencies of the real-FFT half spectrum, shape grid.half_shape + (n,).
+
+    grid.frequency_grid on the last axis's first M/2 + 1 bins: 0 ... M/2 - 1,
+    then -M/2.
+    """
+    return grid.frequency_grid[..., : grid.points_per_axis // 2 + 1, :]
+
+
+def half_parseval_weights(grid: TorusGrid) -> np.ndarray:
+    """Multiplicity of each half-spectrum bin in the full spectrum sum: 1 where
+    the last coordinate is 0 or -M/2 (its partner is in the half grid), 2 elsewhere."""
+    last = half_frequency_grid(grid)[..., -1]
+    return np.where((last == 0) | (last == -(grid.points_per_axis // 2)), 1.0, 2.0)
+
+
 def constant_field(grid: TorusGrid, v) -> TensorField:
     v = np.asarray(v, dtype=float)
     return TensorField(grid, np.broadcast_to(v, grid.shape + v.shape).copy())

@@ -11,6 +11,7 @@ import functools
 
 import numpy as np
 
+from fullgrid_reference import half_frequency_grid
 from kmslab.multipliers import TABLE_CHUNK, OrbitTable, _check_real_to_real
 from kmslab.operators import frequency_orbits, signed_permutations
 from kmslab.torus import TorusGrid
@@ -18,12 +19,12 @@ from kmslab.torus import TorusGrid
 
 def nyquist_planes(grid):
     """True at the half-grid bins with a Nyquist coordinate (-M/2)."""
-    return np.any(grid.half_frequency_grid == -(grid.points_per_axis // 2), axis=-1)
+    return np.any(half_frequency_grid(grid) == -(grid.points_per_axis // 2), axis=-1)
 
 
 def per_bin_table(desc, grid):
     """The matrices on grid's half grid, shape grid.half_shape + desc.shape."""
-    freqs = grid.half_frequency_grid
+    freqs = half_frequency_grid(grid)
     table = None
     for i in range(freqs.shape[0]):
         slab = desc.on_frequencies(freqs[i : i + 1].astype(float))
@@ -65,7 +66,7 @@ class PerBinTable:
 @functools.lru_cache(maxsize=4)
 def _live_orbits(n, points_per_axis):
     """(live, keys, rep, elem): operators.frequency_orbits (signed, rays) over a half grid's live bins."""
-    freqs = TorusGrid(n, points_per_axis).half_frequency_grid.reshape(-1, n)
+    freqs = half_frequency_grid(TorusGrid(n, points_per_axis)).reshape(-1, n)
     nyquist = np.any(freqs == -(points_per_axis // 2), axis=1)
     live = np.flatnonzero(np.any(freqs != 0, axis=1) & ~nyquist)
     return (live, *frequency_orbits(freqs[live], signed=True, rays=True))

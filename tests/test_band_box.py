@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fullgrid_reference import half_frequency_grid, half_parseval_weights
 from generator_reference import copying_irfftn, periodised_gaussian
 from kmslab import torus
 from kmslab.operators import ArgumentError, catalog_operator, catalog_partmap
@@ -110,17 +111,33 @@ def test_pruned_inverse_holds_no_more_than_the_full_inverse():
     assert inverse_peak(BandBox(grid, 22), 9) <= inverse_peak(BandBox(grid, 24), 9)
 
 
-def test_box_reads_grid_arrays_and_the_full_box_reads_them_as_they_are():
+BOX_GRIDS = [(n, m) for n in (1, 2, 3, 4) for m in (4, 6, 8, 12, 16)]
+
+
+@pytest.mark.parametrize("n,m", BOX_GRIDS)
+def test_box_arrays_are_the_half_grid_references_on_the_box(n, m):
+    # each array is built from the box's axes; the reference cuts it from the full grid
+    grid = TorusGrid(n, m)
+    freqs = half_frequency_grid(grid)
+    norm2 = np.sum(freqs.astype(float) ** 2, axis=-1)
+    weights = half_parseval_weights(grid)
+    for cutoff in range(1, m // 2 + 1):
+        box, index = BandBox(grid, cutoff), box_index(m, n, cutoff)
+        want = {
+            "frequencies": freqs[index],
+            "frequency_norm2": norm2[index],
+            "zero_mask": ~np.any(freqs[index] != 0, axis=-1),
+            "parseval_weights": weights[index],
+        }
+        for name, array in want.items():
+            got = getattr(box, name)
+            assert got.dtype == array.dtype and got.shape == array.shape, (name, cutoff)
+            assert np.array_equal(got, array), (name, cutoff)
+        assert box.frequencies.shape == box.shape + (n,) and box.is_full == (cutoff == m // 2)
+
+
+def test_a_cutoff_outside_one_to_half_m_is_refused():
     grid = TorusGrid(3, 16)
-    full, box = BandBox(grid, 8), BandBox(grid, 3)
-    assert full.is_full and full.shape == grid.half_shape
-    assert full.frequencies is grid.half_frequency_grid
-    assert full.parseval_weights is grid.parseval_weights
-    index = box_index(16, 3, 3)
-    assert np.array_equal(box.frequencies, grid.half_frequency_grid[index])
-    assert not np.any(box.frequencies == -8)
-    assert np.array_equal(box.frequency_norm2, grid.half_frequency_norm2[index])
-    assert box.zero_mask.sum() == 1 and box.zero_mask[0, 0, 0]
     for cutoff in (0, 9):
         with pytest.raises(ArgumentError):
             BandBox(grid, cutoff)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fullgrid_reference import identity_multiplier
+from fullgrid_reference import half_frequency_grid, identity_multiplier
 from kmslab.classify import SphereSampling
 from kmslab.multipliers import (
     ConstantRankViolation,
@@ -417,7 +417,7 @@ class TestDescriptorPlumbing:
         from kmslab.torus import TorusGrid
 
         grid, desc = TorusGrid(3, m), make()
-        freqs, planes = grid.half_frequency_grid, nyquist_planes(grid)
+        freqs, planes = half_frequency_grid(grid), nyquist_planes(grid)
         table = desc.grid_table(grid).matrices()
         assert table.shape == grid.half_shape + desc.shape
         assert planes.sum() == np.prod(grid.half_shape) - (m - 1) ** 2 * (m // 2)

@@ -11,6 +11,7 @@ of the whole grid.
 """
 
 import functools
+import gc
 import math
 import tracemalloc
 import weakref
@@ -33,7 +34,7 @@ from kmslab.torus import (
     plane_wave_field,
     random_bandlimited,
 )
-from kmslab.verify import INEQUALITY_IDS, InequalityConfig, kms_sides
+from kmslab.verify import INEQUALITY_IDS, FieldFamily, InequalityConfig, estimate_constant, kms_sides
 
 # (n, operator, part map) triples with a correction that builds; k = 2 for curl_curl_rowwise
 OPERATORS = {
@@ -307,9 +308,9 @@ def test_without_a_correction_the_scratch_goes_before_the_reductions(ident, p, m
     cfg = make_config(ident, 3, 16, "curl_matrix_rowwise", "tr", p, False)
     walk, reduce, scratch, alive = torus._operator_runs, torus._lq_norms, [], []
 
-    def operator_runs(spec, box, vec, runs, buffer):
+    def operator_runs(spec, freqs, vec, runs, buffer):
         scratch.append(weakref.ref(buffer))
-        return walk(spec, box, vec, runs, buffer)
+        return walk(spec, freqs, vec, runs, buffer)
 
     def lq_norms(box, lines, q, part=None):
         alive.append(scratch[-1]() is not None)
@@ -319,3 +320,43 @@ def test_without_a_correction_the_scratch_goes_before_the_reductions(ident, p, m
     monkeypatch.setattr(torus, "_lq_norms", lq_norms)
     kms_sides(cfg, random_bandlimited(cfg.grid, 9, 4, seed=1))
     assert alive == [False, False]
+
+
+def test_a_parseval_trial_takes_the_fourier_weight_once(monkeypatch):
+    # korn_const2_p2 reads |xi|^-1 on every side: one weight serves R's, A's and B's sums
+    cfg = make_config("korn_const2_p2", 3, 16, "curl_matrix_rowwise", "tr", 2.0, None)
+    weight, orders = torus._fourier_weight, []
+
+    def fourier_weight(box, order):
+        orders.append(order)
+        return weight(box, order)
+
+    monkeypatch.setattr(torus, "_fourier_weight", fourier_weight)
+    kms_sides(cfg, random_bandlimited(cfg.grid, 9, 4, seed=1))
+    assert orders == [-1]
+
+
+def live_arrays():
+    """Every array a gc-tracked object refers to, directly or through a dict (which gc may not track)."""
+    gc.collect()
+    for owner in gc.get_objects():
+        for obj in gc.get_referents(owner):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                yield from (value for value in obj.values() if isinstance(value, np.ndarray))
+
+
+def test_no_half_grid_array_outlives_an_estimate():
+    # box arrays are built from the axes for each trial: after a certified estimate
+    # neither the grid nor any live object holds frequencies, |xi|^2 or Parseval
+    # weights of the whole half grid
+    cfg = make_config("korn_const2_p2", 3, 16, "curl_matrix_rowwise", "tr", 2.0, None)
+    grid = cfg.grid
+    estimate_constant(cfg, FieldFamily(random_trials=2), seed=3)
+    kinds = {(grid.half_shape + (grid.n,), np.dtype(np.int64)), (grid.half_shape, np.dtype(float))}
+    assert [(a.shape, a.dtype) for a in live_arrays() if (a.shape, a.dtype) in kinds] == []
+    assert not any(
+        isinstance(value, np.ndarray) and value.shape[: grid.n] == grid.half_shape
+        for value in vars(grid).values()
+    )

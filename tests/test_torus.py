@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +401,15 @@ class TestGenerators:
     def test_plane_wave_rejections_name_xi0(self, xi0):
         with pytest.raises(ArgumentError) as err:
             plane_wave_field(TorusGrid(2, 8), np.array(xi0), np.array([1.0]))
+        assert err.value.argument == "xi0"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_frequency_is_refused_before_any_cast(self, bad):
+        # the int64 cast of rint(nan) warns: the refusal must come first, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError) as err:
+                plane_wave_field(TorusGrid(3, 8), [bad, 0, 0], np.ones(3))
         assert err.value.argument == "xi0"
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -501,6 +502,14 @@ class TestWitnessAndNecessity:
         # (4, 0, 0) lies on a Nyquist row at M = 8, outside the trial space
         with pytest.raises(ArgumentError) as err:
             single_frequency_trial(korn_const8, (4, 0, 0), np.linspace(-1.0, 1.0, 9))
+        assert err.value.argument == "xi"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_single_frequency_trial_refuses_a_non_finite_frequency(self, korn_const8, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError) as err:
+                single_frequency_trial(korn_const8, (1, bad, 0), np.linspace(-1.0, 1.0, 9))
         assert err.value.argument == "xi"
 
     def test_single_frequency_trial_refuses_a_vector_of_another_length(self, korn_const8):
