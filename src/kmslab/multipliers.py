@@ -27,7 +27,9 @@ caches the table of the grid it was last asked for.  Before it builds
 another grid's, it drops the stale table's per-bin arrays and keeps its
 keys and their matrices until the build ends: a key's matrix depends on
 the key alone, not on the grid, so the build takes the matrices of the
-keys the two grids share and evaluates only the new ones.
+keys the two grids share and evaluates only the new ones.  A caller hands
+the build the matrices it has evaluated at integer keys, taken the same
+way: an estimate's sweep holds every key of a certified correction table.
 
 A table evaluates batch once per key: xi itself, or xi / gcd(xi) for the
 degree-0 kernel projectors and corrections.  Where
@@ -136,7 +138,7 @@ class MultiplierDescriptor:
         out[zero_mask] = 0.0
         return out
 
-    def grid_table(self, grid) -> "OrbitTable":
+    def grid_table(self, grid, evaluated=None) -> "OrbitTable":
         """The matrices on the half grid of a TorusGrid, by key, cached.
 
         batch is evaluated once per key over the nonzero bins off the
@@ -148,9 +150,13 @@ class MultiplierDescriptor:
         exact; bin 0 and the Nyquist-plane bins read 0.  The cache holds one
         grid's table; the stale one is dropped before the next grid's is
         built, all but its keys and their matrices, which the build reads
-        until it ends, so only the keys the two grids do not share are
-        evaluated (_known_values).  A key's matrix is a function of the
-        integer key alone, so the table is a fresh descriptor's, bit for bit.
+        until it ends.  evaluated, if given, is (keys, matrices) of
+        on_frequencies at integer keys (a sweep's, verify._sweep).  The
+        build takes a key's matrix from the stale table, else from
+        evaluated, keeps neither, and evaluates only the keys neither holds
+        (_known_values).  A key's matrix is a function of the integer key
+        alone, so the table is a fresh descriptor's, bit for bit.  A cached
+        table ignores evaluated.
         Raises ValueError when m(-xi) differs from conj m(xi) on the
         last-axis bin-0 plane, which holds both: such a multiplier does not
         map real fields to real fields.
@@ -158,7 +164,9 @@ class MultiplierDescriptor:
         key = (grid.n, grid.points_per_axis)
         if self._grid_cache[0] != key:
             stale = self._grid_cache[1]
-            known = None if stale is None else (stale.keys, stale.values)
+            known = [] if stale is None else [(stale.keys, stale.values, False)]
+            if evaluated is not None:
+                known.append((*evaluated, True))
             # the stale table's per-bin arrays go before the build
             self._grid_cache = (None, None)
             del stale
@@ -176,7 +184,7 @@ class MultiplierDescriptor:
         ordered and found by their code (_key_code).  code numbers the
         elements the bins use, in ascending order, and action holds their
         rows alone; a table whose bins all use the identity keeps neither.
-        known is the stale table's (keys, values), or None (_known_values).
+        known lists the matrices the build may take (_known_values).
         """
         n, m, r = grid.n, grid.points_per_axis, self._symmetry
         if isinstance(r, int):
@@ -229,23 +237,35 @@ class MultiplierDescriptor:
         )
 
     def _known_values(self, keys, known):
-        """_key_values(keys), the matrices of the keys known holds taken from there.
+        """_key_values(keys), each key's matrix taken from the first source in known that holds it.
 
-        known is the (keys, values) of another grid's table of this
-        descriptor, or None.  Keys are integer vectors, so each is coded
-        exactly; only the keys known lacks go through _key_values.
+        known lists (keys, values, raw) sources of this descriptor's
+        matrices: another grid's table, or raw matrices that a caller
+        evaluated (grid_table), which are symmetrised on intake as
+        _on_representatives symmetrises its own, TABLE_CHUNK at a time.
+        Keys are integer vectors, so each is coded exactly; only the keys
+        no source holds go through _key_values.
         """
-        if known is None or known[0].shape[1] != keys.shape[1]:
+        values, todo = None, np.arange(keys.shape[0])
+        for old_keys, old_values, raw in known:
+            if old_keys.shape[1] != keys.shape[1]:
+                continue
+            half = int(max(np.max(np.abs(keys), initial=0), np.max(np.abs(old_keys), initial=0)))
+            codes, old_codes = _key_code(keys[todo], half), _key_code(old_keys, half)
+            _, shared, source = np.intersect1d(
+                codes, old_codes, assume_unique=True, return_indices=True
+            )
+            if values is None:
+                values = np.zeros((keys.shape[0] + 1,) + old_values.shape[1:], old_values.dtype)
+            for lo in range(0, shared.size, TABLE_CHUNK):
+                rows = todo[shared[lo : lo + TABLE_CHUNK]]
+                taken = old_values[source[lo : lo + TABLE_CHUNK]]
+                values[rows] = self._symmetrised(keys[rows], taken) if raw else taken
+            todo = np.delete(todo, shared)
+        if values is None:
             return self._key_values(keys)
-        old_keys, old_values = known
-        half = int(max(np.max(np.abs(keys), initial=0), np.max(np.abs(old_keys), initial=0)))
-        codes, old_codes = _key_code(keys, half), _key_code(old_keys, half)
-        _, shared, source = np.intersect1d(codes, old_codes, assume_unique=True, return_indices=True)
-        new = np.setdiff1d(np.arange(keys.shape[0]), shared, assume_unique=True)
-        values = np.zeros((keys.shape[0] + 1,) + old_values.shape[1:], old_values.dtype)
-        values[shared] = old_values[source]
-        if new.size:
-            values[new] = self._key_values(keys[new])[:-1]
+        if todo.size:
+            values[todo] = self._key_values(keys[todo])[:-1]
         return values
 
     def _key_values(self, keys):
@@ -271,7 +291,10 @@ class MultiplierDescriptor:
         the key's zero/tie pattern (_symmetrisation, computed once per
         pattern).
         """
-        values = self.on_frequencies(keys.astype(float))
+        return self._symmetrised(keys, self.on_frequencies(keys.astype(float)))
+
+    def _symmetrised(self, keys, values):
+        """values (the matrices at keys) made invariant under each key's stabilizer, in place."""
         if self._symmetry in (None, RAYS):
             return values
         d = values.shape[-1]

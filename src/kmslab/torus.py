@@ -146,10 +146,14 @@ class TorusGrid:
         m = self.points_per_axis
         return (m,) * (self.n - 1) + (m // 2 + 1,)
 
+    @property
+    def axis_points(self) -> np.ndarray:
+        """The M sample coordinates 2 pi j / M of one axis."""
+        return 2.0 * math.pi * np.arange(self.points_per_axis) / self.points_per_axis
+
     @cached_property
     def points(self) -> np.ndarray:
-        axis = 2.0 * math.pi * np.arange(self.points_per_axis) / self.points_per_axis
-        mesh = np.meshgrid(*([axis] * self.n), indexing="ij")
+        mesh = np.meshgrid(*([self.axis_points] * self.n), indexing="ij")
         pts = np.stack(mesh, axis=-1)
         pts.setflags(write=False)
         return pts
@@ -160,9 +164,12 @@ class TorusGrid:
 
         One representative of each {xi, -xi} pair (the lexicographically
         positive one) is kept, which suffices for real fields; the order is
-        that of frequency_grid.
+        that of frequency_grid.  The frequencies are meshed from
+        axis_frequencies here and dropped, so the grid caches no
+        frequency_grid for them.
         """
-        flat = self.frequency_grid.reshape(-1, self.n)
+        mesh = np.meshgrid(*([self.axis_frequencies] * self.n), indexing="ij", copy=False)
+        flat = np.stack(mesh, axis=-1).reshape(-1, self.n)
         keep = np.any(flat != 0, axis=1) & ~np.any(flat == -self.points_per_axis // 2, axis=1)
         flat = flat[keep]
         lead = flat[np.arange(flat.shape[0]), np.argmax(flat != 0, axis=1)]
@@ -887,11 +894,14 @@ def plane_wave_field(grid: TorusGrid, xi0, v) -> TensorField:
     """The real plane wave Re(v e^{i x . xi0}); spectrum supported on {+-xi0}.
 
     xi0 must be a nonzero grid frequency without Nyquist components and v a
-    finite 1-D fibre vector, real or complex.
+    finite 1-D fibre vector, real or complex.  The phase x . xi0 is the
+    broadcast sum of the per-axis phases x_j xi0_j, so the grid caches no
+    array of sample points for it.
     """
     xi_int = _wave_frequency(grid, xi0, "xi0")
     v = _fibre_vector(v, None)
-    phase = grid.points @ xi_int.astype(float)
+    axis = grid.axis_points
+    phase = reduce(np.add.outer, [axis * float(x) for x in xi_int])
     wave = np.exp(1j * phase)[..., None] * v
     return TensorField(grid, wave.real)
 

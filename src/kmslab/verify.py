@@ -415,7 +415,8 @@ class _PlaneWaves:
     lhs = a |v - Re corr[xi] v| and rhs = b |A v| + c |B[xi] v| (without a
     part map, as korn_ell: lhs = a |v|, rhs = c |B[xi] v|).  The scales, the
     symbols and the correction are evaluated once per stack, for sides and
-    for the sweep's vector choice.
+    for the sweep's vector choice; evaluated is the correction as
+    on_frequencies gave it.
     """
 
     def __init__(self, config: InequalityConfig, freqs):
@@ -424,7 +425,8 @@ class _PlaneWaves:
         self.scales = _frequency_scales(config, freqs)
         self.symbol = symbol_on_frequencies(config.operator, freqs)
         corr = config.correction_descriptor
-        self.correction = None if corr is None else np.real(corr.on_frequencies(freqs))
+        self.evaluated = None if corr is None else corr.on_frequencies(freqs)
+        self.correction = None if corr is None else np.real(self.evaluated)
 
     def sides(self, vs):
         """(lhs, rhs) for an (F, d) vector stack; a side <= NEGLIGIBLE * a |v| reads 0.0."""
@@ -472,19 +474,27 @@ def _sweep_vectors(config, freqs):
     the left side does not annihilate, v is that direction, whose right
     side vanishes (an infinite ratio).  L and S are built from the closed
     form of the plane waves at freqs (_PlaneWaves), whose symbols and
-    correction are evaluated once per stack.  Returns (vectors, ratios);
-    ratios[i] is the trial ratio of the plane wave (freqs[i], vectors[i]),
-    read from the same closed form, as single_frequency_trial reads it.
-    Only S and L S^+ are factorised with singular vectors; the null gain
-    L N is factorised only where its Frobenius norm could reach the
-    threshold.
+    correction are evaluated once per stack.  Returns (vectors, ratios,
+    clear, correction): ratios[i] is the trial ratio of the plane wave
+    (freqs[i], vectors[i]), read from the same closed form, as
+    single_frequency_trial reads it; correction holds the correction's
+    matrices as evaluated there (None without one).  Only S and L S^+ are
+    factorised with singular vectors; the null gain L N is factorised only
+    where its Frobenius norm could reach the threshold.
+
+    clear[i] is true where S = [b A; c B[xi]] proves that W = [A; B[xi]]
+    fails the witness test of search_kernel_witness.  Since
+    sigma_min(W) >= sigma_min(S) / max(b, c) and
+    sigma_max(W) <= sigma_max(S) / min(b, c), it does where
+    sigma_min(S) / max(b, c) > 2 WITNESS_TOL max(sigma_max(S) / min(b, c), 1),
+    the factor 2 for roundoff.  Without a part map clear is None.
     """
     waves = _PlaneWaves(config, freqs)
     a, b, c = waves.scales
     bsym = waves.symbol.real
     if config.part is None:
         vs = np.linalg.svd(bsym)[2][:, -1, :]
-        return vs, _trial_ratios(*waves.sides(vs))
+        return vs, _trial_ratios(*waves.sides(vs)), None, waves.evaluated
 
     d = config.operator.d
     count = freqs.shape[0]
@@ -497,6 +507,10 @@ def _sweep_vectors(config, freqs):
     smat = np.concatenate([b[:, None, None] * amat, c[:, None, None] * bsym], axis=1)
 
     u, s, vh = np.linalg.svd(smat, full_matrices=False)
+    # the bound times min(b, c) max(b, c), so no scale divides; a wide S has smin = 0
+    low, high = np.minimum(b, c), np.maximum(b, c)
+    smin = _padded_singular_values(s, d)[:, -1]
+    clear = smin * low > 2.0 * WITNESS_TOL * np.maximum(s[:, 0] * high, low * high)
     smax = np.maximum(s[..., 0], 1.0)
     inv = np.where(s > NULL_TOL * smax[..., None], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     pinv = np.einsum("fji,fj,fkj->fik", vh, inv, u)
@@ -521,7 +535,7 @@ def _sweep_vectors(config, freqs):
         gain_s, gain_vh = _svd_right(null_gain[maybe])
         hit = gain_s > threshold[maybe]
         vs[maybe[hit]] = gain_vh[hit]
-    return vs, _trial_ratios(*waves.sides(vs))
+    return vs, _trial_ratios(*waves.sides(vs)), clear, waves.evaluated
 
 
 def _svd_right(mats):
@@ -544,7 +558,7 @@ def _orbit_representatives(spec: OperatorSpec, part: PartMap | None, grid: Torus
     return points, np.array([_pattern_elements(grid.n, int(c))[0].size // 2 for c in codes])[inverse]
 
 
-def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
+def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid, clear=None):
     """Lowest grid frequency carrying a unit vector in ker(A) cap ker(B[xi]).
 
     Returns (xi, v) or None; the scan order (by |xi|, then lexicographic)
@@ -553,18 +567,25 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
     rho(g) (ker A cap ker Re B[xi]), so one factorisation decides an orbit,
     at its lowest canonical member (0 ... 0, x_z, -x_{n-1}, ..., -x_{z+1}),
     x its point of operators.fundamental_domain with z zero entries.
+    clear (the sweep's, per orbit of _orbit_representatives) marks orbits
+    proven to hold no witness, which are skipped.  The rest are scanned in
+    chunks growing from one orbit to SWEEP_CHUNK, up to the first hit,
+    which comes back bit for bit as a full scan finds it.
     """
     if orbit_certificate(spec, part) is None:
-        freqs = grid.canonical_frequencies
+        freqs = grid.canonical_frequencies if clear is None else grid.canonical_frequencies[~clear]
     else:
         points = fundamental_domain(grid.n, grid.points_per_axis)[0]
+        if clear is not None:
+            points = points[~clear]
         zeros, j = np.count_nonzero(points == 0, axis=1)[:, None], np.arange(grid.n)
         lead = j <= zeros
         # entry j > z is -x[z - j]: -x_{n-1} first, counting back from the end
         freqs = np.where(lead, 1, -1) * np.take_along_axis(points, np.where(lead, j, zeros - j), 1)
     freqs = freqs[np.lexsort((*freqs.T[::-1], np.sum(freqs**2, axis=1)))]
-    for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
-        block = freqs[lo : lo + SWEEP_CHUNK]
+    lo, size = 0, 1
+    while lo < freqs.shape[0]:
+        block = freqs[lo : lo + size]
         amat = np.broadcast_to(part.matrix, (block.shape[0],) + part.matrix.shape)
         stacked = np.concatenate(
             [amat, symbol_on_frequencies(spec, block.astype(float)).real], axis=1
@@ -578,6 +599,7 @@ def search_kernel_witness(part: PartMap, spec: OperatorSpec, grid: TorusGrid):
             first = hits[0]
             _, _, vh = np.linalg.svd(stacked[first])
             return block[first].copy(), vh[-1].copy()
+        lo, size = lo + size, min(2 * size, SWEEP_CHUNK)
     return None
 
 
@@ -666,8 +688,8 @@ def _weighted_median(values, counts) -> float:
     return float(np.mean(values[order][np.searchsorted(ends, middle, side="right")]))
 
 
-def _sweep(config):
-    """(freqs, vectors, ratios, counts) at one frequency per orbit, in canonical order.
+def _sweep(config, keep_correction=False):
+    """The sweep at one frequency per orbit, in canonical order.
 
     The sweep ratio at xi reads xi through |xi| and M / gcd(xi, M), which
     no signed permutation changes, and through the Grams that
@@ -677,16 +699,35 @@ def _sweep(config):
     too, since the closed form decides a negligible side relative to the
     wave (scale-free), not against an absolute cutoff.  Every
     representative is evaluated in closed form by _sweep_vectors; no
-    correction table is built.
+    correction table is built.  Returns (freqs, vectors, ratios, counts,
+    clear, correction): clear is _sweep_vectors', and with keep_correction
+    and a certified orbit check, correction is (keys, matrices) of the
+    correction at the primitive representatives, the keys of the grid's
+    certified table (MultiplierDescriptor.grid_table); else None.
     """
     swept, size = _orbit_representatives(config.operator, config.part, config.grid)
-    vs = np.empty((swept.shape[0], config.operator.d))
-    ratios = np.empty(swept.shape[0])
+    count = swept.shape[0]
+    vs = np.empty((count, config.operator.d))
+    ratios = np.empty(count)
+    clear = None if config.part is None else np.empty(count, bool)
+    certified = orbit_certificate(config.operator, config.part) is not None
+    kept = matrices = None
+    if keep_correction and config.correction_enabled and certified:
+        kept = np.flatnonzero(np.gcd.reduce(swept, axis=1) == 1)
     # chunks bound the stacked SVD arrays held at once on fine grids
-    for lo in range(0, swept.shape[0], SWEEP_CHUNK):
+    for lo in range(0, count, SWEEP_CHUNK):
         part = slice(lo, lo + SWEEP_CHUNK)
-        vs[part], ratios[part] = _sweep_vectors(config, swept[part])
-    return swept, vs, ratios, size
+        vs[part], ratios[part], cleared, evaluated = _sweep_vectors(config, swept[part])
+        if clear is not None:
+            clear[part] = cleared
+        if kept is not None:
+            # the primitive rows into one array, so no chunk outlives its step
+            if matrices is None:
+                matrices = np.empty((kept.size,) + evaluated.shape[1:], evaluated.dtype)
+            rows = slice(*np.searchsorted(kept, [lo, lo + SWEEP_CHUNK]))
+            matrices[rows] = evaluated[kept[rows] - lo]
+    correction = None if matrices is None else (swept[kept], matrices)
+    return swept, vs, ratios, size, clear, correction
 
 
 def estimate_constant(
@@ -701,26 +742,30 @@ def estimate_constant(
     ratios, in the order sweep, random, bump, witness, and one reduction
     (_reduce) turns them into the estimate.  The sweep (_sweep) is one row
     over every canonical frequency, one of each +-xi pair, evaluated once
-    per orbit; the witness scan (search_kernel_witness) walks the same
-    orbits.  Every trial reads a side that is negligible against its own
-    field (at most NEGLIGIBLE times |P|_2, or a |v| for a plane wave) as
-    exactly 0.0, and its ratio is then exact: inf where only the right side
-    vanishes, 0.0 where both do.  Every random and bump field is one row,
-    evaluated by kms_sides with no forward transform, on the band-box
-    spectrum its generator wrote below M/2 (so in the trial space without
-    Nyquist rows), and dropped once its ratio is known.  A random field's box
-    is max(1, M // 4); a bump's is torus.bump_cutoff, and its descriptor
+    per orbit, and factorises each orbit once: the witness scan
+    (search_kernel_witness) skips the orbits the sweep proved to hold no
+    witness, and the certified correction table of the field trials takes
+    the sweep's matrices at its keys, dropped once it is built.  Every trial
+    reads a side that is negligible against its own field (at most
+    NEGLIGIBLE times |P|_2, or a |v| for a plane wave) as exactly 0.0, and
+    its ratio is then exact: inf where only the right side vanishes, 0.0
+    where both do.  Every random and bump field is one row, evaluated by
+    kms_sides with no forward transform, on the band-box spectrum its
+    generator wrote below M/2 (so in the trial space without Nyquist rows),
+    and dropped once its ratio is known.  A random field's box is
+    max(1, M // 4); a bump's is torus.bump_cutoff, and its descriptor
     records that cutoff and the Gaussian tail the box drops,
     exp(-w^2 (cutoff + 1)^2 / 2).  A correction term builds the orbit table
-    of its grid once, for the first field trial.  The witness plane wave is
-    one row, evaluated in closed form by single_frequency_trial; when no
-    witness exists it holds ratio 0.0.  Infinite ratios propagate to
-    max_ratio and are counted separately.  The hypothesis check and the
-    correction descriptor are grid-free: a config and its with_grid copies
-    compute each once.  A family that generates no trial for the config
-    raises ArgumentError("family") before any classification.  A failed
-    hypothesis raises PreconditionError if enforce is set, and so does a
-    correction without constant rank on ker(A), which Pi_B needs, always.
+    of its grid once, after the sweep or for the first field trial.  The
+    witness plane wave is one row, evaluated in closed form by
+    single_frequency_trial; when no witness exists it holds ratio 0.0.
+    Infinite ratios propagate to max_ratio and are counted separately.  The
+    hypothesis check and the correction descriptor are grid-free: a config
+    and its with_grid copies compute each once.  A family that generates no
+    trial for the config raises ArgumentError("family") before any
+    classification.  A failed hypothesis raises PreconditionError if enforce
+    is set, and so does a correction without constant rank on ker(A), which
+    Pi_B needs, always.
     """
     check_seed(seed)
     if family is None:
@@ -743,10 +788,16 @@ def estimate_constant(
     def add_field(name, fld, descriptor):
         rows.append((name, [trial_ratio(*kms_sides(config, fld))], [1], lambda i: descriptor))
 
+    clear = None
     if family.sweep:
-        freqs, vs, ratios, counts = _sweep(config)
+        fields = bool(family.random_trials or family.bump_widths)
+        freqs, vs, ratios, counts, clear, correction = _sweep(config, keep_correction=fields)
         rows.append(("sweep", ratios, counts,
                      lambda i: _plane_wave_descriptor(freqs[i], vs[i], "plane_wave")))
+        if correction is not None:
+            # the field trials' table takes the sweep's matrices, which go once it is built
+            config.correction_descriptor.grid_table(grid, correction)
+        del correction
 
     cutoff = max(1, grid.points_per_axis // 4)
     for t in range(family.random_trials):
@@ -766,7 +817,7 @@ def estimate_constant(
         )
 
     if witness:
-        found = search_kernel_witness(config.part, config.operator, grid)
+        found = search_kernel_witness(config.part, config.operator, grid, clear)
         if found is None:
             descriptor, ratio = {"generator": "witness_plane_wave", "xi": None}, 0.0
         else:

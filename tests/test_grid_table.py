@@ -39,9 +39,10 @@ from kmslab.operators import (
     signed_permutations,
 )
 from kmslab.torus import HalfSpectrum, TensorField, TorusGrid, bump_field, random_bandlimited
-from kmslab.verify import FieldFamily, InequalityConfig, estimate_constant
+from kmslab.verify import FieldFamily, InequalityConfig, _sweep, estimate_constant
 from fullgrid_reference import identity_multiplier
 from table_reference import PerBinTable, mirror_check, orbit_reference_table, per_bin_table
+from test_streamed_sides import live_arrays
 from test_sweep_work import anisotropic_curl
 
 OPERATORS = ("curl_matrix_rowwise", "div_matrix_rowwise", "sym_curl_matrix")
@@ -492,3 +493,57 @@ def test_a_ray_keyed_build_evaluates_only_the_new_rays():
     first = sum(evaluated)
     desc.grid_table(TorusGrid(3, 16))
     assert 0 < first < sum(evaluated) == 1513
+
+
+def korn_const_p1(m):
+    return InequalityConfig(
+        "korn_const_p1", catalog_operator("curl_matrix_rowwise", 3), catalog_partmap("tr", 3), 1.0,
+        TorusGrid(3, m),
+    )
+
+
+@pytest.mark.parametrize("sizes", [(8,), (16,), (32,), (8, 16, 32), (48,)])
+def test_a_table_fed_by_the_sweep_is_a_fresh_build(sizes):
+    # the sweep evaluates the correction at every fundamental-domain point, and the
+    # primitive ones are the certified table's keys: a build fed with the sweep's
+    # matrices there evaluates no key, along a chain too, and keys, values, rep,
+    # code and action are a fresh descriptor's, bit for bit (M = 48 sweeps in
+    # three chunks)
+    cfg = korn_const_p1(sizes[0])
+    desc = cfg.correction_descriptor
+    batch = desc.batch
+    for m in sizes:
+        config = cfg.with_grid(TorusGrid(3, m))
+        keys, matrices = _sweep(config, keep_correction=True)[5]
+        evaluated = counting(desc)
+        table = desc.grid_table(config.grid, (keys, matrices))
+        desc.batch = batch
+        assert evaluated == []
+        assert keys.shape[0] == table.keys.shape[0]
+        assert_same_table(table, correction("curl_matrix_rowwise", "tr").grid_table(config.grid))
+
+
+def test_a_sweep_keeps_its_correction_only_when_asked():
+    # without field trials no table is built, so the sweep keeps no matrix for one;
+    # the uncertified curl's table is keyed by rays, not by the sweep's representatives
+    assert _sweep(korn_const_p1(16))[5] is None
+    keys, matrices = _sweep(korn_const_p1(16), keep_correction=True)[5]
+    assert keys.shape == (88, 3) and matrices.shape == (88, 9, 9)
+    anisotropic = InequalityConfig(
+        "korn_const", anisotropic_curl(), catalog_partmap("tr", 3), 2.0, TorusGrid(3, 8)
+    )
+    assert _sweep(anisotropic, keep_correction=True)[5] is None
+
+
+def test_no_sweep_matrix_outlives_an_estimate():
+    # the sweep's correction matrices go once the table is built from them: no
+    # live array but this test's own copy holds them
+    cfg = korn_const_p1(16)
+    _, matrices = _sweep(cfg.with_grid(cfg.grid), keep_correction=True)[5]
+    estimate_constant(cfg, FieldFamily(random_trials=1, bump_widths=()), seed=0)
+    assert cfg.correction_descriptor.grid_table(cfg.grid).keys.shape == (88, 3)
+    kept = [
+        a.shape for a in live_arrays()
+        if a is not matrices and a.shape == matrices.shape and np.array_equal(a, matrices)
+    ]
+    assert kept == []

@@ -337,14 +337,23 @@ def test_a_parseval_trial_takes_the_fourier_weight_once(monkeypatch):
 
 
 def live_arrays():
-    """Every array a gc-tracked object refers to, directly or through a dict (which gc may not track)."""
+    """Every array a gc-tracked object refers to, directly or through dicts, tuples and lists.
+
+    gc stops tracking a dict or a tuple that holds only arrays, so containers
+    are followed, two levels deep.
+    """
     gc.collect()
     for owner in gc.get_objects():
         for obj in gc.get_referents(owner):
-            if isinstance(obj, np.ndarray):
-                yield obj
-            elif isinstance(obj, dict):
-                yield from (value for value in obj.values() if isinstance(value, np.ndarray))
+            yield from _arrays_in(obj, 2)
+
+
+def _arrays_in(obj, depth):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif depth and isinstance(obj, (dict, tuple, list)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _arrays_in(item, depth - 1)
 
 
 def test_no_half_grid_array_outlives_an_estimate():

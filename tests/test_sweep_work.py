@@ -122,7 +122,7 @@ def test_pruned_null_gain_matches_unpruned_reference(ident, part_name, p, correc
     cfg = make_config(ident, part_name, p, correction, m)
     freqs = cfg.grid.canonical_frequencies.astype(float)
     cmats = correction_on_frequencies(cfg, freqs)
-    vs, ratios = _sweep_vectors(cfg, freqs)
+    vs, ratios = _sweep_vectors(cfg, freqs)[:2]
     want_flags, want_vs = reference_flags_and_vectors(cfg, freqs, cmats)
     assert np.array_equal(vs, want_vs)
     # a null-gain direction has a vanishing right side and reads inf; no other does
@@ -234,7 +234,7 @@ def svd_factorised(monkeypatch):
 
 def test_kms_sym_sweep_factorises_two_matrices_per_frequency(svd_with_vectors, sweep_calls):
     cfg = make_config("kms_sym", "sym", 2.0, None, 16)
-    (freqs, _, _, _), factorised = svd_with_vectors(_sweep, cfg)
+    (freqs, *_), factorised = svd_with_vectors(_sweep, cfg)
     # 1,687 canonical frequencies fall into 119 signed-permutation orbits
     assert freqs.shape[0] == 119
     assert sweep_calls == [119]
@@ -247,7 +247,7 @@ def test_kms_sym_sweep_factorises_two_matrices_per_frequency(svd_with_vectors, s
 def test_benchmark_configs_take_the_orbit_path(sweep_calls, ident, part_name, p):
     cfg = make_config(ident, part_name, p, None, 16)
     assert orbit_tensor_power(cfg.operator, cfg.part) == 2
-    freqs, _, _, counts = _sweep(cfg)
+    freqs, _, _, counts = _sweep(cfg)[:4]
     assert freqs.shape[0] == 119
     assert int(counts.sum()) == 1687
     assert sweep_calls == [119]
@@ -259,7 +259,7 @@ def test_non_elliptic_orbits_are_swept_once(sweep_calls, ident):
     # reads inf, and it counts for its whole orbit like any other
     cfg = make_config(ident, "tr", 2.0, None, 16)
     assert orbit_tensor_power(cfg.operator, cfg.part) is not None
-    freqs, _, ratios, counts = _sweep(cfg)
+    freqs, _, ratios, counts = _sweep(cfg)[:4]
     assert sweep_calls == [119]
     assert freqs.shape[0] == 119 and int(counts.sum()) == 1687
     assert np.isinf(ratios).all()
@@ -305,9 +305,11 @@ def test_korn_const_p1_evaluates_each_correction_frequency_once():
     desc.batch = counting
     estimate_constant(cfg, FieldFamily(random_trials=2, bump_widths=(0.5,)), seed=0)
     # the sweep's 119 representatives in one batch; the half-grid table of the
-    # field trials at its 88 sorted |xi| / gcd(xi) off the Nyquist planes
-    # (the primitive 0 <= a <= b <= c <= 7; 2,304 bins); then the kernel witness
-    assert evaluated == [119, 88, 1]
+    # field trials takes its 88 sorted |xi| / gcd(xi) off the Nyquist planes
+    # (the primitive 0 <= a <= b <= c <= 7; 2,304 bins) from the sweep and
+    # evaluates none; then the kernel witness
+    assert evaluated == [119, 1]
+    assert desc.grid_table(grid).keys.shape[0] == 88
     assert int(np.prod(grid.half_shape)) == 2304
 
 
@@ -341,7 +343,7 @@ def full_sweep(cfg):
     out = []
     for lo in range(0, freqs.shape[0], SWEEP_CHUNK):
         chunk = freqs[lo : lo + SWEEP_CHUNK]
-        vs, ratios = _sweep_vectors(cfg, chunk.astype(float))
+        vs, ratios = _sweep_vectors(cfg, chunk.astype(float))[:2]
         out.append((chunk, vs, ratios))
     return tuple(np.concatenate(part) for part in zip(*out))
 
@@ -417,7 +419,7 @@ def test_infinite_orbits_count_for_every_member(sweep_calls, m):
     # the axis orbits (0, 0, a) read inf and count for their 3 canonical
     # members; at M = 40 the 1,539 representatives span two chunks
     cfg = InequalityConfig("korn_ell", pair_products(), None, 2.0, TorusGrid(3, m))
-    freqs, _, ratios, counts = _sweep(cfg)
+    freqs, _, ratios, counts = _sweep(cfg)[:4]
     assert sweep_calls == ([1024, 1539 - 1024] if m == 40 else [19])
     assert freqs.shape[0] == sum(sweep_calls)
     axis = np.count_nonzero(freqs, axis=1) == 1
@@ -435,7 +437,7 @@ def test_large_finite_ratios_count_for_their_orbit(sweep_calls):
     )
     cfg = InequalityConfig("korn_ell", scaled, None, 2.0, TorusGrid(3, 8))
     assert orbit_tensor_power(cfg.operator, cfg.part) is not None
-    got_freqs, _, got_ratios, counts = _sweep(cfg)
+    got_freqs, _, got_ratios, counts = _sweep(cfg)[:4]
     assert sweep_calls == [19] and int(counts.sum()) == 171
     freqs, _, ratios = full_sweep(cfg)
     assert np.isfinite(ratios).all()
@@ -528,3 +530,94 @@ def test_a_certified_estimate_walks_the_fundamental_domain_alone(monkeypatch):
     )
     estimate_constant(anisotropic, FieldFamily(random_trials=1), seed=0)
     assert "canonical_frequencies" in anisotropic.grid.__dict__
+
+
+# --------------------------------------------------------------------------
+# the witness scan after the sweep
+# --------------------------------------------------------------------------
+
+def witness_test_flags(cfg, freqs):
+    """The witness test of search_kernel_witness on W = [A; B[xi]] at each frequency."""
+    amat = np.broadcast_to(cfg.part.matrix, (freqs.shape[0],) + cfg.part.matrix.shape)
+    stacked = np.concatenate([amat, symbol_on_frequencies(cfg.operator, freqs).real], axis=1)
+    s = np.linalg.svd(stacked, compute_uv=False)
+    s = np.concatenate([s, np.zeros((s.shape[0], cfg.operator.d - s.shape[1]))], axis=1)
+    return s[:, -1] <= verify.WITNESS_TOL * np.maximum(s[:, 0], 1.0)
+
+
+def mask_cases():
+    """(id, ident, spec, part, correction) per case.
+
+    The catalog configs with a part map (all certified), the anisotropic curl,
+    and two quartics whose witness is not the first orbit the scan takes.
+    """
+    cases = [
+        (f"{ident}-{op}-{part}", ident, catalog_operator(op, 3), catalog_partmap(part, 3), None)
+        for ident, op, part in catalog_cases() if part is not None
+    ]
+    cases.append(("anisotropic-curl-tr", "korn_const", anisotropic_curl(), catalog_partmap("tr", 3), None))
+    zero = catalog_partmap("zero", 3, dim=1)
+    for spec in (quartic("diagonal_quartic", 1.0, -1.0), quartic("off_axis_quartic", -8.0, 34.0)):
+        cases.append((spec.name, "korn_const", spec, zero, False))
+    return cases
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize(
+    "ident,spec,part,correction", [c[1:] for c in mask_cases()], ids=[c[0] for c in mask_cases()]
+)
+def test_the_sweep_mask_keeps_the_witness_bit_for_bit(ident, spec, part, correction, m):
+    # an orbit the sweep clears fails the witness test at its representative, and
+    # the scan that skips the cleared orbits returns the full scan's (xi, v)
+    cfg = InequalityConfig(ident, spec, part, FORCED_P.get(ident, 2.0), TorusGrid(3, m), correction)
+    freqs, _, ratios, _, clear, _ = _sweep(cfg)
+    assert clear.shape == ratios.shape
+    assert not np.any(clear & witness_test_flags(cfg, freqs.astype(float)))
+    got = search_kernel_witness(part, spec, cfg.grid, clear)
+    want = search_kernel_witness(part, spec, cfg.grid)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+
+
+def witness_work(monkeypatch):
+    """The frequencies each search_kernel_witness call evaluates the symbol at, in call order."""
+    scanned = []
+    scan, symbol = verify.search_kernel_witness, verify.symbol_on_frequencies
+
+    def counting_scan(*args):
+        scanned.append(0)
+
+        def counting_symbol(spec, freqs):
+            scanned[-1] += int(np.prod(np.shape(freqs)[:-1]))
+            return symbol(spec, freqs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "symbol_on_frequencies", counting_symbol)
+            return scan(*args)
+
+    monkeypatch.setattr(verify, "search_kernel_witness", counting_scan)
+    return scanned
+
+
+def test_after_the_sweep_kms_sym_factorises_no_witness_matrix(monkeypatch, svd_factorised):
+    # the sweep clears all 119 orbits at M = 16, so the scan factorises nothing
+    cfg = make_config("kms_sym", "sym", 2.0, None, 16)
+    clear = _sweep(cfg)[4]
+    assert clear.size == 119 and clear.all()
+    found, factorised = svd_factorised(search_kernel_witness, cfg.part, CURL, cfg.grid, clear)
+    assert found is None and factorised == 0
+    scanned = witness_work(monkeypatch)
+    estimate_constant(cfg, FieldFamily(random_trials=0, bump_widths=()))
+    assert scanned == [0]
+
+
+def test_after_the_sweep_korn_const_p1_scans_one_orbit_per_grid(monkeypatch):
+    # its first orbit in scan order holds the witness; the scan stops there
+    cfg = make_config("korn_const_p1", "tr", 1.0, None, 8)
+    for m in (8, 16, 32):
+        assert search_kernel_witness(cfg.part, CURL, TorusGrid(3, m))[0].tolist() == [0, 0, 1]
+    scanned = witness_work(monkeypatch)
+    refinement_study(cfg, [8, 16, 32], FieldFamily(random_trials=1, bump_widths=()))
+    assert scanned == [1, 1, 1]

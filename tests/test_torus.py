@@ -72,6 +72,20 @@ class TestTorusGrid:
             assert canon.dtype == np.int64
             assert np.array_equal(canon, np.array(leading_positive).reshape(-1, n))
 
+    @pytest.mark.parametrize("n,m", [(1, 4), (1, 10), (2, 8), (3, 6), (3, 16), (4, 4)])
+    def test_canonical_frequencies_cache_no_frequency_grid(self, n, m):
+        # meshed from the axis frequencies and dropped: the same int64 array as
+        # the one read off the whole frequency grid, which the grid does not keep
+        grid = TorusGrid(n, m)
+        canon = grid.canonical_frequencies
+        assert "frequency_grid" not in vars(grid)
+        flat = TorusGrid(n, m).frequency_grid.reshape(-1, n)
+        keep = np.any(flat != 0, axis=1) & ~np.any(flat == -(m // 2), axis=1)
+        flat = flat[keep]
+        want = flat[flat[np.arange(flat.shape[0]), np.argmax(flat != 0, axis=1)] > 0]
+        assert canon.dtype == want.dtype == np.int64
+        assert canon.shape == want.shape and np.array_equal(canon, want)
+
     def test_cell_volume(self):
         grid = TorusGrid(3, 8)
         assert grid.cell_volume == pytest.approx((2 * math.pi / 8) ** 3)
@@ -396,6 +410,24 @@ class TestGenerators:
         base = transform(f).coefficients[idx]
         want = 1j * eval_symbol(curl, xi.astype(float)) @ base
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n,m", [(1, 8), (2, 16), (3, 8), (3, 32), (4, 8)])
+    def test_a_plane_wave_caches_no_sample_points(self, n, m):
+        # x . xi is a broadcast sum of per-axis phases; it agrees with the phase
+        # read off the whole array of sample points to 1e-15 of its largest
+        # value, and the samples agree to the same roundoff
+        rng = np.random.default_rng(n * m)
+        for _ in range(5):
+            grid = TorusGrid(n, m)
+            xi = rng.integers(-(m // 2 - 1), m // 2, size=n)
+            xi[0] = xi[0] or 1
+            v = rng.standard_normal(3)
+            got = plane_wave_field(grid, xi, v).values
+            assert "points" not in vars(grid)
+            phase = grid.points @ xi.astype(float)
+            want = (np.exp(1j * phase)[..., None] * v).real
+            tol = 1e-15 * np.max(np.abs(phase)) * np.linalg.norm(v)
+            assert np.max(np.abs(got - want)) <= tol
 
     @pytest.mark.parametrize("xi0", [(0, 0), (-4, 1), (4, 0), (1, 0.5), (1, 2, 3)])
     def test_plane_wave_rejections_name_xi0(self, xi0):

@@ -356,7 +356,7 @@ class TestBatchedSweep:
         grid = TorusGrid(n, m)
         part = None if part_name is None else catalog_partmap(part_name, n)
         cfg = InequalityConfig(ident, catalog_operator(op, n), part, p, grid)
-        freqs, vs, ratios, counts = _sweep(cfg)
+        freqs, vs, ratios, counts = _sweep(cfg)[:4]
         # every orbit is trusted, so the representatives are all that is swept
         assert sum(sweep_calls) == orbits
         assert (len(sweep_calls) > 1) == (m == 40)
@@ -417,7 +417,7 @@ class TestBatchedSweep:
         }
         part = None if part_name is None else catalog_partmap(part_name, 3)
         cfg = InequalityConfig(ident, specs[spec](), part, p, grid8, correction_enabled=correction)
-        freqs, vs, ratios, _ = _sweep(cfg)
+        freqs, vs, ratios, _ = _sweep(cfg)[:4]
         assert freqs.shape[0] == 19
         for xi, v, ratio in zip(freqs, vs, ratios):
             ref = trial_ratio(*kms_sides(cfg, plane_wave_field(grid8, xi, v)))
@@ -563,7 +563,7 @@ class TestWitnessAndNecessity:
 
     @staticmethod
     def sweep_vector(cfg, xi):
-        vs, ratios = _sweep_vectors(cfg, np.asarray(xi, dtype=float)[None])
+        vs, ratios = _sweep_vectors(cfg, np.asarray(xi, dtype=float)[None])[:2]
         return vs[0], float(ratios[0])
 
     def test_worst_vector_flags_uncorrected_witness(self, grid8, curl):
@@ -703,7 +703,7 @@ class TestEstimates:
         est = estimate_constant(cfg, family=small_family(), seed=0)
         assert math.isinf(est.family_maxima["sweep"])
         assert math.isinf(est.family_maxima["witness"])
-        freqs, vs, ratios, _ = _sweep(cfg)
+        freqs, vs, ratios, _ = _sweep(cfg)[:4]
         first = int(np.argmax(np.isinf(ratios)))
         assert est.argmax == {
             "generator": "plane_wave",
