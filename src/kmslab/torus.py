@@ -528,6 +528,9 @@ def _lq_norms(box, lines, q, part=None):
             blocks = [part.apply(samples[..., j : j + d]) for j in range(0, samples.shape[-1], d)]
             mapped = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
             powers[1][where] = _point_powers(mapped, q)
+            del blocks, mapped
+        # dropped before _slabs makes the next slab, so one slab is alive at a time
+        del samples
     return [_lp_of_powers(grid, array, q) for array in powers]
 
 
@@ -894,9 +897,9 @@ def plane_wave_field(grid: TorusGrid, xi0, v) -> TensorField:
     """The real plane wave Re(v e^{i x . xi0}); spectrum supported on {+-xi0}.
 
     xi0 must be a nonzero grid frequency without Nyquist components and v a
-    finite 1-D fibre vector, real or complex.  The phase x . xi0 is the
-    broadcast sum of the per-axis phases x_j xi0_j, so the grid caches no
-    array of sample points for it.
+    finite non-empty 1-D fibre vector, real or complex.  The phase x . xi0
+    is the broadcast sum of the per-axis phases x_j xi0_j, so the grid
+    caches no array of sample points for it.
     """
     xi_int = _wave_frequency(grid, xi0, "xi0")
     v = _fibre_vector(v, None)
@@ -923,10 +926,10 @@ def _wave_frequency(grid: TorusGrid, xi, argument: str) -> np.ndarray:
 
 
 def _fibre_vector(v, dtype):
-    """v as a new 1-D array of dtype; ArgumentError("v") unless it is 1-D and finite."""
+    """v as a new 1-D array of dtype; ArgumentError("v") unless it is 1-D, non-empty and finite."""
     v = np.array(v, dtype=dtype)
-    if v.ndim != 1 or not np.all(np.isfinite(v)):
-        raise ArgumentError("v", "v must be a 1-D fibre vector of finite values")
+    if v.ndim != 1 or not v.size or not np.all(np.isfinite(v)):
+        raise ArgumentError("v", "v must be a non-empty 1-D fibre vector of finite values")
     return v
 
 
@@ -934,8 +937,12 @@ def bump_cutoff(grid: TorusGrid, width: float) -> int:
     """The band box cutoff of bump_field: ceil(sqrt(106 ln 2) / width), at most M/2 - 1.
 
     The smallest c with exp(-width^2 c^2 / 2) <= 2^-53, so below the cap
-    every coefficient the box drops is under the peak's roundoff.
+    every coefficient the box drops is under the peak's roundoff.  A
+    width that is not a positive finite real number, or is a bool, is
+    refused with ArgumentError("width").
     """
+    if isinstance(width, bool) or not isinstance(width, numbers.Real) or not 0 < width < math.inf:
+        raise ArgumentError("width", f"width must be a positive finite real number, got {width!r}")
     return min(math.ceil(math.sqrt(106.0 * math.log(2.0)) / width), grid.points_per_axis // 2 - 1)
 
 
@@ -959,16 +966,16 @@ def bump_field(
     inverse transform from the box, are made on the first read of values and
     are read-only.  With zero_mean=True (default) the zero mode is 0, so the
     field is usable in homogeneous norms; pass False to compare against
-    whole-space quadrature oracles.  center must be a finite n-vector and v
-    a finite 1-D fibre vector; the field keeps its own copy of v.
+    whole-space quadrature oracles.  center must be a finite n-vector, width
+    as bump_cutoff takes it and v a finite non-empty 1-D fibre vector; the
+    field keeps its own copy of v.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (grid.n,) or not np.all(np.isfinite(center)):
         raise ArgumentError("center", f"center must be a finite vector of shape ({grid.n},)")
-    if not 0 < width < math.inf:
-        raise ArgumentError("width", "width must be positive and finite")
+    cutoff = bump_cutoff(grid, width)
     v = _fibre_vector(v, float)
-    box = BandBox(grid, bump_cutoff(grid, width))
+    box = BandBox(grid, cutoff)
     k = grid.axis_frequencies[box.axis_bins]
     axes = [k] * (grid.n - 1) + [k[: box.cutoff + 1]]
     hat = reduce(

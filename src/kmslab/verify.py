@@ -478,9 +478,13 @@ def _sweep_vectors(config, freqs):
     clear, correction): ratios[i] is the trial ratio of the plane wave
     (freqs[i], vectors[i]), read from the same closed form, as
     single_frequency_trial reads it; correction holds the correction's
-    matrices as evaluated there (None without one).  Only S and L S^+ are
-    factorised with singular vectors; the null gain L N is factorised only
-    where its Frobenius norm could reach the threshold.
+    matrices as evaluated there (None without one).  S is factorised with
+    singular vectors; L S^+ only where a correction makes L differ from
+    a I.  Without one, L S^+ = a S^+ = a V Sigma^+ U^T, whose top right
+    singular vector S^+ maps to the right singular vector of S at its
+    smallest kept singular value, so v is that row of S's factorisation
+    (e_0 where none is kept).  The null gain L N is factorised only where
+    its Frobenius norm could reach the threshold.
 
     clear[i] is true where S = [b A; c B[xi]] proves that W = [A; B[xi]]
     fails the witness test of search_kernel_witness.  Since
@@ -514,14 +518,18 @@ def _sweep_vectors(config, freqs):
     smax = np.maximum(s[..., 0], 1.0)
     inv = np.where(s > NULL_TOL * smax[..., None], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     pinv = np.einsum("fji,fj,fkj->fik", vh, inv, u)
-    row_proj = pinv @ smat
-    null_proj = eye - row_proj
+    null_proj = eye - pinv @ smat
 
-    tmat = lmat @ pinv
-    _, t_vh = _svd_right(tmat)
-    v_fin = np.einsum("fik,fk->fi", pinv, t_vh)
-    norms = np.linalg.norm(v_fin, axis=1)
-    vs = np.where(norms[:, None] > 1e-13, v_fin / np.maximum(norms, 1e-300)[:, None], eye[0])
+    if config.correction_enabled:
+        _, t_vh = _svd_right(lmat @ pinv)
+        v_fin = np.einsum("fik,fk->fi", pinv, t_vh)
+        norms = np.linalg.norm(v_fin, axis=1)
+        vs = np.where(norms[:, None] > 1e-13, v_fin / np.maximum(norms, 1e-300)[:, None], eye[0])
+    else:
+        # L = a I, so sigma_max(L S^+) is a / sigma at S's smallest kept singular
+        # value sigma, reached at its right singular vector
+        kept = np.count_nonzero(inv, axis=1)
+        vs = np.where(kept[:, None] > 0, vh[np.arange(count), np.maximum(kept - 1, 0)], eye[0])
 
     # v is the top null-gain direction where sigma_max(L N) exceeds the
     # threshold; since sigma_max <= |L N|_F, rows whose Frobenius norm stays

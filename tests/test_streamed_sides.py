@@ -255,6 +255,33 @@ def test_the_slab_reducer_is_the_lq_norm_of_the_samples():
             assert torus._lq_norms(f_hat.box, lines, q, part) == want
 
 
+@pytest.mark.parametrize("part_name", [None, "dev"])
+def test_the_slab_reducer_drops_each_slab_before_the_next(part_name, monkeypatch):
+    # the samples of a slab (and their A-mapped block) must be gone when
+    # the reducer asks _slabs for the next slab; the norms stay the samples'
+    grid = TorusGrid(3, 24)
+    part = None if part_name is None else catalog_partmap(part_name, 3)
+    f_hat = HalfSpectrum.of(make_field("noise", grid, 9, 2))
+    values = torus._inverse(f_hat.box, f_hat.coefficients)
+    want = [torus._lp(grid, values, 1.5)]
+    if part is not None:
+        want.append(torus._lp(grid, part.apply(values), 1.5))
+    slabs, made = torus._slabs, []
+
+    def watched(*args):
+        for item in slabs(*args):
+            made.append(weakref.ref(item[1]))
+            yield item
+            del item
+            assert made[-1]() is None, "the previous slab is still alive"
+
+    monkeypatch.setattr(torus, "SLAB_BYTES", 1)
+    monkeypatch.setattr(torus, "_slabs", watched)
+    lines = torus._lines(f_hat.box, f_hat.coefficients)
+    assert torus._lq_norms(f_hat.box, lines, 1.5, part) == want
+    assert len(made) == grid.points_per_axis
+
+
 MEMORY_CASES = [
     ("kms_sym", 1.5), ("korn_const", 2.0), ("korn_const", 1.5), ("korn_const_p1", 1.0),
     ("korn_const2_p2", 2.0), ("asplit", 1.5), ("korn_ellip", 1.5),

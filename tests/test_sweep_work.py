@@ -68,28 +68,42 @@ def make_config(ident, part_name, p, correction, m):
     )
 
 
-def reference_flags_and_vectors(cfg, freqs, cmats, null_tol=1e-12):
-    """Worst vectors with the null gain L N factorised at every frequency."""
-    d, count = cfg.operator.d, freqs.shape[0]
+def scaled_stack(cfg, freqs):
+    """(a, S): the left side's scale and S = [b A; c B[xi]] at each frequency."""
     a, b, c = _frequency_scales(cfg, freqs)
+    amat = np.broadcast_to(cfg.part.matrix, (freqs.shape[0],) + cfg.part.matrix.shape)
+    bsym = symbol_on_frequencies(cfg.operator, freqs).real
+    return a, np.concatenate([b[:, None, None] * amat, c[:, None, None] * bsym], axis=1)
+
+
+def reference_flags_and_vectors(cfg, freqs, cmats, null_tol=1e-12, through_pinv=False):
+    """Worst vectors with the null gain L N factorised at every frequency.
+
+    Without a correction (cmats None) L = a I, and v is the right singular
+    vector of S at its smallest kept singular value, unless through_pinv
+    asks for the top right singular vector of L S^+ mapped back by S^+.
+    """
+    d, count = cfg.operator.d, freqs.shape[0]
+    a, smat = scaled_stack(cfg, freqs)
     eye = np.eye(d)
     if cmats is None:
         lmat = a[:, None, None] * np.broadcast_to(eye, (count, d, d))
     else:
         lmat = a[:, None, None] * (eye - cmats)
-    amat = np.broadcast_to(cfg.part.matrix, (count,) + cfg.part.matrix.shape)
-    bsym = symbol_on_frequencies(cfg.operator, freqs).real
-    smat = np.concatenate([b[:, None, None] * amat, c[:, None, None] * bsym], axis=1)
     u, s, vh = np.linalg.svd(smat, full_matrices=False)
     smax = np.maximum(s[..., 0], 1.0)
     inv = np.where(s > null_tol * smax[..., None], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     pinv = np.einsum("fji,fj,fkj->fik", vh, inv, u)
     _, gain_s, gain_vh = np.linalg.svd(lmat @ (eye - pinv @ smat))
     flags = gain_s[:, 0] > 1e-8 * np.maximum(a, 1e-300)
-    _, _, t_vh = np.linalg.svd(lmat @ pinv)
-    v = np.einsum("fik,fk->fi", pinv, t_vh[:, 0])
-    norms = np.linalg.norm(v, axis=1)
-    v = np.where(norms[:, None] > 1e-13, v / np.maximum(norms, 1e-300)[:, None], eye[0])
+    if cmats is None and not through_pinv:
+        kept = np.count_nonzero(inv, axis=1)
+        v = np.where(kept[:, None] > 0, vh[np.arange(count), np.maximum(kept - 1, 0)], eye[0])
+    else:
+        _, _, t_vh = np.linalg.svd(lmat @ pinv)
+        v = np.einsum("fik,fk->fi", pinv, t_vh[:, 0])
+        norms = np.linalg.norm(v, axis=1)
+        v = np.where(norms[:, None] > 1e-13, v / np.maximum(norms, 1e-300)[:, None], eye[0])
     return flags, np.where(flags[:, None], gain_vh[:, 0], v)
 
 
@@ -232,13 +246,30 @@ def svd_factorised(monkeypatch):
     return svd_counter(monkeypatch, vectors_only=False)
 
 
-def test_kms_sym_sweep_factorises_two_matrices_per_frequency(svd_with_vectors, sweep_calls):
-    cfg = make_config("kms_sym", "sym", 2.0, None, 16)
+@pytest.mark.parametrize(
+    "ident,part_name,p,correction,per_orbit",
+    [
+        # L = a I: v is read off S, whose factorisation is the only one
+        ("kms_sym", "sym", 2.0, None, 1),
+        ("asplit", "dev", 2.0, None, 1),
+        ("korn_ellip", "sym", 2.0, None, 1),
+        # a correction adds L S^+ and, where the null gain may reach its
+        # threshold (every orbit here), L N
+        ("korn_const_p1", "tr", 1.0, None, 3),
+        ("korn_const", "tr", 2.0, None, 3),
+    ],
+    ids=["kms_sym", "asplit", "korn_ellip", "korn_const_p1", "korn_const"],
+)
+def test_sweep_factorises_each_orbit_once_without_a_correction(
+    svd_with_vectors, sweep_calls, ident, part_name, p, correction, per_orbit
+):
+    cfg = make_config(ident, part_name, p, correction, 16)
+    cfg.correction_descriptor  # built beforehand: its own factorisations are not the sweep's
     (freqs, *_), factorised = svd_with_vectors(_sweep, cfg)
     # 1,687 canonical frequencies fall into 119 signed-permutation orbits
     assert freqs.shape[0] == 119
     assert sweep_calls == [119]
-    assert factorised == 2 * 119
+    assert factorised == per_orbit * 119
 
 
 @pytest.mark.parametrize(
@@ -404,6 +435,45 @@ def test_orbit_sweep_matches_the_full_sweep(ident, op, part_name, m):
             ident, catalog_operator(op, 3), part, FORCED_P.get(ident, 2.0), TorusGrid(3, m)
         )
     )
+
+
+# every uncorrected n = 3 catalog config with a part map, and the
+# anisotropic curl (which fails the orbit check) with its correction off
+UNCORRECTED_CASES = [
+    (f"{ident}-{op}-{part}", ident, catalog_operator(op, 3), part)
+    for ident, op, part in catalog_cases()
+    if ident in ("kms_sym", "asplit", "korn_ellip")
+] + [("anisotropic-curl-tr-uncorrected", "korn_const", anisotropic_curl(), "tr")]
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize(
+    "ident,spec,part_name", [c[1:] for c in UNCORRECTED_CASES], ids=[c[0] for c in UNCORRECTED_CASES]
+)
+def test_uncorrected_vectors_match_the_left_side_pinv_route(ident, spec, part_name, p, m):
+    # v read off S against the top right singular vector of L S^+: the same
+    # infinities, ratios to roundoff, and the same line of vectors wherever
+    # S's smallest kept singular value is simple
+    cfg = InequalityConfig(
+        ident, spec, catalog_partmap(part_name, 3), p, TorusGrid(3, m), correction_enabled=False
+    )
+    freqs = cfg.grid.canonical_frequencies.astype(float)
+    vs, ratios = _sweep_vectors(cfg, freqs)[:2]
+    flags, want_vs = reference_flags_and_vectors(cfg, freqs, None, through_pinv=True)
+    want = verify._trial_ratios(*verify._PlaneWaves(cfg, freqs).sides(want_vs))
+    assert np.array_equal(np.isinf(ratios), flags)
+    assert np.array_equal(np.isinf(want), flags)
+    finite = ~flags
+    assert np.allclose(ratios[finite], want[finite], rtol=1e-12, atol=0)
+    s = np.linalg.svd(scaled_stack(cfg, freqs)[1], compute_uv=False)
+    kept = np.count_nonzero(s > 1e-12 * np.maximum(s[:, :1], 1.0), axis=1)
+    rows = np.arange(freqs.shape[0])
+    smallest = s[rows, np.maximum(kept - 1, 0)]
+    above = np.where(kept > 1, s[rows, np.maximum(kept - 2, 0)], np.inf)
+    simple = (kept > 0) & (above - smallest > 1e-6 * s[:, 0])
+    alignment = np.abs(np.einsum("fi,fi->f", vs, want_vs))
+    assert np.all(alignment[simple] >= 1.0 - 1e-12)
 
 
 def pair_products():

@@ -21,6 +21,7 @@ from kmslab.torus import (
     TorusGrid,
     apply_multiplier,
     apply_operator,
+    bump_cutoff,
     bump_field,
     dual_exponent_chain,
     homog_sobolev_norm,
@@ -451,6 +452,8 @@ class TestGenerators:
             ("width", (1.0, 2.0), -0.5),
             ("width", (1.0, 2.0), math.inf),
             ("width", (1.0, 2.0), math.nan),
+            ("width", (1.0, 2.0), True),
+            ("width", (1.0, 2.0), "0.5"),
             ("center", (1.0,), 0.5),
             ("center", (1.0, 2.0, 3.0), 0.5),
         ],
@@ -459,6 +462,27 @@ class TestGenerators:
         with pytest.raises(ArgumentError) as err:
             bump_field(TorusGrid(2, 8), np.array(center), width, np.array([1.0]))
         assert err.value.argument == argument
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.inf, -math.inf, math.nan, True, False, "0.5", None])
+    def test_bump_cutoff_refuses_a_width_that_is_not_positive_and_finite(self, width):
+        # no ZeroDivisionError at width 0, and no cutoff of -8 or 0 for widths -1 and inf
+        with pytest.raises(ArgumentError) as err:
+            bump_cutoff(TorusGrid(3, 8), width)
+        assert err.value.argument == "width"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda grid: bump_field(grid, np.zeros(2), 0.5, np.ones(0)),
+            lambda grid: plane_wave_field(grid, np.array([1, 0]), np.ones(0)),
+        ],
+        ids=["bump", "plane-wave"],
+    )
+    def test_an_empty_fibre_vector_is_refused(self, make):
+        # a d = 0 field, which random_bandlimited refuses too
+        with pytest.raises(ArgumentError) as err:
+            make(TorusGrid(2, 8))
+        assert err.value.argument == "v"
 
     def test_bump_l1_matches_gaussian_integral(self):
         # midpoint rule on a width-0.5 periodic Gaussian at M = 64 is
